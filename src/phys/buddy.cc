@@ -32,11 +32,11 @@ BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
         topLists_.resize(topStripes_);
     }
 
-    // Seed the allocator: mark everything free as top-order blocks.
-    for (std::uint64_t off = n_frames; off > 0; off -= top_pages)
-        markFree(base_pfn + off - top_pages, maxOrder_);
-
-    // Build the seeding order: ascending by default (head insertion
+    // Seed the allocator with top-order blocks. A zero-filled mem_map
+    // already reads as free (inUse false, no list linkage), so only the
+    // block heads are written, by the list inserts below.
+    //
+    // The seeding order: ascending by default (head insertion
     // back-to-front yields an ascending list — per stripe too, since
     // routing preserves the relative order), or shuffled to model an
     // aged machine's list churn.
@@ -146,9 +146,9 @@ BuddyAllocator::markAllocated(Pfn pfn, unsigned order)
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = frames_[pfn + i];
-        // Relaxed: freeFlag is only a hint to lockless occupancy
+        // Relaxed: inUse is only a hint to lockless occupancy
         // probes; allocSpecific re-checks under the zone lock.
-        f.freeFlag.store(false, std::memory_order_relaxed);
+        f.inUse.store(true, std::memory_order_relaxed);
         f.freeHead = false;
     }
 }
@@ -159,7 +159,7 @@ BuddyAllocator::markFree(Pfn pfn, unsigned order)
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = frames_[pfn + i];
-        f.freeFlag.store(true, std::memory_order_relaxed);
+        f.inUse.store(false, std::memory_order_relaxed);
         f.freeHead = false;
     }
     frames_[pfn].order = static_cast<std::uint8_t>(order);
@@ -372,7 +372,7 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
     ++stats_.freeCalls;
     contig_assert(order <= maxOrder_, "order %u beyond maxOrder", order);
     contig_assert(contains(pfn, order), "free outside zone");
-    contig_assert(!frames_[pfn].freeFlag, "double free of pfn %llu",
+    contig_assert(frames_[pfn].inUse, "double free of pfn %llu",
                   static_cast<unsigned long long>(pfn));
     contig_assert(isAligned(pfn - basePfn_, pagesInOrder(order)),
                   "free of unaligned block");
@@ -404,13 +404,13 @@ BuddyAllocator::isFreePage(Pfn pfn) const
         return false;
     // Lockless occupancy probe (paper §III-C): a stale answer is
     // benign because allocSpecific re-validates under the zone lock.
-    return frames_[pfn].freeFlag.load(std::memory_order_relaxed);
+    return !frames_[pfn].inUse.load(std::memory_order_relaxed);
 }
 
 std::optional<std::pair<Pfn, unsigned>>
 BuddyAllocator::enclosingFreeBlock(Pfn pfn) const
 {
-    if (!contains(pfn, 0) || !frames_[pfn].freeFlag)
+    if (!contains(pfn, 0) || frames_[pfn].inUse)
         return std::nullopt;
     // Free blocks are order-aligned, so the head of the enclosing block
     // must be an alignment ancestor of pfn.
@@ -511,9 +511,9 @@ BuddyAllocator::checkInvariants() const
                 return false;
             if (!isAligned(cur - basePfn_, pagesInOrder(o)))
                 return false;
-            // Every page of a listed block must carry the free flag.
+            // No page of a listed block may be marked in use.
             for (std::uint64_t i = 0; i < pagesInOrder(o); ++i)
-                if (!frames_[cur + i].freeFlag)
+                if (frames_[cur + i].inUse)
                     return false;
             // A listed block's buddy of the same order must not also be
             // free-listed (they should have coalesced)...

@@ -55,6 +55,8 @@ class BuddyAllocator
 
     /**
      * @param frames Backing mem_map (shared with the rest of the kernel).
+     *        Frames in the managed range must be fresh (all-zero), which
+     *        reads as free; seeding writes only the top-order block heads.
      * @param base_pfn First frame managed by this allocator.
      * @param n_frames Number of frames managed.
      * @param max_order Top order (Linux default 11; eager paging raises it).

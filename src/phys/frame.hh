@@ -13,7 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -38,8 +38,17 @@ enum class FrameOwner : std::uint8_t
  * linkage for the free lists, and a reverse-mapping triple used by the
  * migration-based baselines (Ranger, Ingens promotion).
  *
- * Concurrency: refCount/mapCount/freeFlag are atomics because fault
- * threads touch them outside any lock — freeFlag is CA paging's
+ * A frame whose bytes are all zero is a valid, unowned frame inside a
+ * free buddy block (`inUse` false, no list linkage, no owner). The
+ * mem_map is therefore a zero-filled mapping: a fresh machine writes
+ * only the descriptors of its top-order free-block heads, and every
+ * other page of the mem_map stays untouched until first use. Fields
+ * whose zero is not meaningful on its own (list linkage, `ownerId`)
+ * are written before anything reads them: the links by list insert,
+ * the owner id together with `ownerKind`.
+ *
+ * Concurrency: refCount/mapCount/inUse are atomics because fault
+ * threads touch them outside any lock — inUse is CA paging's
  * lockless occupancy probe (§III-C; a stale read is benign, the
  * subsequent allocSpecific re-validates under the zone lock). The
  * free-list linkage is plain: it is only touched under the owning
@@ -49,6 +58,8 @@ enum class FrameOwner : std::uint8_t
  * candidate handles without any lock — a torn owner triple is benign
  * because eviction re-validates the frame against the owner's page
  * table under the victim VMA's fault lock before touching anything.
+ *
+ * The small fields are grouped so a descriptor fills one 64-byte line.
  */
 struct Frame
 {
@@ -56,22 +67,24 @@ struct Frame
     std::atomic<std::uint32_t> refCount{0};
     /** Number of page-table mappings pointing at this frame. */
     std::atomic<std::uint32_t> mapCount{0};
+    /** Owning process or file id; meaningful only if ownerKind != None. */
+    std::atomic<std::uint32_t> ownerId{0};
 
     /** Buddy order of the free block this frame heads (valid if freeHead). */
     std::uint8_t order = 0;
-    /** True for every frame inside a free buddy block. */
-    std::atomic<bool> freeFlag{false};
+    /** False for every frame inside a free buddy block. */
+    std::atomic<bool> inUse{false};
     /** True only for the first frame of a free block on a free list. */
     bool freeHead = false;
-
-    /** Intrusive free-list linkage (heads only). */
-    Pfn freeNext = kInvalidPfn;
-    Pfn freePrev = kInvalidPfn;
-
-    /** Reverse mapping: which process/file and which virtual page. */
+    /** Reverse mapping: which kind of object backs this frame. */
     std::atomic<FrameOwner> ownerKind{FrameOwner::None};
-    std::atomic<std::uint32_t> ownerId{kNoOwner}; //!< process or file id
-    std::atomic<Addr> ownerVaddr{0}; //!< owning gva (or file offset)
+
+    /** Intrusive free-list linkage (heads only; set by list insert). */
+    Pfn freeNext = 0;
+    Pfn freePrev = 0;
+
+    /** Reverse mapping: the owning gva (or file offset). */
+    std::atomic<Addr> ownerVaddr{0};
 
     // --- LRU reclaim state (reclaimEnabled kernels only) ---------------
     //
@@ -84,9 +97,9 @@ struct Frame
     /** Which LRU list the block headed here sits on. */
     enum class LruList : std::uint8_t { None, Inactive, Active };
 
-    /** Intrusive LRU linkage (heads of claimed blocks only). */
-    Pfn lruNext = kInvalidPfn;
-    Pfn lruPrev = kInvalidPfn;
+    /** Intrusive LRU linkage (heads of listed blocks; set by insert). */
+    Pfn lruNext = 0;
+    Pfn lruPrev = 0;
     /** Mapping order of the block this frame heads on an LRU list. */
     std::uint8_t lruOrder = 0;
     LruList lruList = LruList::None;
@@ -94,19 +107,30 @@ struct Frame
     std::atomic<bool> referenced{false};
 };
 
+static_assert(std::is_trivially_destructible_v<Frame>,
+              "the mem_map is unmapped without running destructors");
+static_assert(sizeof(Frame) == 64, "one descriptor per cache line");
+
 /**
  * The mem_map: a flat array of Frame descriptors covering one physical
- * address space (host machine or a VM's guest-physical space).
+ * address space (host machine or a VM's guest-physical space). It is
+ * one anonymous zero-filled mapping, so building a machine costs
+ * nothing per frame: the host OS supplies zero pages on first touch
+ * and an all-zero Frame is the free, unowned state.
  */
 class FrameArray
 {
   public:
-    explicit FrameArray(std::uint64_t n_frames) : frames_(n_frames) {}
+    explicit FrameArray(std::uint64_t n_frames);
+    ~FrameArray();
+
+    FrameArray(const FrameArray &) = delete;
+    FrameArray &operator=(const FrameArray &) = delete;
 
     Frame &
     operator[](Pfn pfn)
     {
-        contig_assert(pfn < frames_.size(), "pfn %llu out of range",
+        contig_assert(pfn < size_, "pfn %llu out of range",
                       static_cast<unsigned long long>(pfn));
         return frames_[pfn];
     }
@@ -114,15 +138,16 @@ class FrameArray
     const Frame &
     operator[](Pfn pfn) const
     {
-        contig_assert(pfn < frames_.size(), "pfn %llu out of range",
+        contig_assert(pfn < size_, "pfn %llu out of range",
                       static_cast<unsigned long long>(pfn));
         return frames_[pfn];
     }
 
-    std::uint64_t size() const { return frames_.size(); }
+    std::uint64_t size() const { return size_; }
 
   private:
-    std::vector<Frame> frames_;
+    Frame *frames_ = nullptr;
+    std::uint64_t size_ = 0;
 };
 
 } // namespace contig

@@ -10,8 +10,8 @@
  * per-CPU order-0 frame caches (Linux pcplists): order-0 alloc/free on
  * a CPU works on that CPU's private list and only takes the zone lock
  * to refill or spill a batch. Frames parked in a pcp cache keep
- * freeFlag=false, so CA paging's occupancy probe correctly treats them
- * as unavailable.
+ * inUse=true, so CA paging's occupancy probe correctly treats them as
+ * unavailable.
  */
 
 #ifndef CONTIG_PHYS_ZONE_HH

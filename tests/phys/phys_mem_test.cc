@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "phys/phys_mem.hh"
 
 using namespace contig;
@@ -105,4 +107,83 @@ TEST(PhysMem, ContigMapTracksBuddy)
     pm.free(*pfn, 0);
     EXPECT_EQ(zone.contigMap().freePagesTracked(), zone.numFrames());
     EXPECT_TRUE(zone.contigMap().checkInvariants());
+}
+
+// --- lazily zero-filled mem_map -------------------------------------
+
+static_assert(std::is_trivially_destructible_v<Frame>,
+              "FrameArray unmaps the mem_map without running destructors");
+
+namespace
+{
+
+/** Every field of a frame holds its zero (free, unlisted, unowned). */
+void
+expectAllZero(const Frame &f)
+{
+    EXPECT_EQ(f.refCount.load(), 0u);
+    EXPECT_EQ(f.mapCount.load(), 0u);
+    EXPECT_EQ(f.ownerId.load(), 0u);
+    EXPECT_EQ(f.order, 0u);
+    EXPECT_FALSE(f.inUse.load());
+    EXPECT_FALSE(f.freeHead);
+    EXPECT_EQ(f.ownerKind.load(), FrameOwner::None);
+    EXPECT_EQ(f.freeNext, 0u);
+    EXPECT_EQ(f.freePrev, 0u);
+    EXPECT_EQ(f.ownerVaddr.load(), 0u);
+    EXPECT_EQ(f.lruNext, 0u);
+    EXPECT_EQ(f.lruPrev, 0u);
+    EXPECT_EQ(f.lruOrder, 0u);
+    EXPECT_EQ(f.lruList, Frame::LruList::None);
+    EXPECT_FALSE(f.referenced.load());
+}
+
+} // namespace
+
+TEST(FrameDefaults, DefaultFrameIsAllZero)
+{
+    const Frame f{};
+    expectAllZero(f);
+}
+
+TEST(FrameDefaults, FreshFrameArrayIsAllZero)
+{
+    FrameArray frames(3 * pagesInOrder(kMaxOrder) + 5);
+    for (Pfn p = 0; p < frames.size(); p += 97)
+        expectAllZero(frames[p]);
+    expectAllZero(frames[frames.size() - 1]);
+}
+
+TEST(PhysMem, FreshMachineIsFreeAndUnowned)
+{
+    for (unsigned shards : {0u, 4u}) {
+        PhysMemConfig cfg = smallConfig();
+        cfg.zone.numaShards = shards;
+        PhysicalMemory pm(cfg);
+        EXPECT_EQ(pm.freePages(), pm.totalFrames());
+        for (Pfn p = 0; p < pm.totalFrames(); ++p) {
+            ASSERT_TRUE(pm.isFreePage(p)) << "pfn " << p;
+            const Frame &f = pm.frame(p);
+            ASSERT_EQ(f.ownerKind.load(), FrameOwner::None) << "pfn " << p;
+            ASSERT_EQ(f.refCount.load(), 0u) << "pfn " << p;
+            ASSERT_EQ(f.mapCount.load(), 0u) << "pfn " << p;
+        }
+        for (unsigned n = 0; n < pm.numNodes(); ++n) {
+            EXPECT_TRUE(pm.zone(n).buddy().checkInvariants());
+            EXPECT_TRUE(pm.zone(n).contigMap().checkInvariants());
+        }
+    }
+}
+
+TEST(PhysMemDeathTest, DoubleFreeStillFires)
+{
+    PhysicalMemory pm(smallConfig(1));
+    auto pfn = pm.alloc(kHugeOrder);
+    ASSERT_TRUE(pfn);
+    pm.free(*pfn, kHugeOrder);
+    // inUse is false again for the whole block, so a second free of
+    // the same block must trip the buddy's double-free check.
+    EXPECT_DEATH(pm.free(*pfn, kHugeOrder), "double free");
+    // A never-allocated frame reads as free from the start.
+    EXPECT_DEATH(pm.free(pm.totalFrames() - 1, 0), "double free");
 }
