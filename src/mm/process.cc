@@ -57,11 +57,19 @@ void
 Process::noteTouched(Vma &vma, Vpn vpn)
 {
     const std::uint64_t idx = vpn - vma.start().pageNumber();
-    if (vma.touchedBitmap.empty())
+    if (vma.touchedBitmap.empty()) {
         vma.touchedBitmap.resize(vma.pages(), false);
+        vma.hugeTouched.resize(vma.hugeRegions(), 0);
+    }
     if (!vma.touchedBitmap[idx]) {
         vma.touchedBitmap[idx] = true;
         ++vma.touchedPages;
+        const Vpn first = vma.hugeRegionBase(0);
+        if (vpn >= first) {
+            const std::uint64_t region = (vpn - first) >> kHugeOrder;
+            if (region < vma.hugeTouched.size())
+                ++vma.hugeTouched[region];
+        }
     }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/align.hh"
 #include "base/sync.hh"
 #include "base/types.hh"
 
@@ -232,6 +233,30 @@ class Vma
     std::uint64_t allocatedPages = 0;
     /** Lazily sized per-page touched bits (bloat accounting). */
     std::vector<bool> touchedBitmap;
+    /**
+     * Touched pages per whole huge-aligned 2 MiB region inside the VMA
+     * (Ingens' promotion test), sized together with touchedBitmap.
+     * Region k covers vpns [hugeRegionBase(k), +512); head and tail
+     * pages outside every whole region count toward none.
+     */
+    std::vector<std::uint16_t> hugeTouched;
+
+    /** First vpn of the i-th whole huge-aligned region. */
+    Vpn
+    hugeRegionBase(std::uint64_t i) const
+    {
+        return alignUp(start_.pageNumber(), pagesInOrder(kHugeOrder)) +
+               i * pagesInOrder(kHugeOrder);
+    }
+
+    /** Number of whole huge-aligned regions inside the VMA. */
+    std::uint64_t
+    hugeRegions() const
+    {
+        const Vpn end = start_.pageNumber() + pages();
+        const Vpn first = hugeRegionBase(0);
+        return end > first ? (end - first) >> kHugeOrder : 0;
+    }
 
   private:
     std::uint32_t id_;

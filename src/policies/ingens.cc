@@ -1,8 +1,5 @@
 #include "policies/ingens.hh"
 
-#include <vector>
-
-#include "base/align.hh"
 #include "mm/kernel.hh"
 #include "mm/migrate.hh"
 
@@ -37,24 +34,19 @@ IngensPolicy::onTick(Kernel &kernel)
             if (budget == 0 || vma.kind() == VmaKind::File)
                 return;
             ++stats_.scans;
-            const Vpn start =
-                alignUp(vma.start().pageNumber(), huge_pages);
-            const Vpn end = vma.start().pageNumber() + vma.pages();
-            for (Vpn base = start; base + huge_pages <= end && budget > 0;
-                 base += huge_pages) {
+            // Regions in address order; hugeTouched stays empty until
+            // the VMA's first touch. The count and the huge-mapped
+            // tests are both pure, so testing the cheap count first
+            // visits and promotes exactly the regions a bitmap rescan
+            // would.
+            for (std::uint64_t r = 0; r < vma.hugeTouched.size() && budget > 0;
+                 ++r) {
+                if (vma.hugeTouched[r] < needed)
+                    continue;
                 // Skip regions already huge-mapped.
+                const Vpn base = vma.hugeRegionBase(r);
                 auto m = proc.pageTable().lookup(base);
                 if (m && m->order == kHugeOrder)
-                    continue;
-                // Count touched pages in the region.
-                const Vpn rel = base - vma.start().pageNumber();
-                if (vma.touchedBitmap.empty())
-                    continue;
-                std::uint64_t touched = 0;
-                for (std::uint64_t i = 0; i < huge_pages; ++i)
-                    if (vma.touchedBitmap[rel + i])
-                        ++touched;
-                if (touched < needed)
                     continue;
                 if (promoteHuge(kernel, proc, base)) {
                     ++stats_.promotions;

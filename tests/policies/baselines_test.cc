@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "base/align.hh"
+#include "base/rng.hh"
 #include "mm/kernel.hh"
+#include "mm/migrate.hh"
 #include "policies/eager.hh"
 #include "policies/ideal.hh"
 #include "policies/ingens.hh"
@@ -155,6 +161,232 @@ TEST(Ingens, SkipsUnderUtilizedRegions)
     for (int i = 0; i < 10; ++i)
         k.policy().onTick(k);
     EXPECT_EQ(ingens->stats().promotions, 0u);
+}
+
+namespace
+{
+
+/** Per-region touched counts recomputed from the page bitmap. */
+std::vector<std::uint16_t>
+recountRegions(const Vma &vma)
+{
+    const std::uint64_t hp = pagesInOrder(kHugeOrder);
+    const Vpn start = vma.start().pageNumber();
+    const Vpn end = start + vma.pages();
+    std::vector<std::uint16_t> out;
+    for (Vpn base = alignUp(start, hp); base + hp <= end; base += hp) {
+        std::uint16_t n = 0;
+        for (std::uint64_t i = 0; i < hp; ++i)
+            n += vma.touchedBitmap[base - start + i];
+        out.push_back(n);
+    }
+    return out;
+}
+
+/**
+ * The Ingens scan as it was before per-region counts: look the region
+ * up first, then count its 512 touched bits from the bitmap.
+ */
+void
+rescanTick(Kernel &k, const IngensConfig &cfg, IngensStats &st)
+{
+    unsigned budget = cfg.promotionsPerTick;
+    const std::uint64_t hp = pagesInOrder(kHugeOrder);
+    const auto needed =
+        static_cast<std::uint64_t>(cfg.utilizationThreshold * hp);
+    k.forEachProcess([&](Process &proc) {
+        if (budget == 0)
+            return;
+        proc.addressSpace().forEachVma([&](Vma &vma) {
+            if (budget == 0 || vma.kind() == VmaKind::File)
+                return;
+            ++st.scans;
+            const Vpn start = vma.start().pageNumber();
+            const Vpn end = start + vma.pages();
+            for (Vpn base = alignUp(start, hp);
+                 base + hp <= end && budget > 0; base += hp) {
+                auto m = proc.pageTable().lookup(base);
+                if (m && m->order == kHugeOrder)
+                    continue;
+                if (vma.touchedBitmap.empty())
+                    continue;
+                std::uint64_t touched = 0;
+                for (std::uint64_t i = 0; i < hp; ++i)
+                    touched += vma.touchedBitmap[base - start + i];
+                if (touched < needed)
+                    continue;
+                if (promoteHuge(k, proc, base)) {
+                    ++st.promotions;
+                    --budget;
+                } else {
+                    ++st.promotionFailures;
+                }
+            }
+        });
+    });
+}
+
+/** Huge-aligned start of a region well above the mmap cursor. */
+constexpr Addr kFarBase = Addr{0x7700} << 32;
+
+/** Map an anonymous VMA at an explicit (possibly unaligned) address. */
+Vma &
+mmapAt(Process &p, Addr start, std::uint64_t bytes)
+{
+    return p.addressSpace().mmap(bytes, VmaKind::Anon, Gva{start});
+}
+
+/** Base vpns of every huge leaf in a process, ascending. */
+std::vector<Vpn>
+hugeLeaves(const Process &p)
+{
+    std::vector<Vpn> out;
+    p.pageTable().forEachLeaf([&](Vpn vpn, const Mapping &m) {
+        if (m.order == kHugeOrder)
+            out.push_back(vpn);
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(Ingens, UnalignedHeadPagesCountTowardNoRegion)
+{
+    Kernel k(smallConfig(), std::make_unique<IngensPolicy>());
+    Process &p = k.createProcess("t");
+    // Starts 7 pages into a 2 MiB region, ends 100 pages into another:
+    // three whole regions lie between the partial head and tail.
+    const std::uint64_t head = pagesInOrder(kHugeOrder) - 7;
+    Vma &vma = mmapAt(p, kFarBase + 7 * kPageSize,
+                      (head + 3 * 512 + 100) * kPageSize);
+    const Vpn start = vma.start().pageNumber();
+    EXPECT_EQ(vma.hugeRegions(), 3u);
+    EXPECT_EQ(vma.hugeRegionBase(0), start + head);
+
+    for (std::uint64_t i = 0; i < head; ++i)
+        p.noteTouched(vma, start + i);
+    ASSERT_EQ(vma.hugeTouched.size(), 3u);
+    EXPECT_EQ(vma.hugeTouched, std::vector<std::uint16_t>(3, 0));
+    // The partial tail counts toward no region either.
+    for (std::uint64_t i = 0; i < 100; ++i)
+        p.noteTouched(vma, start + head + 3 * 512 + i);
+    EXPECT_EQ(vma.hugeTouched, std::vector<std::uint16_t>(3, 0));
+    EXPECT_EQ(vma.touchedPages, head + 100);
+
+    p.noteTouched(vma, start + head);
+    p.noteTouched(vma, start + head + 2 * 512 + 511);
+    EXPECT_EQ(vma.hugeTouched, (std::vector<std::uint16_t>{1, 0, 1}));
+}
+
+TEST(Ingens, RegionCountsMatchBitmapRecount)
+{
+    Kernel k(smallConfig(), std::make_unique<IngensPolicy>());
+    Process &p = k.createProcess("t");
+    Vma &vma = mmapAt(p, kFarBase + 300 * kPageSize, 9 * kHugeSize);
+    const Vpn start = vma.start().pageNumber();
+    Rng rng(42);
+    // Random touches with plenty of repeats (4x the VMA's page count).
+    for (std::uint64_t i = 0; i < 4 * vma.pages(); ++i) {
+        p.noteTouched(vma, start + rng.below(vma.pages()));
+        if (i % 997 == 0) {
+            ASSERT_EQ(vma.hugeTouched, recountRegions(vma))
+                << "touch " << i;
+        }
+    }
+    EXPECT_EQ(vma.hugeTouched, recountRegions(vma));
+    std::uint64_t bits = 0;
+    for (bool b : vma.touchedBitmap)
+        bits += b;
+    EXPECT_EQ(vma.touchedPages, bits);
+}
+
+TEST(Ingens, OnTickMatchesBitmapRescanReference)
+{
+    // Two identical machines see the same seeded touch order; one is
+    // scanned by IngensPolicy::onTick, the other by the bitmap-rescan
+    // reference. A small budget makes the per-tick promotion sets pin
+    // the promotion order; regions past the threshold but not fully
+    // mapped make promoteHuge fail along the way. Ticking every 8
+    // touches lands ticks on regions sitting exactly at the threshold.
+    IngensConfig icfg;
+    icfg.promotionsPerTick = 2;
+    KernelConfig cfg = smallConfig();
+    cfg.tickPeriodFaults = ~std::uint64_t{0} >> 1; // ticks driven here
+
+    struct Rig
+    {
+        IngensPolicy *ingens = nullptr;
+        std::unique_ptr<Kernel> k;
+        std::vector<Process *> procs;
+        std::vector<Vma *> vmas;
+    };
+    auto make_rig = [&] {
+        Rig r;
+        auto policy = std::make_unique<IngensPolicy>(icfg);
+        r.ingens = policy.get();
+        r.k = std::make_unique<Kernel>(cfg, std::move(policy));
+        Process &a = r.k->createProcess("a");
+        Process &b = r.k->createProcess("b");
+        r.procs = {&a, &b};
+        r.vmas = {&mmapAt(a, kFarBase + 5 * kPageSize, 5 * kHugeSize),
+                  &a.mmap(3 * kHugeSize),
+                  &mmapAt(b, kFarBase + 511 * kPageSize, 4 * kHugeSize)};
+        return r;
+    };
+    Rig live = make_rig();
+    Rig ref = make_rig();
+    IngensStats ref_stats;
+
+    // Seeded touch order over every page of every VMA, with repeats.
+    std::vector<std::pair<std::size_t, Vpn>> order;
+    for (std::size_t v = 0; v < live.vmas.size(); ++v) {
+        const Vma &vma = *live.vmas[v];
+        for (std::uint64_t i = 0; i < vma.pages(); ++i)
+            order.emplace_back(v, vma.start().pageNumber() + i);
+    }
+    Rng rng(7);
+    const std::size_t distinct = order.size();
+    for (std::size_t i = 0; i < distinct / 4; ++i)
+        order.push_back(order[rng.below(distinct)]);
+    rng.shuffle(order);
+
+    const std::size_t proc_of[] = {0, 0, 1};
+    std::size_t ticks = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const auto [v, vpn] = order[i];
+        for (Rig *r : {&live, &ref})
+            r->procs[proc_of[v]]->touch(Gva{vpn << kPageShift});
+        if (i % 8 != 7 && i + 1 != order.size())
+            continue;
+        live.ingens->onTick(*live.k);
+        rescanTick(*ref.k, icfg, ref_stats);
+        ++ticks;
+        const IngensStats &got = live.ingens->stats();
+        ASSERT_EQ(got.promotions, ref_stats.promotions) << "tick " << ticks;
+        ASSERT_EQ(got.promotionFailures, ref_stats.promotionFailures)
+            << "tick " << ticks;
+        ASSERT_EQ(got.scans, ref_stats.scans) << "tick " << ticks;
+        for (std::size_t pi = 0; pi < 2; ++pi) {
+            ASSERT_EQ(hugeLeaves(*live.procs[pi]), hugeLeaves(*ref.procs[pi]))
+                << "tick " << ticks << " proc " << pi;
+        }
+    }
+    // Drain: keep ticking until both stop promoting.
+    for (int t = 0; t < 16; ++t) {
+        live.ingens->onTick(*live.k);
+        rescanTick(*ref.k, icfg, ref_stats);
+    }
+    const IngensStats &got = live.ingens->stats();
+    EXPECT_EQ(got.promotions, ref_stats.promotions);
+    EXPECT_EQ(got.promotionFailures, ref_stats.promotionFailures);
+    for (std::size_t pi = 0; pi < 2; ++pi)
+        EXPECT_EQ(hugeLeaves(*live.procs[pi]), hugeLeaves(*ref.procs[pi]));
+    // The run exercised both outcomes, and every whole region that was
+    // fully touched ended up huge (4 + 3 + 3 whole regions).
+    EXPECT_GT(ref_stats.promotionFailures, 0u);
+    EXPECT_EQ(ref_stats.promotions, 4u + 3u + 3u);
+    for (const Vma *vma : live.vmas)
+        EXPECT_EQ(vma->hugeTouched, recountRegions(*vma));
 }
 
 TEST(Ranger, CoalescesAsynchronously)
