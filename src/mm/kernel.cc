@@ -364,9 +364,10 @@ Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = physMem_.frame(pfn + i);
-        f.ownerKind = kind;
-        f.ownerId = owner_id;
-        f.ownerVaddr = owner_vaddr + i * kPageSize;
+        f.ownerKind.store(kind, std::memory_order_relaxed);
+        f.ownerId.store(owner_id, std::memory_order_relaxed);
+        f.ownerVaddr.store(owner_vaddr + i * kPageSize,
+                           std::memory_order_relaxed);
         f.refCount.store(0, std::memory_order_relaxed);
         f.mapCount.store(0, std::memory_order_relaxed);
     }
@@ -393,12 +394,14 @@ Kernel::putFrame(Pfn pfn, unsigned order)
     const auto old = f.refCount.fetch_sub(1, std::memory_order_acq_rel);
     contig_assert(old > 0, "putFrame on unreferenced frame");
     if (old == 1) {
+        // The last reference owns the block, and the allocator handoff
+        // in free() orders these relaxed stores before the next claim.
         const std::uint64_t n = pagesInOrder(order);
         for (std::uint64_t i = 0; i < n; ++i) {
             Frame &g = physMem_.frame(pfn + i);
-            g.ownerKind = FrameOwner::None;
-            g.ownerId = kNoOwner;
-            g.ownerVaddr = 0;
+            g.ownerKind.store(FrameOwner::None, std::memory_order_relaxed);
+            g.ownerId.store(kNoOwner, std::memory_order_relaxed);
+            g.ownerVaddr.store(0, std::memory_order_relaxed);
         }
         if (reclaim_)
             reclaim_->onFree(pfn);
