@@ -34,10 +34,12 @@ build_and_test asan-ubsan "" \
 # frame caches, sharded zone locks, per-VMA fault mutexes) must be
 # race-free under the concurrent stress + parallel-driver tests, and
 # the instrumented-lock striped counters (test_base's lock_stats
-# tests) must be race-free too.
+# tests) must be race-free too. test_phys and test_policies cover the
+# lockless occupancy probe (§III-C), which reads the frames' inUse
+# flag outside the zone lock.
 # Only the thread-exercising tests run here; the full suite already
 # ran in both configurations above.
-build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base' \
+build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base|test_phys|test_policies' \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONTIG_SANITIZE=thread
 
 # Forced-scalar configuration: -DCONTIG_SIMD=OFF compiles the AVX2
