@@ -367,7 +367,8 @@ TEST(Ingens, OnTickMatchesBitmapRescanReference)
             << "tick " << ticks;
         ASSERT_EQ(got.scans, ref_stats.scans) << "tick " << ticks;
         for (std::size_t pi = 0; pi < 2; ++pi) {
-            ASSERT_EQ(hugeLeaves(*live.procs[pi]), hugeLeaves(*ref.procs[pi]))
+            ASSERT_EQ(hugeLeaves(*live.procs[pi]),
+                      hugeLeaves(*ref.procs[pi]))
                 << "tick " << ticks << " proc " << pi;
         }
     }
