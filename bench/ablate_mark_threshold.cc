@@ -14,6 +14,7 @@
 #include "core/bench_io.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
+#include "workloads/access_stream.hh"
 
 using namespace contig;
 
@@ -48,9 +49,10 @@ runWith(std::uint64_t threshold_pages, bool gate_enabled)
     cfg.spot = ScaledDefaults::spot();
     cfg.spot.requireContigBits = gate_enabled;
     TranslationSim sim(cfg, proc.pageTable(), vm);
-    Rng rng(99);
-    for (std::uint64_t i = 0; i < 1000000; ++i)
-        sim.access(wl->nextAccess(rng));
+    AccessStream stream(*wl, 1000000, 99);
+    const MemAccess *chunk = nullptr;
+    while (std::size_t n = stream.next(chunk))
+        sim.accessChunk(chunk, n);
 
     const auto &s = sim.stats();
     const double walks = std::max<double>(s.walks, 1);

@@ -13,6 +13,7 @@
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
 #include "core/report.hh"
+#include "workloads/access_stream.hh"
 
 using namespace contig;
 
@@ -55,9 +56,10 @@ overheadFor(const Variant &v)
         cfg.spot.ways = v.ways;
         cfg.spot.confidenceThreshold = v.threshold;
         TranslationSim sim(cfg, proc.pageTable(), sys.vm());
-        Rng rng(99);
-        for (std::uint64_t i = 0; i < 500000; ++i)
-            sim.access(wl->nextAccess(rng));
+        AccessStream stream(*wl, 500000, 99);
+        const MemAccess *chunk = nullptr;
+        while (std::size_t n = stream.next(chunk))
+            sim.accessChunk(chunk, n);
         sum += overheadOf(sim.stats(), ScaledDefaults::perf()).overhead;
 
         wl->teardown();

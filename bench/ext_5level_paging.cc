@@ -16,6 +16,7 @@
 #include "core/bench_io.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
+#include "workloads/access_stream.hh"
 
 using namespace contig;
 
@@ -51,9 +52,10 @@ runWithLevels(unsigned levels)
         cfg.scheme = scheme;
         cfg.spot = ScaledDefaults::spot();
         TranslationSim sim(cfg, proc.pageTable(), vm);
-        Rng rng(99);
-        for (std::uint64_t i = 0; i < 1'000'000; ++i)
-            sim.access(wl->nextAccess(rng));
+        AccessStream stream(*wl, 1'000'000, 99);
+        const MemAccess *chunk = nullptr;
+        while (std::size_t n = stream.next(chunk))
+            sim.accessChunk(chunk, n);
         const double o =
             overheadOf(sim.stats(), ScaledDefaults::perf()).overhead;
         if (scheme == XlatScheme::Base) {

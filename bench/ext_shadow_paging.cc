@@ -18,6 +18,7 @@
 #include "core/bench_io.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
+#include "workloads/access_stream.hh"
 
 using namespace contig;
 
@@ -64,9 +65,10 @@ run(bool shadow, XlatScheme scheme)
         sim = std::make_unique<TranslationSim>(cfg, proc.pageTable(),
                                                vm);
     }
-    Rng rng(99);
-    for (std::uint64_t i = 0; i < 1'000'000; ++i)
-        sim->access(wl->nextAccess(rng));
+    AccessStream stream(*wl, 1'000'000, 99);
+    const MemAccess *chunk = nullptr;
+    while (std::size_t n = stream.next(chunk))
+        sim->accessChunk(chunk, n);
 
     Outcome out;
     out.walkOverhead =

@@ -22,7 +22,7 @@ namespace
 
 constexpr std::uint64_t kAccesses = ScaledDefaults::kAccessesPerRun;
 
-/** Replay-engine knobs (--xlat-threads / --xlat-chunk). */
+/** Trace-frontend options (--trace-in / --trace-out / --ckpt-*). */
 XlatReplayOpts gReplay;
 
 double
@@ -98,8 +98,6 @@ main(int argc, char **argv)
 {
     printScaledBanner();
     BenchOutput out("fig13_translation_overhead", argc, argv);
-    gReplay.threads = out.xlatThreads();
-    gReplay.chunkAccesses = out.xlatChunk();
     gReplay.traceIn = out.traceIn();
     gReplay.traceOut = out.traceOut();
     gReplay.ckptIn = out.ckptIn();

@@ -24,8 +24,6 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("fig14_spot_breakdown", argc, argv);
     XlatReplayOpts replay;
-    replay.threads = out.xlatThreads();
-    replay.chunkAccesses = out.xlatChunk();
     replay.traceIn = out.traceIn();
     replay.traceOut = out.traceOut();
     replay.ckptIn = out.ckptIn();

@@ -127,9 +127,8 @@ main(int argc, char **argv)
     }
 
     Report pipe("micro — virtualized replay pipeline (pagerank 0.25)");
-    pipe.header({"scheme", "threads", "accesses", "l1_hits", "l2_hits",
-                 "walks", "exposed_cycles", "replay.wall_us",
-                 "maccs_s.wall_us"});
+    pipe.header({"scheme", "accesses", "l1_hits", "l2_hits", "walks",
+                 "exposed_cycles", "replay.wall_us", "maccs_s.wall_us"});
     const struct { const char *name; XlatScheme scheme; } kSchemes[] = {
         {"base", XlatScheme::Base},
         {"spot", XlatScheme::Spot},
@@ -142,13 +141,11 @@ main(int argc, char **argv)
         cfg.scheme = scheme;
         cfg.spot = ScaledDefaults::spot();
         cfg.rangeTlb = ScaledDefaults::rangeTlb();
-        ReplayEngine engine(cfg, out.xlatThreads(),
-                            wl->process()->pageTable(), sys.vm());
+        ReplayEngine engine(cfg, 1, wl->process()->pageTable(), sys.vm());
         if (scheme == XlatScheme::Rmm)
             engine.setSegments(extract2d(*wl->process(), sys.vm()));
 
-        const std::uint64_t chunk =
-            out.xlatChunk() ? out.xlatChunk() : AccessStream::kDefaultChunk;
+        const std::uint64_t chunk = AccessStream::kDefaultChunk;
         const double us = wallUs([&] {
             for (std::uint64_t off = 0; off < trace.size();
                  off += chunk) {
@@ -158,9 +155,9 @@ main(int argc, char **argv)
             }
         });
         const XlatStats s = engine.mergedStats();
-        pipe.row({name, std::to_string(engine.threads()),
-                  std::to_string(s.accesses), std::to_string(s.l1Hits),
-                  std::to_string(s.l2Hits), std::to_string(s.walks),
+        pipe.row({name, std::to_string(s.accesses),
+                  std::to_string(s.l1Hits), std::to_string(s.l2Hits),
+                  std::to_string(s.walks),
                   std::to_string(s.exposedCycles), Report::num(us, 1),
                   Report::num(s.accesses / us, 2)});
     }

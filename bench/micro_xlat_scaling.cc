@@ -1,20 +1,16 @@
 /**
  * @file
- * Micro-benchmark: replay-engine throughput across the chunk-size ×
- * shard-thread grid, on the fig13 access stream (pagerank under CA
- * paging guest+host, SpOT scheme). One pre-generated trace is
- * replayed through every cell, so:
+ * Micro-benchmark: replay-engine throughput across chunk sizes, the
+ * walk memo and the inner-loop engines, on the fig13 access stream
+ * (pagerank under CA paging guest+host, SpOT scheme). One
+ * pre-generated trace is replayed through every cell, so:
  *
- *  - all threads=1 cells must report identical simulated counters
- *    regardless of chunk size (chunking is pure batching), and the
- *    memo on/off pair must match too — both are locked by the
- *    committed baseline (bench/baselines/BENCH_micro_xlat_scaling.json);
- *  - threads=N cells are deterministic for fixed N (hash-partitioned
- *    shards with private caches, merged in shard order), so their
- *    counters are baseline-gated as well;
+ *  - every cell must report identical simulated counters: chunking
+ *    is pure batching, and the memo, the engine and the probe width
+ *    are wall-clock knobs — all locked by the committed baseline
+ *    (bench/baselines/BENCH_micro_xlat_scaling.json);
  *  - wall-clock columns are named `*.wall_us` and ignored by
- *    `contig_inspect check-baseline` (CI may run on one CPU, where
- *    thread scaling measures locking, not the scaling headline).
+ *    `contig_inspect check-baseline`.
  */
 
 #include <chrono>
@@ -54,9 +50,8 @@ struct Cell
 
 Cell
 runCell(const std::vector<MemAccess> &trace, const PageTable &pt,
-        const VirtualMachine &vm, unsigned threads, std::uint64_t chunk,
-        bool memo, XlatEngine xe = XlatEngine::Batched,
-        bool force_scalar = false)
+        const VirtualMachine &vm, std::uint64_t chunk, bool memo,
+        XlatEngine xe = XlatEngine::Batched, bool force_scalar = false)
 {
     XlatConfig cfg;
     cfg.tlb = ScaledDefaults::tlb();
@@ -72,7 +67,7 @@ runCell(const std::vector<MemAccess> &trace, const PageTable &pt,
     const bool was_scalar = simd::forceScalar();
     if (force_scalar)
         simd::setForceScalar(true);
-    ReplayEngine engine(cfg, threads, pt, vm);
+    ReplayEngine engine(cfg, 1, pt, vm);
     if (force_scalar)
         simd::setForceScalar(was_scalar);
     Cell cell;
@@ -88,13 +83,12 @@ runCell(const std::vector<MemAccess> &trace, const PageTable &pt,
 }
 
 void
-addRow(Report &rep, const std::string &label, unsigned threads,
-       std::uint64_t chunk, bool memo, const Cell &cell,
-       double base_us)
+addRow(Report &rep, const std::string &label, std::uint64_t chunk,
+       bool memo, const Cell &cell, double base_us)
 {
     const XlatStats &s = cell.stats;
-    rep.row({label, std::to_string(threads), std::to_string(chunk),
-             memo ? "on" : "off", std::to_string(s.accesses),
+    rep.row({label, std::to_string(chunk), memo ? "on" : "off",
+             std::to_string(s.accesses),
              std::to_string(s.walks), std::to_string(s.l1Hits),
              std::to_string(s.l2Hits), std::to_string(s.exposedCycles),
              Report::num(cell.replayUs, 1),
@@ -128,27 +122,26 @@ main(int argc, char **argv)
     }
     const PageTable &pt = proc.pageTable();
 
-    Report rep("micro — replay throughput vs chunk size x shards "
+    Report rep("micro — replay throughput vs chunk size "
                "(fig13 pagerank stream, SpOT)");
-    rep.header({"cell", "threads", "chunk", "memo", "accesses", "walks",
+    rep.header({"cell", "chunk", "memo", "accesses", "walks",
                 "l1_hits", "l2_hits", "exposed_cycles",
                 "replay.wall_us", "maccs_s.wall_us",
                 "speedup.wall_us"});
 
-    // Chunk sweep at one shard: identical counters by construction.
-    // Speedups are relative to the default cell (chunk 4096, 1 shard).
+    // Chunk sweep: identical counters by construction. Speedups are
+    // relative to the default cell (chunk 4096).
     const std::uint64_t kChunks[] = {1024, 4096, 16384};
     std::vector<Cell> sweep;
     for (std::uint64_t chunk : kChunks)
-        sweep.push_back(runCell(trace, pt, sys.vm(), 1, chunk, true));
+        sweep.push_back(runCell(trace, pt, sys.vm(), chunk, true));
     const double base_us = sweep[1].replayUs;
     for (std::size_t i = 0; i < sweep.size(); ++i)
-        addRow(rep, "chunk_sweep", 1, kChunks[i], true, sweep[i],
-               base_us);
+        addRow(rep, "chunk_sweep", kChunks[i], true, sweep[i], base_us);
     // Memo off: simulated counters must not move.
     {
-        const Cell cell = runCell(trace, pt, sys.vm(), 1, 4096, false);
-        addRow(rep, "memo_off", 1, 4096, false, cell, base_us);
+        const Cell cell = runCell(trace, pt, sys.vm(), 4096, false);
+        addRow(rep, "memo_off", 4096, false, cell, base_us);
     }
     // Engine A/B at the default cell. Reference is the historical
     // per-access scalar loop (the denominator of the SoA/SIMD speedup
@@ -157,20 +150,14 @@ main(int argc, char **argv)
     // share of the win. Simulated counters must not move across the
     // three engines — only the wall_us columns may.
     {
-        const Cell ref = runCell(trace, pt, sys.vm(), 1, 4096, true,
+        const Cell ref = runCell(trace, pt, sys.vm(), 4096, true,
                                  XlatEngine::Reference);
-        addRow(rep, "engine_ref", 1, 4096, true, ref, base_us);
-        const Cell scalar = runCell(trace, pt, sys.vm(), 1, 4096, true,
+        addRow(rep, "engine_ref", 4096, true, ref, base_us);
+        const Cell scalar = runCell(trace, pt, sys.vm(), 4096, true,
                                     XlatEngine::Batched, true);
-        addRow(rep, "soa_scalar", 1, 4096, true, scalar, base_us);
+        addRow(rep, "soa_scalar", 4096, true, scalar, base_us);
         out.note("xlat.speedup_vs_ref.wall_us",
                  ref.replayUs / base_us);
-    }
-    // Thread sweep at the default chunk.
-    for (unsigned threads : {1u, 2u, 4u}) {
-        const Cell cell =
-            runCell(trace, pt, sys.vm(), threads, 4096, true);
-        addRow(rep, "thread_sweep", threads, 4096, true, cell, base_us);
     }
     out.add(rep);
     rep.print();

@@ -23,7 +23,7 @@ Schema v3 additions are validated whenever present:
   - "metrics" keys of the form lock.<site>.<leaf> must use exactly the
     leaves {acquisitions, contended, retries, spin_us} and be numeric,
   - the derived "scaling" section must follow the documented shape
-    ({parallel: {...}, xlat: {...}, locks: {top_contended: [...]}},
+    ({parallel: {...}, locks: {top_contended: [...]}},
     every sub-section optional but well-formed when emitted).
 Schema v3 trace-frontend additions, also validated whenever present:
   - "config.run" keys trace.in/trace.out require trace.digest; a
@@ -331,8 +331,7 @@ def check_scaling(scaling):
     """Validate the derived 'scaling' report section (schema v3)."""
     if not isinstance(scaling, dict) or not scaling:
         fail("'scaling' must be a non-empty object")
-    unknown = set(scaling) - {"parallel", "xlat", "locks",
-                              "trace_frontend"}
+    unknown = set(scaling) - {"parallel", "locks", "trace_frontend"}
     if unknown:
         fail(f"'scaling' has unknown sub-sections {sorted(unknown)}")
 
@@ -352,20 +351,6 @@ def check_scaling(scaling):
         if not 0.0 <= par["serial_fraction"] <= 1.0:
             fail(f"'scaling.parallel.serial_fraction' out of [0,1]: "
                  f"{par['serial_fraction']}")
-
-    if "xlat" in scaling:
-        xlat = scaling["xlat"]
-        if not isinstance(xlat, dict):
-            fail("'scaling.xlat' must be an object")
-        for key in ("shards", "shard_accesses", "shard_busy_us",
-                    "shard_stall_us", "shard_wait_us", "imbalance"):
-            if key not in xlat:
-                fail(f"'scaling.xlat' missing {key!r}")
-        for key in ("shard_accesses", "shard_busy_us",
-                    "shard_stall_us", "shard_wait_us"):
-            check_numeric_list(f"scaling.xlat.{key}", xlat[key])
-            if len(xlat[key]) != xlat["shards"]:
-                fail(f"'scaling.xlat.{key}' length != shards")
 
     if "trace_frontend" in scaling:
         tf = scaling["trace_frontend"]
@@ -588,14 +573,14 @@ def main():
             if f"parallel.worker{i}.seed" not in run:
                 fail(f"'config.run' missing parallel.worker{i}.seed")
     # Runs that replayed a translation stream (runTranslation notes
-    # "seed.translation") must record the replay-engine knobs: shard
-    # count, chunk size, the walk-memo toggle, the inner-loop engine
-    # (reference/batched), and the probe width (avx2/scalar). The
-    # engine and probe width never change simulated results — they are
-    # recorded so a wall-clock artifact is attributable to its build.
+    # "seed.translation") must record the replay-engine knobs: chunk
+    # size, the walk-memo toggle, the inner-loop engine
+    # (reference/batched), and the probe width (avx2/scalar). None of
+    # them changes simulated results — they are recorded so a
+    # wall-clock artifact is attributable to its build.
     if "seed.translation" in run:
-        for key in ("xlat.threads", "xlat.chunk_accesses", "xlat.memo",
-                    "xlat.engine", "xlat.simd", "xlat.numa_shards"):
+        for key in ("xlat.chunk_accesses", "xlat.memo", "xlat.engine",
+                    "xlat.simd", "xlat.numa_shards"):
             if key not in run:
                 fail(f"'config.run' missing {key!r}")
         if run["xlat.engine"] not in ("reference", "batched"):

@@ -42,15 +42,6 @@ build_and_test asan-ubsan "" \
 build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base|test_phys|test_policies' \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONTIG_SANITIZE=thread
 
-# Forced-scalar configuration: -DCONTIG_SIMD=OFF compiles the AVX2
-# probe kernels out entirely, so the SoA structures run the scalar
-# loop everywhere. The translation-facing tests (TLB/SpOT/replay/
-# checkpoint + the fig13/fig14 golden equivalence) must pass
-# unchanged — simulated results are independent of probe width.
-build_and_test scalar-simd \
-    'test_tlb|test_spot|test_ranges|test_parallel|test_checkpoint|xlat_golden_check' \
-    -DCMAKE_BUILD_TYPE=Release -DCONTIG_SIMD=OFF
-
 # Micro-bench artifacts (Release binaries). micro_obs_overhead is a
 # google-benchmark binary with its own JSON reporter; the rest are
 # plain BenchOutput benches.
@@ -79,10 +70,10 @@ python3 "$root/scripts/check_bench_json.py" "$bench/fig14_spot_breakdown"
 python3 "$root/scripts/check_bench_json.py" --expect-reclaim \
     "$bench/micro_reclaim_path"
 
-# SIMD equivalence + speedup gates. The fig13 table from the AVX2
-# build, the same binary under --no-simd, and the CONTIG_SIMD=OFF
-# build must agree on every simulated row value (only config/wall
-# clock may differ). Then the replay-throughput ratio: the committed
+# SIMD equivalence + speedup gates. The fig13 table with the AVX2
+# probes and the same binary under --no-simd must agree on every
+# simulated row value (only config/wall clock may differ). Then the
+# replay-throughput ratio: the committed
 # baseline records the paper-reproduction evidence (>= 1.5x batched
 # SoA+SIMD vs the per-access Reference loop, same-run ratio so it is
 # wall-clock-robust); the fresh run is gated at a noise-tolerant
@@ -92,10 +83,7 @@ echo "=== simd equivalence + xlat ratio gate ==="
 "$bench/fig13_translation_overhead" --json "$out/fig13_simd.json"
 "$bench/fig13_translation_overhead" --no-simd \
     --json "$out/fig13_nosimd.json"
-"$out/scalar-simd/bench/fig13_translation_overhead" \
-    --json "$out/fig13_scalar_build.json"
-python3 - "$out/fig13_simd.json" "$out/fig13_nosimd.json" \
-    "$out/fig13_scalar_build.json" <<'PYEOF'
+python3 - "$out/fig13_simd.json" "$out/fig13_nosimd.json" <<'PYEOF'
 import json, sys
 def rows(path):
     doc = json.load(open(path))
@@ -103,53 +91,48 @@ def rows(path):
         f"{path}: no xlat.simd note"
     return [{k: v for k, v in r.items() if not k.endswith(".wall_us")}
             for r in doc["rows"]]
-simd, nosimd, scalar = (rows(p) for p in sys.argv[1:4])
+simd, nosimd = (rows(p) for p in sys.argv[1:3])
 assert simd == nosimd, "fig13 rows differ: avx2 vs --no-simd"
-assert simd == scalar, "fig13 rows differ: avx2 vs CONTIG_SIMD=OFF build"
 print(f"fig13 simd equivalence: {len(simd)} rows identical "
-      "across avx2 / --no-simd / scalar build")
+      "across avx2 / --no-simd")
 PYEOF
-rm -f "$out/fig13_simd.json" "$out/fig13_nosimd.json" \
-    "$out/fig13_scalar_build.json"
+rm -f "$out/fig13_simd.json" "$out/fig13_nosimd.json"
 python3 "$root/scripts/xlat_ratio_gate.py" \
     "$root/bench/baselines/BENCH_micro_xlat_scaling.json" \
     --min-ratio 1.5
 python3 "$root/scripts/xlat_ratio_gate.py" \
     "$root/BENCH_micro_xlat_scaling.json" --min-ratio 1.2
 
-# Concurrency observatory artifacts: the scaling micro benches again
-# under --lock-stats (per-site contention metrics + the derived
+# Concurrency observatory artifacts: the fault-scaling micro bench
+# again under --lock-stats (per-site contention metrics + the derived
 # "scaling" report section, both schema-checked), plus a per-thread
 # Chrome trace from a 4-worker run for by-hand inspection.
 echo "=== lock-stats artifacts ==="
 "$bench/micro_fault_scaling" --lock-stats \
     --json "$root/BENCH_micro_fault_scaling_locks.json"
-"$bench/micro_xlat_scaling" --lock-stats \
-    --json "$root/BENCH_micro_xlat_scaling_locks.json"
 python3 "$root/scripts/check_bench_json.py" \
     --expect-lock-stats --expect-scaling \
     "$bench/micro_fault_scaling" --lock-stats
 "$bench/micro_fault_scaling" --threads 4 --lock-stats \
     --trace "$root/BENCH_thread_lanes_trace.json" \
     --json "$root/BENCH_micro_fault_scaling_t4.json"
-# Structural contention gate: the set of instrumented lock sites each
+# Structural contention gate: the set of instrumented lock sites the
 # bench touches (and the report sections it emits) must match the
 # committed baseline. Counts are scheduling-dependent and not gated.
 python3 "$root/scripts/lock_contention_summary.py" --check \
     "$root/bench/baselines/BENCH_lock_contention.json" \
-    "$root/BENCH_micro_fault_scaling_locks.json" \
-    "$root/BENCH_micro_xlat_scaling_locks.json"
+    "$root/BENCH_micro_fault_scaling_locks.json"
 
 # Trace-frontend gate: capture fig13 to .ctrace files, replay them,
 # interrupt the replay with a checkpoint at chunk 3, resume, and
 # require the replayed and resumed runs' canonical JSON byte-identical
-# to the live run at 1 and 4 replay shards. The traces, checkpoints
-# and JSONs are kept as TRACE_* artifacts (trace-info summarizes the
-# first capture so the artifact log shows the compression ratio).
+# to the live run. The traces, checkpoints and JSONs are kept as
+# TRACE_* artifacts (trace-info summarizes the first capture so the
+# artifact log shows the compression ratio).
 echo "=== trace frontend gate ==="
 mkdir -p "$root/TRACE_roundtrip"
 python3 "$root/scripts/trace_roundtrip_check.py" \
-    "$bench/fig13_translation_overhead" --threads 1,4 --ckpt-at 3 \
+    "$bench/fig13_translation_overhead" --ckpt-at 3 \
     --artifacts "$root/TRACE_roundtrip"
 python3 "$root/scripts/check_bench_json.py" --expect-trace \
     "$bench/fig14_spot_breakdown"
@@ -179,10 +162,10 @@ python3 "$root/scripts/check_bench_json.py" --expect-attrib \
 # checkpoint → resume with --attrib, attribution section included in
 # the canonical byte comparison.
 python3 "$root/scripts/trace_roundtrip_check.py" \
-    "$bench/fig14_spot_breakdown" --threads 1,4 --attrib
+    "$bench/fig14_spot_breakdown" --attrib
 # Off means off: without the switch the same binary must emit no
 # attribution section and stay deterministic run-to-run — and the
-# xlat golden ctests above already pin the attrib-off output to the
+# golden ctests above already pin the attrib-off output to the
 # committed pre-attribution goldens byte-for-byte.
 "$bench/fig14_spot_breakdown" --json "$root/BENCH_fig14_plain.json"
 CONTIG_ATTRIB=0 "$bench/fig14_spot_breakdown" \
@@ -213,10 +196,10 @@ python3 "$root/scripts/check_bench_json.py" \
 "$out/release/tools/contig_inspect" check-baseline \
     "$root/BENCH_micro_fault_scaling.json" \
     "$root/bench/baselines/BENCH_micro_fault_scaling.json"
-# Translation replay gates: component counters and the chunk-size x
-# shard-thread grid are deterministic (chunking and the walk memo
-# never move simulated counters; threads=N is a fixed hash
-# partition); *.wall_us throughput columns are ignored.
+# Translation replay gates: component counters and the chunk-size
+# sweep are deterministic (chunking, the walk memo, the engine and the
+# probe width never move simulated counters); *.wall_us throughput
+# columns are ignored.
 "$out/release/tools/contig_inspect" check-baseline \
     "$root/BENCH_micro_tlb_spot.json" \
     "$root/bench/baselines/BENCH_micro_tlb_spot.json"

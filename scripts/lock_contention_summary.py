@@ -10,8 +10,8 @@ and reduces their lock.<site>.* metrics and "scaling" sections to a
 
   - which lock sites were observed at all (their names),
   - which of them recorded any acquisitions ("acquired": true/false),
-  - which scaling sub-sections ("parallel", "xlat", "locks") each
-    bench emitted.
+  - which scaling sub-sections ("parallel", "locks") each bench
+    emitted.
 
 Raw counts are deliberately NOT part of the summary: acquisition and
 contention totals vary run to run with thread scheduling, so a count

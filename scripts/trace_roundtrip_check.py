@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Capture/replay/checkpoint equivalence gate for the trace frontend.
 
-Usage: trace_roundtrip_check.py <bench-binary> [--threads 1,4]
-                                [--ckpt-at 3] [--artifacts DIR]
-                                [--attrib]
+Usage: trace_roundtrip_check.py <bench-binary> [--ckpt-at 3]
+                                [--artifacts DIR] [--attrib]
 
-For each requested --xlat-threads value T this script proves the full
-trace-frontend contract on one bench binary:
+Proves the full trace-frontend contract on one bench binary:
 
-  1. live run at T, teeing every translation replay to .ctrace files
+  1. live run, teeing every translation replay to .ctrace files
      (--trace-out); the capture must not perturb the simulation,
-  2. replay run at T feeding the same engine from the captured traces
+  2. replay run feeding the same engine from the captured traces
      (--trace-in): canonical JSON must be byte-identical to the live
      run,
-  3. interrupted replay at T that snapshots at chunk K and stops
+  3. interrupted replay that snapshots at chunk K and stops
      (--ckpt-out --ckpt-at K),
-  4. resumed replay at T from those snapshots (--ckpt-in): canonical
-     JSON must again be byte-identical to the live run.
+  4. resumed replay from those snapshots (--ckpt-in): canonical JSON
+     must again be byte-identical to the live run.
 
 "Canonical" strips only wall-clock-dependent material: phase/lock
 timing metrics, walk-memo occupancy, the derived scaling section, and
@@ -28,9 +26,8 @@ With --attrib every run additionally carries the cost-attribution
 switch and must emit an "attribution" section; the section is part of
 the canonical document, so per-outcome x contiguity-class cost cells,
 percentiles, and exemplars must survive capture → replay →
-checkpoint → resume byte-for-byte (shard tables are checkpointed and
-merged in deterministic shard order; the fault path re-runs
-identically on resume).
+checkpoint → resume byte-for-byte (the attribution table is
+checkpointed; the fault path re-runs identically on resume).
 """
 
 import argparse
@@ -67,7 +64,7 @@ def canonical(doc):
     metrics = doc.get("metrics", {})
     for key in list(metrics):
         if (key.startswith(TIME_PREFIXES) or ".memo." in key
-                or key.endswith(TIME_SUFFIXES) or "barrier.skew" in key):
+                or key.endswith(TIME_SUFFIXES)):
             del metrics[key]
     doc.pop("scaling", None)
     run_cfg = doc.get("config", {}).get("run", {})
@@ -93,7 +90,6 @@ def expect_same(name, live, other):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("binary", type=Path)
-    ap.add_argument("--threads", default="1,4")
     ap.add_argument("--ckpt-at", type=int, default=3)
     ap.add_argument("--artifacts", type=Path, default=None,
                     help="keep traces/checkpoints/JSONs here")
@@ -114,40 +110,29 @@ def main():
                 fail(f"--attrib: {name} run emitted no attribution "
                      f"section")
 
-        for t in args.threads.split(","):
-            tf = ["--xlat-threads", t]
-            if args.attrib:
-                tf.append("--attrib")
-            # Capture once (the trace is thread-count independent);
-            # later thread counts reuse it but need their own live
-            # baseline because shard-private caches move counters.
-            if not list(work.glob("cap.*.ctrace")):
-                live = run(args.binary, work / f"live{t}.json",
-                           *tf, "--trace-out", trace)
-                n = len(list(work.glob("cap.*.ctrace")))
-                if n == 0:
-                    fail("--trace-out produced no .ctrace files")
-                print(f"trace_roundtrip_check: captured {n} trace(s) "
-                      f"at --xlat-threads {t}")
-            else:
-                live = run(args.binary, work / f"live{t}.json", *tf)
-            require_attrib(f"live@t{t}", live)
+        flags = ["--attrib"] if args.attrib else []
+        live = run(args.binary, work / "live.json", *flags,
+                   "--trace-out", trace)
+        n = len(list(work.glob("cap.*.ctrace")))
+        if n == 0:
+            fail("--trace-out produced no .ctrace files")
+        print(f"trace_roundtrip_check: captured {n} trace(s)")
+        require_attrib("live", live)
 
-            replay = run(args.binary, work / f"replay{t}.json",
-                         *tf, "--trace-in", trace)
-            require_attrib(f"replay@t{t}", replay)
-            expect_same(f"replay@t{t}", live, replay)
+        replay = run(args.binary, work / "replay.json", *flags,
+                     "--trace-in", trace)
+        require_attrib("replay", replay)
+        expect_same("replay", live, replay)
 
-            ck = work / f"ck{t}"
-            run(args.binary, work / f"int{t}.json", *tf,
-                "--trace-in", trace, "--ckpt-out", ck,
-                "--ckpt-at", ckpt_at)
-            if not list(work.glob(f"ck{t}.*.ckpt")):
-                fail("--ckpt-out produced no .ckpt files")
-            resumed = run(args.binary, work / f"resume{t}.json",
-                          *tf, "--trace-in", trace, "--ckpt-in", ck)
-            require_attrib(f"resume@t{t}", resumed)
-            expect_same(f"resume@t{t}", live, resumed)
+        ck = work / "ck"
+        run(args.binary, work / "int.json", *flags, "--trace-in", trace,
+            "--ckpt-out", ck, "--ckpt-at", ckpt_at)
+        if not list(work.glob("ck.*.ckpt")):
+            fail("--ckpt-out produced no .ckpt files")
+        resumed = run(args.binary, work / "resume.json", *flags,
+                      "--trace-in", trace, "--ckpt-in", ck)
+        require_attrib("resume", resumed)
+        expect_same("resume", live, resumed)
         if args.artifacts:
             args.artifacts.mkdir(parents=True, exist_ok=True)
             for p in sorted(work.iterdir()):

@@ -5,8 +5,8 @@ Usage: xlat_ratio_gate.py <BENCH_micro_xlat_scaling.json>
                           [--min-ratio R]
 
 micro_xlat_scaling replays the same fig13 access stream through the
-batched SoA engine (the `chunk_sweep` threads=1 chunk=4096 cell — the
-shipping default) and through the historical per-access Reference loop
+batched SoA engine (the `chunk_sweep` chunk=4096 cell — the shipping
+default) and through the historical per-access Reference loop
 (the `engine_ref` cell) in the same process. Absolute wall clock is
 machine-dependent, but the ratio between the two cells of one run is
 not: both replay identical work back to back on the same core, so
@@ -42,12 +42,11 @@ def fail(msg):
     sys.exit(1)
 
 
-def find_cell(rows, cell, threads=1, chunk=4096):
+def find_cell(rows, cell, chunk=4096):
     for r in rows:
-        if (r.get("cell") == cell and r.get("threads") == threads
-                and r.get("chunk") == chunk):
+        if r.get("cell") == cell and r.get("chunk") == chunk:
             return r
-    fail(f"no '{cell}' row (threads={threads}, chunk={chunk})")
+    fail(f"no '{cell}' row (chunk={chunk})")
 
 
 def main():

@@ -7,21 +7,20 @@
  * slots, so "find the way holding this tag" is a handful of vector
  * compares instead of a per-way branchy scan.
  *
- * Three independent switches select the probe width:
- *  - compile time: the CONTIG_SIMD CMake option compiles the AVX2
- *    kernel in (as a target("avx2") function, so the rest of the
- *    build needs no -mavx2) or leaves only the scalar loop;
- *  - run time, CPU: __builtin_cpu_supports("avx2") is checked once —
- *    a non-AVX2 host silently runs the scalar loop;
- *  - run time, policy: setForceScalar() (bench_io's --no-simd /
+ * The AVX2 kernel is compiled in on every x86-64 GCC/Clang build as a
+ * target("avx2") function, so the rest of the build needs no -mavx2.
+ * Which kernel runs is decided at run time:
+ *  - the CPU: __builtin_cpu_supports("avx2") is checked once — a
+ *    non-AVX2 host silently runs the scalar loop;
+ *  - the one override: setForceScalar() (bench_io's --no-simd /
  *    CONTIG_SIMD=0) pins the scalar loop for A/B measurements in one
  *    binary.
  *
  * The scalar and AVX2 kernels return the same lane for the same
  * input (the lowest matching index), so simulated statistics are
- * byte-identical across all switch combinations; only wall clock
- * moves. tests/tlb/tlb_test.cc and the engine golden-equivalence
- * suite pin this.
+ * byte-identical either way; only wall clock moves.
+ * tests/tlb/tlb_test.cc and the engine golden-equivalence suite pin
+ * this.
  */
 
 #ifndef CONTIG_BASE_SIMD_HH
@@ -29,11 +28,7 @@
 
 #include <cstdint>
 
-#ifndef CONTIG_SIMD
-#define CONTIG_SIMD 1
-#endif
-
-#if CONTIG_SIMD && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CONTIG_SIMD_AVX2 1
 #include <immintrin.h>
 #else

@@ -50,14 +50,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
         if (const char *env = std::getenv("CONTIG_THREADS"))
             threads_ = static_cast<unsigned>(
                 std::max(1l, std::strtol(env, nullptr, 10)));
-    if (xlatThreads_ == 1)
-        if (const char *env = std::getenv("CONTIG_XLAT_THREADS"))
-            xlatThreads_ = static_cast<unsigned>(
-                std::max(1l, std::strtol(env, nullptr, 10)));
-    if (xlatChunk_ == 0)
-        if (const char *env = std::getenv("CONTIG_XLAT_CHUNK"))
-            xlatChunk_ = static_cast<std::uint64_t>(
-                std::max(0l, std::strtol(env, nullptr, 10)));
     if (traceIn_.empty())
         if (const char *env = std::getenv("CONTIG_CTRACE_IN"))
             traceIn_ = env;
@@ -173,20 +165,6 @@ BenchOutput::parseArgs(int argc, char **argv)
                 fatal("%s: --threads wants a positive count, got '%s'",
                       bench_.c_str(), argv[i]);
             threads_ = static_cast<unsigned>(n);
-        } else if (arg == "--xlat-threads" && has_next) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1)
-                fatal("%s: --xlat-threads wants a positive count,"
-                      " got '%s'",
-                      bench_.c_str(), argv[i]);
-            xlatThreads_ = static_cast<unsigned>(n);
-        } else if (arg == "--xlat-chunk" && has_next) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1)
-                fatal("%s: --xlat-chunk wants a positive access count,"
-                      " got '%s'",
-                      bench_.c_str(), argv[i]);
-            xlatChunk_ = static_cast<std::uint64_t>(n);
         } else if (arg == "--no-simd") {
             noSimd_ = true;
         } else if (arg == "--numa-shards" && has_next) {
@@ -228,8 +206,7 @@ BenchOutput::parseArgs(int argc, char **argv)
             fatal("%s: unknown argument '%s'\n"
                   "usage: %s [--json FILE] [--trace FILE]"
                   " [--timeline FILE] [--trace-categories LIST]"
-                  " [--threads N] [--xlat-threads N] [--xlat-chunk N]"
-                  " [--no-simd] [--numa-shards N]"
+                  " [--threads N] [--no-simd] [--numa-shards N]"
                   " [--trace-in PREFIX] [--trace-out PREFIX]"
                   " [--ckpt-in PREFIX] [--ckpt-out PREFIX]"
                   " [--ckpt-at CHUNK] [--lock-stats] [--attrib]",
@@ -295,27 +272,6 @@ BenchOutput::writeScaling(JsonWriter &w) const
     }
     const Summary *wall = summaryOf("parallel.run.wall_us");
 
-    // Per-shard replay load (ReplayEngine).
-    struct Shard
-    {
-        std::uint64_t accesses = 0;
-        std::uint64_t busy = 0;
-        std::uint64_t stall = 0;
-        std::uint64_t wait = 0;
-    };
-    std::vector<Shard> shards;
-    for (unsigned i = 0;; ++i) {
-        const std::string p = "xlat.shard" + std::to_string(i) + ".";
-        Shard sh;
-        if (!counterOf(p + "accesses", sh.accesses))
-            break;
-        counterOf(p + "busy_us", sh.busy);
-        counterOf(p + "stall_us", sh.stall);
-        counterOf(p + "wait_us", sh.wait);
-        shards.push_back(sh);
-    }
-    const Summary *skew = summaryOf("xlat.barrier.skew_us");
-
     // Trace-replay frontend (TraceReplaySource's producer thread).
     struct Frontend
     {
@@ -341,8 +297,7 @@ BenchOutput::writeScaling(JsonWriter &w) const
     if (lockStats_)
         sites = LockStatsRegistry::global().sites();
 
-    if ((busy.empty() || !wall) && shards.empty() && sites.empty() &&
-        !have_frontend)
+    if ((busy.empty() || !wall) && sites.empty() && !have_frontend)
         return;
 
     w.key("scaling");
@@ -373,49 +328,6 @@ BenchOutput::writeScaling(JsonWriter &w) const
         w.endArray();
         w.field("achieved_speedup", speedup);
         w.field("serial_fraction", serial);
-        w.endObject();
-    }
-
-    if (!shards.empty()) {
-        std::uint64_t busy_max = 0, busy_total = 0;
-        for (const Shard &sh : shards) {
-            busy_max = std::max(busy_max, sh.busy);
-            busy_total += sh.busy;
-        }
-        const double busy_mean =
-            static_cast<double>(busy_total) / shards.size();
-        w.key("xlat");
-        w.beginObject();
-        w.field("shards", static_cast<std::uint64_t>(shards.size()));
-        w.key("shard_accesses");
-        w.beginArray();
-        for (const Shard &sh : shards)
-            w.value(sh.accesses);
-        w.endArray();
-        w.key("shard_busy_us");
-        w.beginArray();
-        for (const Shard &sh : shards)
-            w.value(sh.busy);
-        w.endArray();
-        w.key("shard_stall_us");
-        w.beginArray();
-        for (const Shard &sh : shards)
-            w.value(sh.stall);
-        w.endArray();
-        w.key("shard_wait_us");
-        w.beginArray();
-        for (const Shard &sh : shards)
-            w.value(sh.wait);
-        w.endArray();
-        // max/mean busy: 1.0 = perfectly balanced shards.
-        w.field("imbalance", busy_mean > 0.0
-                                 ? static_cast<double>(busy_max) /
-                                       busy_mean
-                                 : 1.0);
-        if (skew && skew->count() > 0) {
-            w.field("barrier_skew_us_mean", skew->mean());
-            w.field("barrier_skew_us_max", skew->max());
-        }
         w.endObject();
     }
 
@@ -510,7 +422,8 @@ BenchOutput::write()
         obs::MetricRegistry::global().writeJson(w);
 
         // Derived concurrency report: present whenever the run
-        // recorded worker/shard accounting or lock stats were on.
+        // recorded worker or trace-frontend accounting, or lock stats
+        // were on.
         writeScaling(w);
 
         // Cost attribution ("where do the cycles go"): present only

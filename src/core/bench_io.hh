@@ -24,10 +24,10 @@
  * contention accounting on before any kernel exists: every
  * instrumented lock exports lock.<site>.* metrics, and the JSON
  * document gains a derived "scaling" section (per-worker busy time,
- * achieved speedup, serial fraction, per-shard replay load, top
- * contended lock sites). The section is also emitted without
- * --lock-stats whenever a run recorded parallel.* / xlat.shard*
- * accounting — it then simply omits the lock table.
+ * achieved speedup, serial fraction, top contended lock sites). The
+ * section is also emitted without --lock-stats whenever a run
+ * recorded parallel.* or trace-frontend accounting — it then simply
+ * omits the lock table.
  *
  * `--attrib` (or CONTIG_ATTRIB=1) switches the per-event cost
  * attribution on the same way: translation and fault kernels then
@@ -87,22 +87,6 @@ class BenchOutput
      * single-threaded benches simply ignore it.
      */
     unsigned threads() const { return threads_; }
-
-    /**
-     * Replay shards requested via `--xlat-threads N` (or
-     * CONTIG_XLAT_THREADS); 1 when absent. Translation benches pass
-     * this to the ReplayEngine; 1 replays the access stream through
-     * a single pipeline, instruction-identical to the unsharded
-     * simulator.
-     */
-    unsigned xlatThreads() const { return xlatThreads_; }
-
-    /**
-     * Replay chunk size via `--xlat-chunk N` accesses (or
-     * CONTIG_XLAT_CHUNK); 0 when absent — the AccessStream default.
-     * Chunking never changes simulated results, only batching.
-     */
-    std::uint64_t xlatChunk() const { return xlatChunk_; }
 
     /**
      * True when `--no-simd` (or CONTIG_SIMD=0) forced the probe
@@ -175,8 +159,6 @@ class BenchOutput
     std::string tracePath_;
     std::string timelinePath_;
     unsigned threads_ = 1;
-    unsigned xlatThreads_ = 1;
-    std::uint64_t xlatChunk_ = 0;
     bool noSimd_ = false;
     unsigned numaShards_ = 0;
     std::string traceIn_;

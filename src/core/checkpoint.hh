@@ -6,9 +6,9 @@
  *
  *  - meta: the trace config digest and the replay position (chunk
  *    index + accesses done), keying the snapshot to one exact trace;
- *  - engine blob: the ReplayEngine's full pipeline state (every
- *    shard's TLBs / walker caches / SpOT / range TLB, stats,
- *    positions) — restored exactly on resume;
+ *  - engine blob: the ReplayEngine's full pipeline state (TLBs /
+ *    walker caches / SpOT / range TLB, stats, replay position) —
+ *    restored exactly on resume;
  *  - kernel blobs: one per participating kernel (native: the
  *    process's kernel; virtualized: guest then host). Kernel state is
  *    NOT restored from the blob — translation replay never mutates
@@ -36,7 +36,8 @@ class Kernel;
 class ReplayEngine;
 
 constexpr std::uint32_t kCkptMagic = 0x504b4343u; // "CCKP" little-endian
-constexpr std::uint32_t kCkptVersion = 1;
+/** v2: the engine blob holds one pipeline (no shard count or loads). */
+constexpr std::uint32_t kCkptVersion = 2;
 
 /** Where in which trace the snapshot was taken. */
 struct CkptMeta

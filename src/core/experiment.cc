@@ -268,19 +268,17 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
     cfg.walker.memoEnabled = opts.memo;
     cfg.engine = opts.engine;
 
-    const unsigned threads = opts.threads ? opts.threads : 1;
     std::unique_ptr<ReplayEngine> engine;
     if (vm) {
-        engine = std::make_unique<ReplayEngine>(cfg, threads,
-                                                proc->pageTable(), *vm);
+        engine = std::make_unique<ReplayEngine>(cfg, 1, proc->pageTable(),
+                                                *vm);
     } else {
-        engine = std::make_unique<ReplayEngine>(cfg, threads,
-                                                proc->pageTable());
+        engine = std::make_unique<ReplayEngine>(cfg, 1, proc->pageTable());
     }
     // Extract the offset-run segments once: Rmm/Ds consume them as
-    // the range/segment tables, and --attrib shares them read-only
-    // across shards as the contiguity-class index. The page tables
-    // are static during replay, so one extraction serves both.
+    // the range/segment tables, and --attrib uses them as the
+    // contiguity-class index. The page tables are static during
+    // replay, so one extraction serves both.
     const bool seg_schemes =
         scheme == XlatScheme::Rmm || scheme == XlatScheme::Ds;
     if (seg_schemes || obs::AttribRegistry::enabled()) {
@@ -349,8 +347,7 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
                   static_cast<unsigned long long>(accesses));
         source = std::move(trace);
     } else {
-        live = std::make_unique<AccessStream>(wl, accesses, seed,
-                                              opts.chunkAccesses);
+        live = std::make_unique<AccessStream>(wl, accesses, seed);
         if (!opts.traceOut.empty()) {
             capture = std::make_unique<CtraceWriter>(
                 ctraceRunPath(opts.traceOut, run_idx), digest,
@@ -364,8 +361,6 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         ckpt->restore(*engine, kernels);
 
     obs::RunInfo::global().note("seed.translation", seed);
-    obs::RunInfo::global().note("xlat.threads",
-                                static_cast<std::uint64_t>(threads));
     obs::RunInfo::global().note("xlat.chunk_accesses",
                                 source->chunkAccesses());
     obs::RunInfo::global().note("xlat.memo", opts.memo);
@@ -374,8 +369,8 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
                            ? std::string_view("reference")
                            : std::string_view("batched"));
     // The effective probe-kernel mode: "avx2" only when the batched
-    // engine runs with SIMD compiled in, the CPU capable and not
-    // forced scalar (CONTIG_SIMD=0 / --no-simd).
+    // engine runs on an AVX2-capable CPU not forced scalar
+    // (CONTIG_SIMD=0 / --no-simd).
     obs::RunInfo::global().note(
         "xlat.simd",
         std::string_view(simd::modeName(
@@ -412,7 +407,7 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         scfg.keepSnapshots = false;
         scfg.domain = "xlat:" + wl.name();
         sampler = std::make_unique<obs::StateSampler>(scfg);
-        sampler->attachTranslation(*engine);
+        sampler->attachTranslation(engine->sim());
         xlat_period = std::max<std::uint64_t>(1, accesses / 8);
     }
 

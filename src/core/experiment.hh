@@ -135,10 +135,6 @@ struct XlatRunResult
 /** Replay-engine knobs for runTranslation (bench_io's xlat flags). */
 struct XlatReplayOpts
 {
-    /** Replay shards; 1 is instruction-identical to the unsharded sim. */
-    unsigned threads = 1;
-    /** Accesses per chunk; 0 = AccessStream::kDefaultChunk. */
-    std::uint64_t chunkAccesses = 0;
     /** Walk-traversal memo (pure wall-clock knob; results identical). */
     bool memo = true;
     /**
@@ -171,12 +167,10 @@ struct XlatReplayOpts
 
 /**
  * Replay `accesses` steady-state accesses of an already-set-up
- * workload through the sharded translation replay engine. Pass the
- * VM for virtualized runs, nullptr for native. Simulated results
- * depend only on (workload state, scheme, accesses, seed,
- * opts.threads) — chunk size and the memo never change them, and
- * opts.threads == 1 reproduces the historical sequential replay
- * byte-for-byte.
+ * workload through the translation replay engine. Pass the VM for
+ * virtualized runs, nullptr for native. Simulated results depend only
+ * on (workload state, scheme, accesses, seed) — the memo, the engine
+ * and the trace frontend never change them.
  */
 XlatRunResult runTranslation(Workload &wl, const VirtualMachine *vm,
                              XlatScheme scheme, std::uint64_t accesses,

@@ -58,8 +58,8 @@ restoreHistogram(Deserializer &d, Log2Histogram &h)
 /**
  * Strict total order on exemplar content (hottest first). Because it
  * never compares equal for distinct events — vpn breaks ties across
- * shards, seq within one — the surviving top-K set is independent of
- * merge order, which keeps sharded runs deterministic.
+ * tables, seq within one — the surviving top-K set is independent of
+ * the order AttribRegistry absorbs tables in.
  */
 bool
 hotterThan(const XlatAttribution::Exemplar &a,

@@ -20,11 +20,10 @@
  * attribution object is ever allocated and hot paths pay exactly one
  * nullable-pointer branch per event site (ratio-gated by
  * micro_obs_overhead's BM_AttribOff row). When on, each
- * TranslationSim shard and each FaultEngine worker owns a private
- * table; tables merge in shard/scope order at chunk boundaries (the
- * LoadSlot pattern — main owns all shard state between chunks) and
- * fold into the global AttribRegistry when their owner dies, which
- * renders the schema-4 "attribution" bench-JSON section.
+ * TranslationSim and each FaultEngine worker owns a private table;
+ * worker tables merge in scope order, and every table folds into the
+ * global AttribRegistry when its owner dies, which renders the
+ * schema-4 "attribution" bench-JSON section.
  */
 
 #ifndef CONTIG_OBS_ATTRIBUTION_HH
@@ -85,7 +84,7 @@ const char *contigClassName(unsigned cls);
  * Immutable vpn -> contiguity-class index over the extracted
  * offset-run segments (contig/analysis extractSegs / extract2d).
  * Page tables are static during translation replay, so one index is
- * built per run and shared read-only across shards.
+ * built per run and shared read-only.
  */
 class ContigClassIndex
 {
@@ -131,10 +130,8 @@ struct CostCell
 };
 
 /**
- * Translation-side attribution table. Owned one-per-shard by
- * TranslationSim when the registry switch is on; merge and reads
- * happen only while workers are parked (chunk barriers), so no cell
- * is ever shared between threads.
+ * Translation-side attribution table. Owned by TranslationSim when
+ * the registry switch is on; only the replaying thread touches it.
  */
 class XlatAttribution
 {
@@ -196,7 +193,7 @@ class XlatAttribution
 
     std::uint64_t events() const { return seq_; }
 
-    /** Fold another shard's table in (shard order at barriers). */
+    /** Fold another table in (AttribRegistry::absorbXlat). */
     void mergeFrom(const XlatAttribution &other);
 
     /** Per-outcome rollup counters ("<outcome>.events", ...). */
@@ -280,7 +277,7 @@ class AttribRegistry
 
     static AttribRegistry &global();
 
-    /** Fold a dying shard's table in, keyed by its scheme label. */
+    /** Fold a dying simulator's table in, keyed by its scheme label. */
     void absorbXlat(const XlatAttribution &table);
     void absorbFault(const FaultAttribution &table);
 

@@ -7,7 +7,6 @@
 #include "base/logging.hh"
 #include "mm/kernel.hh"
 #include "obs/attribution.hh"
-#include "tlb/replay.hh"
 #include "tlb/translation_sim.hh"
 #include "virt/vm.hh"
 
@@ -74,14 +73,6 @@ void
 StateSampler::attachTranslation(const TranslationSim &sim)
 {
     xlat_ = &sim;
-    replay_ = nullptr;
-}
-
-void
-StateSampler::attachTranslation(const ReplayEngine &engine)
-{
-    replay_ = &engine;
-    xlat_ = nullptr;
 }
 
 const Snapshot &
@@ -156,9 +147,8 @@ StateSampler::capture(Snapshot &snap, std::uint64_t tick)
         }
     }
 
-    if (xlat_ || replay_) {
-        const XlatStats xs =
-            replay_ ? replay_->mergedStats() : xlat_->stats();
+    if (xlat_) {
+        const XlatStats &xs = xlat_->stats();
         snap.hasXlat = true;
         snap.xlat.accesses = xs.accesses;
         snap.xlat.l1Hits = xs.l1Hits;
@@ -170,59 +160,33 @@ StateSampler::capture(Snapshot &snap, std::uint64_t tick)
         snap.xlat.spotCorrect = xs.spotCorrect;
         snap.xlat.spotMispredicted = xs.spotMispredicted;
         snap.xlat.spotNoPrediction = xs.spotNoPrediction;
-        std::optional<SpotStats> merged;
-        const SpotStats *ss = nullptr;
-        if (replay_) {
-            merged = replay_->mergedSpotStats();
-            if (merged)
-                ss = &*merged;
-        } else if (const SpotEngine *spot = xlat_->spot()) {
-            ss = &spot->stats();
+        if (const SpotEngine *spot = xlat_->spot()) {
+            const SpotStats &ss = spot->stats();
+            snap.xlat.spotFills = ss.fills;
+            snap.xlat.spotCoverage = ss.coverage();
+            snap.xlat.spotAccuracy = ss.accuracy();
         }
-        if (ss) {
-            snap.xlat.spotFills = ss->fills;
-            snap.xlat.spotCoverage = ss->coverage();
-            snap.xlat.spotAccuracy = ss->accuracy();
+
+        // Attribution drift: per-outcome rollups so timelines show
+        // where the translation cycles go as the run evolves (--attrib
+        // only).
+        if (const XlatAttribution *table = xlat_->attrib()) {
+            for (unsigned o = 0; o < kXlatOutcomes; ++o) {
+                const CostCell cell = table->outcomeTotal(o);
+                if (cell.empty())
+                    continue;
+                const std::string p =
+                    std::string("attrib.") +
+                    xlatOutcomeName(static_cast<XlatOutcome>(o)) + ".";
+                snap.extras[p + "events"] =
+                    static_cast<double>(cell.events);
+                snap.extras[p + "walk_cycles"] =
+                    static_cast<double>(cell.cycles);
+                snap.extras[p + "exposed_cycles"] =
+                    static_cast<double>(cell.exposed);
+            }
         }
     }
-
-    if (replay_) {
-        for (unsigned i = 0; i < replay_->threads(); ++i) {
-            const ReplayEngine::ShardLoad l = replay_->shardLoad(i);
-            const std::string p = "xlat.shard" + std::to_string(i) + ".";
-            snap.extras[p + "accesses"] =
-                static_cast<double>(l.accesses);
-            snap.extras[p + "busy_us"] =
-                static_cast<double>(l.busyNs) / 1000.0;
-            snap.extras[p + "stall_us"] =
-                static_cast<double>(l.stallNs) / 1000.0;
-            snap.extras[p + "wait_us"] =
-                static_cast<double>(l.waitNs) / 1000.0;
-        }
-    }
-
-    // Attribution drift: per-outcome rollups so timelines show where
-    // the translation cycles go as the run evolves (--attrib only).
-    const auto attribExtras = [&snap](const XlatAttribution &table) {
-        for (unsigned o = 0; o < kXlatOutcomes; ++o) {
-            const CostCell cell = table.outcomeTotal(o);
-            if (cell.empty())
-                continue;
-            const std::string p =
-                std::string("attrib.") +
-                xlatOutcomeName(static_cast<XlatOutcome>(o)) + ".";
-            snap.extras[p + "events"] =
-                static_cast<double>(cell.events);
-            snap.extras[p + "walk_cycles"] =
-                static_cast<double>(cell.cycles);
-            snap.extras[p + "exposed_cycles"] =
-                static_cast<double>(cell.exposed);
-        }
-    };
-    if (replay_ && replay_->attribEnabled())
-        attribExtras(replay_->attribRollup());
-    else if (xlat_ && xlat_->attrib())
-        attribExtras(*xlat_->attrib());
 
     // Memory-pressure drift: watermark / LRU / swap state as the run
     // evolves. Reclaim kernels only — the keys are absent otherwise,

@@ -39,7 +39,6 @@ namespace contig
 
 class Kernel;
 class Process;
-class ReplayEngine;
 class TranslationSim;
 class VirtualMachine;
 class JsonWriter;
@@ -115,12 +114,6 @@ class StateSampler
     /** Include TLB/walker/SpOT counters in every capture. */
     void attachTranslation(const TranslationSim &sim);
 
-    /**
-     * Replay-engine variant: captures see the shard-merged pipeline
-     * and SpOT counters (coverage/accuracy recomputed from the sums).
-     */
-    void attachTranslation(const ReplayEngine &engine);
-
     // --- sampling -------------------------------------------------------
 
     /**
@@ -171,7 +164,6 @@ class StateSampler
     Kernel *kernel_ = nullptr;
     bool engineAttached_ = false;
     const TranslationSim *xlat_ = nullptr;
-    const ReplayEngine *replay_ = nullptr;
     std::vector<Probe> probes_;
     std::vector<Snapshot> snapshots_;
     Snapshot last_;

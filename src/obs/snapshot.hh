@@ -104,8 +104,9 @@ struct Snapshot
     /**
      * Already-flat auxiliary keys folded verbatim into the timeline
      * stream: lock.<site>.* contention counters when lock stats are
-     * on, xlat.shard<i>.* replay load when a ReplayEngine is
-     * attached. Live consumers (tools/contig_top) read these.
+     * on, attrib.* cost rollups when attribution is on, reclaim.*
+     * pressure state on reclaim kernels. Live consumers
+     * (tools/contig_top) read these.
      */
     std::map<std::string, double> extras;
 };

@@ -45,8 +45,7 @@ parseTraceCategories(std::string_view spec)
          {"promote", kCatPromote}, {"migrate", kCatMigrate},
          {"tlb", kCatTlb},         {"spot", kCatSpot},
          {"walk", kCatWalk},       {"daemon", kCatDaemon},
-         {"phase", kCatPhase},     {"replay", kCatReplay},
-         {"sync", kCatSync}};
+         {"phase", kCatPhase},     {"replay", kCatReplay}};
     std::uint32_t mask = 0;
     std::size_t pos = 0;
     while (pos <= spec.size()) {
@@ -116,8 +115,7 @@ TraceSink::record(TraceEventKind kind, std::uint64_t a0, std::uint64_t a1,
 
 void
 TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
-                      std::uint64_t dur_ns, std::uint64_t a0,
-                      TraceEventKind kind)
+                      std::uint64_t dur_ns, std::uint64_t a0)
 {
     const std::uint32_t lane = ThisCpu::lane();
     std::lock_guard<SpinLock> g(lock_);
@@ -129,7 +127,7 @@ TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
     ev.args[2] = 0;
     ev.spanName = interned_name;
     ev.tid = lane;
-    ev.kind = kind;
+    ev.kind = TraceEventKind::PhaseSpan;
 }
 
 const char *
@@ -189,7 +187,6 @@ categoryName(std::uint32_t category)
       case kCatDaemon: return "daemon";
       case kCatPhase: return "phase";
       case kCatReplay: return "replay";
-      case kCatSync: return "sync";
       default: return "other";
     }
 }

@@ -49,7 +49,6 @@ enum TraceCategory : std::uint32_t
     kCatDaemon = 1u << 7,  //!< policy daemon ticks
     kCatPhase = 1u << 8,   //!< scoped phase-timer spans
     kCatReplay = 1u << 9,  //!< translation-replay chunk boundaries
-    kCatSync = 1u << 10,   //!< barrier waits / synchronization stalls
     kCatAll = 0xffffffffu,
 };
 
@@ -74,7 +73,6 @@ enum class TraceEventKind : std::uint8_t
     DaemonTick,   //!< args: now (faults)
     PhaseSpan,    //!< complete event; args: cycles
     ReplayChunk,  //!< args: chunk, accesses, walks
-    BarrierWait,  //!< complete event; args: worker
     NumKinds,
 };
 
@@ -104,7 +102,6 @@ constexpr TraceEventDesc kTraceEventDescs[] = {
     {"daemon_tick", kCatDaemon, {"now", nullptr, nullptr}},
     {"phase", kCatPhase, {"cycles", nullptr, nullptr}},
     {"replay_chunk", kCatReplay, {"chunk", "accesses", "walks"}},
-    {"barrier_wait", kCatSync, {"worker", nullptr, nullptr}},
 };
 
 static_assert(sizeof(kTraceEventDescs) / sizeof(kTraceEventDescs[0]) ==
@@ -121,8 +118,7 @@ traceCategoryOf(TraceEventKind kind)
 constexpr bool
 traceIsSpanKind(TraceEventKind kind)
 {
-    return kind == TraceEventKind::PhaseSpan ||
-           kind == TraceEventKind::BarrierWait;
+    return kind == TraceEventKind::PhaseSpan;
 }
 
 /** One recorded event (24 B of payload + timing + thread lane). */
@@ -167,11 +163,9 @@ class TraceSink
     void record(TraceEventKind kind, std::uint64_t a0 = 0,
                 std::uint64_t a1 = 0, std::uint64_t a2 = 0);
 
-    /** Record a completed span (Chrome 'X' event): a phase timer by
-     *  default, or a barrier wait etc. via `kind`. */
+    /** Record a completed phase span (Chrome 'X' event). */
     void recordSpan(const char *interned_name, std::uint64_t ts_ns,
-                    std::uint64_t dur_ns, std::uint64_t a0,
-                    TraceEventKind kind = TraceEventKind::PhaseSpan);
+                    std::uint64_t dur_ns, std::uint64_t a0);
 
     /**
      * Intern a span name: returns a pointer stable for the sink's

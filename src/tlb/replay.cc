@@ -1,307 +1,79 @@
 #include "tlb/replay.hh"
 
-#include <algorithm>
-#include <string>
-
 #include "base/logging.hh"
-#include "base/sync.hh"
-#include "obs/attribution.hh"
-#include "obs/trace.hh"
 #include "base/serialize.hh"
+#include "obs/trace.hh"
 
 namespace contig
 {
 
+namespace
+{
+
+/** The exported xlat.replay.{chunks,accesses} position counters. */
+obs::MetricSource
+positionSource(const ReplayEngine &engine)
+{
+    return obs::MetricSource(
+        obs::MetricRegistry::global(), "xlat.replay",
+        [&engine](obs::MetricSink &sink) {
+            sink.counter("chunks", engine.chunks());
+            sink.counter("accesses", engine.accesses());
+        });
+}
+
+} // namespace
+
+// perfbench/perfbench.cc still passes the retired shard count, so the
+// parameter stays until that file changes; anything but 1 is a bug.
 ReplayEngine::ReplayEngine(const XlatConfig &cfg, unsigned threads,
                            const PageTable &pt)
-    : threads_(threads ? threads : 1),
-      chunkPhase_(obs::Phase::bind(obs::MetricRegistry::global(),
-                                   "xlat.chunk"))
+    : sim_(cfg, pt), metricSource_(positionSource(*this))
 {
-    initShards(cfg, pt, nullptr);
+    contig_assert(threads == 1, "replay runs one pipeline, got %u",
+                  threads);
 }
 
 ReplayEngine::ReplayEngine(const XlatConfig &cfg, unsigned threads,
                            const PageTable &guest_pt,
                            const VirtualMachine &vm)
-    : threads_(threads ? threads : 1),
-      chunkPhase_(obs::Phase::bind(obs::MetricRegistry::global(),
-                                   "xlat.chunk"))
+    : sim_(cfg, guest_pt, vm), metricSource_(positionSource(*this))
 {
-    initShards(cfg, guest_pt, &vm);
-}
-
-void
-ReplayEngine::initShards(const XlatConfig &cfg, const PageTable &pt,
-                         const VirtualMachine *vm)
-{
-    // The engine times chunks itself (on the replay thread); shard
-    // phase timers would race on the global summaries when threaded,
-    // and would double-count when not.
-    XlatConfig shard_cfg = cfg;
-    shard_cfg.phaseTimers = false;
-    shards_.reserve(threads_);
-    for (unsigned i = 0; i < threads_; ++i) {
-        if (vm)
-            shards_.push_back(std::make_unique<TranslationSim>(
-                shard_cfg, pt, *vm));
-        else
-            shards_.push_back(
-                std::make_unique<TranslationSim>(shard_cfg, pt));
-    }
-    loads_ = std::vector<LoadSlot>(threads_);
-    // Registered under "xlat" (not "xlat.replay") so the per-shard
-    // load counters land next to the replay totals: the exported
-    // names xlat.replay.* are unchanged and xlat.shard<i>.* joins
-    // them for the imbalance view.
-    metricSource_ = obs::MetricSource(
-        obs::MetricRegistry::global(), "xlat",
-        [this](obs::MetricSink &sink) {
-            sink.counter("replay.chunks", chunks_);
-            sink.counter("replay.accesses", accessesDone_);
-            sink.gauge("replay.threads", threads_);
-            for (unsigned i = 0; i < threads_; ++i) {
-                const ShardLoad l = shardLoad(i);
-                const std::string p = "shard" + std::to_string(i) + ".";
-                sink.counter(p + "accesses", l.accesses);
-                sink.counter(p + "busy_us", l.busyNs / 1000);
-                sink.counter(p + "stall_us", l.stallNs / 1000);
-                sink.counter(p + "wait_us", l.waitNs / 1000);
-            }
-        });
-    if (threads_ > 1) {
-        skewSummary_ =
-            &obs::MetricRegistry::global().summary("xlat.barrier.skew_us");
-        obs::TraceSink &ts = obs::TraceSink::global();
-        startWaitName_ = ts.intern("xlat.barrier.start");
-        endWaitName_ = ts.intern("xlat.barrier.end");
-        startWorkers();
-    }
-}
-
-void
-ReplayEngine::startWorkers()
-{
-    lanes_.resize(threads_);
-    startBarrier_ = std::make_unique<std::barrier<>>(threads_ + 1);
-    endBarrier_ = std::make_unique<std::barrier<>>(threads_ + 1);
-    workers_.reserve(threads_);
-    for (unsigned i = 0; i < threads_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ReplayEngine::~ReplayEngine()
-{
-    if (!workers_.empty()) {
-        stop_ = true;
-        startBarrier_->arrive_and_wait();
-        for (std::thread &t : workers_)
-            t.join();
-    }
+    contig_assert(threads == 1, "replay runs one pipeline, got %u",
+                  threads);
 }
 
 void
 ReplayEngine::setSegments(const std::vector<Seg> &segs)
 {
-    for (auto &shard : shards_)
-        shard->setSegments(segs);
+    sim_.setSegments(segs);
 }
 
 void
 ReplayEngine::setContigIndex(
     std::shared_ptr<const obs::ContigClassIndex> idx)
 {
-    for (auto &shard : shards_)
-        shard->setContigIndex(idx);
-}
-
-bool
-ReplayEngine::attribEnabled() const
-{
-    return shards_[0]->attrib() != nullptr;
-}
-
-obs::XlatAttribution
-ReplayEngine::attribRollup() const
-{
-    const obs::XlatAttribution *first = shards_[0]->attrib();
-    obs::XlatAttribution sum(first ? first->label() : std::string());
-    for (const auto &shard : shards_)
-        if (const obs::XlatAttribution *a = shard->attrib())
-            sum.mergeFrom(*a);
-    return sum;
-}
-
-unsigned
-ReplayEngine::shardOf(Vpn vpn, unsigned threads)
-{
-    // splitmix64 finalizer: adjacent pages spread across shards, and
-    // the partition is a pure function of (vpn, threads).
-    std::uint64_t key = vpn + 0x9E3779B97F4A7C15ull;
-    key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9ull;
-    key = (key ^ (key >> 27)) * 0x94D049BB133111EBull;
-    key ^= key >> 31;
-    return static_cast<unsigned>(key % threads);
-}
-
-void
-ReplayEngine::workerLoop(unsigned id)
-{
-    // Bind a lane so the worker's trace events land on their own
-    // Chrome-trace tid (replay shards never fault, so reusing the
-    // per-CPU cache id space is safe).
-    ThisCpu::Scope lane(static_cast<int>(id));
-    obs::TraceSink &ts = obs::TraceSink::global();
-    std::vector<MemAccess> &mine = lanes_[id];
-    LoadSlot &load = loads_[id];
-    for (;;) {
-        const std::uint64_t w0 = ts.nowNs();
-        startBarrier_->arrive_and_wait();
-        const std::uint64_t t0 = ts.nowNs();
-        load.waitNs.fetch_add(t0 - w0, std::memory_order_relaxed);
-#if CONTIG_TRACING
-        if (ts.wants(obs::kCatSync))
-            ts.recordSpan(startWaitName_, w0, t0 - w0, id,
-                          obs::TraceEventKind::BarrierWait);
-#endif
-        if (stop_)
-            return;
-        mine.clear();
-        for (std::size_t i = 0; i < chunkN_; ++i)
-            if (shardOf(chunk_[i].va.pageNumber(), threads_) == id)
-                mine.push_back(chunk_[i]);
-        shards_[id]->accessChunk(mine.data(), mine.size());
-        const std::uint64_t t1 = ts.nowNs();
-        load.accesses.fetch_add(mine.size(), std::memory_order_relaxed);
-        load.busyNs.fetch_add(t1 - t0, std::memory_order_relaxed);
-        load.lastBusyNs.store(t1 - t0, std::memory_order_relaxed);
-        endBarrier_->arrive_and_wait();
-        const std::uint64_t t2 = ts.nowNs();
-        load.stallNs.fetch_add(t2 - t1, std::memory_order_relaxed);
-#if CONTIG_TRACING
-        if (ts.wants(obs::kCatSync))
-            ts.recordSpan(endWaitName_, t1, t2 - t1, id,
-                          obs::TraceEventKind::BarrierWait);
-#endif
-    }
+    sim_.setContigIndex(std::move(idx));
 }
 
 void
 ReplayEngine::replayChunk(const MemAccess *a, std::size_t n)
 {
-    {
-        // Single-shard runs attribute the modelled walk cycles to the
-        // phase as TranslationSim did; threaded runs record wall time
-        // only (shard cycle counters advance concurrently).
-        obs::ScopedPhase timer(
-            chunkPhase_,
-            threads_ == 1 ? &shards_[0]->stats().walkCycles : nullptr);
-        // Stamp the chunk ordinal into the shards' attribution
-        // exemplars (no-op per shard when --attrib is off). Main owns
-        // all shard state here: workers are parked at the start
-        // barrier.
-        for (auto &shard : shards_)
-            shard->noteChunk(chunks_);
-        if (threads_ == 1) {
-            const std::uint64_t t0 = obs::TraceSink::global().nowNs();
-            shards_[0]->accessChunk(a, n);
-            LoadSlot &load = loads_[0];
-            load.accesses.fetch_add(n, std::memory_order_relaxed);
-            load.busyNs.fetch_add(obs::TraceSink::global().nowNs() - t0,
-                                  std::memory_order_relaxed);
-        } else {
-            chunk_ = a;
-            chunkN_ = n;
-            startBarrier_->arrive_and_wait();
-            endBarrier_->arrive_and_wait();
-            // Workers are past their replay section; their lastBusyNs
-            // stores happened-before the barrier completed. The
-            // max-min spread is the wall time the fastest shard spent
-            // waiting on the slowest — per-chunk barrier skew.
-            std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-            for (LoadSlot &l : loads_) {
-                const std::uint64_t b =
-                    l.lastBusyNs.load(std::memory_order_relaxed);
-                lo = std::min(lo, b);
-                hi = std::max(hi, b);
-            }
-            skewSummary_->add(static_cast<double>(hi - lo) / 1000.0);
-        }
-    }
+    // Stamp the chunk ordinal into attribution exemplars (no-op when
+    // --attrib is off).
+    sim_.noteChunk(chunks_);
+    sim_.accessChunk(a, n);
     ++chunks_;
-    accessesDone_ += n;
     CONTIG_TRACE(obs::TraceEventKind::ReplayChunk, chunks_ - 1, n,
-                 mergedStats().walks);
+                 sim_.stats().walks);
 }
-
-XlatStats
-ReplayEngine::mergedStats() const
-{
-    XlatStats sum;
-    for (const auto &shard : shards_) {
-        const XlatStats &s = shard->stats();
-        sum.accesses += s.accesses;
-        sum.l1Hits += s.l1Hits;
-        sum.l2Hits += s.l2Hits;
-        sum.walks += s.walks;
-        sum.walkRefs += s.walkRefs;
-        sum.walkCycles += s.walkCycles;
-        sum.exposedCycles += s.exposedCycles;
-        sum.spotCorrect += s.spotCorrect;
-        sum.spotMispredicted += s.spotMispredicted;
-        sum.spotNoPrediction += s.spotNoPrediction;
-        sum.rangeHits += s.rangeHits;
-        sum.segmentHits += s.segmentHits;
-    }
-    return sum;
-}
-
-ReplayEngine::ShardLoad
-ReplayEngine::shardLoad(unsigned i) const
-{
-    const LoadSlot &l = loads_[i];
-    ShardLoad out;
-    out.accesses = l.accesses.load(std::memory_order_relaxed);
-    out.busyNs = l.busyNs.load(std::memory_order_relaxed);
-    out.stallNs = l.stallNs.load(std::memory_order_relaxed);
-    out.waitNs = l.waitNs.load(std::memory_order_relaxed);
-    return out;
-}
-
-std::optional<SpotStats>
-ReplayEngine::mergedSpotStats() const
-{
-    if (!shards_[0]->spot())
-        return std::nullopt;
-    SpotStats sum;
-    for (const auto &shard : shards_) {
-        const SpotStats &s = shard->spot()->stats();
-        sum.lookups += s.lookups;
-        sum.correct += s.correct;
-        sum.mispredicted += s.mispredicted;
-        sum.noPrediction += s.noPrediction;
-        sum.fills += s.fills;
-        sum.fillsBlockedByBits += s.fillsBlockedByBits;
-        sum.offsetReplacements += s.offsetReplacements;
-    }
-    return sum;
-}
-
 
 void
 ReplayEngine::saveState(Serializer &s) const
 {
     const std::size_t sec = s.beginSection(sectionTag('R', 'E', 'N', 'G'));
-    s.u32(threads_);
     s.u64(chunks_);
-    s.u64(accessesDone_);
-    for (unsigned i = 0; i < threads_; ++i) {
-        // Per-shard access counts are deterministic (the vpn-hash
-        // partition); the wall-clock busy/stall/wait slots are not
-        // checkpointed and restart at zero.
-        s.u64(loads_[i].accesses.load(std::memory_order_relaxed));
-        shards_[i]->saveState(s);
-    }
+    sim_.saveState(s);
     s.endSection(sec);
 }
 
@@ -309,17 +81,8 @@ void
 ReplayEngine::restoreState(Deserializer &d)
 {
     d.expectSection(sectionTag('R', 'E', 'N', 'G'), "replay_engine");
-    const unsigned threads = d.u32();
-    if (threads != threads_)
-        fatal("checkpoint was taken with --xlat-threads %u, this run"
-              " has %u — shard partitions would not line up",
-              threads, threads_);
     chunks_ = d.u64();
-    accessesDone_ = d.u64();
-    for (unsigned i = 0; i < threads_; ++i) {
-        loads_[i].accesses.store(d.u64(), std::memory_order_relaxed);
-        shards_[i]->restoreState(d);
-    }
+    sim_.restoreState(d);
 }
 
 } // namespace contig

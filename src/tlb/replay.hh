@@ -1,42 +1,24 @@
 /**
  * @file
- * Batched, sharded translation replay. A ReplayEngine owns
- * `threads` TranslationSim shards — each with its own private
- * L1/L2 TLBs, SpOT table, PSC, nested TLB and walk memo — and
- * partitions every access chunk across them by a hash of the guest
- * page number.
+ * Batched translation replay. A ReplayEngine drives one
+ * TranslationSim chunk by chunk and keeps the replay position (chunks
+ * and accesses done) that checkpoints record and trace frontends
+ * resume from.
  *
- * Determinism contract:
- *  - threads == 1 is instruction-identical to feeding every access
- *    to a single TranslationSim: no worker threads exist, the chunk
- *    goes straight to shard 0 (tests/tlb/replay_test.cc and the
- *    fig13/fig14 golden-equivalence test pin this byte-for-byte);
- *  - threads == N is deterministic for a fixed N: the partition is
- *    a pure function of the vpn, each shard's private caches see a
- *    fixed subsequence in stream order, and stats are merged in
- *    shard order at chunk barriers — reruns produce identical
- *    merged counters;
- *  - different N produce different (each valid) cache interleavings,
- *    like running the trace on N cores with private MMUs.
- *
- * The worker protocol is two std::barrier phases per chunk: main
- * publishes the chunk pointer and arrives; workers filter their
- * subsequence into a private lane buffer, replay it through their
- * shard, and arrive at the end barrier; main then owns all shard
- * state until the next chunk (lock-free stats merge — readers only
- * run while workers are parked).
+ * Determinism contract: replaying a stream in chunks of any size is
+ * instruction-identical to handing the same accesses to
+ * TranslationSim::accessChunk one at a time — chunk size is pure
+ * batching (tests/tlb/replay_test.cc and the fig13/fig14 goldens pin
+ * this byte-for-byte).
  */
 
 #ifndef CONTIG_TLB_REPLAY_HH
 #define CONTIG_TLB_REPLAY_HH
 
-#include <atomic>
-#include <barrier>
 #include <memory>
-#include <optional>
-#include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "tlb/translation_sim.hh"
 
 namespace contig
@@ -45,134 +27,52 @@ namespace contig
 class ReplayEngine
 {
   public:
-    /** Native: all shards walk `pt`. */
+    /**
+     * Native replay over `pt`. `threads` must be 1: replay runs one
+     * pipeline, and the parameter stays only because
+     * perfbench/perfbench.cc still passes it.
+     */
     ReplayEngine(const XlatConfig &cfg, unsigned threads,
                  const PageTable &pt);
 
-    /** Virtualized: all shards walk (guest_pt, vm). */
+    /** Virtualized replay over (guest_pt, vm); `threads` as above. */
     ReplayEngine(const XlatConfig &cfg, unsigned threads,
                  const PageTable &guest_pt, const VirtualMachine &vm);
-
-    ~ReplayEngine();
 
     ReplayEngine(const ReplayEngine &) = delete;
     ReplayEngine &operator=(const ReplayEngine &) = delete;
 
-    /** Install the extracted segments on every shard (Rmm/Ds). */
+    /** Install the extracted segments (Rmm/Ds). */
     void setSegments(const std::vector<Seg> &segs);
 
-    /** Share one contiguity-class index across all shards (--attrib). */
+    /** Classify attribution events by contiguity class (--attrib). */
     void
     setContigIndex(std::shared_ptr<const obs::ContigClassIndex> idx);
 
-    /**
-     * Attribution tables summed over shards (shard order, like
-     * mergedStats) — call only between replayChunk() calls. Empty
-     * table when attribution is off.
-     */
-    obs::XlatAttribution attribRollup() const;
-
-    /** True when shards carry attribution tables (--attrib on). */
-    bool attribEnabled() const;
-
-    /**
-     * Replay one chunk. threads == 1 feeds shard 0 directly;
-     * otherwise the chunk is fanned out and this call returns after
-     * every worker reached the chunk barrier.
-     */
+    /** Replay one chunk through the pipeline. */
     void replayChunk(const MemAccess *a, std::size_t n);
 
-    /** Pipeline stats summed over shards (shard order). */
-    XlatStats mergedStats() const;
+    /** The pipeline's statistics so far. */
+    const XlatStats &mergedStats() const { return sim_.stats(); }
 
-    /**
-     * Per-shard load accounting (the imbalance view): accesses
-     * replayed, time spent filtering+replaying (busy), time parked on
-     * the end barrier waiting for slower shards (stall) and time
-     * parked on the start barrier waiting for the next chunk (wait).
-     * threads == 1 runs accumulate busy/accesses on shard 0 only.
-     */
-    struct ShardLoad {
-        std::uint64_t accesses = 0;
-        std::uint64_t busyNs = 0;
-        std::uint64_t stallNs = 0;
-        std::uint64_t waitNs = 0;
-    };
-    ShardLoad shardLoad(unsigned i) const;
-
-    /** SpOT engine stats summed over shards (nullopt if no SpOT). */
-    std::optional<SpotStats> mergedSpotStats() const;
-
-    unsigned threads() const { return threads_; }
     std::uint64_t chunks() const { return chunks_; }
-    std::uint64_t accesses() const { return accessesDone_; }
-    const TranslationSim &shard(unsigned i) const { return *shards_[i]; }
-
-    /** The shard an access to `vpn` lands on (pure in vpn). */
-    static unsigned shardOf(Vpn vpn, unsigned threads);
+    std::uint64_t accesses() const { return sim_.stats().accesses; }
+    const TranslationSim &sim() const { return sim_; }
 
     /**
-     * Checkpoint the engine: shard count and scheme (verified on
-     * restore), replay position (chunks/accesses) and every shard's
-     * full pipeline state, plus the deterministic per-shard access
-     * counts. Wall-clock load accounting (busy/stall/wait) is not
-     * checkpointed. Call only between replayChunk() calls — workers
-     * are parked at the start barrier then, so main owns all shard
-     * state. Restore requires an engine built with the same shard
-     * count and configuration (fatal otherwise).
+     * Checkpoint the engine: the chunk count and the pipeline's full
+     * state (scheme verified on restore). Restore
+     * requires an engine built with the same configuration (fatal
+     * otherwise).
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
 
   private:
-    void initShards(const XlatConfig &cfg, const PageTable &pt,
-                    const VirtualMachine *vm);
-    void startWorkers();
-    void workerLoop(unsigned id);
-
-    unsigned threads_;
-    std::vector<std::unique_ptr<TranslationSim>> shards_;
-
-    /** Worker machinery (empty when threads_ == 1). */
-    std::vector<std::thread> workers_;
-    std::unique_ptr<std::barrier<>> startBarrier_;
-    std::unique_ptr<std::barrier<>> endBarrier_;
-    /** Per-worker filtered subsequences (stream order preserved). */
-    std::vector<std::vector<MemAccess>> lanes_;
-    /** Chunk handoff; written by main strictly before startBarrier_. */
-    const MemAccess *chunk_ = nullptr;
-    std::size_t chunkN_ = 0;
-    bool stop_ = false;
-
+    TranslationSim sim_;
     std::uint64_t chunks_ = 0;
-    std::uint64_t accessesDone_ = 0;
-
-    /**
-     * Per-shard load counters, one padded slot per shard. Workers
-     * update their own slot with relaxed atomics; readers (metric
-     * export, the post-barrier skew calculation) fold them whenever —
-     * a reader racing a worker just sees the previous chunk's value.
-     * Declared before metricSource_: the source's destructor absorbs
-     * the final values, so the slots must outlive it.
-     */
-    struct alignas(64) LoadSlot {
-        std::atomic<std::uint64_t> accesses{0};
-        std::atomic<std::uint64_t> busyNs{0};
-        std::atomic<std::uint64_t> stallNs{0};
-        std::atomic<std::uint64_t> waitNs{0};
-        /** Busy time of the latest chunk (barrier-skew input). */
-        std::atomic<std::uint64_t> lastBusyNs{0};
-    };
-    std::vector<LoadSlot> loads_;
-
-    obs::Phase chunkPhase_;
+    /** Declared last: its destructor absorbs the final counters. */
     obs::MetricSource metricSource_;
-    /** Per-chunk max-min shard busy time ("xlat.barrier.skew_us"),
-     *  bound only when threads_ > 1. */
-    Summary *skewSummary_ = nullptr;
-    /** Interned barrier-wait span names (kCatSync traces). */
-    const char *startWaitName_ = nullptr;
-    const char *endWaitName_ = nullptr;
 };
 
 } // namespace contig

@@ -58,8 +58,9 @@ TranslationSim::init()
     if (cfg_.scheme == XlatScheme::Spot)
         spot_ = std::make_unique<SpotEngine>(cfg_.spot);
     // Probe-kernel selection: the reference engine pins the scalar
-    // loops end to end; the batched engine takes AVX2 when compiled
-    // in, supported and not forced off. Identical results either way.
+    // loops end to end; the batched engine takes AVX2 when the CPU
+    // supports it and it is not forced off. Identical results either
+    // way.
     const bool use_simd = simdActive();
     tlb_.setSimd(use_simd);
     walker_->setSimd(use_simd);
@@ -362,9 +363,7 @@ TranslationSim::accessChunk(const MemAccess *a, std::size_t n)
     // The chunk phase observes wall time plus the modelled walk-cycle
     // delta the chunk added (the old per-walk timer cost two clock
     // reads on every L2 miss; per-chunk brackets are ~free).
-    std::optional<obs::ScopedPhase> timer;
-    if (cfg_.phaseTimers)
-        timer.emplace(chunkPhase_, &stats_.walkCycles);
+    obs::ScopedPhase timer(chunkPhase_, &stats_.walkCycles);
 
     const bool virt = walker_->virtualized();
     const bool ref = cfg_.engine == XlatEngine::Reference;
@@ -386,13 +385,6 @@ TranslationSim::accessChunk(const MemAccess *a, std::size_t n)
     }
 #undef CONTIG_XLAT_DISPATCH
 }
-
-void
-TranslationSim::access(const MemAccess &a)
-{
-    accessChunk(&a, 1);
-}
-
 
 void
 TranslationSim::saveState(Serializer &s) const

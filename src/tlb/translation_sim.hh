@@ -12,7 +12,6 @@
 #define CONTIG_TLB_TRANSLATION_SIM_HH
 
 #include <memory>
-#include <optional>
 
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
@@ -105,13 +104,6 @@ struct XlatConfig
     XlatEngine engine = XlatEngine::Batched;
     SpotConfig spot;
     RangeTlbConfig rangeTlb;
-    /**
-     * Record the per-chunk phase timer ("xlat.chunk"). The ReplayEngine
-     * turns this off for its shards when running threaded — the global
-     * phase summaries are not synchronized — and records chunk wall
-     * time itself at the barriers instead.
-     */
-    bool phaseTimers = true;
 };
 
 /**
@@ -138,15 +130,13 @@ class TranslationSim
      */
     void setSegments(std::vector<Seg> segs);
 
-    /** Simulate one access. */
-    void access(const MemAccess &a);
-
     /**
-     * Simulate a contiguous chunk of accesses. Semantically a loop of
-     * access() — statistics and scheme state evolve identically — but
-     * the scheme/virtualization dispatch is resolved once for the
-     * whole chunk and the phase timer brackets the chunk instead of
-     * every walk. This is the replay engine's inner loop.
+     * Simulate a contiguous chunk of accesses — the only way accesses
+     * enter the pipeline. Chunk boundaries never change results:
+     * statistics and scheme state evolve exactly as if the accesses
+     * came one per call. The scheme/virtualization dispatch is
+     * resolved once per chunk, and the "xlat.chunk" phase timer
+     * brackets the chunk.
      */
     void accessChunk(const MemAccess *a, std::size_t n);
 
@@ -154,7 +144,7 @@ class TranslationSim
 
     /**
      * True when the probe structures run the AVX2 kernels: Batched
-     * engine, SIMD compiled in, CPU capable, not forced scalar.
+     * engine on an AVX2-capable CPU, not forced scalar.
      */
     bool simdActive() const;
 

@@ -48,7 +48,7 @@ struct WalkMemoStats
 
 /**
  * Direct-mapped memo of page-table traversals. One instance per
- * Walker (replay shards keep private memos, like their TLBs).
+ * Walker, private like its TLBs.
  */
 class WalkMemo
 {

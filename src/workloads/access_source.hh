@@ -4,7 +4,7 @@
  * implementations exist: AccessStream (live synthetic generation,
  * optionally teeing every chunk to a .ctrace capture file) and
  * TraceReplaySource (decode a recorded .ctrace, producer thread ahead
- * of the replay shards). runTranslation only ever sees this
+ * of the replay engine). runTranslation only ever sees this
  * interface — the replay loop is identical whichever side of the
  * capture/replay boundary a run sits on.
  */

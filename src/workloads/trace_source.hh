@@ -2,9 +2,9 @@
  * @file
  * Decoupled trace-replay frontend (the Scarab fetch-buffer shape): a
  * producer thread decodes .ctrace chunks *ahead* of the replay
- * shards, handing them to the consumer through a bounded SPSC ring of
- * decoded chunk buffers. While the replay engine's shards chew on
- * chunk k, the producer is already decompressing k+1..k+depth — on a
+ * engine, handing them to the consumer through a bounded SPSC ring of
+ * decoded chunk buffers. While the replay engine chews on chunk k,
+ * the producer is already decompressing k+1..k+depth — on a
  * replay-bound run the decode cost disappears from the critical path
  * entirely.
  *

@@ -2,8 +2,9 @@
  * @file
  * Checkpoint/restore: a saved TranslationSim / ReplayEngine resumes
  * byte-identically, the .ckpt container round-trips with its kernel
- * verification blobs, and every mismatch (geometry, kernel state,
- * corruption) dies loudly instead of resuming a wrong simulation.
+ * verification blobs, and every mismatch (format version, kernel
+ * state, corruption) dies loudly instead of resuming a wrong
+ * simulation.
  */
 
 #include <gtest/gtest.h>
@@ -139,45 +140,36 @@ TEST_F(CheckpointTest, TranslationSimResumesByteIdentically)
     }
 }
 
-TEST_F(CheckpointTest, ReplayEngineResumesAcrossShardCounts)
+TEST_F(CheckpointTest, ReplayEngineResumesByteIdentically)
 {
-    for (unsigned threads : {1u, 3u}) {
-        const auto t = trace(16384, 5);
-        constexpr std::size_t kChunk = 2048;
+    const auto t = trace(16384, 5);
+    constexpr std::size_t kChunk = 2048;
 
-        ReplayEngine a(config(XlatScheme::Spot), threads,
-                       proc.pageTable());
-        for (std::size_t off = 0; off < t.size(); off += kChunk)
-            a.replayChunk(&t[off], std::min(kChunk, t.size() - off));
+    ReplayEngine a(config(XlatScheme::Spot), 1, proc.pageTable());
+    for (std::size_t off = 0; off < t.size(); off += kChunk)
+        a.replayChunk(&t[off], std::min(kChunk, t.size() - off));
 
-        ReplayEngine b(config(XlatScheme::Spot), threads,
-                       proc.pageTable());
-        for (std::size_t off = 0; off < t.size() / 2; off += kChunk)
-            b.replayChunk(&t[off], kChunk);
-        Serializer s;
-        b.saveState(s);
+    ReplayEngine b(config(XlatScheme::Spot), 1, proc.pageTable());
+    for (std::size_t off = 0; off < t.size() / 2; off += kChunk)
+        b.replayChunk(&t[off], kChunk);
+    Serializer s;
+    b.saveState(s);
 
-        ReplayEngine c(config(XlatScheme::Spot), threads,
-                       proc.pageTable());
-        Deserializer d(s.data().data(), s.size(), "test snapshot");
-        c.restoreState(d);
-        for (std::size_t off = t.size() / 2; off < t.size();
-             off += kChunk)
-            c.replayChunk(&t[off], std::min(kChunk, t.size() - off));
+    ReplayEngine c(config(XlatScheme::Spot), 1, proc.pageTable());
+    Deserializer d(s.data().data(), s.size(), "test snapshot");
+    c.restoreState(d);
+    for (std::size_t off = t.size() / 2; off < t.size(); off += kChunk)
+        c.replayChunk(&t[off], std::min(kChunk, t.size() - off));
 
-        expectSameStats(a.mergedStats(), c.mergedStats());
-        EXPECT_EQ(a.chunks(), c.chunks());
-        EXPECT_EQ(a.accesses(), c.accesses());
-        for (unsigned i = 0; i < threads; ++i)
-            EXPECT_EQ(a.shardLoad(i).accesses, c.shardLoad(i).accesses)
-                << "shard " << i;
-    }
+    expectSameStats(a.mergedStats(), c.mergedStats());
+    EXPECT_EQ(a.chunks(), c.chunks());
+    EXPECT_EQ(a.accesses(), c.accesses());
 }
 
 TEST_F(CheckpointTest, FileRoundTripsWithKernelVerification)
 {
     const auto t = trace(8192, 7);
-    ReplayEngine engine(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine engine(config(XlatScheme::Spot), 1, proc.pageTable());
     engine.replayChunk(t.data(), 4096);
 
     CkptMeta meta;
@@ -195,11 +187,11 @@ TEST_F(CheckpointTest, FileRoundTripsWithKernelVerification)
     // Restore into a fresh engine (kernel untouched → verification
     // passes) and finish the stream; a reference engine that never
     // checkpointed must agree.
-    ReplayEngine resumed(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine resumed(config(XlatScheme::Spot), 1, proc.pageTable());
     ck.restore(resumed, {&kernel});
     resumed.replayChunk(t.data() + 4096, 4096);
 
-    ReplayEngine ref(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine ref(config(XlatScheme::Spot), 1, proc.pageTable());
     ref.replayChunk(t.data(), 4096);
     ref.replayChunk(t.data() + 4096, 4096);
     expectSameStats(ref.mergedStats(), resumed.mergedStats());
@@ -225,22 +217,38 @@ TEST_F(CheckpointTest, DeathOnKernelStateMismatch)
                  "differs from the snapshot");
 }
 
-TEST_F(CheckpointTest, DeathOnShardCountMismatch)
+TEST_F(CheckpointTest, DeathOnVersionMismatch)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto t = trace(4096, 11);
-    ReplayEngine engine(config(XlatScheme::Base), 2, proc.pageTable());
+    ReplayEngine engine(config(XlatScheme::Base), 1, proc.pageTable());
     engine.replayChunk(t.data(), t.size());
-    Serializer s;
-    engine.saveState(s);
 
-    ReplayEngine other(config(XlatScheme::Base), 4, proc.pageTable());
-    EXPECT_DEATH(
-        {
-            Deserializer d(s.data().data(), s.size(), "test snapshot");
-            other.restoreState(d);
-        },
-        "xlat-threads");
+    CkptMeta meta;
+    TmpFile f(tmpPath("ckpt_version.ckpt"));
+    Checkpoint::write(f.path, meta, engine, {&kernel});
+
+    // Rewrite the version field (bytes 4..7, after the magic) to the
+    // previous format and re-seal the trailing CRC, so only the
+    // version check stands between the file and a misread.
+    std::FILE *fp = std::fopen(f.path.c_str(), "rb");
+    ASSERT_NE(fp, nullptr);
+    std::vector<std::uint8_t> buf;
+    for (int c; (c = std::fgetc(fp)) != EOF;)
+        buf.push_back(static_cast<std::uint8_t>(c));
+    std::fclose(fp);
+    ASSERT_GT(buf.size(), 12u);
+    ASSERT_EQ(buf[4], kCkptVersion);
+    buf[4] = 1;
+    const std::uint32_t crc = crc32(buf.data(), buf.size() - 4);
+    for (unsigned i = 0; i < 4; ++i)
+        buf[buf.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    fp = std::fopen(f.path.c_str(), "wb");
+    ASSERT_NE(fp, nullptr);
+    std::fwrite(buf.data(), 1, buf.size(), fp);
+    std::fclose(fp);
+
+    EXPECT_DEATH({ Checkpoint ck(f.path); }, "version mismatch");
 }
 
 TEST_F(CheckpointTest, DeathOnCorruptFile)

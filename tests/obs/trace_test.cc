@@ -310,24 +310,6 @@ TEST_F(TraceTest, EventsCarryTheRecordingThreadsLane)
     EXPECT_EQ(evs[3].tid, 4u); // worker 3
 }
 
-TEST_F(TraceTest, BarrierWaitIsASyncCategorySpan)
-{
-    TraceSink &sink = TraceSink::global();
-    EXPECT_EQ(traceCategoryOf(TraceEventKind::BarrierWait), kCatSync);
-    EXPECT_TRUE(traceIsSpanKind(TraceEventKind::BarrierWait));
-    EXPECT_TRUE(traceIsSpanKind(TraceEventKind::PhaseSpan));
-    EXPECT_FALSE(traceIsSpanKind(TraceEventKind::PageFault));
-
-    sink.setCategoryMask(kCatSync);
-    sink.recordSpan(sink.intern("xlat.barrier.start"), 100, 40, 2,
-                    TraceEventKind::BarrierWait);
-    auto evs = sink.events();
-    ASSERT_EQ(evs.size(), 1u);
-    EXPECT_EQ(evs[0].kind, TraceEventKind::BarrierWait);
-    EXPECT_EQ(evs[0].durNs, 40u);
-    EXPECT_EQ(evs[0].args[0], 2u); // worker id
-}
-
 TEST_F(TraceTest, ChromeTraceEmitsPerThreadLanes)
 {
     TraceSink &sink = TraceSink::global();
@@ -335,8 +317,7 @@ TEST_F(TraceTest, ChromeTraceEmitsPerThreadLanes)
     sink.record(TraceEventKind::PageFault, 1, 0, 0); // main, lane 0
     std::thread worker([&] {
         ThisCpu::Scope scope(1);
-        sink.recordSpan(sink.intern("xlat.barrier.end"), 50, 25, 1,
-                        TraceEventKind::BarrierWait);
+        sink.recordSpan(sink.intern("parallel.worker"), 50, 25, 1);
     });
     worker.join();
 
@@ -351,22 +332,21 @@ TEST_F(TraceTest, ChromeTraceEmitsPerThreadLanes)
     // Events carry their lane as the Chrome tid.
     EXPECT_NE(doc.find("\"tid\":0"), std::string::npos);
     EXPECT_NE(doc.find("\"tid\":2"), std::string::npos);
-    // The barrier wait keeps its interned site name and rides the
-    // sync category.
-    EXPECT_NE(doc.find("\"xlat.barrier.end\""), std::string::npos);
-    EXPECT_NE(doc.find("\"sync\""), std::string::npos);
+    // The worker span keeps its interned name and rides the phase
+    // category.
+    EXPECT_NE(doc.find("\"parallel.worker\""), std::string::npos);
+    EXPECT_NE(doc.find("\"phase\""), std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST_F(TraceTest, JsonlRoundTripsTidAndBarrierSpans)
+TEST_F(TraceTest, JsonlRoundTripsTidAndSpans)
 {
     TraceSink &sink = TraceSink::global();
     sink.setCategoryMask(kCatAll);
     sink.record(TraceEventKind::TlbL2Miss, 0xabc, 0, 0);
     std::thread worker([&] {
         ThisCpu::Scope scope(2);
-        sink.recordSpan(sink.intern("xlat.barrier.start"), 100, 40, 2,
-                        TraceEventKind::BarrierWait);
+        sink.recordSpan(sink.intern("parallel.worker"), 100, 40, 2);
     });
     worker.join();
 
@@ -388,7 +368,7 @@ TEST_F(TraceTest, JsonlRoundTripsTidAndBarrierSpans)
     EXPECT_DOUBLE_EQ(docs[1].numberOr("tid", -1), 3.0);
     const JsonValue *name = docs[1].find("name");
     ASSERT_TRUE(name && name->isString());
-    EXPECT_EQ(name->asString(), "xlat.barrier.start");
+    EXPECT_EQ(name->asString(), "parallel.worker");
     EXPECT_DOUBLE_EQ(docs[1].numberOr("dur_ns", -1), 40.0);
 }
 

@@ -5,7 +5,6 @@
 #include "base/simd.hh"
 #include "core/config.hh"
 #include "mm/kernel.hh"
-#include "obs/trace.hh"
 #include "tlb/replay.hh"
 #include "virt/vm.hh"
 
@@ -15,10 +14,10 @@ namespace
 {
 
 /**
- * The replay engine's determinism contract (tlb/replay.hh): one shard
- * is instruction-identical to a plain per-access TranslationSim loop,
- * chunking and the walk memo never move simulated counters, and a
- * fixed shard count is deterministic across reruns.
+ * The replay engine's determinism contract (tlb/replay.hh): chunked
+ * replay is instruction-identical to feeding a TranslationSim one
+ * access per chunk, and neither chunking nor the walk memo moves a
+ * simulated counter.
  */
 struct ReplayTest : public ::testing::Test
 {
@@ -78,6 +77,14 @@ feed(ReplayEngine &engine, const std::vector<MemAccess> &t,
         engine.replayChunk(&t[off], std::min(chunk, t.size() - off));
 }
 
+/** The reference replay: one access per accessChunk call. */
+void
+feedOneByOne(TranslationSim &sim, const std::vector<MemAccess> &t)
+{
+    for (const MemAccess &a : t)
+        sim.accessChunk(&a, 1);
+}
+
 void
 expectSameStats(const XlatStats &a, const XlatStats &b)
 {
@@ -108,8 +115,7 @@ TEST_F(ReplayTest, OneShardMatchesSequentialSimAllSchemes)
             sim.setSegments(extractSegs(proc.pageTable()));
             engine.setSegments(extractSegs(proc.pageTable()));
         }
-        for (const MemAccess &a : t)
-            sim.access(a);
+        feedOneByOne(sim, t);
         feed(engine, t, 97); // odd chunk: exercises short tails
         expectSameStats(engine.mergedStats(), sim.stats());
         EXPECT_EQ(engine.accesses(), t.size());
@@ -126,6 +132,14 @@ TEST_F(ReplayTest, ChunkSizeNeverMovesCounters)
     expectSameStats(a.mergedStats(), b.mergedStats());
     EXPECT_GT(a.chunks(), 0u);
     EXPECT_GT(b.chunks(), a.chunks());
+
+    // Conservation: every access is a hit or a walk, and every SpOT
+    // walk has exactly one outcome.
+    const XlatStats &s = a.mergedStats();
+    EXPECT_EQ(s.accesses, t.size());
+    EXPECT_EQ(s.l1Hits + s.l2Hits + s.walks, s.accesses);
+    EXPECT_EQ(s.spotCorrect + s.spotMispredicted + s.spotNoPrediction,
+              s.walks);
 }
 
 TEST_F(ReplayTest, WalkMemoNeverMovesCounters)
@@ -141,10 +155,10 @@ TEST_F(ReplayTest, WalkMemoNeverMovesCounters)
     feed(eb, t, 1024);
     expectSameStats(ea.mergedStats(), eb.mergedStats());
     // The memo was actually exercised, not just disabled twice.
-    const WalkMemoStats *ms = ea.shard(0).walker().memoStats();
+    const WalkMemoStats *ms = ea.sim().walker().memoStats();
     ASSERT_NE(ms, nullptr);
     EXPECT_GT(ms->guestHits + ms->guestMisses, 0u);
-    EXPECT_EQ(eb.shard(0).walker().memoStats(), nullptr);
+    EXPECT_EQ(eb.sim().walker().memoStats(), nullptr);
 }
 
 TEST_F(ReplayTest, MutationEpochKeepsMemoizedReplayFresh)
@@ -175,7 +189,7 @@ TEST_F(ReplayTest, MutationEpochKeepsMemoizedReplayFresh)
     feed(ea, t2, 512);
     feed(eb, t2, 512);
     expectSameStats(ea.mergedStats(), eb.mergedStats());
-    const WalkMemoStats *ms = ea.shard(0).walker().memoStats();
+    const WalkMemoStats *ms = ea.sim().walker().memoStats();
     ASSERT_NE(ms, nullptr);
     EXPECT_GT(ms->staleDrops, 0u);
 }
@@ -202,39 +216,9 @@ TEST_F(ReplayTest, VirtualizedOneShardMatchesSequentialSim)
 
     TranslationSim sim(config(XlatScheme::Spot), p.pageTable(), vm);
     ReplayEngine engine(config(XlatScheme::Spot), 1, p.pageTable(), vm);
-    for (const MemAccess &a : t)
-        sim.access(a);
+    feedOneByOne(sim, t);
     feed(engine, t, 97);
     expectSameStats(engine.mergedStats(), sim.stats());
-}
-
-TEST_F(ReplayTest, ShardedReplayIsDeterministicAndConserving)
-{
-    const auto t = trace(20000, 17);
-    ReplayEngine a(config(XlatScheme::Spot), 3, proc.pageTable());
-    ReplayEngine b(config(XlatScheme::Spot), 3, proc.pageTable());
-    feed(a, t, 1024);
-    feed(b, t, 1024);
-    expectSameStats(a.mergedStats(), b.mergedStats());
-
-    const XlatStats s = a.mergedStats();
-    EXPECT_EQ(s.accesses, t.size());
-    EXPECT_EQ(s.l1Hits + s.l2Hits + s.walks, s.accesses);
-    EXPECT_EQ(s.spotCorrect + s.spotMispredicted + s.spotNoPrediction,
-              s.walks);
-
-    // Each shard saw exactly its hash-partition subsequence.
-    for (unsigned id = 0; id < 3; ++id) {
-        std::uint64_t expected = 0;
-        for (const MemAccess &m : t)
-            if (ReplayEngine::shardOf(m.va.pageNumber(), 3) == id)
-                ++expected;
-        EXPECT_EQ(a.shard(id).stats().accesses, expected) << "shard "
-                                                          << id;
-    }
-
-    ASSERT_TRUE(a.mergedSpotStats().has_value());
-    ASSERT_TRUE(b.mergedSpotStats().has_value());
 }
 
 TEST_F(ReplayTest, BatchedEngineMatchesReferenceAllSchemes)
@@ -242,25 +226,23 @@ TEST_F(ReplayTest, BatchedEngineMatchesReferenceAllSchemes)
     // The engine golden-equivalence contract (tlb/translation_sim.hh):
     // the batched SoA inner loop is a pure wall-clock rewrite of the
     // per-access Reference loop — every simulated counter identical,
-    // per scheme, per shard count.
+    // per scheme.
     const auto t = trace(20000, 31);
     for (XlatScheme scheme : {XlatScheme::Base, XlatScheme::Spot,
                               XlatScheme::Rmm, XlatScheme::Ds}) {
-        for (unsigned shards : {1u, 3u}) {
-            XlatConfig ref_cfg = config(scheme);
-            XlatConfig bat_cfg = config(scheme);
-            ref_cfg.engine = XlatEngine::Reference;
-            bat_cfg.engine = XlatEngine::Batched;
-            ReplayEngine ref(ref_cfg, shards, proc.pageTable());
-            ReplayEngine bat(bat_cfg, shards, proc.pageTable());
-            if (scheme == XlatScheme::Rmm || scheme == XlatScheme::Ds) {
-                ref.setSegments(extractSegs(proc.pageTable()));
-                bat.setSegments(extractSegs(proc.pageTable()));
-            }
-            feed(ref, t, 97);
-            feed(bat, t, 97);
-            expectSameStats(bat.mergedStats(), ref.mergedStats());
+        XlatConfig ref_cfg = config(scheme);
+        XlatConfig bat_cfg = config(scheme);
+        ref_cfg.engine = XlatEngine::Reference;
+        bat_cfg.engine = XlatEngine::Batched;
+        ReplayEngine ref(ref_cfg, 1, proc.pageTable());
+        ReplayEngine bat(bat_cfg, 1, proc.pageTable());
+        if (scheme == XlatScheme::Rmm || scheme == XlatScheme::Ds) {
+            ref.setSegments(extractSegs(proc.pageTable()));
+            bat.setSegments(extractSegs(proc.pageTable()));
         }
+        feed(ref, t, 97);
+        feed(bat, t, 97);
+        expectSameStats(bat.mergedStats(), ref.mergedStats());
     }
 }
 
@@ -320,16 +302,16 @@ TEST_F(ReplayTest, BatchedEngineCheckpointRoundTrips)
     const auto t = trace(20000, 43);
     const std::size_t half = 10000;
 
-    ReplayEngine full(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine full(config(XlatScheme::Spot), 1, proc.pageTable());
     feed(full, t, 512);
 
-    ReplayEngine first(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine first(config(XlatScheme::Spot), 1, proc.pageTable());
     for (std::size_t off = 0; off < half; off += 512)
         first.replayChunk(&t[off], std::min<std::size_t>(512, half - off));
     Serializer s;
     first.saveState(s);
 
-    ReplayEngine resumed(config(XlatScheme::Spot), 2, proc.pageTable());
+    ReplayEngine resumed(config(XlatScheme::Spot), 1, proc.pageTable());
     Deserializer d(s.data().data(), s.size(), "test snapshot");
     resumed.restoreState(d);
     for (std::size_t off = half; off < t.size(); off += 512)
@@ -337,84 +319,4 @@ TEST_F(ReplayTest, BatchedEngineCheckpointRoundTrips)
                             std::min<std::size_t>(512, t.size() - off));
     expectSameStats(resumed.mergedStats(), full.mergedStats());
     EXPECT_EQ(resumed.accesses(), full.accesses());
-}
-
-TEST_F(ReplayTest, ShardPartitionIsPureAndCoversAllShards)
-{
-    std::vector<std::uint64_t> counts(4, 0);
-    for (Vpn v = 0; v < 4096; ++v) {
-        const unsigned id = ReplayEngine::shardOf(v, 4);
-        ASSERT_LT(id, 4u);
-        EXPECT_EQ(id, ReplayEngine::shardOf(v, 4));
-        ++counts[id];
-    }
-    for (unsigned id = 0; id < 4; ++id)
-        EXPECT_GT(counts[id], 0u) << "shard " << id << " never used";
-    // One shard degenerates to the identity partition.
-    for (Vpn v = 0; v < 64; ++v)
-        EXPECT_EQ(ReplayEngine::shardOf(v, 1), 0u);
-}
-
-TEST_F(ReplayTest, ShardLoadAccountingAccumulates)
-{
-    const auto t = trace(20000, 23);
-    ReplayEngine engine(config(XlatScheme::Spot), 3, proc.pageTable());
-    feed(engine, t, 1024);
-
-    std::uint64_t accounted = 0;
-    for (unsigned id = 0; id < 3; ++id) {
-        const ReplayEngine::ShardLoad l = engine.shardLoad(id);
-        EXPECT_EQ(l.accesses, engine.shard(id).stats().accesses)
-            << "shard " << id;
-        accounted += l.accesses;
-    }
-    EXPECT_EQ(accounted, t.size());
-
-    // The single-shard path accounts on slot 0 only.
-    ReplayEngine one(config(XlatScheme::Spot), 1, proc.pageTable());
-    feed(one, t, 1024);
-    EXPECT_EQ(one.shardLoad(0).accesses, t.size());
-    EXPECT_EQ(one.shardLoad(0).stallNs, 0u);
-    EXPECT_EQ(one.shardLoad(0).waitNs, 0u);
-}
-
-TEST_F(ReplayTest, ThreadedReplayEmitsBarrierSpansOnWorkerLanes)
-{
-    obs::TraceSink &sink = obs::TraceSink::global();
-    sink.clear();
-    sink.setCapacity(1u << 16);
-    sink.setCategoryMask(obs::kCatSync);
-
-    {
-        const auto t = trace(8000, 29);
-        ReplayEngine engine(config(XlatScheme::Base), 2,
-                            proc.pageTable());
-        feed(engine, t, 2048);
-    }
-
-    std::vector<unsigned> lane_waits(3, 0);
-    std::uint64_t spans = 0;
-    for (const obs::TraceEvent &ev : sink.events()) {
-        if (ev.kind != obs::TraceEventKind::BarrierWait)
-            continue;
-        ++spans;
-        ASSERT_TRUE(ev.spanName != nullptr);
-        const std::string name = ev.spanName;
-        EXPECT_TRUE(name == "xlat.barrier.start" ||
-                    name == "xlat.barrier.end")
-            << name;
-        // Worker lanes are 1 and 2 (never 0: main doesn't wait on
-        // the worker barriers; the workers do).
-        ASSERT_GE(ev.tid, 1u);
-        ASSERT_LE(ev.tid, 2u);
-        // The span's worker arg agrees with the lane it landed on.
-        EXPECT_EQ(ev.args[0] + 1, ev.tid);
-        ++lane_waits[ev.tid];
-    }
-    EXPECT_GT(spans, 0u);
-    EXPECT_GT(lane_waits[1], 0u);
-    EXPECT_GT(lane_waits[2], 0u);
-
-    sink.setCategoryMask(0);
-    sink.clear();
 }

@@ -44,16 +44,23 @@ struct SimTest : public ::testing::Test
     Vma *vma = nullptr;
 };
 
+/** Replay one access as a one-access chunk. */
+void
+access(TranslationSim &sim, const MemAccess &a)
+{
+    sim.accessChunk(&a, 1);
+}
+
 } // namespace
 
 TEST_F(SimTest, RepeatAccessHitsTlb)
 {
     TranslationSim sim(config(XlatScheme::Base), proc.pageTable());
     MemAccess a{0x400000, vma->start()};
-    sim.access(a);
+    access(sim, a);
     EXPECT_EQ(sim.stats().walks, 1u);
     for (int i = 0; i < 100; ++i)
-        sim.access(a);
+        access(sim, a);
     EXPECT_EQ(sim.stats().walks, 1u);
     EXPECT_EQ(sim.stats().l1Hits, 100u);
 }
@@ -64,7 +71,7 @@ TEST_F(SimTest, ThrashForcesWalks)
     // Round-robin over 64 huge pages >> 24-entry L2: mostly misses.
     for (int round = 0; round < 10; ++round)
         for (std::uint64_t h = 0; h < 64; ++h)
-            sim.access({0x400000, vma->start() + h * kHugeSize});
+            access(sim, {0x400000, vma->start() + h * kHugeSize});
     EXPECT_GT(sim.stats().walks, 300u);
     EXPECT_GT(sim.stats().exposedCycles, 0u);
     EXPECT_EQ(sim.stats().exposedCycles, sim.stats().walkCycles);
@@ -80,7 +87,7 @@ TEST_F(SimTest, SpotHidesStableOffsets)
 
     for (int round = 0; round < 20; ++round)
         for (std::uint64_t h = 0; h < 64; ++h)
-            sim.access({0x400000, vma->start() + h * kHugeSize});
+            access(sim, {0x400000, vma->start() + h * kHugeSize});
     const auto &s = sim.stats();
     EXPECT_GT(s.spotCorrect, s.walks / 2);
     EXPECT_LT(s.exposedCycles, s.walkCycles / 2);
@@ -91,7 +98,7 @@ TEST_F(SimTest, SpotWithoutMarksNeverFills)
     TranslationSim sim(config(XlatScheme::Spot), proc.pageTable());
     for (int round = 0; round < 10; ++round)
         for (std::uint64_t h = 0; h < 64; ++h)
-            sim.access({0x400000, vma->start() + h * kHugeSize});
+            access(sim, {0x400000, vma->start() + h * kHugeSize});
     EXPECT_EQ(sim.stats().spotCorrect, 0u);
     EXPECT_EQ(sim.stats().spotNoPrediction, sim.stats().walks);
 }
@@ -102,7 +109,7 @@ TEST_F(SimTest, RmmHitsEraseExposedCost)
     sim.setSegments(extractSegs(proc.pageTable()));
     for (int round = 0; round < 10; ++round)
         for (std::uint64_t h = 0; h < 64; ++h)
-            sim.access({0x400000, vma->start() + h * kHugeSize});
+            access(sim, {0x400000, vma->start() + h * kHugeSize});
     // A single contiguous mapping: after the first refill every miss
     // hits the cached range.
     EXPECT_GT(sim.stats().rangeHits, sim.stats().walks - 5);
@@ -114,7 +121,7 @@ TEST_F(SimTest, DsSkipsTranslationEntirely)
     TranslationSim sim(config(XlatScheme::Ds), proc.pageTable());
     sim.setSegments(extractSegs(proc.pageTable()));
     for (std::uint64_t h = 0; h < 64; ++h)
-        sim.access({0x400000, vma->start() + h * kHugeSize});
+        access(sim, {0x400000, vma->start() + h * kHugeSize});
     EXPECT_EQ(sim.stats().walks, 0u);
     EXPECT_EQ(sim.stats().segmentHits, 64u);
 }
@@ -127,9 +134,9 @@ TEST_F(SimTest, DsMergesAdjacentSegments)
     std::vector<Seg> segs{Seg{100, 5000, 50}, Seg{150, 9000, 50},
                           Seg{400, 1000, 10}};
     sim.setSegments(std::move(segs));
-    sim.access({1, Gva{120 << kPageShift}});
-    sim.access({1, Gva{180 << kPageShift}});
-    sim.access({1, Gva{405 << kPageShift}});
+    access(sim, {1, Gva{120 << kPageShift}});
+    access(sim, {1, Gva{180 << kPageShift}});
+    access(sim, {1, Gva{405 << kPageShift}});
     EXPECT_EQ(sim.stats().segmentHits, 3u);
 }
 
@@ -138,8 +145,8 @@ TEST_F(SimTest, AccessCountsAreConsistent)
     TranslationSim sim(config(XlatScheme::Base), proc.pageTable());
     Rng rng(3);
     for (int i = 0; i < 5000; ++i) {
-        sim.access({0x400000, vma->start() +
-                                  (rng.below(vma->bytes()) & ~7ull)});
+        access(sim, {0x400000, vma->start() +
+                                   (rng.below(vma->bytes()) & ~7ull)});
     }
     const auto &s = sim.stats();
     EXPECT_EQ(s.accesses, 5000u);

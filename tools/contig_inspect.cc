@@ -336,14 +336,13 @@ numbersClose(double cur, double base, double rel_tol)
 
 /** Wall-clock metrics vary run to run; never gate on them. That is
  *  the phase timers plus the concurrency-observatory accounting:
- *  worker/shard busy/stall/wait times, barrier skew, and the whole
+ *  worker busy times, trace-frontend stall/wait times, and the whole
  *  lock.* contention group (counts depend on scheduling). */
 bool
 ignoredMetric(const std::string &path)
 {
     static const char *const suffixes[] = {
-        ".wall_us", ".busy_us", ".stall_us", ".wait_us",
-        ".spin_us", ".skew_us",
+        ".wall_us", ".busy_us", ".stall_us", ".wait_us", ".spin_us",
     };
     for (const char *suffix : suffixes) {
         const std::size_t n = std::strlen(suffix);

@@ -4,8 +4,8 @@
  * timeline a running bench streams via `--timeline FILE` and renders
  * a refreshing top-style view of the run: per-zone fragmentation
  * (free pages, FMFI, clusters, largest cluster), fault progress and
- * rate, per-shard replay throughput, and — when the bench runs with
- * `--lock-stats` — the hottest lock sites by contention.
+ * rate, and — when the bench runs with `--lock-stats` — the hottest
+ * lock sites by contention.
  *
  *   contig_top <timeline.jsonl>            follow until interrupted
  *   contig_top <timeline.jsonl> --once     render one frame and exit
@@ -146,30 +146,6 @@ renderZones(const StreamState &s)
 }
 
 void
-renderShards(const StreamState &s)
-{
-    bool header = false;
-    for (int i = 0;; ++i) {
-        const std::string p = "xlat.shard" + std::to_string(i) + ".";
-        const auto acc = s.state.find(p + "accesses");
-        if (acc == s.state.end())
-            break;
-        if (!header) {
-            std::printf("  %-6s %12s %11s %11s %11s %11s\n", "shard",
-                        "accesses", "busy_us", "stall_us", "wait_us",
-                        "Macc/s");
-            header = true;
-        }
-        const double busy_us = flatGet(s.state, p + "busy_us", 0);
-        std::printf("  %-6d %12.0f %11.0f %11.0f %11.0f %11.2f\n", i,
-                    acc->second, busy_us,
-                    flatGet(s.state, p + "stall_us", 0),
-                    flatGet(s.state, p + "wait_us", 0),
-                    busy_us > 0 ? acc->second / busy_us : 0.0);
-    }
-}
-
-void
 renderLocks(const StreamState &s)
 {
     // lock.<site>.<leaf>: group the four leaves back per site. Sites
@@ -239,7 +215,6 @@ renderFrame(const std::string &path, std::uint64_t frame,
         s.prevFaults = faults;
         s.sawFrame = true;
         renderZones(s);
-        renderShards(s);
         renderLocks(s);
         std::printf("\n");
     }
