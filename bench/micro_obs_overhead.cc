@@ -21,12 +21,9 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "base/lock_stats.hh"
 #include "base/stats.hh"
-#include "base/sync.hh"
 #include "contig/analysis.hh"
 #include "core/experiment.hh"
 #include "obs/attribution.hh"
@@ -166,44 +163,6 @@ BM_SnapshotCapture(benchmark::State &state)
 }
 
 /**
- * The lock-stats tax, uncontended path. Bare: a SpinLock with no
- * site bound — with the accounting compiled in this pays exactly one
- * null-check branch after the exchange, which is the shipping
- * default (`micro_obs_overhead` gates this against BM_SpinLockBare's
- * committed baseline).
- */
-void
-BM_SpinLockBare(benchmark::State &state)
-{
-    SpinLock lock;
-    std::uint64_t x = 1;
-    for (auto _ : state) {
-        std::lock_guard<SpinLock> g(lock);
-        x = step(x);
-        benchmark::DoNotOptimize(x);
-    }
-}
-
-/** Site bound (--lock-stats on): adds one relaxed striped add. */
-void
-BM_SpinLockInstrumented(benchmark::State &state)
-{
-    LockSite &site =
-        LockStatsRegistry::global().site("bench.spinlock");
-    site.reset();
-    SpinLock lock;
-    lock.bindStats(&site);
-    std::uint64_t x = 1;
-    for (auto _ : state) {
-        std::lock_guard<SpinLock> g(lock);
-        x = step(x);
-        benchmark::DoNotOptimize(x);
-    }
-    benchmark::DoNotOptimize(site.totals().acquisitions);
-    site.reset();
-}
-
-/**
  * The cost-attribution tax, switch off: exactly the null-pointer
  * branch TranslationSim::runChunk pays per access when --attrib is
  * not given. Compare against BM_BareLoop for the "disabled = one
@@ -278,8 +237,6 @@ BENCHMARK(BM_RegistrySnapshot);
 BENCHMARK(BM_SamplerDetached);
 BENCHMARK(BM_SamplerIdle);
 BENCHMARK(BM_SnapshotCapture);
-BENCHMARK(BM_SpinLockBare);
-BENCHMARK(BM_SpinLockInstrumented);
 BENCHMARK(BM_AttribOff);
 BENCHMARK(BM_AttribOn);
 BENCHMARK(BM_DeltaEncode);

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Validate a bench binary's --json output against the documented schema.
 
-Usage: check_bench_json.py [--expect-lock-stats] [--expect-scaling]
-                           [--expect-trace] [--expect-attrib]
+Usage: check_bench_json.py [--expect-trace] [--expect-attrib]
                            [--expect-reclaim]
                            <bench-binary> [extra args...]
        check_bench_json.py --timeline-file <timeline.jsonl>
 
 Runs the bench with --json into a temp file and checks the document is
 valid JSON of shape {schema_version, bench, config, rows, metrics}:
-  - "schema_version" is an integer (currently 3),
+  - "schema_version" is an integer (currently 5),
   - "bench" is a non-empty string,
   - "config" is an object with the scaled-machine geometry keys and a
     "run" reproducibility object (RNG seeds, kernel knobs),
@@ -19,24 +18,17 @@ valid JSON of shape {schema_version, bench, config, rows, metrics}:
     (counters/gauges as numbers, summaries as {count, sum, min, max,
     mean}, histograms as {log2_buckets: [...]}).
 
-Schema v3 additions are validated whenever present:
-  - "metrics" keys of the form lock.<site>.<leaf> must use exactly the
-    leaves {acquisitions, contended, retries, spin_us} and be numeric,
-  - the derived "scaling" section must follow the documented shape
-    ({parallel: {...}, locks: {top_contended: [...]}},
-    every sub-section optional but well-formed when emitted).
-Schema v3 trace-frontend additions, also validated whenever present:
+Trace-frontend additions, validated whenever present:
   - "config.run" keys trace.in/trace.out require trace.digest; a
     ckpt.at_chunk note requires ckpt.out + ckpt.accesses; a
     ckpt.resume_chunk note requires trace.in,
   - "metrics" keys trace.frontend.<leaf> must use known leaves and be
     numeric; any run noting trace.in must emit them,
-  - the "scaling" section may carry a "trace_frontend" decode report.
---expect-lock-stats / --expect-scaling turn presence of lock.* metrics
-and of a "scaling" section into hard requirements (used by the ctest
-that runs a bench under --lock-stats). --expect-trace first captures a
-trace (--trace-out into a temp dir), then runs the validated bench
-with --trace-in on it, requiring trace.frontend.* metrics.
+  - the "scaling" section, when present, holds exactly the
+    "trace_frontend" decode report.
+--expect-trace first captures a trace (--trace-out into a temp dir),
+then runs the validated bench with --trace-in on it, requiring
+trace.frontend.* metrics.
 
 Schema v4 additions, validated whenever present:
   - "config.attrib" is a boolean mirroring the --attrib switch,
@@ -83,8 +75,6 @@ def fail(msg):
     sys.exit(1)
 
 
-LOCK_LEAVES = {"acquisitions", "contended", "retries", "spin_us"}
-
 # Leaves under "<kernel-prefix>.reclaim.": the ReclaimEngine counter
 # and gauge set, plus the legacy "direct" alias kept for dashboards.
 RECLAIM_LEAVES = {"scans", "rotations", "deactivations", "reclaimed",
@@ -120,30 +110,6 @@ def check_frontend_metrics(metrics):
         if not isinstance(value, (int, float)):
             fail(f"trace metric {name!r} is not numeric: {value!r}")
     return seen
-
-
-def check_lock_metrics(metrics):
-    """Validate lock.<site>.<leaf> keys; return the site names seen."""
-    sites = {}
-    for name, value in metrics.items():
-        if not name.startswith("lock."):
-            continue
-        body = name[len("lock."):]
-        site, dot, leaf = body.rpartition(".")
-        if not dot or not site:
-            fail(f"lock metric {name!r} is not of the form "
-                 f"lock.<site>.<leaf>")
-        if leaf not in LOCK_LEAVES:
-            fail(f"lock metric {name!r} has unknown leaf {leaf!r} "
-                 f"(expected one of {sorted(LOCK_LEAVES)})")
-        if not isinstance(value, (int, float)):
-            fail(f"lock metric {name!r} is not numeric: {value!r}")
-        sites.setdefault(site, set()).add(leaf)
-    for site, leaves in sites.items():
-        missing = LOCK_LEAVES - leaves
-        if missing:
-            fail(f"lock site {site!r} missing leaves {sorted(missing)}")
-    return sites
 
 
 def check_reclaim_metrics(metrics):
@@ -320,76 +286,21 @@ def check_attribution(attrib):
     return len(xlat)
 
 
-def check_numeric_list(where, value):
-    if not isinstance(value, list) or not value:
-        fail(f"'{where}' must be a non-empty list")
-    if not all(isinstance(v, (int, float)) for v in value):
-        fail(f"'{where}' has non-numeric entries")
-
-
 def check_scaling(scaling):
-    """Validate the derived 'scaling' report section (schema v3)."""
-    if not isinstance(scaling, dict) or not scaling:
-        fail("'scaling' must be a non-empty object")
-    unknown = set(scaling) - {"parallel", "locks", "trace_frontend"}
-    if unknown:
-        fail(f"'scaling' has unknown sub-sections {sorted(unknown)}")
-
-    if "parallel" in scaling:
-        par = scaling["parallel"]
-        if not isinstance(par, dict):
-            fail("'scaling.parallel' must be an object")
-        for key in ("workers", "wall_us", "busy_us_total",
-                    "worker_busy_us", "achieved_speedup",
-                    "serial_fraction"):
-            if key not in par:
-                fail(f"'scaling.parallel' missing {key!r}")
-        check_numeric_list("scaling.parallel.worker_busy_us",
-                           par["worker_busy_us"])
-        if len(par["worker_busy_us"]) != par["workers"]:
-            fail("'scaling.parallel.worker_busy_us' length != workers")
-        if not 0.0 <= par["serial_fraction"] <= 1.0:
-            fail(f"'scaling.parallel.serial_fraction' out of [0,1]: "
-                 f"{par['serial_fraction']}")
-
-    if "trace_frontend" in scaling:
-        tf = scaling["trace_frontend"]
-        if not isinstance(tf, dict):
-            fail("'scaling.trace_frontend' must be an object")
-        for key in ("chunks_decoded", "accesses_decoded",
-                    "bytes_decoded", "decode_us", "producer_stall_us",
-                    "consumer_wait_us"):
-            if key not in tf:
-                fail(f"'scaling.trace_frontend' missing {key!r}")
-            if not isinstance(tf[key], (int, float)):
-                fail(f"'scaling.trace_frontend.{key}' is not numeric: "
-                     f"{tf[key]!r}")
-
-    if "locks" in scaling:
-        locks = scaling["locks"]
-        if not isinstance(locks, dict):
-            fail("'scaling.locks' must be an object")
-        for key in ("sites", "top_contended"):
-            if key not in locks:
-                fail(f"'scaling.locks' missing {key!r}")
-        top = locks["top_contended"]
-        if not isinstance(top, list) or len(top) > 5:
-            fail("'scaling.locks.top_contended' must be a list of "
-                 "at most 5 entries")
-        for i, entry in enumerate(top):
-            if not isinstance(entry, dict):
-                fail(f"'scaling.locks.top_contended[{i}]' is not an "
-                     f"object")
-            for key in ("site", "acquisitions", "contended",
-                        "retries", "spin_us"):
-                if key not in entry:
-                    fail(f"'scaling.locks.top_contended[{i}]' "
-                         f"missing {key!r}")
-        # The ranking invariant: sorted by contended, descending.
-        contended = [e["contended"] for e in top]
-        if contended != sorted(contended, reverse=True):
-            fail("'scaling.locks.top_contended' not sorted by "
-                 "contended count")
+    """Validate the 'scaling' section: the trace-frontend report."""
+    if not isinstance(scaling, dict) or set(scaling) != {"trace_frontend"}:
+        fail(f"'scaling' must hold exactly a 'trace_frontend' report, "
+             f"got {scaling!r}")
+    tf = scaling["trace_frontend"]
+    if not isinstance(tf, dict):
+        fail("'scaling.trace_frontend' must be an object")
+    for key in ("chunks_decoded", "accesses_decoded", "bytes_decoded",
+                "decode_us", "producer_stall_us", "consumer_wait_us"):
+        if key not in tf:
+            fail(f"'scaling.trace_frontend' missing {key!r}")
+        if not isinstance(tf[key], (int, float)):
+            fail(f"'scaling.trace_frontend.{key}' is not numeric: "
+                 f"{tf[key]!r}")
 
 
 def check_metric(name, value):
@@ -456,19 +367,12 @@ def check_timeline(path):
 
 def main():
     argv = sys.argv[1:]
-    expect_lock_stats = False
-    expect_scaling = False
     expect_trace = False
     expect_attrib = False
     expect_reclaim = False
-    while argv and argv[0] in ("--expect-lock-stats", "--expect-scaling",
-                               "--expect-trace", "--expect-attrib",
+    while argv and argv[0] in ("--expect-trace", "--expect-attrib",
                                "--expect-reclaim"):
-        if argv[0] == "--expect-lock-stats":
-            expect_lock_stats = True
-        elif argv[0] == "--expect-scaling":
-            expect_scaling = True
-        elif argv[0] == "--expect-attrib":
+        if argv[0] == "--expect-attrib":
             expect_attrib = True
         elif argv[0] == "--expect-reclaim":
             expect_reclaim = True
@@ -476,9 +380,9 @@ def main():
             expect_trace = True
         argv = argv[1:]
     if not argv:
-        fail("usage: check_bench_json.py [--expect-lock-stats] "
-             "[--expect-scaling] [--expect-trace] [--expect-attrib] "
-             "[--expect-reclaim] <bench-binary> [args...] | "
+        fail("usage: check_bench_json.py [--expect-trace] "
+             "[--expect-attrib] [--expect-reclaim] "
+             "<bench-binary> [args...] | "
              "--timeline-file <timeline.jsonl>")
     if argv[0] == "--timeline-file":
         if len(argv) != 2:
@@ -543,35 +447,6 @@ def main():
         fail("'config.run' (the RunInfo reproducibility record) "
              "must be an object")
     run = config["run"]
-    # Every kernel instance (one "<prefix>.instances" counter each)
-    # must record its threading knobs: worker-thread count and the
-    # per-CPU frame-cache geometry. Not every ".instances" prefix is
-    # a kernel — VirtualMachine records "vm.instances" with VM-level
-    # knobs only — so identify kernels by a kernel-only config key.
-    kernel_prefixes = [k[: -len(".instances")] for k in run
-                       if k.endswith(".instances")
-                       and f"{k[: -len('.instances')]}.thp_enabled"
-                       in run]
-    for kp in kernel_prefixes:
-        for key in ("threads", "phys.pcp_cpus", "phys.pcp_batch",
-                    "phys.pcp_high"):
-            if f"{kp}.{key}" not in run:
-                fail(f"'config.run' kernel {kp!r} missing {key!r}")
-    # Runs that used the ParallelDriver must record the base seed,
-    # geometry, and each worker's derived RNG stream seed.
-    if "parallel.threads" in run:
-        for key in ("parallel.seed", "parallel.bytes_per_worker",
-                    "parallel.chunk_bytes"):
-            if key not in run:
-                fail(f"'config.run' missing {key!r}")
-        # Repeated notes (one ParallelDriver per bench cell) are
-        # recorded as a list; the last entry is the live value.
-        threads = run["parallel.threads"]
-        if isinstance(threads, list):
-            threads = threads[-1]
-        for i in range(int(threads)):
-            if f"parallel.worker{i}.seed" not in run:
-                fail(f"'config.run' missing parallel.worker{i}.seed")
     # Runs that replayed a translation stream (runTranslation notes
     # "seed.translation") must record the replay-engine knobs: chunk
     # size, the walk-memo toggle, the inner-loop engine
@@ -580,7 +455,7 @@ def main():
     # wall-clock artifact is attributable to its build.
     if "seed.translation" in run:
         for key in ("xlat.chunk_accesses", "xlat.memo", "xlat.engine",
-                    "xlat.simd", "xlat.numa_shards"):
+                    "xlat.simd"):
             if key not in run:
                 fail(f"'config.run' missing {key!r}")
         if run["xlat.engine"] not in ("reference", "batched"):
@@ -621,11 +496,6 @@ def main():
     for name, value in metrics.items():
         check_metric(name, value)
 
-    lock_sites = check_lock_metrics(metrics)
-    if expect_lock_stats and not lock_sites:
-        fail("--expect-lock-stats: no lock.<site>.* metrics in output "
-             "(was the bench run with --lock-stats?)")
-
     reclaim_prefixes = check_reclaim_metrics(metrics)
     if expect_reclaim and not reclaim_prefixes:
         fail("--expect-reclaim: no *.reclaim.* metrics in output "
@@ -640,8 +510,6 @@ def main():
 
     if "scaling" in doc:
         check_scaling(doc["scaling"])
-    elif expect_scaling:
-        fail("--expect-scaling: no 'scaling' section in output")
 
     if "attrib" in config and not isinstance(config["attrib"], bool):
         fail(f"'config.attrib' must be a boolean: {config['attrib']!r}")
@@ -656,8 +524,6 @@ def main():
              "(was the bench run with --attrib?)")
 
     extra = ""
-    if lock_sites:
-        extra = f", {len(lock_sites)} lock sites"
     if reclaim_prefixes:
         extra += f", reclaim ({len(reclaim_prefixes)} kernels)"
     if have_frontend:

@@ -30,16 +30,12 @@ build_and_test release "" -DCMAKE_BUILD_TYPE=Release
 build_and_test asan-ubsan "" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONTIG_SANITIZE=ON
 
-# ThreadSanitizer configuration: the threaded fault path (per-CPU
-# frame caches, sharded zone locks, per-VMA fault mutexes) must be
-# race-free under the concurrent stress + parallel-driver tests, and
-# the instrumented-lock striped counters (test_base's lock_stats
-# tests) must be race-free too. test_phys and test_policies cover the
-# lockless occupancy probe (§III-C), which reads the frames' inUse
-# flag outside the zone lock.
-# Only the thread-exercising tests run here; the full suite already
-# ran in both configurations above.
-build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base|test_phys|test_policies' \
+# ThreadSanitizer configuration: the simulator runs one thread, and
+# the only other thread is TraceReplaySource's .ctrace decode thread.
+# test_workloads starts it; test_checkpoint covers the resume path that
+# replays from it. Only those run here; the full suite already ran in
+# both configurations above.
+build_and_test tsan 'test_workloads|test_checkpoint' \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONTIG_SANITIZE=thread
 
 # Micro-bench artifacts (Release binaries). micro_obs_overhead is a
@@ -53,16 +49,14 @@ echo "=== bench artifacts ==="
     --benchmark_out="$root/BENCH_micro_obs_overhead.json" \
     --benchmark_out_format=json
 # Observability-tax gate: each disabled-mode loop's ratio to the bare
-# loop (BM_SpinLockBare, BM_TraceDisabled, ...) must stay within
+# loop (BM_TraceDisabled, BM_AttribOff, ...) must stay within
 # tolerance of the committed baseline ratios.
 python3 "$root/scripts/obs_overhead_gate.py" --check \
     "$root/BENCH_micro_obs_overhead.json" \
     "$root/bench/baselines/BENCH_micro_obs_overhead.json"
-"$bench/micro_fault_scaling" --json "$root/BENCH_micro_fault_scaling.json"
 "$bench/micro_xlat_scaling" --json "$root/BENCH_micro_xlat_scaling.json"
 "$bench/micro_reclaim_path" --json "$root/BENCH_micro_reclaim_path.json"
 python3 "$root/scripts/check_bench_json.py" "$bench/micro_alloc_path"
-python3 "$root/scripts/check_bench_json.py" "$bench/micro_fault_scaling"
 python3 "$root/scripts/check_bench_json.py" "$bench/micro_xlat_scaling"
 python3 "$root/scripts/check_bench_json.py" "$bench/fig14_spot_breakdown"
 # Memory-pressure schema gate: every micro_reclaim_path cell enables
@@ -102,26 +96,6 @@ python3 "$root/scripts/xlat_ratio_gate.py" \
     --min-ratio 1.5
 python3 "$root/scripts/xlat_ratio_gate.py" \
     "$root/BENCH_micro_xlat_scaling.json" --min-ratio 1.2
-
-# Concurrency observatory artifacts: the fault-scaling micro bench
-# again under --lock-stats (per-site contention metrics + the derived
-# "scaling" report section, both schema-checked), plus a per-thread
-# Chrome trace from a 4-worker run for by-hand inspection.
-echo "=== lock-stats artifacts ==="
-"$bench/micro_fault_scaling" --lock-stats \
-    --json "$root/BENCH_micro_fault_scaling_locks.json"
-python3 "$root/scripts/check_bench_json.py" \
-    --expect-lock-stats --expect-scaling \
-    "$bench/micro_fault_scaling" --lock-stats
-"$bench/micro_fault_scaling" --threads 4 --lock-stats \
-    --trace "$root/BENCH_thread_lanes_trace.json" \
-    --json "$root/BENCH_micro_fault_scaling_t4.json"
-# Structural contention gate: the set of instrumented lock sites the
-# bench touches (and the report sections it emits) must match the
-# committed baseline. Counts are scheduling-dependent and not gated.
-python3 "$root/scripts/lock_contention_summary.py" --check \
-    "$root/bench/baselines/BENCH_lock_contention.json" \
-    "$root/BENCH_micro_fault_scaling_locks.json"
 
 # Trace-frontend gate: capture fig13 to .ctrace files, replay them,
 # interrupt the replay with a checkpoint at chunk 3, resume, and
@@ -190,12 +164,6 @@ python3 "$root/scripts/check_bench_json.py" \
 "$out/release/tools/contig_inspect" check-baseline \
     "$root/BENCH_fig09_free_blocks.json" \
     "$root/bench/baselines/BENCH_fig09_free_blocks.json"
-# Fault-scaling gate: deterministic fault/page counts per (policy,
-# threads) cell; wall-clock throughput columns are *.wall_us and
-# therefore ignored by check-baseline.
-"$out/release/tools/contig_inspect" check-baseline \
-    "$root/BENCH_micro_fault_scaling.json" \
-    "$root/bench/baselines/BENCH_micro_fault_scaling.json"
 # Translation replay gates: component counters and the chunk-size
 # sweep are deterministic (chunking, the walk memo, the engine and the
 # probe width never move simulated counters); *.wall_us throughput

@@ -3,11 +3,10 @@
 
 Usage: contig_top_smoke.py <bench-binary> <contig_top-binary>
 
-Runs the bench with --timeline (and --lock-stats, so lock.* keys ride
-the stream) into a temp dir, then points contig_top at the finished
-JSONL in --once --plain mode — exactly the file a live run would be
-appending to, so this exercises the same tail/decode/render path the
-interactive monitor uses. The frame must render the per-zone table
+Runs the bench with --timeline into a temp dir, then points contig_top
+at the finished JSONL in --once --plain mode — exactly the file a live
+run would be appending to, so this exercises the same tail/decode/render
+path the interactive monitor uses. The frame must render the per-zone table
 from the stream's final snapshot.
 
 Registered as a ctest (contig_top_smoke).
@@ -45,8 +44,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         timeline = Path(tmp) / "timeline.jsonl"
-        run([str(bench), "--lock-stats", "--timeline", str(timeline)],
-            timeout=600)
+        run([str(bench), "--timeline", str(timeline)], timeout=600)
         if not timeline.exists() or not timeline.stat().st_size:
             fail("bench produced no timeline JSONL")
         frame = run([str(top), str(timeline), "--once", "--plain"],

@@ -16,12 +16,8 @@ the bare loop from the same run (same machine, same boost state):
 them as the committed baseline. --check recomputes them from a new run
 and fails if any tracked benchmark's ratio grew by more than the
 tolerance (default 0.25, i.e. 25% relative — CI machines are noisy;
-a real regression such as an unconditional clock read in the
-uninstrumented SpinLock path shows up as 2-10x, far above it).
-
-The headline gate is BM_SpinLockBare: a SpinLock with the lock-stats
-accounting compiled in but no site bound — the shipping default — must
-stay a hair over the bare loop (one null-check after the exchange).
+a real regression such as an unconditional clock read behind a
+disabled switch shows up as 2-10x, far above it).
 
 Registered in scripts/ci.sh after the bench-artifact step.
 """
@@ -36,8 +32,6 @@ from pathlib import Path
 GATED = (
     "BM_TraceDisabled",
     "BM_SamplerDetached",
-    "BM_SpinLockBare",
-    "BM_SpinLockInstrumented",
     "BM_AttribOff",
 )
 

@@ -16,8 +16,8 @@ Proves the full trace-frontend contract on one bench binary:
   4. resumed replay from those snapshots (--ckpt-in): canonical JSON
      must again be byte-identical to the live run.
 
-"Canonical" strips only wall-clock-dependent material: phase/lock
-timing metrics, walk-memo occupancy, the derived scaling section, and
+"Canonical" strips only wall-clock-dependent material: phase timing
+metrics, walk-memo occupancy, the trace-frontend scaling section, and
 the trace.*/ckpt.* bookkeeping keys that legitimately differ between a
 live and a replayed run. Every simulated counter — hits, walks,
 cycles, SpOT predictions, fault statistics — must match exactly.
@@ -38,8 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-TIME_SUFFIXES = ("busy_us", "stall_us", "wait_us", "wall_us")
-TIME_PREFIXES = ("phase.", "trace.", "lock.")
+TIME_SUFFIXES = ("stall_us", "wait_us", "wall_us")
+TIME_PREFIXES = ("phase.", "trace.")
 
 
 def fail(msg):

@@ -6,13 +6,10 @@
 #include <cstring>
 
 #include "base/json.hh"
-#include "base/lock_stats.hh"
 #include "base/logging.hh"
 #include "base/simd.hh"
 #include "core/config.hh"
-#include "mm/kernel.hh"
 #include "obs/attribution.hh"
-#include "obs/lock_metrics.hh"
 #include "obs/metrics.hh"
 #include "obs/observatory.hh"
 #include "obs/trace.hh"
@@ -28,6 +25,20 @@ endsWith(std::string_view s, std::string_view suffix)
 {
     return s.size() >= suffix.size() &&
            s.substr(s.size() - suffix.size()) == suffix;
+}
+
+/** parseTraceCategories(), fatal on an unknown or empty mask. */
+std::uint32_t
+traceMaskOrDie(const std::string &bench, const char *source,
+               const char *list)
+{
+    const std::uint32_t mask = obs::parseTraceCategories(list);
+    if (mask == 0)
+        fatal("%s: unknown trace category in %s '%s'\n"
+              "valid: all, fault, alloc, promote, migrate, tlb, spot,"
+              " walk, daemon, phase, replay (or a hex mask)",
+              bench.c_str(), source, list);
+    return mask;
 }
 
 } // namespace
@@ -46,10 +57,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
     if (timelinePath_.empty())
         if (const char *env = std::getenv("CONTIG_TIMELINE_OUT"))
             timelinePath_ = env;
-    if (threads_ == 1)
-        if (const char *env = std::getenv("CONTIG_THREADS"))
-            threads_ = static_cast<unsigned>(
-                std::max(1l, std::strtol(env, nullptr, 10)));
     if (traceIn_.empty())
         if (const char *env = std::getenv("CONTIG_CTRACE_IN"))
             traceIn_ = env;
@@ -66,13 +73,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
         if (const char *env = std::getenv("CONTIG_CKPT_AT"))
             ckptAtChunk_ = static_cast<std::uint64_t>(
                 std::max(0l, std::strtol(env, nullptr, 10)));
-    if (numaShards_ == 0)
-        if (const char *env = std::getenv("CONTIG_NUMA_SHARDS"))
-            numaShards_ = static_cast<unsigned>(
-                std::max(0l, std::strtol(env, nullptr, 10)));
-    if (!lockStats_)
-        if (const char *env = std::getenv("CONTIG_LOCK_STATS"))
-            lockStats_ = env[0] != '\0' && std::strcmp(env, "0") != 0;
     if (!attrib_)
         if (const char *env = std::getenv("CONTIG_ATTRIB"))
             attrib_ = env[0] != '\0' && std::strcmp(env, "0") != 0;
@@ -95,31 +95,15 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
         fatal("%s: --ckpt-at requires --ckpt-out PREFIX",
               bench_.c_str());
 
-    if (numaShards_ > 1) {
-        // Same before-any-kernel contract as lock stats: every kernel
-        // built after this (host, guest, bench scratch instances)
-        // shards its physical metadata without touching each
-        // construction site.
-        KernelConfig::setDefaultNumaShards(numaShards_);
-    }
-
     if (noSimd_) {
-        // Before any simulator exists, like the switches below; the
+        // Before any simulator exists, like the switch below; the
         // CONTIG_SIMD=0 environment form is honoured by simd::
         // enabled() itself.
         simd::setForceScalar(true);
     }
 
-    if (lockStats_) {
-        // Flip the switch before any kernel exists so every
-        // KernelConfig::normalized() in this run binds its lock sites.
-        LockStatsRegistry::setEnabled(true);
-        lockSource_ =
-            obs::makeLockMetricsSource(obs::MetricRegistry::global());
-    }
-
     if (attrib_) {
-        // Same before-any-kernel contract as lock stats: every
+        // Flip the switch before any simulator exists: every
         // TranslationSim / FaultEngine built after this carries an
         // attribution table.
         obs::AttribRegistry::setEnabled(true);
@@ -138,7 +122,7 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
     }
     if (const char *env = std::getenv("CONTIG_TRACE_CATEGORIES"))
         obs::TraceSink::global().setCategoryMask(
-            obs::parseTraceCategories(env));
+            traceMaskOrDie(bench_, "CONTIG_TRACE_CATEGORIES", env));
 }
 
 BenchOutput::~BenchOutput()
@@ -159,21 +143,8 @@ BenchOutput::parseArgs(int argc, char **argv)
             tracePath_ = argv[++i];
         } else if (arg == "--timeline" && has_next) {
             timelinePath_ = argv[++i];
-        } else if (arg == "--threads" && has_next) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1)
-                fatal("%s: --threads wants a positive count, got '%s'",
-                      bench_.c_str(), argv[i]);
-            threads_ = static_cast<unsigned>(n);
         } else if (arg == "--no-simd") {
             noSimd_ = true;
-        } else if (arg == "--numa-shards" && has_next) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1)
-                fatal("%s: --numa-shards wants a positive count,"
-                      " got '%s'",
-                      bench_.c_str(), argv[i]);
-            numaShards_ = static_cast<unsigned>(n);
         } else if (arg == "--trace-in" && has_next) {
             traceIn_ = argv[++i];
         } else if (arg == "--trace-out" && has_next) {
@@ -189,27 +160,19 @@ BenchOutput::parseArgs(int argc, char **argv)
                       " got '%s'",
                       bench_.c_str(), argv[i]);
             ckptAtChunk_ = static_cast<std::uint64_t>(n);
-        } else if (arg == "--lock-stats") {
-            lockStats_ = true;
         } else if (arg == "--attrib") {
             attrib_ = true;
         } else if (arg == "--trace-categories" && has_next) {
-            const char *list = argv[++i];
-            const std::uint32_t mask = obs::parseTraceCategories(list);
-            if (mask == 0)
-                fatal("%s: unknown trace category in '%s'\n"
-                      "valid: all, fault, alloc, migrate, walk, spot,"
-                      " daemon, phase, replay (or a hex mask)",
-                      bench_.c_str(), list);
-            obs::TraceSink::global().setCategoryMask(mask);
+            obs::TraceSink::global().setCategoryMask(
+                traceMaskOrDie(bench_, "--trace-categories", argv[++i]));
         } else {
             fatal("%s: unknown argument '%s'\n"
                   "usage: %s [--json FILE] [--trace FILE]"
                   " [--timeline FILE] [--trace-categories LIST]"
-                  " [--threads N] [--no-simd] [--numa-shards N]"
+                  " [--no-simd]"
                   " [--trace-in PREFIX] [--trace-out PREFIX]"
                   " [--ckpt-in PREFIX] [--ckpt-out PREFIX]"
-                  " [--ckpt-at CHUNK] [--lock-stats] [--attrib]",
+                  " [--ckpt-at CHUNK] [--attrib]",
                   bench_.c_str(), argv[i], bench_.c_str());
         }
     }
@@ -242,141 +205,26 @@ BenchOutput::add(const Report &rep)
 void
 BenchOutput::writeScaling(JsonWriter &w) const
 {
-    const obs::SampleMap snap =
-        obs::MetricRegistry::global().snapshot();
-    const auto summaryOf =
-        [&snap](const std::string &name) -> const Summary * {
-        const auto it = snap.find(name);
-        if (it == snap.end() ||
-            it->second.type != obs::MetricType::Summary)
-            return nullptr;
-        return &it->second.summary;
+    // Trace-replay frontend (TraceReplaySource's decode thread).
+    const obs::SampleMap snap = obs::MetricRegistry::global().snapshot();
+    const auto counterOf = [&snap](const std::string &name) {
+        const auto it = snap.find("trace.frontend." + name);
+        return it == snap.end() ? std::uint64_t{0} : it->second.counter;
     };
-    const auto counterOf = [&snap](const std::string &name,
-                                   std::uint64_t &out) {
-        const auto it = snap.find(name);
-        if (it == snap.end())
-            return false;
-        out = it->second.counter;
-        return true;
-    };
-
-    // Per-worker fault-driver busy times (ParallelDriver::run()).
-    std::vector<double> busy;
-    for (unsigned i = 0;; ++i) {
-        const Summary *s = summaryOf(
-            "parallel.worker" + std::to_string(i) + ".busy_us");
-        if (!s)
-            break;
-        busy.push_back(s->sum());
-    }
-    const Summary *wall = summaryOf("parallel.run.wall_us");
-
-    // Trace-replay frontend (TraceReplaySource's producer thread).
-    struct Frontend
-    {
-        std::uint64_t chunks = 0;
-        std::uint64_t accesses = 0;
-        std::uint64_t bytes = 0;
-        std::uint64_t decodeUs = 0;
-        std::uint64_t stallUs = 0;
-        std::uint64_t waitUs = 0;
-    };
-    Frontend fe;
-    const bool have_frontend =
-        counterOf("trace.frontend.chunks_decoded", fe.chunks);
-    if (have_frontend) {
-        counterOf("trace.frontend.accesses_decoded", fe.accesses);
-        counterOf("trace.frontend.bytes_decoded", fe.bytes);
-        counterOf("trace.frontend.decode_us", fe.decodeUs);
-        counterOf("trace.frontend.stall_us", fe.stallUs);
-        counterOf("trace.frontend.wait_us", fe.waitUs);
-    }
-
-    std::vector<const LockSite *> sites;
-    if (lockStats_)
-        sites = LockStatsRegistry::global().sites();
-
-    if ((busy.empty() || !wall) && sites.empty() && !have_frontend)
+    if (!snap.count("trace.frontend.chunks_decoded"))
         return;
 
     w.key("scaling");
     w.beginObject();
-
-    if (!busy.empty() && wall) {
-        double total = 0.0;
-        for (double b : busy)
-            total += b;
-        const double wall_us = wall->sum();
-        const double speedup = wall_us > 0.0 ? total / wall_us : 0.0;
-        const unsigned n = static_cast<unsigned>(busy.size());
-        // Karp-Flatt experimentally determined serial fraction; a
-        // single worker is serial by definition.
-        double serial = 1.0;
-        if (n > 1 && speedup > 0.0)
-            serial = std::clamp(
-                (1.0 / speedup - 1.0 / n) / (1.0 - 1.0 / n), 0.0, 1.0);
-        w.key("parallel");
-        w.beginObject();
-        w.field("workers", n);
-        w.field("wall_us", wall_us);
-        w.field("busy_us_total", total);
-        w.key("worker_busy_us");
-        w.beginArray();
-        for (double b : busy)
-            w.value(b);
-        w.endArray();
-        w.field("achieved_speedup", speedup);
-        w.field("serial_fraction", serial);
-        w.endObject();
-    }
-
-    if (have_frontend) {
-        w.key("trace_frontend");
-        w.beginObject();
-        w.field("chunks_decoded", fe.chunks);
-        w.field("accesses_decoded", fe.accesses);
-        w.field("bytes_decoded", fe.bytes);
-        w.field("decode_us", fe.decodeUs);
-        w.field("producer_stall_us", fe.stallUs);
-        w.field("consumer_wait_us", fe.waitUs);
-        w.endObject();
-    }
-
-    if (!sites.empty()) {
-        std::vector<std::pair<const LockSite *, LockSite::Totals>>
-            ranked;
-        ranked.reserve(sites.size());
-        for (const LockSite *s : sites)
-            ranked.emplace_back(s, s->totals());
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.second.contended != b.second.contended)
-                          return a.second.contended > b.second.contended;
-                      if (a.second.spinNs != b.second.spinNs)
-                          return a.second.spinNs > b.second.spinNs;
-                      return a.second.retries > b.second.retries;
-                  });
-        w.key("locks");
-        w.beginObject();
-        w.field("sites", static_cast<std::uint64_t>(sites.size()));
-        w.key("top_contended");
-        w.beginArray();
-        const std::size_t top = std::min<std::size_t>(5, ranked.size());
-        for (std::size_t i = 0; i < top; ++i) {
-            const LockSite::Totals &t = ranked[i].second;
-            w.beginObject();
-            w.field("site", ranked[i].first->name());
-            w.field("acquisitions", t.acquisitions);
-            w.field("contended", t.contended);
-            w.field("retries", t.retries);
-            w.field("spin_us", t.spinNs / 1000);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
-
+    w.key("trace_frontend");
+    w.beginObject();
+    w.field("chunks_decoded", counterOf("chunks_decoded"));
+    w.field("accesses_decoded", counterOf("accesses_decoded"));
+    w.field("bytes_decoded", counterOf("bytes_decoded"));
+    w.field("decode_us", counterOf("decode_us"));
+    w.field("producer_stall_us", counterOf("stall_us"));
+    w.field("consumer_wait_us", counterOf("wait_us"));
+    w.endObject();
     w.endObject();
 }
 
@@ -397,7 +245,6 @@ BenchOutput::write()
         w.field("host_node_bytes", ScaledDefaults::kHostNodeBytes);
         w.field("guest_nodes", ScaledDefaults::kGuestNodes);
         w.field("guest_node_bytes", ScaledDefaults::kGuestNodeBytes);
-        w.field("lock_stats", lockStats_);
         w.field("attrib", attrib_);
         for (const Note &n : notes_) {
             w.key(n.key);
@@ -421,9 +268,8 @@ BenchOutput::write()
         w.key("metrics");
         obs::MetricRegistry::global().writeJson(w);
 
-        // Derived concurrency report: present whenever the run
-        // recorded worker or trace-frontend accounting, or lock stats
-        // were on.
+        // Trace-frontend report: present whenever the run replayed a
+        // .ctrace file through the decode thread.
         writeScaling(w);
 
         // Cost attribution ("where do the cycles go"): present only

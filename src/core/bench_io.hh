@@ -9,7 +9,7 @@
  *
  * where "rows" flattens every added Report (one object per table row,
  * tagged with its caption) and "metrics" is the global MetricRegistry
- * snapshot. The document carries "schema_version" (currently 4) and
+ * snapshot. The document carries "schema_version" (currently 5) and
  * a config.run object with the RunInfo reproducibility record (RNG
  * seeds, full KernelConfig knob sets). `--trace <file>` (or
  * CONTIG_TRACE_OUT) additionally enables event tracing and exports
@@ -20,14 +20,8 @@
  * observatory TimelineSink: every StateSampler the run creates
  * streams delta-encoded JSONL snapshots there (see obs/observatory).
  *
- * `--lock-stats` (or CONTIG_LOCK_STATS=1) switches the lock-site
- * contention accounting on before any kernel exists: every
- * instrumented lock exports lock.<site>.* metrics, and the JSON
- * document gains a derived "scaling" section (per-worker busy time,
- * achieved speedup, serial fraction, top contended lock sites). The
- * section is also emitted without --lock-stats whenever a run
- * recorded parallel.* or trace-frontend accounting — it then simply
- * omits the lock table.
+ * A run that replayed a .ctrace file gains a "scaling" section with
+ * the decode thread's trace-frontend report.
  *
  * `--attrib` (or CONTIG_ATTRIB=1) switches the per-event cost
  * attribution on the same way: translation and fault kernels then
@@ -81,28 +75,12 @@ class BenchOutput
     bool timelineEnabled() const { return !timelinePath_.empty(); }
 
     /**
-     * Worker threads requested via `--threads N` (or CONTIG_THREADS);
-     * 1 when absent. Benches that support concurrent runs pass this
-     * to KernelConfig::threads / ParallelDriverConfig::threads;
-     * single-threaded benches simply ignore it.
-     */
-    unsigned threads() const { return threads_; }
-
-    /**
      * True when `--no-simd` (or CONTIG_SIMD=0) forced the probe
      * kernels scalar. Purely a wall-clock knob: simulated results are
      * identical either way. The switch is applied process-wide
      * (simd::setForceScalar) before any simulator exists.
      */
     bool simdDisabled() const { return noSimd_; }
-
-    /**
-     * Physical-metadata shards via `--numa-shards N` (or
-     * CONTIG_NUMA_SHARDS); 0 when absent. Benches that build kernels
-     * pass this to KernelConfig::numaShards; 0/1 keeps the legacy
-     * unsharded metadata.
-     */
-    unsigned numaShards() const { return numaShards_; }
 
     /**
      * Trace-frontend options (`--trace-in/--trace-out/--ckpt-in/`
@@ -121,14 +99,6 @@ class BenchOutput
     std::uint64_t ckptAtChunk() const { return ckptAtChunk_; }
 
     /**
-     * True when `--lock-stats` (or CONTIG_LOCK_STATS=1) switched the
-     * contention accounting on. Benches never need to check this —
-     * KernelConfig::normalized() picks the mode up from the
-     * LockStatsRegistry — but tools displaying the run might.
-     */
-    bool lockStatsEnabled() const { return lockStats_; }
-
-    /**
      * True when `--attrib` (or CONTIG_ATTRIB=1) switched the
      * cost-attribution accounting on. Kernels pick the mode up from
      * AttribRegistry::enabled(); benches only need this to decide
@@ -137,7 +107,7 @@ class BenchOutput
     bool attribEnabled() const { return attrib_; }
 
     /** The bench JSON document schema ("schema_version"). */
-    static constexpr int kSchemaVersion = 4;
+    static constexpr int kSchemaVersion = 5;
 
     /** Write the JSON document and/or trace export, if configured. */
     void write();
@@ -158,19 +128,13 @@ class BenchOutput
     std::string jsonPath_;
     std::string tracePath_;
     std::string timelinePath_;
-    unsigned threads_ = 1;
     bool noSimd_ = false;
-    unsigned numaShards_ = 0;
     std::string traceIn_;
     std::string traceOut_;
     std::string ckptIn_;
     std::string ckptOut_;
     std::uint64_t ckptAtChunk_ = 0;
-    bool lockStats_ = false;
     bool attrib_ = false;
-    /** Live "lock." source over the LockStatsRegistry, bound for the
-     *  run's lifetime when lock stats are on. */
-    obs::MetricSource lockSource_;
     std::vector<Note> notes_;
     std::vector<Report> reports_;
     bool written_ = false;

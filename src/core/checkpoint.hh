@@ -36,8 +36,12 @@ class Kernel;
 class ReplayEngine;
 
 constexpr std::uint32_t kCkptMagic = 0x504b4343u; // "CCKP" little-endian
-/** v2: the engine blob holds one pipeline (no shard count or loads). */
-constexpr std::uint32_t kCkptVersion = 2;
+/**
+ * v2: the engine blob holds one pipeline (no shard count or loads).
+ * v3: the kernel blob's zone sections hold the buddy lists only (no
+ * per-CPU frame-cache lists).
+ */
+constexpr std::uint32_t kCkptVersion = 3;
 
 /** Where in which trace the snapshot was taken. */
 struct CkptMeta

@@ -375,12 +375,6 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         "xlat.simd",
         std::string_view(simd::modeName(
             opts.engine == XlatEngine::Batched && simd::enabled())));
-    obs::RunInfo::global().note(
-        "xlat.numa_shards",
-        static_cast<std::uint64_t>(
-            proc->kernel().config().numaShards > 1
-                ? proc->kernel().config().numaShards
-                : 1));
     if (!opts.traceIn.empty()) {
         obs::RunInfo::global().note("trace.in",
                                     ctraceRunPath(opts.traceIn, run_idx));

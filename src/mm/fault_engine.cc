@@ -1,9 +1,7 @@
 #include "mm/fault_engine.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "base/align.hh"
 #include "base/logging.hh"
@@ -18,7 +16,6 @@ namespace contig
 
 FaultEngine::FaultEngine(Kernel &kernel)
     : kernel_(kernel), cfg_(kernel.config()),
-      threaded_(kernel.config().threads > 1),
       faultPhase_(obs::Phase::bind(obs::MetricRegistry::global(),
                                    cfg_.metricsPrefix + ".fault")),
       daemonPhase_(obs::Phase::bind(obs::MetricRegistry::global(),
@@ -30,9 +27,6 @@ FaultEngine::FaultEngine(Kernel &kernel)
       fillPhase_(obs::Phase::bind(obs::MetricRegistry::global(),
                                   cfg_.metricsPrefix + ".fault.fill"))
 {
-    if (cfg_.lockStats)
-        statsLock_.bindStats(
-            &LockStatsRegistry::global().site("fault.stats"));
     if (obs::AttribRegistry::enabled())
         attrib_ = std::make_unique<obs::FaultAttribution>();
 }
@@ -43,107 +37,24 @@ FaultEngine::~FaultEngine()
         obs::AttribRegistry::global().absorbFault(*attrib_);
 }
 
-// --- threading -----------------------------------------------------------
-
-FaultEngine::WorkerScope::WorkerScope(FaultEngine &engine, int cpu)
-    : engine_(engine), cpuScope_(cpu)
-{
-    contig_assert(tlsOwner_ != &engine,
-                  "nested WorkerScope on one thread");
-    engine_.activeWorkers_.fetch_add(1, std::memory_order_acq_rel);
-    tlsOwner_ = &engine_;
-    tlsStats_ = &stats_;
-    tlsBatch_ = &batch_;
-    if (engine_.attrib_) {
-        attrib_ = std::make_unique<obs::FaultAttribution>();
-        tlsAttrib_ = attrib_.get();
-    }
-}
-
-FaultEngine::WorkerScope::~WorkerScope()
-{
-    tlsOwner_ = nullptr;
-    tlsStats_ = nullptr;
-    tlsBatch_ = nullptr;
-    tlsAttrib_ = nullptr;
-    {
-        std::lock_guard<SpinLock> g(engine_.statsLock_);
-        engine_.stats_.mergeFrom(stats_);
-        engine_.batch_.mergeFrom(batch_);
-        if (attrib_)
-            engine_.attrib_->mergeFrom(*attrib_);
-    }
-    engine_.activeWorkers_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void
-FaultEngine::drainPendingTicks()
-{
-    if (!threaded_)
-        return; // sequential runs tick inline in finishFault
-    const std::uint64_t c = clock_.load(std::memory_order_acquire);
-    const std::uint64_t ticks_due = c / cfg_.tickPeriodFaults;
-    const bool sampler_behind =
-        sampler_ && samplerSeen_.load(std::memory_order_acquire) < c;
-    if (ticksRun_.load(std::memory_order_acquire) >= ticks_due &&
-        !sampler_behind)
-        return;
-
-    // Deferred ticks take mmLock *exclusive* — the writer side whose
-    // wait time the "mm" site is most interested in.
-    MaybeGuard<std::shared_mutex> g(kernel_.mmLock(), true,
-                                    kernel_.mmLockSite());
-    // Sampler catch-up first: captures keep the pre-tick cadence the
-    // sequential path has (sample at fault N sees pre-tick state).
-    if (sampler_) {
-        std::uint64_t seen = samplerSeen_.load(std::memory_order_relaxed);
-        const std::uint64_t now_c = clock_.load(std::memory_order_acquire);
-        while (seen < now_c) {
-            sampler_->onFaultTick();
-            ++seen;
-        }
-        samplerSeen_.store(seen, std::memory_order_release);
-    }
-    while (true) {
-        const std::uint64_t due = clock_.load(std::memory_order_acquire) /
-                                  cfg_.tickPeriodFaults;
-        const std::uint64_t run =
-            ticksRun_.load(std::memory_order_relaxed);
-        if (run >= due)
-            break;
-        ticksRun_.store(run + 1, std::memory_order_relaxed);
-        CONTIG_TRACE(obs::TraceEventKind::DaemonTick,
-                     (run + 1) * cfg_.tickPeriodFaults);
-        obs::ScopedPhase timer(daemonPhase_);
-        kernel_.policy().onTick(kernel_);
-    }
-}
-
 // --- single-fault path ---------------------------------------------------
 
 void
 FaultEngine::touch(Process &proc, Gva gva, Access access)
 {
-    drainPendingTicks();
-    // Watermark probe before any lock: threaded kernels just nudge
-    // kswapd; sequential ones run its balancing synchronously here.
+    // Watermark probe at fault entry: kswapd's balancing runs
+    // synchronously here.
     if (ReclaimEngine *rec = kernel_.reclaim())
         rec->checkWatermarks(proc.homeNode());
-    MaybeSharedGuard<std::shared_mutex> mm(kernel_.mmLock(), threaded_,
-                                          kernel_.mmLockSite());
-    touchLocked(proc, gva, access);
+    touchOne(proc, gva, access);
 }
 
 void
-FaultEngine::touchLocked(Process &proc, Gva gva, Access access)
+FaultEngine::touchOne(Process &proc, Gva gva, Access access)
 {
     Vma *vma = proc.addressSpace().findVma(gva);
     contig_assert(vma, "touch outside any VMA (gva 0x%llx)",
                   static_cast<unsigned long long>(gva.value));
-    MaybeGuard<SpinLock> vg(vma->faultLock(), threaded_);
-    // Any direct reclaim this fault escalates to may evict from the
-    // VMA whose lock this thread now holds (see HeldVmaScope).
-    ReclaimEngine::HeldVmaScope held(vma);
 
     const Vpn vpn = gva.pageNumber();
     auto m = proc.pageTable().lookup(vpn);
@@ -151,9 +62,7 @@ FaultEngine::touchLocked(Process &proc, Gva gva, Access access)
         if (ReclaimEngine *rec = kernel_.reclaim())
             rec->noteReferenced(m->pfn); // second chance for the leaf
         if (access == Access::Write && m->cow) {
-            std::optional<obs::ScopedPhase> timer;
-            if (!inWorker())
-                timer.emplace(faultPhase_, &stats_.totalCycles);
+            obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
             cowFault(proc, *vma, vpn, *m);
         }
         proc.noteTouched(*vma, vpn);
@@ -161,9 +70,7 @@ FaultEngine::touchLocked(Process &proc, Gva gva, Access access)
     }
 
     {
-        std::optional<obs::ScopedPhase> timer;
-        if (!inWorker())
-            timer.emplace(faultPhase_, &stats_.totalCycles);
+        obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
         if (vma->kind() == VmaKind::File)
             fileFault(proc, *vma, vpn);
         else
@@ -197,18 +104,18 @@ FaultEngine::placeAnon(Process &proc, Vma &vma, FaultContext &ctx)
     if (!ctx.alloc.ok() && !rec) {
         // Direct reclaim: evict clean page-cache pages and retry.
         kernel_.dropCaches();
-        kernel_.incCounter("reclaim.direct");
+        kernel_.counters().inc("reclaim.direct");
         ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
     }
     if (!ctx.alloc.ok() && rec && ctx.order != kHugeOrder)
         reclaimRetry(proc, vma, ctx.base, ctx.order, ctx.alloc);
     if (!ctx.alloc.ok() && ctx.order == kHugeOrder) {
         // A huge-order shortfall is a defragmentation problem, not a
-        // pressure problem: wake kswapd and demote immediately rather
-        // than stall this fault on direct reclaim of 512 pages (the
-        // THP defrag=madvise stance).
+        // pressure problem: ask for background reclaim and demote
+        // immediately rather than stall this fault on direct reclaim
+        // of 512 pages (the THP defrag=madvise stance).
         if (rec)
-            rec->wakeKswapd();
+            rec->noteKswapdWake();
         ctx.fallback = ctx.alloc.fail == AllocFail::None
                            ? AllocFail::NoHugeBlock
                            : ctx.alloc.fail;
@@ -231,39 +138,23 @@ void
 FaultEngine::reclaimRetry(Process &proc, Vma &vma, Vpn base, unsigned order,
                           AllocResult &res)
 {
-    // The order-0 slow path: kswapd is woken so background reclaim
-    // keeps running after this fault, then bounded direct-reclaim
-    // rounds satisfy it synchronously. The "reclaim.direct" counter
-    // keeps its pre-reclaim meaning: one bump per slow-path entry.
+    // The order-0 slow path: background reclaim is requested, then
+    // up to four direct-reclaim rounds satisfy the fault
+    // synchronously; a round that frees nothing is final. The
+    // "reclaim.direct" counter keeps its pre-reclaim meaning: one
+    // bump per slow-path entry.
     ReclaimEngine &rec = *kernel_.reclaim();
-    rec.wakeKswapd();
-    kernel_.incCounter("reclaim.direct");
+    rec.noteKswapdWake();
+    kernel_.counters().inc("reclaim.direct");
     AllocationPolicy &policy = kernel_.policy();
     Cycles stall = 0;
     const std::uint64_t want = pagesInOrder(order);
-    // Sequentially a zero-freed round is final (nothing will change
-    // under our feet) and four rounds always suffice. Threaded, a
-    // round can transiently free nothing (candidates requeued while
-    // other workers hold their VMA locks) and freed pages can be
-    // stolen before the retry allocates — so yield through a bounded
-    // number of dry rounds before declaring OOM.
-    const bool threaded = kernel_.threaded();
-    const int max_rounds = threaded ? 64 : 4;
-    int dry = 0;
-    for (int round = 0; round < max_rounds && !res.ok(); ++round) {
+    for (int round = 0; round < 4 && !res.ok(); ++round) {
         const ReclaimEngine::Progress p =
             rec.directReclaim(proc.homeNode(), want);
         stall += p.cycles;
-        if (p.freed == 0) {
-            // Dry rounds are cheap (one popped-and-requeued scan
-            // batch), and peers hold their VMA locks for whole touch
-            // spans, so genuine progress can take many tries.
-            if (!threaded || ++dry >= 16)
-                break; // everything left is pinned or lock-busy
-            std::this_thread::yield();
-            continue;
-        }
-        dry = 0;
+        if (p.freed == 0)
+            break; // everything left is pinned
         res = policy.allocate(kernel_, proc, vma, base, order);
     }
     if (!res.ok()) {
@@ -303,13 +194,13 @@ FaultEngine::anonFault(Process &proc, Vma &vma, Vpn vpn)
     classifyAnon(proc, vma, ctx);
     {
         std::optional<obs::ScopedPhase> stage;
-        if (cfg_.faultStageTimers && !inWorker())
+        if (cfg_.faultStageTimers)
             stage.emplace(placePhase_);
         placeAnon(proc, vma, ctx);
     }
     {
         std::optional<obs::ScopedPhase> stage;
-        if (cfg_.faultStageTimers && !inWorker())
+        if (cfg_.faultStageTimers)
             stage.emplace(installPhase_);
         installAnon(proc, vma, ctx);
     }
@@ -343,7 +234,7 @@ FaultEngine::cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m)
 
     const Cycles cycles = cfg_.faultBaseCycles +
                           cfg_.copyCyclesPerPage * n + res.placementCycles;
-    ++curStats().cowFaults;
+    ++stats_.cowFaults;
     kernel_.policy().onMapped(kernel_, proc, vma, base, res.pfn, order);
     finishFault(proc, vma, base, res.pfn, order, cycles, true, false);
 }
@@ -358,25 +249,17 @@ FaultEngine::fileFault(Process &proc, Vma &vma, Vpn vpn)
                   "file fault beyond EOF (page %llu)",
                   static_cast<unsigned long long>(file_page));
 
-    Pfn pfn;
-    {
-        // The page-cache lock spans lookup AND map+getFrame: dropping
-        // it in between would let kswapd evict the frame before the
-        // extra reference pins it.
-        MaybeGuard<SpinLock> pc(kernel_.pageCacheLock(), threaded_);
-        pfn = ensureFileCachedLocked(file, file_page);
-        if (pfn == kInvalidPfn)
-            fatal("out of memory: page-cache fault in %s",
-                  proc.name().c_str());
+    const Pfn pfn = ensureFileCached(file, file_page);
+    if (pfn == kInvalidPfn)
+        fatal("out of memory: page-cache fault in %s", proc.name().c_str());
 
-        // File mappings are shared read-only in this model.
-        proc.pageTable().map(vpn, pfn, 0, false, false);
-        kernel_.getFrame(pfn);
-    }
+    // File mappings are shared read-only in this model.
+    proc.pageTable().map(vpn, pfn, 0, false, false);
+    kernel_.getFrame(pfn);
     ++kernel_.physMem().frame(pfn).mapCount;
     vma.allocatedPages += 1;
 
-    ++curStats().fileFaults;
+    ++stats_.fileFaults;
     finishFault(proc, vma, vpn, pfn, 0, cfg_.faultBaseCycles, false, true);
 }
 
@@ -385,29 +268,25 @@ FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
                          unsigned order, Cycles cycles, bool cow, bool file,
                          AllocFail fallback)
 {
-    FaultStats &st = curStats();
-    ++st.faults;
+    ++stats_.faults;
     if (!cow && !file) {
         if (order == kHugeOrder)
-            ++st.hugeFaults;
+            ++stats_.hugeFaults;
         else
-            ++st.baseFaults;
+            ++stats_.baseFaults;
     }
-    st.totalCycles += cycles;
-    st.latencyUs.add(static_cast<double>(cycles) / cfg_.cyclesPerUs);
+    stats_.totalCycles += cycles;
+    stats_.latencyUs.add(static_cast<double>(cycles) / cfg_.cyclesPerUs);
 
     if (attrib_) {
         const unsigned kind = file ? static_cast<unsigned>(FaultKind::File)
                               : cow ? static_cast<unsigned>(FaultKind::Cow)
                                     : static_cast<unsigned>(FaultKind::Anon);
-        obs::FaultAttribution &table =
-            inWorker() && tlsAttrib_ ? *tlsAttrib_ : *attrib_;
-        table.record(kind, order == kHugeOrder,
-                     static_cast<unsigned>(fallback), cycles);
+        attrib_->record(kind, order == kHugeOrder,
+                        static_cast<unsigned>(fallback), cycles);
     }
 
-    const std::uint64_t c =
-        clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    const std::uint64_t c = ++clock_;
 
     if (file)
         CONTIG_TRACE(obs::TraceEventKind::FileFault, vpn, pfn,
@@ -416,11 +295,6 @@ FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
         CONTIG_TRACE(obs::TraceEventKind::CowFault, vpn, pfn, order);
     else
         CONTIG_TRACE(obs::TraceEventKind::PageFault, vpn, pfn, order);
-
-    // Concurrent faults defer the observer / sampler / policy-tick
-    // work below to drainPendingTicks() — it needs the exclusive lock.
-    if (inWorker() || workersActive())
-        return;
 
     if (kernel_.onFault) {
         FaultEvent ev;
@@ -437,15 +311,11 @@ FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
     // Observatory sampling happens before the policy tick below, so a
     // capture at fault N sees the pre-tick state (the cadence the
     // coverage timelines were defined with).
-    if (sampler_) {
+    if (sampler_)
         sampler_->onFaultTick();
-        samplerSeen_.store(c, std::memory_order_relaxed);
-    }
 
     if (c % cfg_.tickPeriodFaults == 0) {
         CONTIG_TRACE(obs::TraceEventKind::DaemonTick, c);
-        ticksRun_.store(c / cfg_.tickPeriodFaults,
-                        std::memory_order_relaxed);
         obs::ScopedPhase timer(daemonPhase_);
         kernel_.policy().onTick(kernel_);
     }
@@ -464,15 +334,11 @@ FaultEngine::handleRange(const FaultRequest &span, TouchNote note)
 {
     if (!span.proc || span.pages == 0)
         return;
-    drainPendingTicks();
     if (ReclaimEngine *rec = kernel_.reclaim())
         rec->checkWatermarks(span.proc->homeNode());
-    MaybeSharedGuard<std::shared_mutex> mm(kernel_.mmLock(), threaded_,
-                                          kernel_.mmLockSite());
     Process &proc = *span.proc;
-    FaultBatchStats &bt = curBatch();
-    ++bt.rangeRequests;
-    bt.rangePages += span.pages;
+    ++batch_.rangeRequests;
+    batch_.rangePages += span.pages;
 
     const Vpn end = span.vpn + span.pages;
 
@@ -481,7 +347,7 @@ FaultEngine::handleRange(const FaultRequest &span, TouchNote note)
         // a policy that serves the first probe with a 2 MiB mapping
         // absorbs the whole stride (the nested-backing access shape).
         for (Vpn v = span.vpn; v < end; v += pagesInOrder(kHugeOrder))
-            touchLocked(proc, Gva{v << kPageShift}, span.access);
+            touchOne(proc, Gva{v << kPageShift}, span.access);
     }
 
     if (!cfg_.faultBatching) {
@@ -500,12 +366,8 @@ FaultEngine::handleRange(const FaultRequest &span, TouchNote note)
         }
         const Vpn sub_end =
             std::min(end, vma->start().pageNumber() + vma->pages());
-        {
-            MaybeGuard<SpinLock> vg(vma->faultLock(), threaded_);
-            ReclaimEngine::HeldVmaScope held(vma);
-            resolveSpan(proc, *vma, v, sub_end, span.access,
-                        note == TouchNote::AllPages);
-        }
+        resolveSpan(proc, *vma, v, sub_end, span.access,
+                    note == TouchNote::AllPages);
         v = sub_end;
     }
 }
@@ -518,7 +380,7 @@ FaultEngine::resolveSpanSingle(Process &proc, const FaultRequest &span,
     for (Vpn v = span.vpn; v < end; ++v) {
         if (note == TouchNote::Origins && proc.pageTable().lookup(v))
             continue;
-        touchLocked(proc, Gva{v << kPageShift}, span.access);
+        touchOne(proc, Gva{v << kPageShift}, span.access);
     }
 }
 
@@ -550,9 +412,7 @@ FaultEngine::resolveSpan(Process &proc, Vma &vma, Vpn start, Vpn end,
             const std::uint64_t n = pagesInOrder(m->order);
             const Vpn leaf_end = std::min(end, (v & ~(n - 1)) + n);
             if (access == Access::Write && m->cow) {
-                std::optional<obs::ScopedPhase> timer;
-                if (!inWorker())
-                    timer.emplace(faultPhase_, &stats_.totalCycles);
+                obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
                 cowFault(proc, vma, v, *m);
             }
             if (note_all)
@@ -590,9 +450,7 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
         if (huge) {
             commitAnonChunk(proc, vma, slots);
             {
-                std::optional<obs::ScopedPhase> timer;
-                if (!inWorker())
-                    timer.emplace(faultPhase_, &stats_.totalCycles);
+                obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
                 anonFault(proc, vma, v);
             }
             // The install may have been demoted to 4 KiB; resume after
@@ -622,12 +480,9 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
 {
     if (slots.empty())
         return;
-    std::optional<obs::ScopedPhase> fault_timer;
-    if (!inWorker())
-        fault_timer.emplace(faultPhase_, &stats_.totalCycles);
+    obs::ScopedPhase fault_timer(faultPhase_, &stats_.totalCycles);
     AllocationPolicy &policy = kernel_.policy();
     PageTable::RunMapper mapper(proc.pageTable());
-    FaultBatchStats &bt = curBatch();
     ReclaimEngine *rec = kernel_.reclaim();
     // Per-chunk watermark probe: a span can be hundreds of chunks, so
     // checking only at handleRange entry would leave the background
@@ -641,7 +496,7 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
     // itself) can unmap leaves of this very page table and free
     // interior nodes the mapper has cached. Track the engine's unmap
     // epoch and drop the cached node whenever it moved — checked
-    // before every mapper use (one relaxed load on the fast path).
+    // before every mapper use.
     std::uint64_t epoch = rec ? rec->unmapEpoch() : 0;
     const auto resyncMapper = [&] {
         if (!rec)
@@ -674,22 +529,18 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
     while (i < slots.size()) {
         std::size_t got;
         {
-            std::optional<obs::ScopedPhase> stage;
-            if (!inWorker())
-                stage.emplace(placePhase_);
+            obs::ScopedPhase stage(placePhase_);
             got = policy.allocateBatch(kernel_, proc, vma,
                                        slots.data() + i,
                                        slots.size() - i);
         }
         resyncMapper();
         {
-            std::optional<obs::ScopedPhase> stage;
-            if (!inWorker())
-                stage.emplace(installPhase_);
+            obs::ScopedPhase stage(installPhase_);
             for (std::size_t j = i; j < i + got; ++j)
                 install(slots[j]);
         }
-        bt.batchedFaults += got;
+        batch_.batchedFaults += got;
         i += got;
         if (i < slots.size()) {
             // The per-fault failure machinery for the failing slot:
@@ -699,7 +550,7 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
                 reclaimRetry(proc, vma, s.base, 0, s.res);
             } else {
                 kernel_.dropCaches();
-                kernel_.incCounter("reclaim.direct");
+                kernel_.counters().inc("reclaim.direct");
                 s.res = policy.allocate(kernel_, proc, vma, s.base, 0);
             }
             if (!s.res.ok()) {
@@ -713,8 +564,8 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
         }
     }
 
-    ++bt.chunks;
-    bt.chunkPages.add(slots.size());
+    ++batch_.chunks;
+    batch_.chunkPages.add(slots.size());
     slots.clear();
 }
 
@@ -725,7 +576,6 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
     File &file = kernel_.pageCache().file(vma.fileId());
     PageTable::RunMapper mapper(proc.pageTable());
     const Vpn vma_start = vma.start().pageNumber();
-    FaultBatchStats &bt = curBatch();
     ReclaimEngine *rec = kernel_.reclaim();
 
     // Same mapper-vs-reclaim discipline as commitAnonChunk: the cache
@@ -747,31 +597,24 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
         const Vpn chunk_end = std::min(gap_end, v + tickBudget());
         if (rec)
             rec->checkWatermarks(proc.homeNode());
-        std::optional<obs::ScopedPhase> fault_timer;
-        if (!inWorker())
-            fault_timer.emplace(faultPhase_, &stats_.totalCycles);
-        MaybeGuard<SpinLock> pc(kernel_.pageCacheLock(), threaded_);
+        obs::ScopedPhase fault_timer(faultPhase_, &stats_.totalCycles);
         {
             // Pre-fill the page cache for the whole chunk (readahead
             // windows merge); installs below then never miss.
-            std::optional<obs::ScopedPhase> stage;
-            if (!inWorker())
-                stage.emplace(fillPhase_);
+            obs::ScopedPhase stage(fillPhase_);
             for (Vpn w = v; w < chunk_end; ++w) {
                 const std::uint64_t fp =
                     vma.fileOffsetPages() + (w - vma_start);
                 contig_assert(fp < file.sizePages(),
                               "file fault beyond EOF (page %llu)",
                               static_cast<unsigned long long>(fp));
-                if (ensureFileCachedLocked(file, fp) == kInvalidPfn)
+                if (ensureFileCached(file, fp) == kInvalidPfn)
                     fatal("out of memory: page-cache fault in %s",
                           proc.name().c_str());
             }
         }
         {
-            std::optional<obs::ScopedPhase> stage;
-            if (!inWorker())
-                stage.emplace(installPhase_);
+            obs::ScopedPhase stage(installPhase_);
             for (Vpn w = v; w < chunk_end; ++w) {
                 const std::uint64_t fp =
                     vma.fileOffsetPages() + (w - vma_start);
@@ -781,15 +624,15 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
                 kernel_.getFrame(pfn);
                 ++kernel_.physMem().frame(pfn).mapCount;
                 vma.allocatedPages += 1;
-                ++curStats().fileFaults;
+                ++stats_.fileFaults;
                 finishFault(proc, vma, w, pfn, 0, cfg_.faultBaseCycles,
                             false, true);
                 proc.noteTouched(vma, w);
             }
         }
-        bt.batchedFaults += chunk_end - v;
-        ++bt.chunks;
-        bt.chunkPages.add(chunk_end - v);
+        batch_.batchedFaults += chunk_end - v;
+        ++batch_.chunks;
+        batch_.chunkPages.add(chunk_end - v);
         mapper.invalidate();
         v = chunk_end;
     }
@@ -799,13 +642,6 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
 
 Pfn
 FaultEngine::ensureFileCached(File &file, std::uint64_t file_page)
-{
-    MaybeGuard<SpinLock> pc(kernel_.pageCacheLock(), threaded_);
-    return ensureFileCachedLocked(file, file_page);
-}
-
-Pfn
-FaultEngine::ensureFileCachedLocked(File &file, std::uint64_t file_page)
 {
     if (file.isCached(file_page))
         return file.frameFor(file_page);
@@ -822,11 +658,10 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
 {
     AllocationPolicy &policy = kernel_.policy();
     const bool steered = policy.steersFilePlacement();
-    // While this scope is live, any reclaim this thread triggers skips
-    // page-cache victims — a sequential kernel (whose page-cache lock
-    // is disengaged) could otherwise evict the pages this very run
-    // just installed.
-    ReclaimEngine::PageCacheFillScope fill_scope;
+    // While this scope is live, any reclaim the fill triggers skips
+    // page-cache victims — it could otherwise evict the pages this
+    // very run just installed.
+    ReclaimEngine::PageCacheFillScope fill_scope(kernel_.reclaim());
     std::uint64_t filled = 0;
     std::vector<AllocResult> results;
 
@@ -868,7 +703,7 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
                 // Readahead under pressure: reclaim (anon victims
                 // only, per the fill scope above) and retry the
                 // shortfall once before trimming the window.
-                reng->wakeKswapd();
+                reng->noteKswapdWake();
                 if (reng->directReclaim(0, n - got).freed)
                     got += allocRun(p + got, got, n - got);
             }
@@ -888,8 +723,8 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
     }
 
     if (filled) {
-        kernel_.incCounter("pagecache.filled", filled);
-        curBatch().readaheadPages.add(filled);
+        kernel_.counters().inc("pagecache.filled", filled);
+        batch_.readaheadPages.add(filled);
     }
 }
 
@@ -899,19 +734,15 @@ FaultEngine::readFile(File &file, std::uint64_t page_start,
 {
     contig_assert(page_start + n_pages <= file.sizePages(),
                   "readFile beyond EOF");
-    drainPendingTicks();
     if (ReclaimEngine *rec = kernel_.reclaim())
         rec->checkWatermarks(0); // file fills allocate node-0 first
-    MaybeSharedGuard<std::shared_mutex> mm(kernel_.mmLock(), threaded_,
-                                          kernel_.mmLockSite());
-    MaybeGuard<SpinLock> pc(kernel_.pageCacheLock(), threaded_);
     const std::uint64_t req_end = page_start + n_pages;
 
     if (!cfg_.faultBatching) {
         for (std::uint64_t p = page_start; p < req_end; ++p) {
             if (file.isCached(p))
                 continue;
-            if (ensureFileCachedLocked(file, p) == kInvalidPfn)
+            if (ensureFileCached(file, p) == kInvalidPfn)
                 fatal("out of memory reading file %u", file.id());
         }
         return;
@@ -933,9 +764,7 @@ FaultEngine::readFile(File &file, std::uint64_t page_start,
             fe = std::min(file.sizePages(), q + kReadaheadPages);
         }
         {
-            std::optional<obs::ScopedPhase> stage;
-            if (!inWorker())
-                stage.emplace(fillPhase_);
+            obs::ScopedPhase stage(fillPhase_);
             fillFileSpan(file, p, fe);
         }
         for (std::uint64_t q = p; q < std::min(fe, req_end); ++q)
@@ -1012,11 +841,10 @@ FaultEngine::chargeBulkStall(std::uint64_t pages)
 {
     const Cycles cycles =
         cfg_.faultBaseCycles + cfg_.zeroCyclesPerPage * pages;
-    FaultStats &st = curStats();
-    st.totalCycles += cycles;
-    st.latencyUs.add(static_cast<double>(cycles) / cfg_.cyclesPerUs);
-    ++st.faults;
-    clock_.fetch_add(1, std::memory_order_acq_rel);
+    stats_.totalCycles += cycles;
+    stats_.latencyUs.add(static_cast<double>(cycles) / cfg_.cyclesPerUs);
+    ++stats_.faults;
+    ++clock_;
 }
 
 // --- observation ----------------------------------------------------------

@@ -24,30 +24,19 @@
  * entry point to the per-fault loop, which the golden-equivalence
  * test uses to prove the two paths produce identical placements.
  *
- * Concurrency (KernelConfig::threads > 1): the engine is re-entrant.
- * Fault entry points take the kernel's mm lock shared, then the
- * faulted VMA's fault mutex; worker threads bind per-thread fault
- * statistics through a WorkerScope (absorbed into the engine totals
- * on scope exit) and the simulated clock becomes one atomic counter.
- * Policy-daemon ticks and observatory samples cannot run under a
- * shared lock, so threaded runs defer them: drainPendingTicks()
- * catches up under the exclusive lock at the next fault entry. With
- * threads == 1 none of this engages and the sequential path is
- * bit-identical to the pre-threading engine (enforced by the
- * parallel golden-equivalence test). See DESIGN.md "Concurrency
- * model" for the full lock hierarchy.
+ * The engine resolves one fault at a time: policy-daemon ticks and
+ * observatory samples run inline after the fault that makes them due
+ * (see DESIGN.md "Execution model").
  */
 
 #ifndef CONTIG_MM_FAULT_ENGINE_HH
 #define CONTIG_MM_FAULT_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "base/stats.hh"
-#include "base/sync.hh"
 #include "base/types.hh"
 #include "mm/policy.hh"
 #include "mm/process.hh"
@@ -99,19 +88,6 @@ struct FaultStats
     std::uint64_t fileFaults = 0;
     Cycles totalCycles = 0;
     Percentiles latencyUs;
-
-    /** Absorb a worker thread's stats (WorkerScope join). */
-    void
-    mergeFrom(const FaultStats &other)
-    {
-        faults += other.faults;
-        hugeFaults += other.hugeFaults;
-        baseFaults += other.baseFaults;
-        cowFaults += other.cowFaults;
-        fileFaults += other.fileFaults;
-        totalCycles += other.totalCycles;
-        latencyUs.merge(other.latencyUs);
-    }
 };
 
 /** One fault, as reported to experiment observers. */
@@ -167,18 +143,6 @@ struct FaultBatchStats
     Log2Histogram chunkPages;        //!< chunk-size distribution
     /** Pages filled per page-cache readahead batch. */
     Log2Histogram readaheadPages;
-
-    /** Absorb a worker thread's stats (WorkerScope join). */
-    void
-    mergeFrom(const FaultBatchStats &other)
-    {
-        rangeRequests += other.rangeRequests;
-        rangePages += other.rangePages;
-        chunks += other.chunks;
-        batchedFaults += other.batchedFaults;
-        chunkPages.mergeFrom(other.chunkPages);
-        readaheadPages.mergeFrom(other.readaheadPages);
-    }
 };
 
 class FaultEngine
@@ -222,8 +186,7 @@ class FaultEngine
 
     /**
      * Ensure file_page (and its readahead window) is cached; returns
-     * its frame, or kInvalidPfn on OOM. Caller must hold the fault
-     * entry locks (internal to the engine / kernel).
+     * its frame, or kInvalidPfn on OOM.
      */
     Pfn ensureFileCached(File &file, std::uint64_t file_page);
 
@@ -252,54 +215,10 @@ class FaultEngine
      */
     void chargeBulkStall(std::uint64_t pages);
 
-    // --- threading -------------------------------------------------------
-
-    /**
-     * Binds the calling thread as fault worker `cpu` for the scope's
-     * lifetime: faults it raises go to thread-private FaultStats (no
-     * sharing, no atomics) and its order-0 allocations use pcp cache
-     * `cpu`. On destruction the private stats merge into the engine
-     * totals under the stats lock. Scopes of different threads may
-     * overlap freely; one thread must not nest scopes of the same
-     * engine.
-     */
-    class WorkerScope
-    {
-      public:
-        WorkerScope(FaultEngine &engine, int cpu);
-        ~WorkerScope();
-        WorkerScope(const WorkerScope &) = delete;
-        WorkerScope &operator=(const WorkerScope &) = delete;
-
-      private:
-        FaultEngine &engine_;
-        FaultStats stats_;
-        FaultBatchStats batch_;
-        /** Thread-private cost attribution (--attrib runs only). */
-        std::unique_ptr<obs::FaultAttribution> attrib_;
-        ThisCpu::Scope cpuScope_;
-    };
-
-    /**
-     * Run the policy-daemon ticks and observatory samples that
-     * concurrent faults deferred (threaded runs cannot tick under a
-     * shared lock). Takes the kernel's mm lock exclusive when work is
-     * due; the caller must hold no engine/kernel lock. No-op when
-     * threads == 1 (ticks run inline, exactly as before).
-     */
-    void drainPendingTicks();
-
-    /** True when this engine was configured for concurrent faults. */
-    bool threaded() const { return threaded_; }
-
     // --- clock / observation --------------------------------------------
 
-    /** Simulated time = faults handled so far (all threads). */
-    std::uint64_t
-    now() const
-    {
-        return clock_.load(std::memory_order_relaxed);
-    }
+    /** Simulated time = faults handled so far. */
+    std::uint64_t now() const { return clock_; }
 
     FaultStats &stats() { return stats_; }
     const FaultStats &stats() const { return stats_; }
@@ -336,8 +255,8 @@ class FaultEngine
     /** claim + PTE install + accounting for a resolved anon fault. */
     void installAnon(Process &proc, Vma &vma, FaultContext &ctx);
 
-    /** touch() body; caller holds the shared mm lock (if threaded). */
-    void touchLocked(Process &proc, Gva gva, Access access);
+    /** touch() without the entry watermark probe (range paths). */
+    void touchOne(Process &proc, Gva gva, Access access);
 
     void anonFault(Process &proc, Vma &vma, Vpn vpn);
     void cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m);
@@ -371,69 +290,19 @@ class FaultEngine
      */
     void fillFileSpan(File &file, std::uint64_t begin, std::uint64_t end);
 
-    /** ensureFileCached() body; caller holds the page-cache lock. */
-    Pfn ensureFileCachedLocked(File &file, std::uint64_t file_page);
-
-    // --- threading internals ---------------------------------------------
-
-    /** This thread runs inside a WorkerScope of this engine. */
-    bool
-    inWorker() const
-    {
-        return tlsOwner_ == this && tlsStats_ != nullptr;
-    }
-
-    /** The FaultStats the current thread accumulates into. */
-    FaultStats &
-    curStats()
-    {
-        return inWorker() ? *tlsStats_ : stats_;
-    }
-
-    FaultBatchStats &
-    curBatch()
-    {
-        return inWorker() ? *tlsBatch_ : batch_;
-    }
-
-    /**
-     * True while any WorkerScope is live: the sequential-only work in
-     * finishFault (observer, sampler, inline tick) must not run.
-     */
-    bool
-    workersActive() const
-    {
-        return activeWorkers_.load(std::memory_order_relaxed) != 0;
-    }
-
     Kernel &kernel_;
     const KernelConfig &cfg_;
-    const bool threaded_;
     FaultStats stats_;
     FaultBatchStats batch_;
     /**
      * (kind x order x fallback) cost attribution; null unless
-     * AttribRegistry::enabled() when the engine was built. Worker
-     * threads accumulate into their WorkerScope's private table
-     * (tlsAttrib_) and merge under statsLock_ on scope exit.
+     * AttribRegistry::enabled() when the engine was built.
      */
     std::unique_ptr<obs::FaultAttribution> attrib_;
     obs::StateSampler *sampler_ = nullptr;
 
-    /** Simulated clock: faults completed, all threads. */
-    std::atomic<std::uint64_t> clock_{0};
-    /** Policy-daemon ticks executed (inline or via drain). */
-    std::atomic<std::uint64_t> ticksRun_{0};
-    /** Faults the sampler has been shown. */
-    std::atomic<std::uint64_t> samplerSeen_{0};
-    std::atomic<std::uint32_t> activeWorkers_{0};
-    /** Serializes WorkerScope joins into stats_/batch_. */
-    SpinLock statsLock_;
-
-    inline static thread_local FaultEngine *tlsOwner_ = nullptr;
-    inline static thread_local FaultStats *tlsStats_ = nullptr;
-    inline static thread_local FaultBatchStats *tlsBatch_ = nullptr;
-    inline static thread_local obs::FaultAttribution *tlsAttrib_ = nullptr;
+    /** Simulated clock: faults completed. */
+    std::uint64_t clock_ = 0;
 
     /** Phase timers (fault path, policy daemons, batch stages). */
     obs::Phase faultPhase_;

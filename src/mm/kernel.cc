@@ -11,88 +11,24 @@
 namespace contig
 {
 
-namespace
-{
-unsigned defaultNumaShards_ = 0;
-} // namespace
-
-void
-KernelConfig::setDefaultNumaShards(unsigned n)
-{
-    defaultNumaShards_ = n;
-}
-
-unsigned
-KernelConfig::defaultNumaShards()
-{
-    return defaultNumaShards_;
-}
-
 KernelConfig
 Kernel::normalized(KernelConfig cfg)
 {
-    // threads > 1 arms one pcp frame cache per worker unless the
-    // caller pinned the geometry explicitly. threads == 1 leaves
-    // pcpCpus alone (0 by default: order-0 allocations go straight to
-    // the buddy, exactly the pre-threading behaviour).
-    if (cfg.threads > 1 && cfg.phys.zone.pcpCpus == 0) {
-        // Reclaim kernels add one slot for the kswapd thread so its
-        // frees never alias a fault worker's cache.
-        cfg.phys.zone.pcpCpus =
-            cfg.threads + (cfg.reclaimEnabled ? 1 : 0);
-    }
-    // Fan the pressure knobs out to the zones (watermarks, LRU lists,
-    // the free-page gauge all live there).
+    // Fan the pressure knobs out to the zones (watermarks and LRU
+    // lists live there).
     cfg.phys.zone.reclaim = cfg.reclaimEnabled;
     cfg.phys.zone.watermarkScale = cfg.watermarkScale;
-    // Metadata sharding: the zones stripe their contiguity map and
-    // top-order free list the same number of ways as the kernel pool.
-    // --numa-shards sets the process-wide default before kernels are
-    // built; a caller that pinned the knob explicitly wins.
-    if (cfg.numaShards == 0)
-        cfg.numaShards = KernelConfig::defaultNumaShards();
-    cfg.phys.zone.numaShards = cfg.numaShards;
-    // --lock-stats flips the process-wide switch before kernels are
-    // built; fold it into the per-instance knob so every kernel in
-    // the run (host, guest, scratch instances in benches) is armed
-    // without touching each construction site.
-    if (LockStatsRegistry::enabled())
-        cfg.lockStats = true;
-    cfg.phys.zone.lockStats = cfg.lockStats;
     return cfg;
 }
 
 Kernel::Kernel(const KernelConfig &cfg,
                std::unique_ptr<AllocationPolicy> policy)
-    : cfg_(normalized(cfg)), physMem_(cfg_.phys), policy_(std::move(policy)),
-      pool_(cfg_.numaShards > 1 ? cfg_.numaShards : 1)
+    : cfg_(normalized(cfg)), physMem_(cfg_.phys), policy_(std::move(policy))
 {
     contig_assert(policy_ != nullptr, "kernel needs an allocation policy");
-    if (cfg_.lockStats) {
-        // Kernel instances share sites by role (like-named metrics
-        // merge the same way); per-zone sites are bound by Zone.
-        LockStatsRegistry &ls = LockStatsRegistry::global();
-        mmSite_ = &ls.site("mm");
-        vmaFaultSite_ = &ls.site("vma.fault");
-        pageCacheLock_.bindStats(&ls.site("page_cache"));
-        // A single-shard pool keeps the historical "pool" site name;
-        // sharded pools get one site per shard.
-        if (pool_.size() == 1) {
-            pool_[0].lock.bindStats(&ls.site("pool"));
-        } else {
-            for (std::size_t i = 0; i < pool_.size(); ++i) {
-                pool_[i].lock.bindStats(
-                    &ls.site("pool" + std::to_string(i)));
-            }
-        }
-        counterLock_.bindStats(&ls.site("counters"));
-        LockStatsRegistry::setOffsetRingSite(&ls.site("vma.offset_ring"));
-    }
     engine_ = std::make_unique<FaultEngine>(*this);
-    if (cfg_.reclaimEnabled) {
+    if (cfg_.reclaimEnabled)
         reclaim_ = std::make_unique<ReclaimEngine>(*this);
-        reclaim_->startKswapd();
-    }
     metricSource_ = obs::MetricSource(
         obs::MetricRegistry::global(), cfg_.metricsPrefix,
         [this](obs::MetricSink &sink) { collectMetrics(sink); });
@@ -122,20 +58,6 @@ Kernel::Kernel(const KernelConfig &cfg,
             static_cast<std::uint64_t>(cfg_.phys.zone.maxOrder));
     ri.note(p + "phys.sorted_top_list", cfg_.phys.zone.sortedTopList);
     ri.note(p + "phys.scramble_seed", cfg_.phys.zone.scrambleSeed);
-    ri.note(p + "threads", static_cast<std::uint64_t>(cfg_.threads));
-    ri.note(p + "phys.pcp_cpus",
-            static_cast<std::uint64_t>(cfg_.phys.zone.pcpCpus));
-    ri.note(p + "phys.pcp_batch",
-            static_cast<std::uint64_t>(cfg_.phys.zone.pcpBatch));
-    ri.note(p + "phys.pcp_high",
-            static_cast<std::uint64_t>(cfg_.phys.zone.pcpHigh));
-    ri.note(p + "lock_stats", cfg_.lockStats);
-    // Sharding recorded only when armed so unsharded runs keep their
-    // pre-sharding config block (and the committed goldens).
-    if (cfg_.numaShards > 1) {
-        ri.note(p + "numa_shards",
-                static_cast<std::uint64_t>(cfg_.numaShards));
-    }
     // Pressure knobs are recorded only when the path is armed so
     // reclaim-off runs keep their pre-reclaim config block (and stay
     // byte-identical to the committed goldens).
@@ -149,13 +71,6 @@ Kernel::Kernel(const KernelConfig &cfg,
         ri.note(p + "swap.cache_hit_cycles", cfg_.swapCost.cacheHitCycles);
         ri.note(p + "swap.cache_pages", cfg_.swapCost.cachePages);
     }
-}
-
-void
-Kernel::incCounter(std::string_view name, std::uint64_t by)
-{
-    MaybeGuard<SpinLock> g(counterLock_, threaded());
-    counters_.inc(name, by);
 }
 
 void
@@ -211,10 +126,6 @@ Kernel::collectMetrics(obs::MetricSink &sink) const
 
 Kernel::~Kernel()
 {
-    // Quiesce kswapd before tearing anything down: it walks processes
-    // and zones under the mm lock.
-    if (reclaim_)
-        reclaim_->stop();
     // Destroy processes before the kernel pool and physical memory:
     // their page-table destructors return node frames via
     // freeKernelFrame().
@@ -225,7 +136,6 @@ Process &
 Kernel::createProcess(const std::string &name, NodeId home_node)
 {
     contig_assert(home_node < physMem_.numNodes(), "bad home node");
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
     processes_.push_back(
         std::make_unique<Process>(*this, nextPid_++, name, home_node));
     return *processes_.back();
@@ -234,22 +144,16 @@ Kernel::createProcess(const std::string &name, NodeId home_node)
 void
 Kernel::exitProcess(Process &proc)
 {
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
     // Tear down every VMA (policy hook + page release).
     std::vector<Vma *> vmas;
     proc.addressSpace().forEachVma([&](Vma &vma) { vmas.push_back(&vma); });
     for (Vma *vma : vmas)
-        munmapLocked(proc, *vma);
+        munmap(proc, *vma);
 
     auto it = std::find_if(processes_.begin(), processes_.end(),
                            [&](const auto &p) { return p.get() == &proc; });
     contig_assert(it != processes_.end(), "exit of unknown process");
     processes_.erase(it);
-
-    // With the caches quiesced, return every pcp-held frame to the
-    // buddy so post-run free-list audits see the true allocator state.
-    if (threaded())
-        physMem_.drainPcpCaches();
 }
 
 Process *
@@ -270,7 +174,6 @@ Kernel::createFile(std::uint64_t size_pages)
 void
 Kernel::dropCaches()
 {
-    MaybeGuard<SpinLock> g(pageCacheLock_, threaded());
     pageCache_.dropCaches(*this);
 }
 
@@ -284,16 +187,7 @@ Kernel::readFile(File &file, std::uint64_t page_start,
 Vma &
 Kernel::mmapAnon(Process &proc, std::uint64_t bytes)
 {
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
     Vma &vma = proc.addressSpace().mmap(bytes, VmaKind::Anon);
-    vma.faultLock().bindStats(vmaFaultSite_);
-    if (threaded()) {
-        // Pre-create the interior page-table nodes so concurrent
-        // faults never race on node creation (leaf slots are distinct
-        // per fault; interior spines are shared).
-        const Vpn s = vma.start().pageNumber();
-        proc.pageTable().ensureSpine(s, s + vma.pages());
-    }
     policy_->onMmap(*this, proc, vma);
     return vma;
 }
@@ -302,14 +196,8 @@ Vma &
 Kernel::mmapFile(Process &proc, std::uint32_t file_id, std::uint64_t bytes,
                  std::uint64_t file_offset_pages)
 {
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
     Vma &vma = proc.addressSpace().mmap(bytes, VmaKind::File, std::nullopt,
                                         file_id, file_offset_pages);
-    vma.faultLock().bindStats(vmaFaultSite_);
-    if (threaded()) {
-        const Vpn s = vma.start().pageNumber();
-        proc.pageTable().ensureSpine(s, s + vma.pages());
-    }
     policy_->onMmap(*this, proc, vma);
     return vma;
 }
@@ -318,33 +206,26 @@ void
 Kernel::unmapVmaPages(Process &proc, Vma &vma)
 {
     PageTable &pt = proc.pageTable();
-    const Vpn start = vma.start().pageNumber();
-    const Vpn end = start + vma.pages();
+    const Vpn end = vma.start().pageNumber() + vma.pages();
 
-    // Collect the leaves first: unmapping while iterating would
-    // invalidate the traversal.
-    std::vector<std::pair<Vpn, Mapping>> leaves;
-    pt.forEachLeafIn(start, end, [&](Vpn vpn, const Mapping &m) {
-        leaves.emplace_back(vpn, m);
-    });
-    for (auto &[vpn, m] : leaves) {
-        pt.unmap(vpn, m.order);
+    // Unmap leaf by leaf in address order, each found by a fresh
+    // descent: a leaf list collected up front would be as large as
+    // the mapping (megabytes for a big VMA).
+    Vpn v = pt.findMappedIn(vma.start().pageNumber(), end);
+    while (v < end) {
+        const Mapping m = *pt.lookup(v);
         const std::uint64_t n = pagesInOrder(m.order);
+        const Vpn base = v & ~(n - 1);
+        pt.unmap(base, m.order);
         for (std::uint64_t i = 0; i < n; ++i)
             --physMem_.frame(m.pfn + i).mapCount;
         putFrame(m.pfn, m.order);
+        v = pt.findMappedIn(base + n, end);
     }
 }
 
 void
 Kernel::munmap(Process &proc, Vma &vma)
-{
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
-    munmapLocked(proc, vma);
-}
-
-void
-Kernel::munmapLocked(Process &proc, Vma &vma)
 {
     policy_->onMunmap(*this, proc, vma);
     unmapVmaPages(proc, vma);
@@ -359,8 +240,6 @@ void
 Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
                     std::uint32_t owner_id, Addr owner_vaddr)
 {
-    // The claimer owns the block (it came off the buddy under the zone
-    // lock), so plain relaxed stores suffice here.
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = physMem_.frame(pfn + i);
@@ -389,13 +268,9 @@ void
 Kernel::putFrame(Pfn pfn, unsigned order)
 {
     Frame &f = physMem_.frame(pfn);
-    // acq_rel: the releasing thread's stores must be visible to
-    // whoever observes the zero and recycles the block.
     const auto old = f.refCount.fetch_sub(1, std::memory_order_acq_rel);
     contig_assert(old > 0, "putFrame on unreferenced frame");
     if (old == 1) {
-        // The last reference owns the block, and the allocator handoff
-        // in free() orders these relaxed stores before the next claim.
         const std::uint64_t n = pagesInOrder(order);
         for (std::uint64_t i = 0; i < n; ++i) {
             Frame &g = physMem_.frame(pfn + i);
@@ -409,30 +284,24 @@ Kernel::putFrame(Pfn pfn, unsigned order)
     }
 }
 
-Kernel::PoolShard &
-Kernel::myPoolShard()
-{
-    return pool_[ThisCpu::id() % pool_.size()];
-}
-
 bool
-Kernel::refillPoolLocked(PoolShard &shard, NodeId node)
+Kernel::refillPool(NodeId node)
 {
     if (auto blk = physMem_.alloc(kKernelPoolOrder, node)) {
         claimFrames(*blk, kKernelPoolOrder, FrameOwner::PageTable,
                     kNoOwner, 0);
         const std::uint64_t n = pagesInOrder(kKernelPoolOrder);
-        kernelPoolPages_.fetch_add(n, std::memory_order_relaxed);
+        kernelPoolPages_ += n;
         // Hand out ascending: push descending.
         for (std::uint64_t i = n; i > 0; --i)
-            shard.pfns.push_back(*blk + i - 1);
+            pool_.push_back(*blk + i - 1);
         return true;
     }
     if (auto single = physMem_.alloc(0, node)) {
         // Memory too fragmented for a chunk: fall back to one page.
         claimFrames(*single, 0, FrameOwner::PageTable, kNoOwner, 0);
-        kernelPoolPages_.fetch_add(1, std::memory_order_relaxed);
-        shard.pfns.push_back(*single);
+        kernelPoolPages_ += 1;
+        pool_.push_back(*single);
         return true;
     }
     return false;
@@ -441,34 +310,15 @@ Kernel::refillPoolLocked(PoolShard &shard, NodeId node)
 Pfn
 Kernel::allocKernelFrame(NodeId node)
 {
-    PoolShard &home = myPoolShard();
     for (int attempt = 0; attempt < 4; ++attempt) {
-        {
-            MaybeGuard<SpinLock> g(home.lock, threaded());
-            if (!home.pfns.empty() || refillPoolLocked(home, node)) {
-                Pfn pfn = home.pfns.back();
-                home.pfns.pop_back();
-                return pfn;
-            }
-        }
-        // The buddy is dry: raid the other shards' spare frames
-        // before escalating (frames freed by workers on other lanes
-        // accumulate there).
-        for (PoolShard &other : pool_) {
-            if (&other == &home)
-                continue;
-            MaybeGuard<SpinLock> g(other.lock, threaded());
-            if (!other.pfns.empty()) {
-                Pfn pfn = other.pfns.back();
-                other.pfns.pop_back();
-                return pfn;
-            }
+        if (!pool_.empty() || refillPool(node)) {
+            Pfn pfn = pool_.back();
+            pool_.pop_back();
+            return pfn;
         }
         // Page-table allocations have no failure path of their own, so
-        // under overcommit the empty pool escalates to direct reclaim.
-        // The pool lock must be dropped first: reclaim's unmaps free
-        // empty page-table nodes back through freeKernelFrame, which
-        // takes it.
+        // under overcommit the empty pool escalates to direct reclaim
+        // (whose unmaps may also return page-table nodes to the pool).
         if (!reclaim_ ||
             reclaim_->directReclaim(node,
                                     pagesInOrder(kKernelPoolOrder))
@@ -484,9 +334,7 @@ Kernel::freeKernelFrame(Pfn pfn)
 {
     // Node frames return to the pool, not to the buddy allocator —
     // matching the sticky behaviour of per-CPU lists.
-    PoolShard &home = myPoolShard();
-    MaybeGuard<SpinLock> g(home.lock, threaded());
-    home.pfns.push_back(pfn);
+    pool_.push_back(pfn);
 }
 
 void
@@ -498,18 +346,12 @@ Kernel::touch(Process &proc, Gva gva, Access access)
 void
 Kernel::forkInto(Process &parent, Process &child)
 {
-    MaybeGuard<std::shared_mutex> g(mmLock_, threaded(), mmSite_);
     // Clone anonymous VMAs COW-style.
     parent.addressSpace().forEachVma([&](Vma &pvma) {
         if (pvma.kind() != VmaKind::Anon)
             return;
         Vma &cvma = child.addressSpace().mmap(
             pvma.bytes(), VmaKind::Anon, pvma.start());
-        cvma.faultLock().bindStats(vmaFaultSite_);
-        if (threaded()) {
-            const Vpn s = cvma.start().pageNumber();
-            child.pageTable().ensureSpine(s, s + cvma.pages());
-        }
         engine_->shareCowRange(parent, child, pvma, cvma);
     });
 }

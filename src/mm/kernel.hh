@@ -15,12 +15,9 @@
 
 #include <functional>
 #include <memory>
-#include <shared_mutex>
-#include <string_view>
 #include <vector>
 
 #include "base/stats.hh"
-#include "base/sync.hh"
 #include "mm/fault_engine.hh"
 #include "mm/page_cache.hh"
 #include "mm/policy.hh"
@@ -78,24 +75,6 @@ struct KernelConfig
      */
     std::string metricsPrefix = "kernel";
     /**
-     * Fault workers this kernel will serve concurrently. 1 keeps the
-     * engine strictly sequential — no lock is ever taken on the fault
-     * path and placements are bit-identical to the pre-threading
-     * kernel. > 1 arms the mm lock, per-VMA fault mutexes, deferred
-     * policy ticks and (unless phys.zone.pcpCpus was set explicitly)
-     * one per-CPU frame cache per worker.
-     */
-    unsigned threads = 1;
-    /**
-     * Arm lock-contention accounting (the concurrency observatory):
-     * every kernel lock binds a named LockSite and --lock-stats
-     * reports lock.<site>.* metrics. normalized() ORs in the
-     * process-wide LockStatsRegistry::enabled() switch, so benches
-     * need no per-config plumbing. Off: no site is bound and the
-     * locks run their uninstrumented fast path.
-     */
-    bool lockStats = false;
-    /**
      * Arm the memory-pressure path: per-zone LRU lists + watermarks,
      * the ReclaimEngine (LRU scan, swap-out, THP split-on-reclaim)
      * and the fast-path -> wake-kswapd -> direct-reclaim -> OOM
@@ -105,9 +84,9 @@ struct KernelConfig
      */
     bool reclaimEnabled = false;
     /**
-     * Run the background reclaimer (a kswapd thread when threads > 1;
-     * synchronous balancing at fault entry when sequential). Off,
-     * only allocation-failure direct reclaim runs.
+     * Run kswapd's balancing: a zone below its low watermark is
+     * reclaimed back to `high` synchronously at the next fault entry.
+     * Off, only allocation-failure direct reclaim runs.
      */
     bool kswapdEnabled = true;
     /**
@@ -122,28 +101,6 @@ struct KernelConfig
     SwapCostModel swapCost;
     /** Multiplier over the derived min/low/high zone watermarks. */
     double watermarkScale = 1.0;
-    /**
-     * Shard the per-zone physical metadata (contiguity map stripes,
-     * buddy top-order free lists) and the kernel metadata pool this
-     * many ways, so concurrent fault workers stop serializing on the
-     * zone and pool locks (the lock.zone*.buddy / lock.pool hot spots
-     * of the scaling report). 0 or 1 keeps the legacy unsharded
-     * structures and is byte-identical to the pre-sharding kernel;
-     * sharded runs trade the exact global placement-scan order for
-     * per-stripe scans (same clusters, different tie-breaks under
-     * concurrency).
-     */
-    unsigned numaShards = 0;
-
-    /**
-     * Process-wide default for numaShards, flipped by bench_io from
-     * --numa-shards / CONTIG_NUMA_SHARDS before any kernel exists
-     * (the --lock-stats contract). Kernel::normalized() applies it
-     * only when the per-instance knob is unset, so tests and tweak
-     * hooks that pin numaShards explicitly always win.
-     */
-    static void setDefaultNumaShards(unsigned n);
-    static unsigned defaultNumaShards();
 };
 
 class Kernel
@@ -243,48 +200,12 @@ class Kernel
      * Allocate one frame for kernel metadata (page-table nodes).
      * Served from a pooled chunk (the per-CPU page-list analogue) so
      * metadata allocations do not nibble single pages next to CA
-     * paging's data targets. With KernelConfig::numaShards the pool
-     * splits into per-shard lists (own lock each), routed by worker
-     * id, so fault workers stop colliding on one pool lock.
+     * paging's data targets.
      */
     Pfn allocKernelFrame(NodeId node = 0);
     void freeKernelFrame(Pfn pfn);
     /** Pages currently reserved by the kernel metadata pool. */
-    std::uint64_t
-    kernelPoolPages() const
-    {
-        return kernelPoolPages_.load(std::memory_order_relaxed);
-    }
-
-    // --- concurrency ------------------------------------------------------
-
-    /** This kernel serves concurrent fault workers (threads > 1). */
-    bool threaded() const { return cfg_.threads > 1; }
-
-    /**
-     * The address-space lock (mmap_sem): fault entry points hold it
-     * shared, mmap/munmap/fork/exit and deferred policy ticks hold it
-     * exclusive. Never taken when !threaded().
-     */
-    std::shared_mutex &mmLock() { return mmLock_; }
-
-    /** Serializes page-cache fills/evictions across fault workers. */
-    SpinLock &pageCacheLock() { return pageCacheLock_; }
-
-    /** Contention site of mmLock(), or nullptr when lock stats are
-     *  off. std::shared_mutex cannot carry its own site, so guards
-     *  around mmLock() pass this explicitly. */
-    LockSite *mmLockSite() const { return mmSite_; }
-
-    /** Shared contention site bound into every per-VMA fault lock. */
-    LockSite *vmaFaultSite() const { return vmaFaultSite_; }
-
-    /**
-     * Thread-safe CounterSet::inc for fault-path counters. The map
-     * itself stays unlocked for exclusive contexts (policy daemons,
-     * workloads) which call counters().inc directly.
-     */
-    void incCounter(std::string_view name, std::uint64_t by = 1);
+    std::uint64_t kernelPoolPages() const { return kernelPoolPages_; }
 
     // --- clock / observation ---------------------------------------------
 
@@ -306,8 +227,8 @@ class Kernel
 
     /**
      * Serialize this kernel's observable state: fault clock and
-     * stats, ad-hoc counters, physical memory (buddy free lists, pcp
-     * caches) and every process's VMAs + page table. Save-only: a
+     * stats, ad-hoc counters, physical memory (buddy free lists) and
+     * every process's VMAs + page table. Save-only: a
      * resumed run rebuilds the kernel deterministically (translation
      * replay never mutates kernel state), then re-serializes and
      * byte-compares against the snapshot to prove it.
@@ -325,13 +246,8 @@ class Kernel
 
   private:
     void unmapVmaPages(Process &proc, Vma &vma);
-    /** munmap() body; caller holds the exclusive mm lock (if threaded). */
-    void munmapLocked(Process &proc, Vma &vma);
 
-    /**
-     * Fill in the thread-derived defaults (pcp cache geometry) before
-     * the config reaches PhysicalMemory.
-     */
+    /** Fan the kernel-level pressure knobs out to the zone config. */
     static KernelConfig normalized(KernelConfig cfg);
 
     KernelConfig cfg_;
@@ -351,36 +267,15 @@ class Kernel
     std::unique_ptr<ReclaimEngine> reclaim_;
     /** Registration with the global MetricRegistry (absorb on death). */
     obs::MetricSource metricSource_;
-    /**
-     * One shard of the kernel metadata pool; padded so neighbouring
-     * shard locks don't false-share. One shard (the default) is the
-     * legacy single pool.
-     */
-    struct alignas(64) PoolShard
-    {
-        std::vector<Pfn> pfns;
-        SpinLock lock;
-    };
 
-    /** The calling worker's home shard. */
-    PoolShard &myPoolShard();
-    /** Refill one shard from the buddy; call with its lock held. */
-    bool refillPoolLocked(PoolShard &shard, NodeId node);
+    /** Refill the metadata pool from the buddy; false when it is dry. */
+    bool refillPool(NodeId node);
 
-    /** Kernel metadata pool shards (see allocKernelFrame). */
-    std::vector<PoolShard> pool_;
-    std::atomic<std::uint64_t> kernelPoolPages_{0};
-    /** Chunk order for pool refills (64 pages, like a pcp batch). */
+    /** Kernel metadata pool (see allocKernelFrame). */
+    std::vector<Pfn> pool_;
+    std::uint64_t kernelPoolPages_ = 0;
+    /** Chunk order for pool refills (64 pages, like a Linux pcp batch). */
     static constexpr unsigned kKernelPoolOrder = 6;
-
-    /** See mmLock() / pageCacheLock(). Taken only when threaded(). */
-    std::shared_mutex mmLock_;
-    SpinLock pageCacheLock_;
-    /** Protects counters_ against concurrent fault-path increments. */
-    SpinLock counterLock_;
-    /** Lock-stats sites (bound in the ctor iff cfg_.lockStats). */
-    LockSite *mmSite_ = nullptr;
-    LockSite *vmaFaultSite_ = nullptr;
 };
 
 } // namespace contig

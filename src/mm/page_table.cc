@@ -293,18 +293,6 @@ PageTable::findMappedIn(Vpn start, Vpn end) const
 }
 
 void
-PageTable::ensureSpine(Vpn start, Vpn end)
-{
-    // One level-1 node per 2 MiB region intersecting the range.
-    const std::uint64_t l1_span = std::uint64_t{1} << 9;
-    for (Vpn v = start & ~(l1_span - 1); v < end; v += l1_span) {
-        Node *node = root_.get();
-        while (node->level > 1)
-            node = ensureChild(node, indexAt(v, node->level));
-    }
-}
-
-void
 PageTable::RunMapper::map(Vpn vpn, Pfn pfn, bool writable, bool cow)
 {
     const Vpn block = vpn & ~static_cast<Vpn>(kPtFanout - 1);

@@ -62,8 +62,9 @@ struct WalkTrace
 };
 
 /**
- * Statistics exported by a PageTable instance. Atomic because leaf
- * installs/removes of distinct VMAs run concurrently on fault workers.
+ * Statistics exported by a PageTable instance. The fields are atomics
+ * only for source compatibility with readers that load() them; every
+ * update happens on the one simulator thread.
  */
 struct PageTableStats
 {
@@ -152,16 +153,6 @@ class PageTable
      * range-clear check, the FaultEngine's gap scan).
      */
     Vpn findMappedIn(Vpn start, Vpn end) const;
-
-    /**
-     * Pre-create every interior node (down to level 1) covering
-     * [start, end). Threaded kernels call this at mmap time, under the
-     * exclusive mm lock, so concurrent faults never race on the
-     * creation of a node shared between VMAs — fault-time map() then
-     * only ever writes leaf slots, which the per-VMA fault mutex
-     * already serializes at 2 MiB granularity.
-     */
-    void ensureSpine(Vpn start, Vpn end);
 
     /** Batched 4 KiB leaf installs; defined after the class. */
     class RunMapper;

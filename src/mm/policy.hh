@@ -71,7 +71,6 @@ struct AllocResult
  */
 struct AllocFailCounts
 {
-    /** Atomic: noteAllocFail runs concurrently on fault workers. */
     std::atomic<std::uint64_t> noHugeBlock{0};
     std::atomic<std::uint64_t> oom{0};
 };

@@ -24,23 +24,11 @@ constexpr std::uint64_t kScoreStride = 8;
 
 } // namespace
 
-thread_local unsigned ReclaimEngine::tlsFillDepth_ = 0;
-thread_local const Vma *ReclaimEngine::tlsHeldVma_ = nullptr;
-
 ReclaimEngine::ReclaimEngine(Kernel &kernel)
     : kernel_(kernel),
-      threaded_(kernel.threaded()),
       contigAware_(kernel.config().contigAwareReclaim),
       cost_(kernel.config().swapCost)
-{
-    if (kernel_.config().lockStats)
-        swapLock_.bindStats(&LockStatsRegistry::global().site("reclaim.swap"));
-}
-
-ReclaimEngine::~ReclaimEngine()
-{
-    stop();
-}
+{}
 
 // --- frame lifecycle hooks ------------------------------------------------
 
@@ -72,7 +60,6 @@ ReclaimEngine::noteReferenced(Pfn head)
 Cycles
 ReclaimEngine::recordSwapOut(std::uint32_t pid, Vpn vpn)
 {
-    std::lock_guard<SpinLock> g(swapLock_);
     const std::uint64_t slot = nextSlot_++;
     swapMap_[pid][vpn] = slot;
     // Freshly written-back pages linger in the swap cache; a refault
@@ -83,7 +70,7 @@ ReclaimEngine::recordSwapOut(std::uint32_t pid, Vpn vpn)
         swapCacheSet_.erase(swapCacheFifo_.front());
         swapCacheFifo_.pop_front();
     }
-    swappedPages_.fetch_add(1, std::memory_order_relaxed);
+    ++swappedPages_;
     stats_.swapOuts.fetch_add(1, std::memory_order_relaxed);
     return cost_.outCyclesPerPage;
 }
@@ -91,11 +78,10 @@ ReclaimEngine::recordSwapOut(std::uint32_t pid, Vpn vpn)
 Cycles
 ReclaimEngine::chargeSwapIn(std::uint32_t pid, Vpn base, unsigned order)
 {
-    // Fast path: nothing is swapped out anywhere — one relaxed load,
-    // which is what every fault in an unpressured run pays.
-    if (swappedPages_.load(std::memory_order_relaxed) == 0)
+    // Fast path: nothing is swapped out anywhere, which is what every
+    // fault in an unpressured run sees.
+    if (swappedPages_ == 0)
         return 0;
-    std::lock_guard<SpinLock> g(swapLock_);
     auto pit = swapMap_.find(pid);
     if (pit == swapMap_.end())
         return 0;
@@ -115,7 +101,7 @@ ReclaimEngine::chargeSwapIn(std::uint32_t pid, Vpn base, unsigned order)
             ++reads;
         }
         vmap.erase(it);
-        swappedPages_.fetch_sub(1, std::memory_order_relaxed);
+        --swappedPages_;
     }
     if (vmap.empty())
         swapMap_.erase(pit);
@@ -129,9 +115,8 @@ ReclaimEngine::chargeSwapIn(std::uint32_t pid, Vpn base, unsigned order)
 void
 ReclaimEngine::dropVmaRange(std::uint32_t pid, Vpn start, std::uint64_t pages)
 {
-    if (swappedPages_.load(std::memory_order_relaxed) == 0)
+    if (swappedPages_ == 0)
         return;
-    std::lock_guard<SpinLock> g(swapLock_);
     auto pit = swapMap_.find(pid);
     if (pit == swapMap_.end())
         return;
@@ -147,8 +132,7 @@ ReclaimEngine::dropVmaRange(std::uint32_t pid, Vpn start, std::uint64_t pages)
     }
     if (vmap.empty())
         swapMap_.erase(pit);
-    if (dropped)
-        swappedPages_.fetch_sub(dropped, std::memory_order_relaxed);
+    swappedPages_ -= dropped;
 }
 
 // --- pressure entry points ------------------------------------------------
@@ -158,37 +142,19 @@ ReclaimEngine::checkWatermarks(NodeId node)
 {
     Zone &zone = kernel_.physMem().zone(node);
     const Watermarks &wm = zone.watermarks();
-    const std::uint64_t free = zone.freePagesFast();
+    const std::uint64_t free = zone.buddy().freePages();
     if (free >= wm.low)
         return;
     stats_.lowHits.fetch_add(1, std::memory_order_relaxed);
     if (free < wm.min)
         stats_.minHits.fetch_add(1, std::memory_order_relaxed);
-    if (threaded_) {
-        wakeKswapd();
-        return;
-    }
-    // Sequential kernels have no kswapd thread: the balancing work it
-    // would do happens synchronously here, at fault entry, which keeps
-    // single-threaded runs deterministic.
+    // There is no kswapd thread: the balancing work it would do
+    // happens synchronously here, at fault entry.
     if (!kernel_.config().kswapdEnabled)
         return;
     stats_.kswapdWakes.fetch_add(1, std::memory_order_relaxed);
     Progress p = balanceNode(node);
     stats_.kswapdCycles.fetch_add(p.cycles, std::memory_order_relaxed);
-}
-
-void
-ReclaimEngine::wakeKswapd()
-{
-    stats_.kswapdWakes.fetch_add(1, std::memory_order_relaxed);
-    if (!kswapdRunning_)
-        return;
-    {
-        std::lock_guard<std::mutex> g(kswapdMu_);
-        kswapdWakePending_ = true;
-    }
-    kswapdCv_.notify_one();
 }
 
 ReclaimEngine::Progress
@@ -199,14 +165,14 @@ ReclaimEngine::balanceNode(NodeId node)
     Progress total;
     stats_.kswapdRuns.fetch_add(1, std::memory_order_relaxed);
     while (true) {
-        const std::uint64_t free = zone.freePagesFast();
+        const std::uint64_t free = zone.buddy().freePages();
         if (free >= wm.high)
             break;
         Progress p = shrinkZone(zone, wm.high - free);
         total.freed += p.freed;
         total.cycles += p.cycles;
         if (p.freed == 0)
-            break; // zone is all pinned/busy; give up until next wake
+            break; // zone is all pinned; give up until the next probe
     }
     return total;
 }
@@ -298,8 +264,8 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
     PhysicalMemory &pm = kernel_.physMem();
     Frame &f = pm.frame(head);
 
-    // Racy owner read; everything below re-validates under the victim
-    // VMA's fault lock.
+    // The owner triple names the candidate mapping; everything below
+    // validates it against the page table.
     if (f.ownerKind.load(std::memory_order_relaxed) != FrameOwner::Anon)
         return Victim::Gone;
     const std::uint32_t pid = f.ownerId.load(std::memory_order_relaxed);
@@ -317,18 +283,6 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
         return Victim::Pinned;
     }
 
-    // A direct-reclaiming fault thread already holds its own VMA's
-    // lock (HeldVmaScope); its pages are fair victims without a
-    // second acquisition. Everyone else must win the try_lock.
-    const bool self = (vma == tlsHeldVma_);
-    std::unique_lock<SpinLock> lk;
-    if (!self) {
-        lk = std::unique_lock<SpinLock>(vma->faultLock(),
-                                        std::try_to_lock);
-        if (!lk.owns_lock())
-            return Victim::Requeued;
-    }
-
     const Vpn vpn = Gva{va}.pageNumber();
     auto m = proc->pageTable().lookup(vpn);
     if (!m || !m->valid() || m->pfn != head || m->order != order)
@@ -342,15 +296,14 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
     if (order != 0) {
         // THP on the reclaim path: split first (split_huge_page), then
         // reclaim the 512 base candidates individually.
-        splitHugeLocked(zone, *proc, *vma, vpn & ~(pagesInOrder(order) - 1),
-                        head);
+        splitHuge(zone, *proc, vpn & ~(pagesInOrder(order) - 1), head);
         out.cycles += kernel_.config().faultBaseCycles;
         stats_.thpSplits.fetch_add(1, std::memory_order_relaxed);
         return Victim::Split;
     }
 
     proc->pageTable().unmap(vpn, 0);
-    unmapEpoch_.fetch_add(1, std::memory_order_relaxed);
+    ++unmapEpoch_;
     --pm.frame(head).mapCount;
     vma->allocatedPages -= 1;
     out.cycles += recordSwapOut(pid, vpn);
@@ -361,8 +314,7 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
 }
 
 void
-ReclaimEngine::splitHugeLocked(Zone &zone, Process &proc, Vma &vma,
-                              Vpn base, Pfn head)
+ReclaimEngine::splitHuge(Zone &zone, Process &proc, Vpn base, Pfn head)
 {
     PhysicalMemory &pm = kernel_.physMem();
     PageTable &pt = proc.pageTable();
@@ -372,7 +324,7 @@ ReclaimEngine::splitHugeLocked(Zone &zone, Process &proc, Vma &vma,
     const bool writable = m->writable;
 
     pt.unmap(base, kHugeOrder);
-    unmapEpoch_.fetch_add(1, std::memory_order_relaxed);
+    ++unmapEpoch_;
     for (std::uint64_t i = 0; i < n; ++i)
         --pm.frame(head + i).mapCount;
 
@@ -392,7 +344,6 @@ ReclaimEngine::splitHugeLocked(Zone &zone, Process &proc, Vma &vma,
         rm.map(base + i, head + i, writable, false);
         ++pm.frame(head + i).mapCount;
     }
-    (void)vma;
 
     // List the pieces at the scan end, descending, so the scanner pops
     // them back in ascending pfn order — frees merge back toward one
@@ -404,18 +355,13 @@ ReclaimEngine::splitHugeLocked(Zone &zone, Process &proc, Vma &vma,
 ReclaimEngine::Victim
 ReclaimEngine::evictPageCache(Zone &, Pfn pfn, Progress &out)
 {
-    if (tlsFillDepth_ > 0) {
-        // This thread is inside a page-cache fill: evicting could free
-        // pages the enclosing readahead run just installed.
+    if (fillDepth_ > 0) {
+        // Reclaim is running inside a page-cache fill: evicting could
+        // free pages the enclosing readahead run just installed.
         return Victim::Requeued;
     }
     PhysicalMemory &pm = kernel_.physMem();
     Frame &f = pm.frame(pfn);
-
-    std::unique_lock<SpinLock> lk(kernel_.pageCacheLock(),
-                                  std::try_to_lock);
-    if (!lk.owns_lock())
-        return Victim::Requeued;
 
     if (f.ownerKind.load(std::memory_order_relaxed) != FrameOwner::PageCache)
         return Victim::Gone;
@@ -493,20 +439,15 @@ ReclaimEngine::shrinkZone(Zone &zone, std::uint64_t target)
     Zone::LruEntry buf[kScanBatch];
     unsigned dry_rounds = 0;
 
-    // Sequentially two dry batches are final — nothing changes under
-    // our feet, so more scanning is pure waste and the early exit
-    // keeps single-threaded runs deterministic. Threaded, a dry batch
-    // usually means its candidates' VMAs were mid-fault on peer
-    // workers (requeued, not unreclaimable), and those busy runs can
-    // span thousands of entries — so direct reclaim is allowed up to
-    // one full pass over the lists before reporting failure.
+    // Two dry batches in a row are final: nothing else changes the
+    // lists meanwhile, so more scanning is pure waste. The scan budget
+    // caps one call at about one full pass over the lists.
     const std::uint64_t scan_budget =
         zone.lruPages(Frame::LruList::Inactive) +
         zone.lruPages(Frame::LruList::Active) + 2 * kScanBatch;
-    const unsigned max_dry = threaded_ ? 256 : 2;
     std::uint64_t scanned = 0;
 
-    while (prog.freed < target && dry_rounds < max_dry &&
+    while (prog.freed < target && dry_rounds < 2 &&
            scanned < scan_budget) {
         // Keep the lists balanced the way vmscan does: when the
         // inactive list runs short, demote from the active tail
@@ -575,79 +516,6 @@ ReclaimEngine::shrinkZone(Zone &zone, std::uint64_t target)
     return prog;
 }
 
-// --- kswapd ---------------------------------------------------------------
-
-void
-ReclaimEngine::startKswapd()
-{
-    if (!threaded_ || !kernel_.config().kswapdEnabled || kswapdRunning_)
-        return;
-    kswapdStop_ = false;
-    kswapdRunning_ = true;
-    kswapd_ = std::thread([this] { kswapdLoop(); });
-}
-
-void
-ReclaimEngine::stop()
-{
-    if (!kswapdRunning_)
-        return;
-    {
-        std::lock_guard<std::mutex> g(kswapdMu_);
-        kswapdStop_ = true;
-    }
-    kswapdCv_.notify_one();
-    kswapd_.join();
-    kswapdRunning_ = false;
-}
-
-void
-ReclaimEngine::kswapdLoop()
-{
-    // kswapd gets its own pcp slot (Kernel::normalized sizes pcpCpus
-    // at threads + 1 for reclaim kernels) so its frees never alias a
-    // fault worker's cache.
-    ThisCpu::Scope cpu(static_cast<int>(kernel_.config().threads));
-    PhysicalMemory &pm = kernel_.physMem();
-
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lk(kswapdMu_);
-            kswapdCv_.wait(
-                lk, [this] { return kswapdWakePending_ || kswapdStop_; });
-            if (kswapdStop_)
-                return;
-            kswapdWakePending_ = false;
-        }
-        stats_.kswapdRuns.fetch_add(1, std::memory_order_relaxed);
-        Cycles cycles = 0;
-        for (unsigned node = 0; node < pm.numNodes(); ++node) {
-            Zone &zone = pm.zone(node);
-            const Watermarks &wm = zone.watermarks();
-            while (!kswapdStop_) {
-                const std::uint64_t free = zone.freePagesFast();
-                if (free >= wm.high)
-                    break;
-                // Shared mm lock per shrink batch (the scanner walks
-                // process page tables); released between batches so
-                // mmap/munmap/tick writers are never starved.
-                Progress p;
-                {
-                    std::shared_lock<std::shared_mutex> mm(
-                        kernel_.mmLock());
-                    p = shrinkZone(zone,
-                                   std::min<std::uint64_t>(
-                                       wm.high - free, 4 * kScanBatch));
-                }
-                cycles += p.cycles;
-                if (p.freed == 0)
-                    break;
-            }
-        }
-        stats_.kswapdCycles.fetch_add(cycles, std::memory_order_relaxed);
-    }
-}
-
 // --- observation ----------------------------------------------------------
 
 void
@@ -676,9 +544,7 @@ ReclaimEngine::collectMetrics(obs::MetricSink &sink) const
     c("min_watermark_hits", stats_.minHits);
     c("pinned_skips", stats_.pinnedSkips);
     c("busy_skips", stats_.busySkips);
-    sink.gauge("swapped_pages",
-               static_cast<double>(
-                   swappedPages_.load(std::memory_order_relaxed)));
+    sink.gauge("swapped_pages", static_cast<double>(swappedPages_));
 
     const PhysicalMemory &pm = kernel_.physMem();
     std::uint64_t inactive = 0, active = 0;

@@ -11,19 +11,14 @@
  * Anonymous victims are swapped out against a modelled swap device
  * (per-page I/O cost, bounded swap cache); THP victims are split into
  * 512 base mappings first, exactly like split_huge_page on the Linux
- * reclaim path; clean page-cache victims are dropped. A kswapd
- * reclaimer balances zones to the `high` watermark in the background
- * (own thread when the kernel is threaded, synchronous at fault entry
- * when sequential, keeping single-threaded runs deterministic).
+ * reclaim path; clean page-cache victims are dropped. kswapd's
+ * balancing (zones back to their `high` watermark) runs synchronously
+ * at fault entry, which keeps every run deterministic.
  *
- * Lock discipline (see DESIGN.md "Memory pressure & reclaim"): the
- * scanner reads candidate frames' owner triples *racily* (they are
- * relaxed atomics), then re-validates against the owner's page table
- * under the victim VMA's fault lock before touching anything. Every
- * lock it takes beyond the shared mm lock is a try_lock, so reclaim
- * can never deadlock against a fault path that already holds the
- * victim's locks — it just skips the frame. The zone LRU lock is a
- * leaf below everything.
+ * The scanner reads a candidate frame's owner triple, then validates
+ * it against the owner's page table before touching anything: an LRU
+ * handle may name a block that was freed or remapped since it was
+ * listed.
  *
  * None of this state exists when KernelConfig::reclaimEnabled is off:
  * the kernel never constructs a ReclaimEngine, the claim/free hooks
@@ -35,15 +30,11 @@
 #define CONTIG_MM_RECLAIM_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "base/sync.hh"
 #include "base/types.hh"
 #include "phys/zone.hh"
 
@@ -75,9 +66,9 @@ struct SwapCostModel
 };
 
 /**
- * Reclaim-path counters ("reclaim.*" metrics). Atomic because kswapd,
- * direct-reclaiming fault workers and refaulting threads all bump
- * them concurrently; everything is relaxed (pure statistics).
+ * Reclaim-path counters ("reclaim.*" metrics). The fields are atomics
+ * only because readers load() them; every update is a relaxed bump
+ * on the one simulator thread.
  */
 struct ReclaimStats
 {
@@ -99,14 +90,14 @@ struct ReclaimStats
     std::atomic<std::uint64_t> lowHits{0};      //!< entries below low wm
     std::atomic<std::uint64_t> minHits{0};      //!< entries below min wm
     std::atomic<std::uint64_t> pinnedSkips{0};  //!< unreclaimable victims
-    std::atomic<std::uint64_t> busySkips{0};    //!< lock-held victims
+    /** Page-cache victims skipped during a page-cache fill. */
+    std::atomic<std::uint64_t> busySkips{0};
 };
 
 class ReclaimEngine
 {
   public:
     explicit ReclaimEngine(Kernel &kernel);
-    ~ReclaimEngine();
 
     ReclaimEngine(const ReclaimEngine &) = delete;
     ReclaimEngine &operator=(const ReclaimEngine &) = delete;
@@ -139,8 +130,7 @@ class ReclaimEngine
     /**
      * A fault is installing [base, base + 2^order) for `pid`: erase
      * any swap entries the range covers and return the modelled
-     * swap-in stall (0 when nothing was swapped — one relaxed load on
-     * that fast path).
+     * swap-in stall (0 when nothing was swapped).
      */
     Cycles chargeSwapIn(std::uint32_t pid, Vpn base, unsigned order);
 
@@ -148,69 +138,59 @@ class ReclaimEngine
     void dropVmaRange(std::uint32_t pid, Vpn start, std::uint64_t pages);
 
     /** Pages currently swapped out across all processes. */
-    std::uint64_t
-    swappedPages() const
-    {
-        return swappedPages_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t swappedPages() const { return swappedPages_; }
 
     // --- pressure entry points -------------------------------------------
 
     /**
-     * Fault-entry watermark probe: below `low` wakes kswapd (threaded)
-     * or balances the node synchronously to `high` (sequential,
-     * keeping single-threaded runs deterministic). Costs one relaxed
-     * load when the zone is above `low`.
+     * Fault-entry watermark probe: below `low`, and with
+     * KernelConfig::kswapdEnabled, kswapd's balancing brings the node
+     * back to `high` synchronously.
      */
     void checkWatermarks(NodeId node);
 
-    /** Nudge the background reclaimer (no-op when sequential). */
-    void wakeKswapd();
+    /**
+     * The allocation slow path asks for background reclaim. Counted
+     * (kswapd_wakes) only: the balancing itself happens at the next
+     * fault entry's checkWatermarks().
+     */
+    void
+    noteKswapdWake()
+    {
+        stats_.kswapdWakes.fetch_add(1, std::memory_order_relaxed);
+    }
 
     /**
      * Direct reclaim: synchronously free >= want_pages base pages
      * from `node` (falling back to other nodes), called by the
-     * allocation slow path under the shared mm lock.
+     * allocation slow path.
      */
     Progress directReclaim(NodeId node, std::uint64_t want_pages);
 
     /**
-     * Re-entrancy guard for the page-cache fill path: while a thread
-     * holds one of these, any reclaim it triggers skips page-cache
-     * victims — otherwise a sequential kernel (whose page-cache lock
-     * is disengaged) could evict the very pages the enclosing
-     * readahead run just installed.
+     * Re-entrancy guard for the page-cache fill path: while one of
+     * these is live, any reclaim skips page-cache victims — otherwise
+     * it could evict the very pages the enclosing readahead run just
+     * installed. A null engine (reclaim off) makes it a no-op.
      */
     class PageCacheFillScope
     {
       public:
-        PageCacheFillScope() { ++tlsFillDepth_; }
-        ~PageCacheFillScope() { --tlsFillDepth_; }
+        explicit PageCacheFillScope(ReclaimEngine *rec) : rec_(rec)
+        {
+            if (rec_)
+                ++rec_->fillDepth_;
+        }
+        ~PageCacheFillScope()
+        {
+            if (rec_)
+                --rec_->fillDepth_;
+        }
         PageCacheFillScope(const PageCacheFillScope &) = delete;
         PageCacheFillScope &operator=(const PageCacheFillScope &) = delete;
-    };
-
-    /**
-     * Fault-path marker: this thread holds `vma`'s fault lock. Direct
-     * reclaim running on the same thread may then evict that VMA's
-     * pages without (re)taking the lock — without this, N workers
-     * each mid-fault on their own VMA would mutually skip every
-     * candidate (all of memory belongs to locked VMAs) and a fully
-     * reclaimable machine would report OOM.
-     */
-    class HeldVmaScope
-    {
-      public:
-        explicit HeldVmaScope(const Vma *vma) : prev_(tlsHeldVma_)
-        {
-            tlsHeldVma_ = vma;
-        }
-        ~HeldVmaScope() { tlsHeldVma_ = prev_; }
-        HeldVmaScope(const HeldVmaScope &) = delete;
-        HeldVmaScope &operator=(const HeldVmaScope &) = delete;
 
       private:
-        const Vma *prev_;
+        ReclaimEngine *rec_;
     };
 
     /**
@@ -220,11 +200,7 @@ class ReclaimEngine
      * snapshot this around anything that can reclaim and invalidate
      * the mapper's cached node when it moved.
      */
-    std::uint64_t
-    unmapEpoch() const
-    {
-        return unmapEpoch_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t unmapEpoch() const { return unmapEpoch_; }
 
     /**
      * Targeted (contiguity-aware) reclaim: try to evict every
@@ -237,14 +213,6 @@ class ReclaimEngine
 
     /** Victim selection prefers blocks that restore large free runs. */
     bool contigAware() const { return contigAware_; }
-
-    // --- kswapd ----------------------------------------------------------
-
-    /** Launch the background reclaimer thread (threaded kernels). */
-    void startKswapd();
-
-    /** Join kswapd; further wakes are no-ops. Idempotent. */
-    void stop();
 
     // --- observation ------------------------------------------------------
 
@@ -260,7 +228,7 @@ class ReclaimEngine
         Freed,    //!< pages returned to the buddy
         Split,    //!< THP split into 512 inactive base candidates
         Rotated,  //!< referenced bit seen; promoted to active
-        Requeued, //!< lock busy; back to inactive MRU
+        Requeued, //!< skipped during a page-cache fill; back to MRU
         Pinned,   //!< unreclaimable; left off every list
         Gone,     //!< freed/re-claimed since the pop; nothing to do
     };
@@ -268,9 +236,8 @@ class ReclaimEngine
     Victim scanOne(Zone &zone, const Zone::LruEntry &e, Progress &out);
     Victim evictAnon(Zone &zone, Pfn head, unsigned order, Progress &out);
     Victim evictPageCache(Zone &zone, Pfn head, Progress &out);
-    /** Split one validated huge leaf; caller holds the vma fault lock. */
-    void splitHugeLocked(Zone &zone, Process &proc, Vma &vma, Vpn base,
-                        Pfn head);
+    /** Split one validated huge leaf into 512 base mappings. */
+    void splitHuge(Zone &zone, Process &proc, Vpn base, Pfn head);
     /** Record a swap-out of (pid, vpn); returns the modelled cost. */
     Cycles recordSwapOut(std::uint32_t pid, Vpn vpn);
 
@@ -286,19 +253,15 @@ class ReclaimEngine
     /** Bring the zone of `node` back to its high watermark. */
     Progress balanceNode(NodeId node);
 
-    void kswapdLoop();
-
     Kernel &kernel_;
-    const bool threaded_;
     const bool contigAware_;
     const SwapCostModel cost_;
     ReclaimStats stats_;
-    std::atomic<std::uint64_t> unmapEpoch_{0};
-    static thread_local unsigned tlsFillDepth_;
-    static thread_local const Vma *tlsHeldVma_;
+    std::uint64_t unmapEpoch_ = 0;
+    /** Live PageCacheFillScope nesting depth. */
+    unsigned fillDepth_ = 0;
 
     // --- swap state (slot ids model disk blocks) -------------------------
-    mutable SpinLock swapLock_;
     /** pid -> vpn -> swap slot. */
     std::unordered_map<std::uint32_t,
                        std::unordered_map<Vpn, std::uint64_t>>
@@ -307,15 +270,7 @@ class ReclaimEngine
     /** FIFO swap cache of recent slots (hits skip the I/O stall). */
     std::deque<std::uint64_t> swapCacheFifo_;
     std::unordered_set<std::uint64_t> swapCacheSet_;
-    std::atomic<std::uint64_t> swappedPages_{0};
-
-    // --- kswapd ----------------------------------------------------------
-    std::thread kswapd_;
-    std::mutex kswapdMu_;
-    std::condition_variable kswapdCv_;
-    bool kswapdWakePending_ = false;
-    bool kswapdStop_ = false;
-    bool kswapdRunning_ = false;
+    std::uint64_t swappedPages_ = 0;
 };
 
 } // namespace contig

@@ -3,8 +3,8 @@
  * Virtual memory areas (the `vm_area_struct` analogue), carrying the
  * CA-paging metadata the paper adds: a FIFO of up to 64 per-sub-region
  * Offsets (paper §III-C, "Dealing with external fragmentation") and the
- * replacement guard used to serialize racing re-placements across
- * concurrent faults (§III-C, "Avoiding multithreading pitfalls").
+ * replacement guard that admits one re-placement at a time when faults
+ * race (§III-C, "Avoiding multithreading pitfalls").
  */
 
 #ifndef CONTIG_MM_VMA_HH
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "base/align.hh"
-#include "base/sync.hh"
 #include "base/types.hh"
 
 namespace contig
@@ -87,13 +86,11 @@ class Vma
     // --- CA paging metadata -------------------------------------------
     //
     // The Offset FIFO is a lock-free ring, matching the paper's §III-C
-    // design: faulting threads publish new Offsets with plain atomic
-    // stores after reserving a sequence number, and readers scan the
-    // ring without any lock. A reader racing a writer can observe a
-    // half-updated slot; that is *by design* — an Offset is only a
-    // placement hint, and the subsequent allocSpecific() re-validates
-    // the target under the zone lock, so a stale or torn hint costs at
-    // worst one extra placement attempt.
+    // design: a fault publishes a new Offset with plain atomic stores
+    // after reserving a sequence number, and readers scan the ring
+    // without any lock. An Offset is only a placement hint: the
+    // allocSpecific() that follows re-checks the target, so a stale
+    // hint costs at worst one extra placement attempt.
 
     /** Record a new Offset (FIFO eviction beyond kMaxCaOffsets). */
     void
@@ -106,15 +103,12 @@ class Vma
         slot.offsetPages.store(offset_pages, std::memory_order_relaxed);
         // Retire overwritten sequence numbers so count/pop stay in
         // step with the ring capacity.
-        std::uint64_t retries = 0;
         std::uint64_t tail = offsetTail_.load(std::memory_order_relaxed);
         while (seq + 1 - tail > kMaxCaOffsets &&
                !offsetTail_.compare_exchange_weak(
                    tail, seq + 1 - kMaxCaOffsets,
                    std::memory_order_acq_rel, std::memory_order_relaxed)) {
-            ++retries;
         }
-        noteOffsetRingRetries(retries);
     }
 
     /**
@@ -162,40 +156,22 @@ class Vma
     void
     popOldestCaOffset()
     {
-        std::uint64_t retries = 0;
         std::uint64_t tail = offsetTail_.load(std::memory_order_acquire);
         while (offsetHead_.load(std::memory_order_acquire) != tail &&
                !offsetTail_.compare_exchange_weak(
                    tail, tail + 1, std::memory_order_acq_rel,
                    std::memory_order_acquire)) {
-            ++retries;
         }
-        noteOffsetRingRetries(retries);
-    }
-
-    /**
-     * Fold lost Offset-ring CAS rounds into the shared
-     * "vma.offset_ring" lock site. Uncontended pushes/pops never get
-     * here with retries != 0, so the common path pays nothing.
-     */
-    static void
-    noteOffsetRingRetries(std::uint64_t retries)
-    {
-#if CONTIG_LOCK_STATS
-        if (retries)
-            if (LockSite *site = LockStatsRegistry::offsetRingSite())
-                site->noteRetries(retries);
-#else
-        (void)retries;
-#endif
     }
 
     /**
      * Replacement guard (§III-C, "Avoiding multithreading pitfalls"):
-     * a CAS gate so that of all the threads whose fast-path Offset
+     * a CAS gate so that of all the faults whose fast-path Offset
      * failed, only the first triggers the expensive re-placement; the
      * losers retry their fast path against the winner's fresh Offset.
-     * Returns true if the caller acquired the right to re-place.
+     * Returns true if the caller acquired the right to re-place. The
+     * simulator raises one fault at a time, so the race is pinned by a
+     * deterministic interleaving test that holds the guard itself.
      */
     bool
     tryBeginReplacement()
@@ -217,13 +193,6 @@ class Vma
     {
         return replacementActive_.load(std::memory_order_acquire);
     }
-
-    /**
-     * Per-VMA fault mutex (the `mmap_sem`-sharding analogue): faults
-     * within one VMA serialize here; faults on different VMAs of the
-     * same process proceed in parallel under the kernel's shared lock.
-     */
-    SpinLock &faultLock() { return faultLock_; }
 
     // --- accounting -----------------------------------------------------
 
@@ -267,7 +236,7 @@ class Vma
     std::uint64_t fileOffsetPages_;
 
     /** One ring slot; the pair is read/written with independent
-     *  relaxed atomics (torn reads are benign, see above). */
+     *  relaxed atomics. */
     struct OffsetSlot
     {
         std::atomic<Vpn> originVpn{0};
@@ -279,7 +248,6 @@ class Vma
     std::atomic<std::uint64_t> offsetHead_{0};
     std::atomic<std::uint64_t> offsetTail_{0};
     std::atomic<bool> replacementActive_{false};
-    SpinLock faultLock_;
 };
 
 } // namespace contig

@@ -14,16 +14,14 @@
  * a Log2Histogram of its cycle distribution; a bounded reservoir of
  * exemplar events links hot outliers back to --trace streams.
  *
- * Gating discipline mirrors --lock-stats: AttribRegistry::enabled()
- * is a process-wide switch flipped by BenchOutput (--attrib /
+ * Gating: AttribRegistry::enabled() is a process-wide switch flipped by BenchOutput (--attrib /
  * CONTIG_ATTRIB) before any simulator exists. When off, no
  * attribution object is ever allocated and hot paths pay exactly one
  * nullable-pointer branch per event site (ratio-gated by
  * micro_obs_overhead's BM_AttribOff row). When on, each
- * TranslationSim and each FaultEngine worker owns a private table;
- * worker tables merge in scope order, and every table folds into the
- * global AttribRegistry when its owner dies, which renders the
- * schema-4 "attribution" bench-JSON section.
+ * TranslationSim and each FaultEngine owns a private table, and every
+ * table folds into the global AttribRegistry when its owner dies,
+ * which renders the "attribution" bench-JSON section.
  */
 
 #ifndef CONTIG_OBS_ATTRIBUTION_HH
@@ -224,9 +222,8 @@ const char *faultFallName(unsigned fall);
 
 /**
  * Fault-path attribution: (fault kind x allocated order x fallback
- * reason) -> cycles. Owned by FaultEngine; worker threads accumulate
- * into a private instance bound by WorkerScope and merge under the
- * engine's stats lock on scope exit.
+ * reason) -> cycles. Owned by FaultEngine and folded into the
+ * AttribRegistry when the engine dies.
  */
 class FaultAttribution
 {

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "base/json.hh"
-#include "base/lock_stats.hh"
 #include "base/logging.hh"
 #include "mm/kernel.hh"
 #include "obs/attribution.hh"
@@ -212,31 +211,12 @@ StateSampler::capture(Snapshot &snap, std::uint64_t tick)
                 const std::string p =
                     "reclaim.node" + std::to_string(n) + ".";
                 snap.extras[p + "free_pages"] =
-                    static_cast<double>(zone.freePagesFast());
+                    static_cast<double>(zone.buddy().freePages());
                 snap.extras[p + "lru_inactive"] = static_cast<double>(
                     zone.lruPages(Frame::LruList::Inactive));
                 snap.extras[p + "lru_active"] = static_cast<double>(
                     zone.lruPages(Frame::LruList::Active));
             }
-        }
-    }
-
-    if (LockStatsRegistry::enabled()) {
-        for (const LockSite *site :
-             LockStatsRegistry::global().sites()) {
-            const LockSite::Totals t = site->totals();
-            if (t.acquisitions == 0 && t.contended == 0 &&
-                t.retries == 0)
-                continue;
-            const std::string p = "lock." + site->name() + ".";
-            snap.extras[p + "acquisitions"] =
-                static_cast<double>(t.acquisitions);
-            snap.extras[p + "contended"] =
-                static_cast<double>(t.contended);
-            snap.extras[p + "retries"] =
-                static_cast<double>(t.retries);
-            snap.extras[p + "spin_us"] =
-                static_cast<double>(t.spinNs) / 1000.0;
         }
     }
 }

@@ -103,8 +103,7 @@ struct Snapshot
     XlatSnap xlat;
     /**
      * Already-flat auxiliary keys folded verbatim into the timeline
-     * stream: lock.<site>.* contention counters when lock stats are
-     * on, attrib.* cost rollups when attribution is on, reclaim.*
+     * stream: attrib.* cost rollups when attribution is on, reclaim.*
      * pressure state on reclaim kernels. Live consumers
      * (tools/contig_top) read these.
      */

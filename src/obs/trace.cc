@@ -1,10 +1,8 @@
 #include "obs/trace.hh"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <set>
 #include <utility>
 
 #include "base/json.hh"
@@ -37,8 +35,11 @@ parseTraceCategories(std::string_view spec)
         return kCatAll;
     if (spec.size() > 2 && spec[0] == '0' &&
         (spec[1] == 'x' || spec[1] == 'X')) {
-        return static_cast<std::uint32_t>(
-            std::strtoul(std::string(spec).c_str(), nullptr, 16));
+        std::uint32_t mask = 0;
+        const char *end = spec.data() + spec.size();
+        const auto [ptr, ec] =
+            std::from_chars(spec.data() + 2, end, mask, 16);
+        return ec == std::errc() && ptr == end ? mask : 0;
     }
     static constexpr std::pair<std::string_view, std::uint32_t> kNames[] =
         {{"fault", kCatFault},     {"alloc", kCatAlloc},
@@ -52,10 +53,14 @@ parseTraceCategories(std::string_view spec)
         std::size_t comma = spec.find(',', pos);
         if (comma == std::string_view::npos)
             comma = spec.size();
-        std::string_view tok = spec.substr(pos, comma - pos);
-        for (const auto &[name, bit] : kNames)
+        const std::string_view tok = spec.substr(pos, comma - pos);
+        std::uint32_t bit = 0;
+        for (const auto &[name, b] : kNames)
             if (tok == name)
-                mask |= bit;
+                bit = b;
+        if (bit == 0)
+            return 0; // an unknown name voids the whole list
+        mask |= bit;
         pos = comma + 1;
     }
     return mask;
@@ -100,8 +105,7 @@ void
 TraceSink::record(TraceEventKind kind, std::uint64_t a0, std::uint64_t a1,
                   std::uint64_t a2)
 {
-    const std::uint32_t lane = ThisCpu::lane();
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     TraceEvent &ev = nextSlot();
     ev.tsNs = nowNs();
     ev.durNs = 0;
@@ -109,7 +113,6 @@ TraceSink::record(TraceEventKind kind, std::uint64_t a0, std::uint64_t a1,
     ev.args[1] = a1;
     ev.args[2] = a2;
     ev.spanName = nullptr;
-    ev.tid = lane;
     ev.kind = kind;
 }
 
@@ -117,8 +120,7 @@ void
 TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
                       std::uint64_t dur_ns, std::uint64_t a0)
 {
-    const std::uint32_t lane = ThisCpu::lane();
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     TraceEvent &ev = nextSlot();
     ev.tsNs = ts_ns;
     ev.durNs = dur_ns;
@@ -126,14 +128,13 @@ TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
     ev.args[1] = 0;
     ev.args[2] = 0;
     ev.spanName = interned_name;
-    ev.tid = lane;
     ev.kind = TraceEventKind::PhaseSpan;
 }
 
 const char *
 TraceSink::intern(std::string_view name)
 {
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     for (const auto &s : interned_)
         if (*s == name)
             return s->c_str();
@@ -144,14 +145,14 @@ TraceSink::intern(std::string_view name)
 std::size_t
 TraceSink::size() const
 {
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     return ring_.size();
 }
 
 void
 TraceSink::clear()
 {
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     ring_.clear();
     head_ = 0;
     recorded_ = 0;
@@ -161,7 +162,7 @@ TraceSink::clear()
 std::vector<TraceEvent>
 TraceSink::events() const
 {
-    std::lock_guard<SpinLock> g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     std::vector<TraceEvent> out;
     out.reserve(ring_.size());
     // head_ is the oldest slot once the ring has wrapped.
@@ -203,9 +204,8 @@ writeEventJson(JsonWriter &w, const TraceEvent &ev, bool chrome)
     w.field("cat", categoryName(desc.category));
     if (chrome) {
         // Chrome trace_event: ts/dur in microseconds, instant events
-        // need a scope, complete events carry dur. tid is the
-        // recording thread's lane, so the viewer shows one real lane
-        // per worker (plus lane 0 for the main thread).
+        // need a scope, complete events carry dur. Every event comes
+        // from the one simulator thread, so pid/tid are constant.
         w.field("ph", span ? "X" : "i");
         w.field("ts", static_cast<double>(ev.tsNs) / 1000.0);
         if (span)
@@ -213,12 +213,11 @@ writeEventJson(JsonWriter &w, const TraceEvent &ev, bool chrome)
         else
             w.field("s", "t");
         w.field("pid", std::uint64_t{1});
-        w.field("tid", std::uint64_t{ev.tid});
+        w.field("tid", std::uint64_t{1});
     } else {
         w.field("ts_ns", ev.tsNs);
         if (span)
             w.field("dur_ns", ev.durNs);
-        w.field("tid", std::uint64_t{ev.tid});
     }
     w.key("args");
     w.beginObject();
@@ -244,34 +243,6 @@ TraceSink::writeChromeTrace(const std::string &path) const
     w.beginObject();
     w.key("traceEvents");
     w.beginArray();
-    // Name each thread lane up front ("M" metadata events) so the
-    // viewer labels lanes "main" / "worker<i>" instead of bare tids.
-    std::set<std::uint32_t> lanes;
-    for (const TraceEvent &ev : evs)
-        lanes.insert(ev.tid);
-    for (std::uint32_t lane : lanes) {
-        w.beginObject();
-        w.field("name", "thread_name");
-        w.field("ph", "M");
-        w.field("pid", std::uint64_t{1});
-        w.field("tid", std::uint64_t{lane});
-        w.key("args");
-        w.beginObject();
-        w.field("name", lane == 0 ? std::string("main")
-                                  : "worker" + std::to_string(lane - 1));
-        w.endObject();
-        w.endObject();
-        w.beginObject();
-        w.field("name", "thread_sort_index");
-        w.field("ph", "M");
-        w.field("pid", std::uint64_t{1});
-        w.field("tid", std::uint64_t{lane});
-        w.key("args");
-        w.beginObject();
-        w.field("sort_index", std::uint64_t{lane});
-        w.endObject();
-        w.endObject();
-    }
     for (const TraceEvent &ev : evs)
         writeEventJson(w, ev, /*chrome=*/true);
     w.endArray();

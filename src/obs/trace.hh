@@ -21,11 +21,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "base/sync.hh"
 
 #ifndef CONTIG_TRACING
 #define CONTIG_TRACING 1
@@ -52,7 +51,10 @@ enum TraceCategory : std::uint32_t
     kCatAll = 0xffffffffu,
 };
 
-/** Parse "fault,spot,walk" / "all" / "0x1f" into a category mask. */
+/**
+ * Parse "fault,spot,walk" / "all" / "0x1f" into a category mask.
+ * Returns 0 for any unknown name or a hex mask with trailing junk.
+ */
 std::uint32_t parseTraceCategories(std::string_view spec);
 
 /** The typed events. Each kind maps to one descriptor below. */
@@ -121,7 +123,7 @@ traceIsSpanKind(TraceEventKind kind)
     return kind == TraceEventKind::PhaseSpan;
 }
 
-/** One recorded event (24 B of payload + timing + thread lane). */
+/** One recorded event (24 B of payload + timing). */
 struct TraceEvent
 {
     std::uint64_t tsNs = 0;  //!< wall-clock ns since sink epoch
@@ -129,9 +131,6 @@ struct TraceEvent
     std::uint64_t args[3] = {0, 0, 0};
     /** Interned span name (span kinds only), else nullptr. */
     const char *spanName = nullptr;
-    /** Recording thread's lane: 0 = main/unbound, i+1 = worker i
-     *  (ThisCpu::lane()); becomes the Chrome-trace tid. */
-    std::uint32_t tid = 0;
     TraceEventKind kind = TraceEventKind::PageFault;
 };
 
@@ -198,11 +197,11 @@ class TraceSink
     TraceEvent &nextSlot();
 
     /**
-     * Serializes ring writes from concurrent fault workers. wants()
-     * stays lock-free: with the category masked off (the default) the
-     * hot path never reaches the lock.
+     * Guards the ring and the interned names. wants() stays lock-free:
+     * with the category masked off (the default) the hot path never
+     * reaches the lock.
      */
-    mutable SpinLock lock_;
+    mutable std::mutex lock_;
     std::uint32_t mask_ = 0;
     std::size_t capacity_ = 1u << 20;
     std::vector<TraceEvent> ring_;

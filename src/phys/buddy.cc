@@ -11,12 +11,10 @@ namespace contig
 BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
                                std::uint64_t n_frames, unsigned max_order,
                                bool sorted_top,
-                               std::uint64_t scramble_seed,
-                               unsigned top_stripes)
+                               std::uint64_t scramble_seed)
     : frames_(frames), basePfn_(base_pfn), nFrames_(n_frames),
       maxOrder_(max_order), sortedTop_(sorted_top),
-      lists_(max_order + 1),
-      topStripes_(top_stripes > 1 ? top_stripes : 1)
+      lists_(max_order + 1)
 {
     const std::uint64_t top_pages = pagesInOrder(maxOrder_);
     contig_assert(isAligned(basePfn_, top_pages),
@@ -25,20 +23,13 @@ BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
                   "zone size must be a multiple of the top-order block");
     contig_assert(base_pfn + n_frames <= frames_.size(),
                   "zone exceeds mem_map");
-    if (topStripes_ > 1) {
-        const std::uint64_t per =
-            (n_frames + topStripes_ - 1) / topStripes_;
-        topStripeSpan_ = alignUp(per, top_pages);
-        topLists_.resize(topStripes_);
-    }
 
     // Seed the allocator with top-order blocks. A zero-filled mem_map
     // already reads as free (inUse false, no list linkage), so only the
     // block heads are written, by the list inserts below.
     //
     // The seeding order: ascending by default (head insertion
-    // back-to-front yields an ascending list — per stripe too, since
-    // routing preserves the relative order), or shuffled to model an
+    // back-to-front yields an ascending list), or shuffled to model an
     // aged machine's list churn.
     std::vector<Pfn> order;
     order.reserve(n_frames / top_pages);
@@ -48,71 +39,14 @@ BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
         Rng rng(scramble_seed ^ base_pfn);
         rng.shuffle(order);
     }
+    FreeList &top = lists_[maxOrder_];
     for (Pfn pfn : order) {
-        FreeList &list = listFor(pfn, maxOrder_);
-        insertHead(list, pfn, maxOrder_);
-        ++list.count;
+        insertHead(top, pfn, maxOrder_);
+        ++top.count;
         if (onTopInsert_)
             onTopInsert_(pfn);
     }
     freePages_ = n_frames;
-}
-
-unsigned
-BuddyAllocator::topStripeOf(Pfn pfn) const
-{
-    if (topStripes_ == 1)
-        return 0;
-    const std::uint64_t idx = (pfn - basePfn_) / topStripeSpan_;
-    const std::uint64_t last = topStripes_ - 1;
-    return static_cast<unsigned>(idx < last ? idx : last);
-}
-
-BuddyAllocator::FreeList &
-BuddyAllocator::listFor(Pfn pfn, unsigned order)
-{
-    if (order == maxOrder_ && topStripes_ > 1)
-        return topLists_[topStripeOf(pfn)];
-    return lists_[order];
-}
-
-const BuddyAllocator::FreeList &
-BuddyAllocator::listFor(Pfn pfn, unsigned order) const
-{
-    if (order == maxOrder_ && topStripes_ > 1)
-        return topLists_[topStripeOf(pfn)];
-    return lists_[order];
-}
-
-bool
-BuddyAllocator::sameList(Pfn a, Pfn b, unsigned order) const
-{
-    return order != maxOrder_ || topStripes_ == 1 ||
-           topStripeOf(a) == topStripeOf(b);
-}
-
-std::uint64_t
-BuddyAllocator::listCount(unsigned order) const
-{
-    if (order == maxOrder_ && topStripes_ > 1) {
-        std::uint64_t n = 0;
-        for (const FreeList &list : topLists_)
-            n += list.count;
-        return n;
-    }
-    return lists_[order].count;
-}
-
-bool
-BuddyAllocator::listNonEmpty(unsigned order) const
-{
-    if (order == maxOrder_ && topStripes_ > 1) {
-        for (const FreeList &list : topLists_)
-            if (list.head != kInvalidPfn)
-                return true;
-        return false;
-    }
-    return lists_[order].head != kInvalidPfn;
 }
 
 void
@@ -146,8 +80,6 @@ BuddyAllocator::markAllocated(Pfn pfn, unsigned order)
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = frames_[pfn + i];
-        // Relaxed: inUse is only a hint to lockless occupancy
-        // probes; allocSpecific re-checks under the zone lock.
         f.inUse.store(true, std::memory_order_relaxed);
         f.freeHead = false;
     }
@@ -188,14 +120,11 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
     // Fast path via neighbour computation (the paper's trick): if the
     // physically adjacent same-order block is free and listed, splice
     // next to it without scanning.
-    // A striped top list must not splice next to a neighbour that is
-    // listed in the adjacent stripe — that would cross-link the lists.
     const std::uint64_t n = pagesInOrder(order);
     if (pfn >= basePfn_ + n) {
         Pfn left = pfn - n;
         const Frame &lf = frames_[left];
-        if (lf.freeHead && lf.order == order &&
-            sameList(left, pfn, order)) {
+        if (lf.freeHead && lf.order == order) {
             f.freePrev = left;
             f.freeNext = lf.freeNext;
             if (lf.freeNext != kInvalidPfn)
@@ -207,8 +136,7 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
     if (contains(pfn + n, order)) {
         Pfn right = pfn + n;
         const Frame &rf = frames_[right];
-        if (rf.freeHead && rf.order == order &&
-            sameList(right, pfn, order)) {
+        if (rf.freeHead && rf.order == order) {
             f.freeNext = right;
             f.freePrev = rf.freePrev;
             if (rf.freePrev != kInvalidPfn)
@@ -240,7 +168,7 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
 void
 BuddyAllocator::pushBlock(Pfn pfn, unsigned order)
 {
-    FreeList &list = listFor(pfn, order);
+    FreeList &list = lists_[order];
     if (order == maxOrder_ && sortedTop_)
         insertSorted(list, pfn, order);
     else
@@ -253,7 +181,7 @@ BuddyAllocator::pushBlock(Pfn pfn, unsigned order)
 void
 BuddyAllocator::removeBlock(Pfn pfn, unsigned order)
 {
-    FreeList &list = listFor(pfn, order);
+    FreeList &list = lists_[order];
     Frame &f = frames_[pfn];
     contig_assert(f.freeHead && f.order == order,
                   "removeBlock on a non-listed block");
@@ -274,19 +202,6 @@ BuddyAllocator::removeBlock(Pfn pfn, unsigned order)
 Pfn
 BuddyAllocator::popBlock(unsigned order)
 {
-    if (order == maxOrder_ && topStripes_ > 1) {
-        // First non-empty stripe in address order — for a sorted top
-        // list this is the globally lowest head, same block the
-        // unsharded list would pop.
-        for (FreeList &list : topLists_) {
-            if (list.head == kInvalidPfn)
-                continue;
-            Pfn pfn = list.head;
-            removeBlock(pfn, order);
-            return pfn;
-        }
-        contig_assert(false, "popBlock on empty list");
-    }
     FreeList &list = lists_[order];
     contig_assert(list.head != kInvalidPfn, "popBlock on empty list");
     Pfn pfn = list.head;
@@ -301,7 +216,7 @@ BuddyAllocator::alloc(unsigned order)
     ++stats_.allocCalls;
 
     unsigned o = order;
-    while (o <= maxOrder_ && !listNonEmpty(o))
+    while (o <= maxOrder_ && lists_[o].head == kInvalidPfn)
         ++o;
     if (o > maxOrder_)
         return std::nullopt;
@@ -402,8 +317,8 @@ BuddyAllocator::isFreePage(Pfn pfn) const
 {
     if (!contains(pfn, 0))
         return false;
-    // Lockless occupancy probe (paper §III-C): a stale answer is
-    // benign because allocSpecific re-validates under the zone lock.
+    // Occupancy probe (paper §III-C): allocSpecific() still checks
+    // that the whole block is free before carving it out.
     return !frames_[pfn].inUse.load(std::memory_order_relaxed);
 }
 
@@ -429,17 +344,6 @@ void
 BuddyAllocator::forEachFreeBlock(unsigned order,
                                  const std::function<void(Pfn)> &fn) const
 {
-    if (order == maxOrder_ && topStripes_ > 1) {
-        // Stripes ascending: for a sorted top list this visits the
-        // blocks in global ascending order, like the unsharded list.
-        for (const FreeList &list : topLists_) {
-            for (Pfn cur = list.head; cur != kInvalidPfn;
-                 cur = frames_[cur].freeNext) {
-                fn(cur);
-            }
-        }
-        return;
-    }
     for (Pfn cur = lists_[order].head; cur != kInvalidPfn;
          cur = frames_[cur].freeNext) {
         fn(cur);
@@ -450,7 +354,7 @@ std::uint64_t
 BuddyAllocator::freeBlocks(unsigned order) const
 {
     contig_assert(order <= maxOrder_, "order out of range");
-    return listCount(order);
+    return lists_[order].count;
 }
 
 void
@@ -480,12 +384,6 @@ BuddyAllocator::shuffleFreeLists(std::uint64_t seed)
     for (unsigned o = 0; o <= maxOrder_; ++o) {
         if (o == maxOrder_ && sortedTop_)
             continue;
-        if (o == maxOrder_ && topStripes_ > 1) {
-            // Blocks stay in their stripe; only intra-stripe order churns.
-            for (FreeList &list : topLists_)
-                shuffle_one(list);
-            continue;
-        }
         shuffle_one(lists_[o]);
     }
 }
@@ -496,10 +394,7 @@ BuddyAllocator::checkInvariants() const
     std::uint64_t free_pages = 0;
     // Check one linked list: integrity, alignment, free flags,
     // coalescing, its stored count and (sorted top) ascending order.
-    // For a striped top list, every block must also route back to the
-    // stripe whose list holds it.
-    auto check_list = [&](const FreeList &list, unsigned o,
-                          int stripe) -> bool {
+    auto check_list = [&](const FreeList &list, unsigned o) -> bool {
         std::uint64_t count = 0;
         Pfn prev = kInvalidPfn;
         Pfn last = 0;
@@ -523,12 +418,7 @@ BuddyAllocator::checkInvariants() const
                 if (contains(buddy, o) && bf.freeHead && bf.order == o)
                     return false;
             }
-            if (stripe >= 0 &&
-                topStripeOf(cur) != static_cast<unsigned>(stripe)) {
-                return false;
-            }
-            // Sorted-top mode: ascending order (per stripe suffices —
-            // stripes partition the span in ascending address order).
+            // Sorted-top mode: ascending order.
             if (o == maxOrder_ && sortedTop_) {
                 if (!first && cur <= last)
                     return false;
@@ -541,19 +431,9 @@ BuddyAllocator::checkInvariants() const
         }
         return count == list.count;
     };
-    for (unsigned o = 0; o <= maxOrder_; ++o) {
-        if (o == maxOrder_ && topStripes_ > 1) {
-            // The legacy slot must stay unused in striped mode.
-            if (lists_[o].head != kInvalidPfn || lists_[o].count != 0)
-                return false;
-            for (unsigned si = 0; si < topStripes_; ++si)
-                if (!check_list(topLists_[si], o, static_cast<int>(si)))
-                    return false;
-            continue;
-        }
-        if (!check_list(lists_[o], o, -1))
+    for (unsigned o = 0; o <= maxOrder_; ++o)
+        if (!check_list(lists_[o], o))
             return false;
-    }
     return free_pages == freePages_;
 }
 
@@ -562,7 +442,7 @@ BuddyAllocator::freeBlockCounts() const
 {
     std::vector<std::uint64_t> counts(maxOrder_ + 1);
     for (unsigned o = 0; o <= maxOrder_; ++o)
-        counts[o] = listCount(o);
+        counts[o] = lists_[o].count;
     return counts;
 }
 
@@ -573,7 +453,7 @@ BuddyAllocator::unusableFreeIndex(unsigned order) const
         return 0.0;
     std::uint64_t usable = 0;
     for (unsigned o = order; o <= maxOrder_; ++o)
-        usable += listCount(o) * pagesInOrder(o);
+        usable += lists_[o].count * pagesInOrder(o);
     return static_cast<double>(freePages_ - usable) /
            static_cast<double>(freePages_);
 }
@@ -589,7 +469,7 @@ BuddyAllocator::collectMetrics(obs::MetricSink &sink) const
     sink.counter("free_calls", stats_.freeCalls);
     sink.gauge("free_pages", static_cast<double>(freePages_));
     sink.gauge("free_top_blocks",
-               static_cast<double>(listCount(maxOrder_)));
+               static_cast<double>(lists_[maxOrder_].count));
 }
 
 
@@ -607,11 +487,8 @@ BuddyAllocator::saveState(Serializer &s) const
     s.u64(stats_.splits);
     s.u64(stats_.merges);
     s.u64(stats_.freeCalls);
-    // listCount + forEachFreeBlock aggregate a striped top list in
-    // ascending stripe order, so sorted-top checkpoints stay
-    // byte-identical whether or not the list is striped.
     for (unsigned o = 0; o <= maxOrder_; ++o) {
-        s.u64(listCount(o));
+        s.u64(lists_[o].count);
         forEachFreeBlock(o, [&s](Pfn pfn) { s.u64(pfn); });
     }
     s.endSection(sec);

@@ -63,17 +63,10 @@ class BuddyAllocator
      * @param sorted_top Keep the top-order list address-sorted.
      * @param scramble_seed If nonzero (and the list is unsorted), seed
      *        the initial top-order list in shuffled order.
-     * @param top_stripes Stripe the top-order free list into this many
-     *        address-contiguous shards (<=1 keeps the single legacy
-     *        list). Insert/remove route by block address, so a sorted
-     *        striped list concatenates to the same global ascending
-     *        order — observable state (counts, iteration order,
-     *        checkpoints) is identical to the unsharded allocator.
      */
     BuddyAllocator(FrameArray &frames, Pfn base_pfn, std::uint64_t n_frames,
                    unsigned max_order = kMaxOrder, bool sorted_top = true,
-                   std::uint64_t scramble_seed = 0,
-                   unsigned top_stripes = 1);
+                   std::uint64_t scramble_seed = 0);
 
     BuddyAllocator(const BuddyAllocator &) = delete;
     BuddyAllocator &operator=(const BuddyAllocator &) = delete;
@@ -109,7 +102,6 @@ class BuddyAllocator
                           const std::function<void(Pfn)> &fn) const;
 
     unsigned maxOrder() const { return maxOrder_; }
-    unsigned topStripes() const { return topStripes_; }
     Pfn basePfn() const { return basePfn_; }
     std::uint64_t numFrames() const { return nFrames_; }
     std::uint64_t freePages() const { return freePages_; }
@@ -172,34 +164,12 @@ class BuddyAllocator
     void markAllocated(Pfn pfn, unsigned order);
     void markFree(Pfn pfn, unsigned order);
 
-    /** Stripe index of a top-order block (0 when unstriped). */
-    unsigned topStripeOf(Pfn pfn) const;
-    /** The list holding blocks of this order at this address. */
-    FreeList &listFor(Pfn pfn, unsigned order);
-    const FreeList &listFor(Pfn pfn, unsigned order) const;
-    /** Same-list check for insertSorted's neighbour splice. */
-    bool sameList(Pfn a, Pfn b, unsigned order) const;
-    /** Total listed blocks of one order (sums top stripes). */
-    std::uint64_t listCount(unsigned order) const;
-    /** True iff some block of this order is listed. */
-    bool listNonEmpty(unsigned order) const;
-
     FrameArray &frames_;
     Pfn basePfn_;
     std::uint64_t nFrames_;
     unsigned maxOrder_;
     bool sortedTop_;
     std::vector<FreeList> lists_;
-    /**
-     * Top-order striping (top_stripes > 1 only): the top-order list is
-     * split into per-stripe lists, routed by block address;
-     * lists_[maxOrder_] is unused in that mode. topStripeSpan_ is the
-     * PFNs per stripe (top-block aligned; the last stripe absorbs the
-     * remainder).
-     */
-    unsigned topStripes_ = 1;
-    std::uint64_t topStripeSpan_ = 0;
-    std::vector<FreeList> topLists_;
     std::uint64_t freePages_ = 0;
     BuddyStats stats_;
     TopListHook onTopInsert_;

@@ -1,89 +1,57 @@
 #include "phys/contiguity_map.hh"
 
-#include <mutex>
-
 #include "base/align.hh"
-#include "base/lock_stats.hh"
 #include "base/logging.hh"
 #include "obs/metrics.hh"
 
 namespace contig
 {
 
-ContiguityMap::ContiguityMap(std::uint64_t block_pages, unsigned stripes,
-                             Pfn base_pfn, std::uint64_t span_pages)
-    : blockPages_(block_pages), basePfn_(base_pfn), stripeSpan_(0),
-      stripes_(stripes > 1 ? stripes : 1)
+ContiguityMap::ContiguityMap(std::uint64_t block_pages)
+    : blockPages_(block_pages)
 {
     contig_assert(block_pages > 0, "block size must be positive");
-    if (stripes_.size() > 1) {
-        contig_assert(span_pages > 0,
-                      "striped contiguity map needs the zone span");
-        // Equal address slices, rounded up to whole top-order blocks;
-        // stripeOf() clamps so the last stripe absorbs any remainder.
-        const std::uint64_t per =
-            (span_pages + stripes_.size() - 1) / stripes_.size();
-        stripeSpan_ = alignUp(per, blockPages_);
-    }
-}
-
-unsigned
-ContiguityMap::stripeOf(Pfn pfn) const
-{
-    if (stripes_.size() == 1)
-        return 0;
-    const std::uint64_t idx = (pfn - basePfn_) / stripeSpan_;
-    const std::uint64_t last = stripes_.size() - 1;
-    return static_cast<unsigned>(idx < last ? idx : last);
 }
 
 void
 ContiguityMap::onBlockFree(Pfn block_base)
 {
-    Stripe &st = stripes_[stripeOf(block_base)];
-    std::lock_guard<SpinLock> g(st.lock);
-    ++st.stats.inserts;
-    st.trackedPages += blockPages_;
+    ++stats_.inserts;
+    trackedPages_ += blockPages_;
 
     Pfn start = block_base;
     std::uint64_t pages = blockPages_;
 
     // Merge with a preceding cluster that ends exactly at block_base.
-    // Stripes partition the span at block granularity, so both merge
-    // candidates live in this stripe's map; runs crossing a stripe
-    // boundary simply stay as one cluster per side.
-    auto next = st.clusters.upper_bound(block_base);
-    if (next != st.clusters.begin()) {
+    auto next = clusters_.upper_bound(block_base);
+    if (next != clusters_.begin()) {
         auto prev = std::prev(next);
         contig_assert(prev->first + prev->second <= block_base,
                       "block freed inside an existing cluster");
         if (prev->first + prev->second == block_base) {
             start = prev->first;
             pages += prev->second;
-            ++st.stats.merges;
-            next = st.clusters.erase(prev);
+            ++stats_.merges;
+            next = clusters_.erase(prev);
         }
     }
     // Merge with a following cluster that starts exactly at the end.
-    if (next != st.clusters.end() &&
-        next->first == block_base + blockPages_) {
+    if (next != clusters_.end() && next->first == block_base + blockPages_) {
         pages += next->second;
-        ++st.stats.merges;
-        if (st.roverValid && st.rover == next->first)
-            st.rover = start;
-        st.clusters.erase(next);
+        ++stats_.merges;
+        if (roverValid_ && rover_ == next->first)
+            rover_ = start;
+        clusters_.erase(next);
     }
-    st.clusters[start] = pages;
+    clusters_[start] = pages;
 }
 
 void
 ContiguityMap::onBlockAllocated(Pfn block_base)
 {
-    Stripe &st = stripes_[stripeOf(block_base)];
-    std::lock_guard<SpinLock> g(st.lock);
-    ++st.stats.removes;
-    auto it = st.clusters.upper_bound(block_base);
-    contig_assert(it != st.clusters.begin(),
+    ++stats_.removes;
+    auto it = clusters_.upper_bound(block_base);
+    contig_assert(it != clusters_.begin(),
                   "allocated block not tracked by contiguity map");
     --it;
     contig_assert(it->first <= block_base &&
@@ -92,219 +60,137 @@ ContiguityMap::onBlockAllocated(Pfn block_base)
 
     const Pfn start = it->first;
     const std::uint64_t pages = it->second;
-    const bool rover_here = st.roverValid && st.rover == start;
-    st.clusters.erase(it);
-    st.trackedPages -= blockPages_;
+    const bool rover_here = roverValid_ && rover_ == start;
+    clusters_.erase(it);
+    trackedPages_ -= blockPages_;
 
     const std::uint64_t left = block_base - start;
     const std::uint64_t right = (start + pages) - (block_base + blockPages_);
     if (left > 0)
-        st.clusters[start] = left;
+        clusters_[start] = left;
     if (right > 0)
-        st.clusters[block_base + blockPages_] = right;
+        clusters_[block_base + blockPages_] = right;
     if (left > 0 && right > 0)
-        ++st.stats.splits;
+        ++stats_.splits;
 
     if (rover_here)
-        st.rover = right > 0 ? block_base + blockPages_
-                             : (left > 0 ? start : st.rover);
-    if (st.clusters.empty())
-        st.roverValid = false;
+        rover_ = right > 0 ? block_base + blockPages_
+                           : (left > 0 ? start : rover_);
+    if (clusters_.empty())
+        roverValid_ = false;
 }
 
 ContiguityMap::Map::const_iterator
-ContiguityMap::roverIter(const Stripe &st) const
+ContiguityMap::roverIter() const
 {
-    if (st.clusters.empty())
-        return st.clusters.end();
-    if (!st.roverValid)
-        return st.clusters.begin();
+    if (clusters_.empty())
+        return clusters_.end();
+    if (!roverValid_)
+        return clusters_.begin();
     // The rover may point into the middle of a cluster (just past the
     // previous placement's reservation): find the cluster containing
-    // it, else the next one.
-    auto it = st.clusters.upper_bound(st.rover);
-    if (it != st.clusters.begin()) {
+    // it, else the next one (end() when the rover is past them all).
+    auto it = clusters_.upper_bound(rover_);
+    if (it != clusters_.begin()) {
         auto prev = std::prev(it);
-        if (st.rover < prev->first + prev->second)
+        if (rover_ < prev->first + prev->second)
             return prev;
     }
-    // A rover past every cluster returns end() — the ring scan then
-    // moves on to the next stripe and revisits this stripe's prefix
-    // on its wrap pass (with one stripe, the wrap pass IS the legacy
-    // wrap-to-begin).
     return it;
 }
 
 void
-ContiguityMap::advanceRover(Stripe &st, unsigned si, Pfn region_start,
-                            std::uint64_t used)
+ContiguityMap::advanceRover(Pfn region_start, std::uint64_t used)
 {
     // True next-fit: placements resume from where the previous one
     // left off — *past its reservation* — so consecutive placement
     // requests (other VMAs, page-cache readahead, other processes)
     // are steered away from the region a previous placement is still
     // filling on demand (the racing deferral of §III-C).
-    st.rover = region_start + alignUp(used, blockPages_);
-    st.roverValid = true;
-    roverStripe_.store(si, std::memory_order_relaxed);
+    rover_ = region_start + alignUp(used, blockPages_);
+    roverValid_ = true;
 }
 
 std::optional<Cluster>
 ContiguityMap::placeNextFit(std::uint64_t req_pages)
 {
-    const unsigned n = stripes();
-    const unsigned r = roverStripe_.load(std::memory_order_relaxed) % n;
+    ++stats_.placements;
 
-    // Ring scan over the stripes starting at the rover stripe. Pass
-    // k == 0 scans [roverIter, end) of the entry stripe, passes
-    // 1..n-1 scan the following stripes in full, and pass n revisits
-    // the entry stripe's [begin, start_key) prefix — together every
-    // cluster exactly once, in the same order the unsharded do-while
-    // ring walks them (so one stripe degrades to the legacy scan,
-    // stats included). Only one stripe lock is held at a time; under
-    // concurrency a cluster may move between passes, which is the
-    // same advisory race as the probe-then-claim placement itself.
-    Pfn start_key = 0;
+    // Ring scan from the rover: pass 0 scans [start, end), pass 1
+    // wraps to begin() and stops where pass 0 began, so every cluster
+    // is visited exactly once.
+    const Map::const_iterator start = roverIter();
     Cluster best{0, 0};
-    unsigned best_stripe = 0;
-    for (unsigned k = 0; k <= n; ++k) {
-        const unsigned si = (r + k) % n;
-        Stripe &st = stripes_[si];
-        std::lock_guard<SpinLock> g(st.lock);
-        if (k == 0)
-            ++st.stats.placements;
-
-        Map::const_iterator it, stop;
-        bool rover_partial = false;
-        if (k == 0) {
-            it = roverIter(st);
-            stop = st.clusters.end();
-            if (it == stop) {
-                // Rover past every cluster: pass 0 scans nothing and
-                // the wrap pass must cover this stripe in full.
-                start_key = ~static_cast<Pfn>(0);
-                continue;
-            }
-            start_key = it->first;
-            rover_partial = true;
-        } else if (k < n) {
-            it = st.clusters.begin();
-            stop = st.clusters.end();
-        } else {
-            // Wrap: the entry stripe again, up to where pass 0 began.
-            it = st.clusters.begin();
-            stop = st.clusters.lower_bound(start_key);
-        }
-
+    bool rover_partial = start != clusters_.end();
+    for (int pass = 0; pass < 2; ++pass) {
+        auto it = pass == 0 ? start : clusters_.begin();
+        const auto stop = pass == 0 ? clusters_.end() : start;
         for (; it != stop; ++it) {
-            ++st.stats.placementScanSteps;
+            ++stats_.placementScanSteps;
             // For the cluster containing the rover, only the part at
             // and after the rover is considered (we "left off" there).
             Pfn usable_start = it->first;
             std::uint64_t usable_pages = it->second;
-            if (rover_partial && st.roverValid && st.rover > it->first &&
-                st.rover < it->first + it->second) {
-                usable_start = st.rover;
-                usable_pages = it->first + it->second - st.rover;
+            if (rover_partial && roverValid_ && rover_ > it->first &&
+                rover_ < it->first + it->second) {
+                usable_start = rover_;
+                usable_pages = it->first + it->second - rover_;
             }
             rover_partial = false;
 
             if (usable_pages >= req_pages) {
-                advanceRover(st, si, usable_start, req_pages);
+                advanceRover(usable_start, req_pages);
                 return Cluster{usable_start, usable_pages};
             }
-            if (usable_pages > best.pages) {
+            if (usable_pages > best.pages)
                 best = Cluster{usable_start, usable_pages};
-                best_stripe = si;
-            }
         }
     }
 
     // Nothing fits: next-fit settles for the largest region found.
     if (best.pages == 0)
         return std::nullopt;
-    {
-        Stripe &st = stripes_[best_stripe];
-        std::lock_guard<SpinLock> g(st.lock);
-        advanceRover(st, best_stripe, best.startPfn, best.pages);
-    }
+    advanceRover(best.startPfn, best.pages);
     return best;
 }
 
 std::optional<Cluster>
 ContiguityMap::placeBestFit(std::uint64_t req_pages) const
 {
+    if (clusters_.empty())
+        return std::nullopt;
     Cluster best_fit{0, 0};
     Cluster largest{0, 0};
-    bool any = false;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        for (const auto &kv : st.clusters) {
-            any = true;
-            if (kv.second > largest.pages)
-                largest = Cluster{kv.first, kv.second};
-            if (kv.second >= req_pages &&
-                (best_fit.pages == 0 || kv.second < best_fit.pages)) {
-                best_fit = Cluster{kv.first, kv.second};
-            }
+    for (const auto &kv : clusters_) {
+        if (kv.second > largest.pages)
+            largest = Cluster{kv.first, kv.second};
+        if (kv.second >= req_pages &&
+            (best_fit.pages == 0 || kv.second < best_fit.pages)) {
+            best_fit = Cluster{kv.first, kv.second};
         }
     }
-    if (!any)
-        return std::nullopt;
     return best_fit.pages > 0 ? best_fit : largest;
 }
 
 std::optional<Cluster>
 ContiguityMap::largest() const
 {
-    Cluster largest{0, 0};
-    bool any = false;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        for (const auto &kv : st.clusters) {
-            any = true;
-            if (kv.second > largest.pages)
-                largest = Cluster{kv.first, kv.second};
-        }
-    }
-    if (!any)
+    if (clusters_.empty())
         return std::nullopt;
+    Cluster largest{0, 0};
+    for (const auto &kv : clusters_)
+        if (kv.second > largest.pages)
+            largest = Cluster{kv.first, kv.second};
     return largest;
-}
-
-std::uint64_t
-ContiguityMap::clusterCount() const
-{
-    std::uint64_t n = 0;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        n += st.clusters.size();
-    }
-    return n;
-}
-
-std::uint64_t
-ContiguityMap::freePagesTracked() const
-{
-    std::uint64_t n = 0;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        n += st.trackedPages;
-    }
-    return n;
 }
 
 std::vector<Cluster>
 ContiguityMap::snapshot() const
 {
-    // Stripes partition the span in ascending address order, so
-    // concatenating their (sorted) maps keeps the global order.
     std::vector<Cluster> out;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        for (const auto &kv : st.clusters)
-            out.push_back(Cluster{kv.first, kv.second});
-    }
+    out.reserve(clusters_.size());
+    for (const auto &kv : clusters_)
+        out.push_back(Cluster{kv.first, kv.second});
     return out;
 }
 
@@ -312,93 +198,45 @@ Log2Histogram
 ContiguityMap::clusterSizeHistogram() const
 {
     Log2Histogram hist;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        for (const auto &[start, len] : st.clusters)
-            hist.add(len, len);
-    }
+    for (const auto &[start, len] : clusters_)
+        hist.add(len, len);
     return hist;
-}
-
-ContiguityMapStats
-ContiguityMap::stats() const
-{
-    ContiguityMapStats total;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        total.inserts += st.stats.inserts;
-        total.removes += st.stats.removes;
-        total.merges += st.stats.merges;
-        total.splits += st.stats.splits;
-        total.placements += st.stats.placements;
-        total.placementScanSteps += st.stats.placementScanSteps;
-    }
-    return total;
-}
-
-void
-ContiguityMap::bindLockStats(const std::string &prefix)
-{
-    for (std::size_t i = 0; i < stripes_.size(); ++i) {
-        stripes_[i].lock.bindStats(
-            &LockStatsRegistry::global().site(prefix + std::to_string(i)));
-    }
 }
 
 bool
 ContiguityMap::checkInvariants() const
 {
-    for (std::size_t si = 0; si < stripes_.size(); ++si) {
-        const Stripe &st = stripes_[si];
-        std::lock_guard<SpinLock> g(st.lock);
-        std::uint64_t pages = 0;
-        Pfn prev_end = 0;
-        bool first = true;
-        for (const auto &[start, len] : st.clusters) {
-            if (len == 0 || len % blockPages_ != 0 ||
-                start % blockPages_ != 0) {
-                return false;
-            }
-            // Clusters must be maximal: no two adjacent clusters may
-            // touch (within a stripe; boundary-adjacent clusters of
-            // neighbouring stripes are deliberately kept separate).
-            if (!first && start <= prev_end)
-                return false;
-            // Every block of the cluster must route to this stripe.
-            if (stripes_.size() > 1 &&
-                (stripeOf(start) != si ||
-                 stripeOf(start + len - blockPages_) != si)) {
-                return false;
-            }
-            prev_end = start + len;
-            pages += len;
-            first = false;
-        }
-        if (pages != st.trackedPages)
+    std::uint64_t pages = 0;
+    Pfn prev_end = 0;
+    bool first = true;
+    for (const auto &[start, len] : clusters_) {
+        if (len == 0 || len % blockPages_ != 0 || start % blockPages_ != 0)
             return false;
+        // Clusters must be maximal: no two adjacent clusters may touch.
+        if (!first && start <= prev_end)
+            return false;
+        prev_end = start + len;
+        pages += len;
+        first = false;
     }
-    return true;
+    return pages == trackedPages_;
 }
 
 void
 ContiguityMap::collectMetrics(obs::MetricSink &sink) const
 {
-    const ContiguityMapStats s = stats();
-    sink.counter("inserts", s.inserts);
-    sink.counter("removes", s.removes);
-    sink.counter("merges", s.merges);
-    sink.counter("splits", s.splits);
-    sink.counter("placements", s.placements);
-    sink.counter("placement_scan_steps", s.placementScanSteps);
+    sink.counter("inserts", stats_.inserts);
+    sink.counter("removes", stats_.removes);
+    sink.counter("merges", stats_.merges);
+    sink.counter("splits", stats_.splits);
+    sink.counter("placements", stats_.placements);
+    sink.counter("placement_scan_steps", stats_.placementScanSteps);
     sink.gauge("clusters", static_cast<double>(clusterCount()));
     sink.gauge("free_pages_tracked",
                static_cast<double>(freePagesTracked()));
     Log2Histogram sizes;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<SpinLock> g(st.lock);
-        for (const auto &[start, len] : st.clusters)
-            sizes.add(len);
-    }
+    for (const auto &[start, len] : clusters_)
+        sizes.add(len);
     sink.histogram("cluster_pages", sizes);
 }
 

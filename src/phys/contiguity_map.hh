@@ -7,30 +7,17 @@
  * free top-order blocks. The map also hosts the next-fit rover used by
  * CA paging's placement policy, and a best-fit query used by the
  * offline "ideal paging" baseline.
- *
- * NUMA sharding: the map can be striped into N address-contiguous
- * shards (one per worker-lane partition), each with its own cluster
- * map, rover and spinlock. Placement scans then lock one stripe at a
- * time instead of serializing on the zone lock, which is what showed
- * up as lock.zone*.buddy contention under threaded replay. Clusters
- * are maximal *within a stripe* — a free run crossing a stripe
- * boundary is recorded as two clusters. With 1 stripe (the default)
- * behaviour, statistics and placement sequences are identical to the
- * unsharded map, which keeps the fig13/fig14 goldens byte-stable.
  */
 
 #ifndef CONTIG_PHYS_CONTIGUITY_MAP_HH
 #define CONTIG_PHYS_CONTIGUITY_MAP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "base/stats.hh"
-#include "base/sync.hh"
 #include "base/types.hh"
 
 namespace contig
@@ -59,20 +46,13 @@ struct ContiguityMapStats
 /**
  * Sorted-by-physical-address map of free clusters. The kernel keeps
  * one instance per zone (per NUMA node), mirroring the paper's
- * per-`struct zone` instance; within a zone the map may additionally
- * be striped (see the file comment).
+ * per-`struct zone` instance.
  */
 class ContiguityMap
 {
   public:
-    /**
-     * @param block_pages Pages per top-order block (2^maxOrder).
-     * @param stripes Shard count; <=1 keeps the legacy single map.
-     * @param base_pfn First PFN of the span (stripes > 1 only).
-     * @param span_pages PFN span covered (stripes > 1 only).
-     */
-    explicit ContiguityMap(std::uint64_t block_pages, unsigned stripes = 1,
-                           Pfn base_pfn = 0, std::uint64_t span_pages = 0);
+    /** @param block_pages Pages per top-order block (2^maxOrder). */
+    explicit ContiguityMap(std::uint64_t block_pages);
 
     /** A top-order block at block_base became free. */
     void onBlockFree(Pfn block_base);
@@ -86,8 +66,7 @@ class ContiguityMap
      * wrapping around once. If no cluster is large enough, return the
      * largest cluster seen. Advances the rover past the chosen
      * cluster so consecutive placements defer racing on one block.
-     * Returns nullopt only if the map is empty. Striped maps take one
-     * stripe lock at a time — callers need no external lock.
+     * Returns nullopt only if the map is empty.
      */
     std::optional<Cluster> placeNextFit(std::uint64_t req_pages);
 
@@ -101,12 +80,8 @@ class ContiguityMap
     /** Largest cluster currently tracked. */
     std::optional<Cluster> largest() const;
 
-    std::uint64_t clusterCount() const;
-    std::uint64_t freePagesTracked() const;
-
-    /** Number of shards (1 = legacy unsharded map). */
-    unsigned stripes() const { return static_cast<unsigned>(stripes_.size()); }
-    bool striped() const { return stripes_.size() > 1; }
+    std::uint64_t clusterCount() const { return clusters_.size(); }
+    std::uint64_t freePagesTracked() const { return trackedPages_; }
 
     /** Snapshot of all clusters in address order. */
     std::vector<Cluster> snapshot() const;
@@ -118,15 +93,7 @@ class ContiguityMap
      */
     Log2Histogram clusterSizeHistogram() const;
 
-    /** Aggregate statistics over all stripes (by value). */
-    ContiguityMapStats stats() const;
-
-    /**
-     * Bind per-stripe lock-contention sites "<prefix><i>" so
-     * --lock-stats attributes stripe-lock contention separately from
-     * the zone lock.
-     */
-    void bindLockStats(const std::string &prefix);
+    const ContiguityMapStats &stats() const { return stats_; }
 
     /** Report counters + cluster gauges/size histogram into a sink. */
     void collectMetrics(obs::MetricSink &sink) const;
@@ -137,33 +104,16 @@ class ContiguityMap
   private:
     using Map = std::map<Pfn, std::uint64_t>; // start -> pages
 
-    /**
-     * One shard: the cluster map for one address-contiguous slice of
-     * the span, its next-fit rover and the lock placement scans and
-     * buddy hooks take (a leaf lock; the zone lock may be held).
-     */
-    struct Stripe
-    {
-        Map clusters;
-        std::uint64_t trackedPages = 0;
-        Pfn rover = 0;
-        bool roverValid = false;
-        ContiguityMapStats stats;
-        mutable SpinLock lock;
-    };
-
-    unsigned stripeOf(Pfn pfn) const;
-    Map::const_iterator roverIter(const Stripe &st) const;
-    void advanceRover(Stripe &st, unsigned si, Pfn region_start,
-                      std::uint64_t used);
+    Map::const_iterator roverIter() const;
+    void advanceRover(Pfn region_start, std::uint64_t used);
 
     std::uint64_t blockPages_;
-    Pfn basePfn_;
-    /** PFNs per stripe (top-block aligned); 0 when unsharded. */
-    std::uint64_t stripeSpan_;
-    std::vector<Stripe> stripes_;
-    /** Stripe holding the next-fit rover (advisory; relaxed). */
-    std::atomic<unsigned> roverStripe_{0};
+    Map clusters_;
+    std::uint64_t trackedPages_ = 0;
+    /** Next-fit rover: where the previous placement left off. */
+    Pfn rover_ = 0;
+    bool roverValid_ = false;
+    ContiguityMapStats stats_;
 };
 
 } // namespace contig

@@ -47,17 +47,13 @@ enum class FrameOwner : std::uint8_t
  * are written before anything reads them: the links by list insert,
  * the owner id together with `ownerKind`.
  *
- * Concurrency: refCount/mapCount/inUse are atomics because fault
- * threads touch them outside any lock — inUse is CA paging's
- * lockless occupancy probe (§III-C; a stale read is benign, the
- * subsequent allocSpecific re-validates under the zone lock). The
- * free-list linkage is plain: it is only touched under the owning
- * zone's lock. The owner fields are relaxed atomics: they are written
- * between a buddy alloc and the matching free (ordered by the zone
- * lock handoff), but the LRU reclaim scanner reads them from stale
- * candidate handles without any lock — a torn owner triple is benign
- * because eviction re-validates the frame against the owner's page
- * table under the victim VMA's fault lock before touching anything.
+ * The simulator handles one fault at a time, so no field is shared
+ * between threads. refCount/mapCount/inUse, the owner fields and the
+ * second-chance bit are still std::atomic because their readers use
+ * load()/store(); converting them to plain fields is a separate
+ * cleanup. `inUse` is CA paging's
+ * occupancy probe (§III-C): the placement policy reads it before
+ * allocSpecific() carves the block out of the buddy lists.
  *
  * The small fields are grouped so a descriptor fills one 64-byte line.
  */
@@ -89,10 +85,8 @@ struct Frame
     // --- LRU reclaim state (reclaimEnabled kernels only) ---------------
     //
     // Mirrors the free-list idiom above: intrusive linkage on block
-    // heads only, guarded by the owning zone's LRU lock. `referenced`
-    // is the second-chance bit, set by the fault path outside any lock
-    // (a lost update costs at worst one early eviction or one extra
-    // rotation, both benign), hence atomic.
+    // heads only. `referenced` is the second-chance bit, set by the
+    // fault path when it finds a leaf already mapped.
 
     /** Which LRU list the block headed here sits on. */
     enum class LruList : std::uint8_t { None, Inactive, Active };

@@ -42,7 +42,7 @@ PhysicalMemory::alloc(unsigned order, NodeId node)
 {
     const unsigned n = zones_.size();
     for (unsigned i = 0; i < n; ++i) {
-        auto pfn = zones_[(node + i) % n]->alloc(order);
+        auto pfn = zones_[(node + i) % n]->buddy().alloc(order);
         if (pfn)
             return pfn;
     }
@@ -52,13 +52,13 @@ PhysicalMemory::alloc(unsigned order, NodeId node)
 bool
 PhysicalMemory::allocSpecific(Pfn pfn, unsigned order)
 {
-    return zoneOf(pfn).allocSpecific(pfn, order);
+    return zoneOf(pfn).buddy().allocSpecific(pfn, order);
 }
 
 void
 PhysicalMemory::free(Pfn pfn, unsigned order)
 {
-    zoneOf(pfn).free(pfn, order);
+    zoneOf(pfn).buddy().free(pfn, order);
 }
 
 bool
@@ -75,22 +75,6 @@ PhysicalMemory::freePages() const
     std::uint64_t total = 0;
     for (const auto &z : zones_)
         total += z->buddy().freePages();
-    return total;
-}
-
-void
-PhysicalMemory::drainPcpCaches()
-{
-    for (auto &z : zones_)
-        z->drainPcp();
-}
-
-std::uint64_t
-PhysicalMemory::pcpCachedPages() const
-{
-    std::uint64_t total = 0;
-    for (const auto &z : zones_)
-        total += z->pcpCachedPages();
     return total;
 }
 

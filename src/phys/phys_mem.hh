@@ -59,8 +59,7 @@ class PhysicalMemory
 
     /**
      * Allocate 2^order pages, preferring `node`, falling back to the
-     * other nodes in round-robin order. Order-0 requests go through
-     * the calling CPU's pcp cache when caches are enabled.
+     * other nodes in round-robin order.
      */
     std::optional<Pfn> alloc(unsigned order, NodeId node = 0);
 
@@ -74,12 +73,6 @@ class PhysicalMemory
     bool isFreePage(Pfn pfn) const;
 
     std::uint64_t freePages() const;
-
-    /** Return every pcp-cached frame in every zone to its buddy. */
-    void drainPcpCaches();
-
-    /** Frames currently parked in pcp caches across all zones. */
-    std::uint64_t pcpCachedPages() const;
 
     /**
      * Aggregate free-cluster snapshot across all zones (for Fig. 9's

@@ -8,143 +8,33 @@ Zone::Zone(FrameArray &frames, NodeId node, Pfn base_pfn,
            std::uint64_t n_frames, const ZoneConfig &cfg)
     : node_(node),
       frames_(frames),
-      contigMap_(pagesInOrder(cfg.maxOrder),
-                 cfg.numaShards > 1 ? cfg.numaShards : 1, base_pfn,
-                 n_frames),
+      contigMap_(pagesInOrder(cfg.maxOrder)),
       buddy_(frames, base_pfn, n_frames, cfg.maxOrder, cfg.sortedTopList,
-             cfg.scrambleSeed, cfg.numaShards > 1 ? cfg.numaShards : 1),
-      pcpBatch_(cfg.pcpBatch),
-      pcpHigh_(cfg.pcpHigh),
-      pcp_(cfg.pcpCpus),
-      reclaim_(cfg.reclaim)
+             cfg.scrambleSeed)
 {
     buddy_.setTopListHooks(
         [this](Pfn pfn) { contigMap_.onBlockFree(pfn); },
         [this](Pfn pfn) { contigMap_.onBlockAllocated(pfn); });
-    if (cfg.lockStats) {
-        // Host and guest zones with the same node id share one site,
-        // the same way their buddy metrics merge by name.
-        lock_.bindStats(&LockStatsRegistry::global().site(
-            "zone" + std::to_string(node) + ".buddy"));
-        lruLock_.bindStats(&LockStatsRegistry::global().site(
-            "zone" + std::to_string(node) + ".lru"));
-        if (contigMap_.striped()) {
-            contigMap_.bindLockStats(
-                "zone" + std::to_string(node) + ".cmap");
-        }
-    }
-    if (reclaim_) {
+    if (cfg.reclaim) {
         // Watermarks derived from zone size (Linux derives min from
         // managed pages; low/high are fixed fractions above it):
         // min = 1/256th of the zone, low = 1.5x min, high = 2x min,
-        // all scaled by the config multiplier and floored at one pcp
-        // batch so tiny test zones still have a sensible band.
+        // all scaled by the config multiplier and floored at
+        // kMinWatermarkPages so tiny test zones still have a band.
         const auto scaled = [&](std::uint64_t pages) {
             const auto v =
                 static_cast<std::uint64_t>(pages * cfg.watermarkScale);
-            return std::max<std::uint64_t>(v, cfg.pcpBatch);
+            return std::max<std::uint64_t>(v, kMinWatermarkPages);
         };
         wm_.min = scaled(n_frames / 256);
         wm_.low = scaled(n_frames / 256 + n_frames / 512);
         wm_.high = scaled(n_frames / 128);
-        freePagesGauge_.store(buddy_.freePages(),
-                              std::memory_order_relaxed);
     }
-}
-
-std::optional<Pfn>
-Zone::alloc(unsigned order)
-{
-    if (order == 0 && pcpEnabled()) {
-        PcpList &pcp = myPcp();
-        if (pcp.pfns.empty()) {
-            std::lock_guard<SpinLock> g(lock_);
-            for (unsigned i = 0; i < pcpBatch_; ++i) {
-                auto pfn = buddy_.alloc(0);
-                if (!pfn)
-                    break;
-                pcp.pfns.push_back(*pfn);
-            }
-        }
-        if (pcp.pfns.empty())
-            return std::nullopt;
-        Pfn pfn = pcp.pfns.back();
-        pcp.pfns.pop_back();
-        // Pcp-cached frames count as free (NR_FREE_PAGES semantics),
-        // so the gauge moves on the cache pop, not the buddy refill.
-        if (reclaim_)
-            freePagesGauge_.fetch_sub(1, std::memory_order_relaxed);
-        return pfn;
-    }
-    std::lock_guard<SpinLock> g(lock_);
-    auto pfn = buddy_.alloc(order);
-    if (reclaim_ && pfn)
-        freePagesGauge_.fetch_sub(pagesInOrder(order),
-                                  std::memory_order_relaxed);
-    return pfn;
-}
-
-bool
-Zone::allocSpecific(Pfn pfn, unsigned order)
-{
-    std::lock_guard<SpinLock> g(lock_);
-    const bool ok = buddy_.allocSpecific(pfn, order);
-    if (reclaim_ && ok)
-        freePagesGauge_.fetch_sub(pagesInOrder(order),
-                                  std::memory_order_relaxed);
-    return ok;
-}
-
-void
-Zone::free(Pfn pfn, unsigned order)
-{
-    if (order == 0 && pcpEnabled()) {
-        PcpList &pcp = myPcp();
-        pcp.pfns.push_back(pfn);
-        if (reclaim_)
-            freePagesGauge_.fetch_add(1, std::memory_order_relaxed);
-        if (pcp.pfns.size() >= pcpHigh_) {
-            std::lock_guard<SpinLock> g(lock_);
-            for (unsigned i = 0; i < pcpBatch_ && !pcp.pfns.empty(); ++i) {
-                buddy_.free(pcp.pfns.back(), 0);
-                pcp.pfns.pop_back();
-            }
-        }
-        return;
-    }
-    std::lock_guard<SpinLock> g(lock_);
-    buddy_.free(pfn, order);
-    if (reclaim_)
-        freePagesGauge_.fetch_add(pagesInOrder(order),
-                                  std::memory_order_relaxed);
-}
-
-void
-Zone::drainPcp()
-{
-    if (!pcpEnabled())
-        return;
-    std::lock_guard<SpinLock> g(lock_);
-    for (PcpList &pcp : pcp_) {
-        for (Pfn pfn : pcp.pfns)
-            buddy_.free(pfn, 0);
-        pcp.pfns.clear();
-    }
-}
-
-std::uint64_t
-Zone::pcpCachedPages() const
-{
-    std::uint64_t total = 0;
-    for (const PcpList &pcp : pcp_)
-        total += pcp.pfns.size();
-    return total;
 }
 
 Log2Histogram
 Zone::freeBlockHistogram() const
 {
-    std::lock_guard<SpinLock> g(lock_);
     Log2Histogram hist = contigMap_.clusterSizeHistogram();
     for (unsigned o = 0; o < buddy_.maxOrder(); ++o) {
         buddy_.forEachFreeBlock(o, [&](Pfn) {
@@ -170,7 +60,7 @@ Zone::lruOf(Frame::LruList list) const
 }
 
 void
-Zone::lruUnlinkLocked(Pfn head)
+Zone::lruUnlink(Pfn head)
 {
     Frame &f = frames_[head];
     contig_assert(f.lruList != Frame::LruList::None,
@@ -192,87 +82,75 @@ Zone::lruUnlinkLocked(Pfn head)
 }
 
 void
-Zone::lruInsert(Frame::LruList list, Pfn head, unsigned order)
+Zone::lruLink(Frame::LruList list, Pfn head, unsigned order, bool at_tail)
 {
-    std::lock_guard<SpinLock> g(lruLock_);
     Frame &f = frames_[head];
-    contig_assert(f.lruList == Frame::LruList::None,
-                  "lru insert of already-listed frame %llu",
-                  static_cast<unsigned long long>(head));
     Lru &lru = lruOf(list);
     f.lruOrder = static_cast<std::uint8_t>(order);
     f.lruList = list;
-    f.lruPrev = kInvalidPfn;
-    f.lruNext = lru.head;
-    if (lru.head != kInvalidPfn)
-        frames_[lru.head].lruPrev = head;
-    lru.head = head;
-    if (lru.tail == kInvalidPfn)
+    if (at_tail) {
+        f.lruNext = kInvalidPfn;
+        f.lruPrev = lru.tail;
+        if (lru.tail != kInvalidPfn)
+            frames_[lru.tail].lruNext = head;
         lru.tail = head;
+        if (lru.head == kInvalidPfn)
+            lru.head = head;
+    } else {
+        f.lruPrev = kInvalidPfn;
+        f.lruNext = lru.head;
+        if (lru.head != kInvalidPfn)
+            frames_[lru.head].lruPrev = head;
+        lru.head = head;
+        if (lru.tail == kInvalidPfn)
+            lru.tail = head;
+    }
     lru.pages += pagesInOrder(order);
+}
+
+void
+Zone::lruInsert(Frame::LruList list, Pfn head, unsigned order)
+{
+    contig_assert(frames_[head].lruList == Frame::LruList::None,
+                  "lru insert of already-listed frame %llu",
+                  static_cast<unsigned long long>(head));
+    lruLink(list, head, order, false);
 }
 
 bool
 Zone::lruInsertTail(Frame::LruList list, Pfn head, unsigned order)
 {
-    std::lock_guard<SpinLock> g(lruLock_);
-    Frame &f = frames_[head];
-    if (f.lruList != Frame::LruList::None)
+    if (frames_[head].lruList != Frame::LruList::None)
         return false;
-    Lru &lru = lruOf(list);
-    f.lruOrder = static_cast<std::uint8_t>(order);
-    f.lruList = list;
-    f.lruNext = kInvalidPfn;
-    f.lruPrev = lru.tail;
-    if (lru.tail != kInvalidPfn)
-        frames_[lru.tail].lruNext = head;
-    lru.tail = head;
-    if (lru.head == kInvalidPfn)
-        lru.head = head;
-    lru.pages += pagesInOrder(order);
+    lruLink(list, head, order, true);
     return true;
 }
 
 bool
 Zone::lruRequeue(Frame::LruList list, Pfn head, unsigned order)
 {
-    std::lock_guard<SpinLock> g(lruLock_);
-    Frame &f = frames_[head];
-    if (f.lruList != Frame::LruList::None)
+    if (frames_[head].lruList != Frame::LruList::None)
         return false;
-    Lru &lru = lruOf(list);
-    f.lruOrder = static_cast<std::uint8_t>(order);
-    f.lruList = list;
-    f.lruPrev = kInvalidPfn;
-    f.lruNext = lru.head;
-    if (lru.head != kInvalidPfn)
-        frames_[lru.head].lruPrev = head;
-    lru.head = head;
-    if (lru.tail == kInvalidPfn)
-        lru.tail = head;
-    lru.pages += pagesInOrder(order);
+    lruLink(list, head, order, false);
     return true;
 }
 
 void
 Zone::lruRemove(Pfn head)
 {
-    std::lock_guard<SpinLock> g(lruLock_);
-    if (frames_[head].lruList == Frame::LruList::None)
-        return;
-    lruUnlinkLocked(head);
+    if (frames_[head].lruList != Frame::LruList::None)
+        lruUnlink(head);
 }
 
 std::size_t
 Zone::lruPopTail(Frame::LruList list, std::size_t n, LruEntry *out)
 {
-    std::lock_guard<SpinLock> g(lruLock_);
     Lru &lru = lruOf(list);
     std::size_t got = 0;
     while (got < n && lru.tail != kInvalidPfn) {
         const Pfn head = lru.tail;
         const std::uint8_t order = frames_[head].lruOrder;
-        lruUnlinkLocked(head);
+        lruUnlink(head);
         out[got++] = LruEntry{head, order};
     }
     return got;
@@ -281,7 +159,6 @@ Zone::lruPopTail(Frame::LruList list, std::size_t n, LruEntry *out)
 std::uint64_t
 Zone::lruPages(Frame::LruList list) const
 {
-    std::lock_guard<SpinLock> g(lruLock_);
     return lruOf(list).pages;
 }
 
@@ -291,12 +168,6 @@ Zone::saveState(Serializer &s) const
     const std::size_t sec = s.beginSection(sectionTag('Z', 'O', 'N', 'E'));
     s.u32(node_);
     buddy_.saveState(s);
-    s.u64(pcp_.size());
-    for (const PcpList &p : pcp_) {
-        s.u64(p.pfns.size());
-        for (Pfn pfn : p.pfns)
-            s.u64(pfn);
-    }
     s.endSection(sec);
 }
 

@@ -8,12 +8,7 @@
 namespace contig
 {
 
-CaPagingPolicy::CaPagingPolicy(const CaPagingConfig &cfg) : cfg_(cfg)
-{
-    if (LockStatsRegistry::enabled())
-        replacementSite_ =
-            &LockStatsRegistry::global().site("vma.replacement");
-}
+CaPagingPolicy::CaPagingPolicy(const CaPagingConfig &cfg) : cfg_(cfg) {}
 
 bool
 CaPagingPolicy::takeTarget(Kernel &kernel, Pfn target, unsigned order)
@@ -51,31 +46,21 @@ CaPagingPolicy::place(Kernel &kernel, NodeId home, std::uint64_t req_pages,
     for (unsigned i = 0; i < n; ++i) {
         Zone &zone = pm.zone((home + i) % n);
         ContiguityMap &map = zone.contigMap();
-        std::optional<Cluster> cluster;
-        {
-            // Map scans mutate the rover and scan-step counters, so
-            // they run under the zone lock like every other map update
-            // — unless the map is striped, in which case the scan
-            // takes its own per-stripe locks and serializing on the
-            // zone lock is exactly the contention sharding removes.
-            MaybeGuard<SpinLock> g(zone.lock(), !map.striped());
-            const std::uint64_t steps_before =
-                map.stats().placementScanSteps;
-            cluster = map.placeNextFit(req_pages);
-            res.placementCycles +=
-                cfg_.placementBaseCycles +
-                cfg_.cyclesPerScanStep *
-                    (map.stats().placementScanSteps - steps_before);
-        }
+        const std::uint64_t steps_before = map.stats().placementScanSteps;
+        const std::optional<Cluster> cluster = map.placeNextFit(req_pages);
+        res.placementCycles +=
+            cfg_.placementBaseCycles +
+            cfg_.cyclesPerScanStep *
+                (map.stats().placementScanSteps - steps_before);
         if (!cluster)
             continue; // zone has no top-order blocks left
         if (takeTarget(kernel, cluster->startPfn, order)) {
             res.pfn = cluster->startPfn;
             return res;
         }
-        // A racing thread carved up the cluster between the map scan
-        // and our allocSpecific — the probe/claim race the paper
-        // accepts (§III-C). Fall through to the next node.
+        // The cluster's first block could not be taken (the probe/claim
+        // race the paper accepts, §III-C). Fall through to the next
+        // node.
     }
     // No contiguity anywhere: default allocation. Tag the failure
     // reason in place (not via AllocResult::failure, which would
@@ -114,34 +99,21 @@ CaPagingPolicy::allocate(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn,
 
         // Huge failure: sub-VMA re-placement keyed by the remaining
         // unmapped size. The replacement guard's CAS admits exactly
-        // one re-placing thread (§III-C); everyone else loses.
+        // one re-placing fault (§III-C); everyone else loses.
         if (!vma.tryBeginReplacement()) {
-#if CONTIG_LOCK_STATS
-            const std::uint64_t lost_at =
-                replacementSite_ ? lockNowNs() : 0;
-#endif
             // Loser path: retry the fast path against the winner's
             // freshly published Offset instead of stacking a redundant
             // re-placement. A few rounds bound the spin if the winner
             // is slow; if the retries exhaust, report NoHugeBlock and
             // let the fault engine demote to 4 KiB.
             constexpr int kLoserRetries = 4;
-            int attempts = 0;
             for (int attempt = 0; attempt < kLoserRetries; ++attempt) {
-                ++attempts;
                 if (auto fresh = vma.nearestCaOffset(vpn)) {
                     const std::int64_t t =
                         static_cast<std::int64_t>(vpn) - fresh->offsetPages;
                     if (t >= 0 &&
                         takeTarget(kernel, static_cast<Pfn>(t), order)) {
                         ++stats_.offsetHits;
-#if CONTIG_LOCK_STATS
-                        if (replacementSite_) {
-                            replacementSite_->noteRetries(attempts);
-                            replacementSite_->noteContended(lockNowNs() -
-                                                            lost_at);
-                        }
-#endif
                         AllocResult res;
                         res.pfn = static_cast<Pfn>(t);
                         return res;
@@ -150,18 +122,8 @@ CaPagingPolicy::allocate(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn,
                 if (!vma.replacementActive())
                     break; // winner done; its Offset still failed us
             }
-#if CONTIG_LOCK_STATS
-            if (replacementSite_) {
-                replacementSite_->noteRetries(attempts);
-                replacementSite_->noteContended(lockNowNs() - lost_at);
-            }
-#endif
             return AllocResult::failure(order);
         }
-#if CONTIG_LOCK_STATS
-        if (replacementSite_)
-            replacementSite_->noteAcquire();
-#endif
         const std::uint64_t remaining =
             vma.pages() > vma.allocatedPages
                 ? vma.pages() - vma.allocatedPages

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "base/lock_stats.hh"
 #include "mm/policy.hh"
 #include "mm/process.hh"
 
@@ -50,10 +49,7 @@ struct CaPagingConfig
     Cycles placementBaseCycles = 150;
 };
 
-/**
- * Observable CA paging behaviour (tests + benches). Atomic because
- * allocate() runs concurrently on fault threads.
- */
+/** Observable CA paging behaviour (tests + benches). */
 struct CaPagingStats
 {
     std::atomic<std::uint64_t> placements{0};  //!< first-fault placements
@@ -120,14 +116,6 @@ class CaPagingPolicy : public AllocationPolicy
     }
 
     CaPagingStats stats_;
-
-    /**
-     * "vma.replacement" contention site (nullptr when lock stats are
-     * off): the CAS replacement guard is lock-free, so winners count
-     * as acquisitions and beaten threads as contended, with their
-     * fast-path retry rounds under retries.
-     */
-    LockSite *replacementSite_ = nullptr;
 
   private:
     CaPagingConfig cfg_;

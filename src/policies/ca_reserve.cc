@@ -1,7 +1,6 @@
 #include "policies/ca_reserve.hh"
 
 #include <algorithm>
-#include <mutex>
 
 #include "base/align.hh"
 #include "mm/kernel.hh"
@@ -11,11 +10,7 @@ namespace contig
 
 CaReservePolicy::CaReservePolicy(const CaPagingConfig &cfg)
     : CaPagingPolicy(cfg)
-{
-    if (LockStatsRegistry::enabled())
-        reserveLock_.bindStats(
-            &LockStatsRegistry::global().site("ca.reserve"));
-}
+{}
 
 bool
 CaReservePolicy::overlapsReservation(Pfn start, std::uint64_t pages,
@@ -33,7 +28,6 @@ CaReservePolicy::overlapsReservation(Pfn start, std::uint64_t pages,
 std::uint64_t
 CaReservePolicy::reservedPages() const
 {
-    std::lock_guard<SpinLock> g(reserveLock_);
     std::uint64_t total = 0;
     for (const auto &kv : reservations_)
         total += kv.second.pages;
@@ -48,11 +42,6 @@ CaReservePolicy::place(Kernel &kernel, NodeId home,
     AllocResult res;
     PhysicalMemory &pm = kernel.physMem();
 
-    // One placement at a time: the reservation table and the rover
-    // form one consistent picture. allocSpecific below nests the zone
-    // lock inside this one (reserve -> zone, the documented order).
-    std::lock_guard<SpinLock> pl(reserveLock_);
-
     // Gather candidate sub-regions: free clusters minus the parts
     // under someone else's reservation.
     struct Candidate
@@ -64,14 +53,7 @@ CaReservePolicy::place(Kernel &kernel, NodeId home,
     const unsigned n = pm.numNodes();
     for (unsigned i = 0; i < n; ++i) {
         const Zone &zone = pm.zone((home + i) % n);
-        std::vector<Cluster> clusters;
-        {
-            // snapshot() walks the live map; racing buddy updates
-            // mutate it, so read it under the zone lock.
-            std::lock_guard<SpinLock> zg(zone.lock());
-            clusters = zone.contigMap().snapshot();
-        }
-        for (const Cluster &c : clusters) {
+        for (const Cluster &c : zone.contigMap().snapshot()) {
             // Carve the cluster around reserved intervals.
             Pfn at = c.startPfn;
             const Pfn end = c.startPfn + c.pages;
@@ -180,7 +162,6 @@ void
 CaReservePolicy::onMunmap(Kernel &kernel, Process &proc, Vma &vma)
 {
     CaPagingPolicy::onMunmap(kernel, proc, vma);
-    std::lock_guard<SpinLock> g(reserveLock_);
     const auto removed =
         reservations_.erase(placementOwner(proc, vma));
     rstats_.reservationsReleased += removed;

@@ -21,7 +21,6 @@
 #include <map>
 #include <vector>
 
-#include "base/sync.hh"
 #include "policies/ca_paging.hh"
 
 namespace contig
@@ -73,11 +72,6 @@ class CaReservePolicy : public CaPagingPolicy
     std::multimap<std::uint64_t, Reservation> reservations_;
     Pfn rover_ = 0;
     CaReserveStats rstats_;
-    /**
-     * Serializes reservation-table and rover updates: place() runs on
-     * concurrent fault workers while onMunmap() drops reservations.
-     */
-    mutable SpinLock reserveLock_;
 };
 
 } // namespace contig

@@ -27,7 +27,6 @@ VirtualMachine::VirtualMachine(Kernel &host,
     const std::uint64_t ram_bytes =
         cfg.guestBytesPerNode * cfg.guestNodes;
     ramVma_ = &backing_->addressSpace().mmap(ram_bytes, VmaKind::GuestRam);
-    ramVma_->faultLock().bindStats(host_.vmaFaultSite());
     host_.policy().onMmap(host_, *backing_, *ramVma_);
 
     // The guest kernel sees [0, ram_bytes) as its physical space.

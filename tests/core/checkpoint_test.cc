@@ -239,7 +239,7 @@ TEST_F(CheckpointTest, DeathOnVersionMismatch)
     std::fclose(fp);
     ASSERT_GT(buf.size(), 12u);
     ASSERT_EQ(buf[4], kCkptVersion);
-    buf[4] = 1;
+    buf[4] = kCkptVersion - 1;
     const std::uint32_t crc = crc32(buf.data(), buf.size() - 4);
     for (unsigned i = 0; i < 4; ++i)
         buf[buf.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));

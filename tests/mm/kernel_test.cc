@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <set>
-#include <vector>
-
 #include "mm/kernel.hh"
 #include "mm/migrate.hh"
-#include "policies/ca_paging.hh"
 
 using namespace contig;
 
@@ -281,118 +277,4 @@ TEST(Migrate, PromoteHuge)
 
     // Second promotion attempt: already huge.
     EXPECT_FALSE(promoteHuge(*k, p, base));
-}
-
-// --- NUMA-sharded physical metadata ---------------------------------
-
-TEST(KernelNumaShards, ThpBehaviorIdenticalToUnsharded)
-{
-    // DefaultThpPolicy never scans the contiguity map, and the striped
-    // buddy top list is observably identical to the unsharded one —
-    // so a sharded kernel must reproduce the unsharded fault behavior
-    // exactly, not just approximately.
-    KernelConfig sharded = smallConfig();
-    sharded.numaShards = 4;
-    Kernel ks(sharded, std::make_unique<DefaultThpPolicy>());
-    auto ku = makeKernel();
-
-    Process &ps = ks.createProcess("s");
-    Process &pu = ku->createProcess("u");
-    Vma &vs = ps.mmap(16 << 20);
-    Vma &vu = pu.mmap(16 << 20);
-    ps.touchRange(vs.start(), vs.bytes());
-    pu.touchRange(vu.start(), vu.bytes());
-
-    EXPECT_EQ(ks.faultStats().faults, ku->faultStats().faults);
-    EXPECT_EQ(ks.faultStats().hugeFaults, ku->faultStats().hugeFaults);
-    EXPECT_EQ(vs.allocatedPages, vu.allocatedPages);
-    EXPECT_EQ(ks.physMem().freePages(), ku->physMem().freePages());
-    for (NodeId n = 0; n < ks.physMem().numNodes(); ++n) {
-        const Zone &z = ks.physMem().zone(n);
-        EXPECT_TRUE(z.contigMap().striped());
-        EXPECT_EQ(z.contigMap().stripes(), 4u);
-        EXPECT_EQ(z.buddy().topStripes(), 4u);
-        EXPECT_TRUE(z.buddy().checkInvariants());
-        EXPECT_TRUE(z.contigMap().checkInvariants());
-    }
-}
-
-TEST(KernelNumaShards, CaPagingPlacesThroughStripedMap)
-{
-    // CA paging's placement scan runs per-stripe here; the coverage
-    // outcome must stay sane (every touch mapped, invariants hold)
-    // even though the scan order differs from the unsharded map.
-    KernelConfig cfg = smallConfig();
-    cfg.numaShards = 4;
-    Kernel k(cfg, std::make_unique<CaPagingPolicy>());
-    Process &p = k.createProcess("ca");
-    Vma &vma = p.mmap(32 << 20);
-    p.touchRange(vma.start(), vma.bytes());
-    EXPECT_EQ(vma.touchedPages, vma.pages());
-    EXPECT_GT(k.faultStats().hugeFaults, 0u);
-    for (NodeId n = 0; n < k.physMem().numNodes(); ++n) {
-        const Zone &z = k.physMem().zone(n);
-        EXPECT_TRUE(z.contigMap().checkInvariants());
-        EXPECT_TRUE(z.buddy().checkInvariants());
-    }
-    // The striped map took placements (CA's scan found clusters).
-    std::uint64_t placements = 0;
-    for (NodeId n = 0; n < k.physMem().numNodes(); ++n)
-        placements += k.physMem().zone(n).contigMap().stats().placements;
-    EXPECT_GT(placements, 0u);
-}
-
-TEST(KernelNumaShards, ProcessDefaultAppliesWhenUnset)
-{
-    // bench_io publishes --numa-shards/CONTIG_NUMA_SHARDS through
-    // KernelConfig::setDefaultNumaShards before any kernel exists;
-    // normalized() folds it in only when the per-instance knob is 0,
-    // so explicit settings (tests, tweak hooks) always win.
-    KernelConfig::setDefaultNumaShards(3);
-    {
-        Kernel k(smallConfig(), std::make_unique<DefaultThpPolicy>());
-        EXPECT_EQ(k.config().numaShards, 3u);
-        for (NodeId n = 0; n < k.physMem().numNodes(); ++n)
-            EXPECT_EQ(k.physMem().zone(n).contigMap().stripes(), 3u);
-    }
-    {
-        KernelConfig pinned = smallConfig();
-        pinned.numaShards = 2;
-        Kernel k(pinned, std::make_unique<DefaultThpPolicy>());
-        EXPECT_EQ(k.config().numaShards, 2u);
-    }
-    KernelConfig::setDefaultNumaShards(0);
-    Kernel k(smallConfig(), std::make_unique<DefaultThpPolicy>());
-    EXPECT_EQ(k.config().numaShards, 0u);
-    EXPECT_FALSE(k.physMem().zone(0).contigMap().striped());
-}
-
-TEST(KernelNumaShards, KernelPoolShardsServeAndRaid)
-{
-    // Page-table frames come from the sharded kernel pool; freeing
-    // returns them to the caller's home shard, and allocation raids
-    // other shards before direct reclaim. One CPU exercises the home
-    // path; the pool gauge must stay consistent throughout.
-    KernelConfig cfg = smallConfig();
-    cfg.numaShards = 4;
-    Kernel k(cfg, std::make_unique<DefaultThpPolicy>());
-    std::vector<Pfn> frames;
-    for (int i = 0; i < 200; ++i)
-        frames.push_back(k.allocKernelFrame(0));
-    // All frames are distinct (no shard handed one out twice).
-    std::set<Pfn> distinct(frames.begin(), frames.end());
-    EXPECT_EQ(distinct.size(), frames.size());
-    // The gauge counts pages *claimed* from the buddy, so it covers
-    // both pooled and handed-out frames and must not move when frames
-    // shuttle between the two.
-    const std::uint64_t claimed = k.kernelPoolPages();
-    EXPECT_GE(claimed, frames.size());
-    for (Pfn f : frames)
-        k.freeKernelFrame(f);
-    EXPECT_EQ(k.kernelPoolPages(), claimed);
-    // A second wave is served from the now-replenished home shard
-    // (frees landed there) without claiming more memory.
-    for (int i = 0; i < 100; ++i)
-        k.freeKernelFrame(k.allocKernelFrame(0));
-    EXPECT_EQ(k.kernelPoolPages(), claimed);
 }

@@ -3,7 +3,6 @@
 #include <set>
 #include <vector>
 
-#include "base/serialize.hh"
 #include "phys/buddy.hh"
 
 using namespace contig;
@@ -203,112 +202,5 @@ TEST(BuddyMaxOrder, RaisedMaxOrderAllowsBiggerBlocks)
     ASSERT_TRUE(pfn);
     EXPECT_EQ(buddy.freePages(), n - pagesInOrder(big_order));
     buddy.free(*pfn, big_order);
-    EXPECT_TRUE(buddy.checkInvariants());
-}
-
-// --- NUMA-sharded (striped) top-order free list ---------------------
-
-namespace
-{
-
-/** Mirror one op sequence into a striped and an unsharded buddy. */
-struct BuddyPair
-{
-    explicit BuddyPair(unsigned stripes)
-        : framesA(kZoneFrames), framesB(kZoneFrames),
-          striped(framesA, 0, kZoneFrames, kMaxOrder, true, 0, stripes),
-          flat(framesB, 0, kZoneFrames)
-    {
-    }
-
-    FrameArray framesA, framesB;
-    BuddyAllocator striped;
-    BuddyAllocator flat;
-};
-
-std::vector<Pfn>
-topBlocks(const BuddyAllocator &b)
-{
-    std::vector<Pfn> v;
-    b.forEachFreeBlock(b.maxOrder(), [&](Pfn p) { v.push_back(p); });
-    return v;
-}
-
-} // namespace
-
-TEST(BuddyStriped, SortedStripedListIsObservablyUnsharded)
-{
-    // The striped sorted top list concatenates to the same global
-    // ascending order: counts, iteration order and checkpoint bytes
-    // must match the unsharded allocator after any op sequence.
-    BuddyPair pair(4);
-    EXPECT_EQ(pair.striped.topStripes(), 4u);
-    EXPECT_EQ(topBlocks(pair.striped), topBlocks(pair.flat));
-
-    std::vector<Pfn> blocks;
-    for (int i = 0; i < 5; ++i) {
-        auto a = pair.striped.alloc(kMaxOrder);
-        auto b = pair.flat.alloc(kMaxOrder);
-        ASSERT_TRUE(a && b);
-        EXPECT_EQ(*a, *b);
-        blocks.push_back(*a);
-    }
-    // Free out of order: re-insertion routes by address, so both
-    // lists end up ascending again.
-    for (int i : {3, 0, 4, 1, 2}) {
-        pair.striped.free(blocks[i], kMaxOrder);
-        pair.flat.free(blocks[i], kMaxOrder);
-        EXPECT_TRUE(pair.striped.checkInvariants());
-    }
-    EXPECT_EQ(topBlocks(pair.striped), topBlocks(pair.flat));
-    EXPECT_EQ(pair.striped.freeBlockCounts(), pair.flat.freeBlockCounts());
-    EXPECT_EQ(pair.striped.freePages(), pair.flat.freePages());
-
-    Serializer sa, sb;
-    pair.striped.saveState(sa);
-    pair.flat.saveState(sb);
-    EXPECT_EQ(sa.data(), sb.data());
-}
-
-TEST(BuddyStriped, SplitsAndMergesCrossStripeBoundaries)
-{
-    // Sub-top orders keep the single legacy list; only the top order
-    // is striped. An order-0 alloc/free cycle must split from and
-    // coalesce back into the right stripe's list.
-    BuddyPair pair(8);
-    auto a = pair.striped.alloc(0);
-    auto b = pair.flat.alloc(0);
-    ASSERT_TRUE(a && b);
-    EXPECT_EQ(*a, *b);
-    EXPECT_EQ(pair.striped.freeBlockCounts(), pair.flat.freeBlockCounts());
-    pair.striped.free(*a, 0);
-    pair.flat.free(*b, 0);
-    EXPECT_EQ(pair.striped.freeBlocks(kMaxOrder), 8u);
-    EXPECT_EQ(topBlocks(pair.striped), topBlocks(pair.flat));
-    EXPECT_TRUE(pair.striped.checkInvariants());
-
-    // allocSpecific across the whole zone behaves identically too.
-    const Pfn target = 5 * pagesInOrder(kMaxOrder) + 1024;
-    EXPECT_TRUE(pair.striped.allocSpecific(target, kHugeOrder));
-    EXPECT_TRUE(pair.flat.allocSpecific(target, kHugeOrder));
-    EXPECT_EQ(pair.striped.freeBlockCounts(), pair.flat.freeBlockCounts());
-    EXPECT_TRUE(pair.striped.checkInvariants());
-}
-
-TEST(BuddyStriped, ExhaustionAndRefillStayConsistent)
-{
-    FrameArray frames(kZoneFrames);
-    BuddyAllocator buddy(frames, 0, kZoneFrames, kMaxOrder, true, 0, 3);
-    std::vector<Pfn> all;
-    for (int i = 0; i < 8; ++i) {
-        auto pfn = buddy.alloc(kMaxOrder);
-        ASSERT_TRUE(pfn);
-        all.push_back(*pfn);
-    }
-    EXPECT_FALSE(buddy.alloc(0));
-    EXPECT_EQ(buddy.freePages(), 0u);
-    for (Pfn p : all)
-        buddy.free(p, kMaxOrder);
-    EXPECT_EQ(buddy.freeBlocks(kMaxOrder), 8u);
     EXPECT_TRUE(buddy.checkInvariants());
 }

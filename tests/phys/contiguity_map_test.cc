@@ -169,133 +169,3 @@ TEST(ContiguityMap, RoverSurvivesClusterRemoval)
     auto c = map.placeNextFit(kBlock);
     ASSERT_TRUE(c);
 }
-
-// --- NUMA-sharded (striped) mode ------------------------------------
-
-namespace
-{
-
-constexpr std::uint64_t kSpan = 64 * kBlock; // pages covered by the map
-
-/** Mirror one op sequence into a striped and an unsharded map. */
-struct MapPair
-{
-    explicit MapPair(unsigned stripes)
-        : striped(kBlock, stripes, 0, kSpan), flat(kBlock)
-    {
-    }
-
-    void
-    freeBlock(Pfn pfn)
-    {
-        striped.onBlockFree(pfn);
-        flat.onBlockFree(pfn);
-    }
-
-    void
-    allocBlock(Pfn pfn)
-    {
-        striped.onBlockAllocated(pfn);
-        flat.onBlockAllocated(pfn);
-    }
-
-    ContiguityMap striped;
-    ContiguityMap flat;
-};
-
-} // namespace
-
-TEST(ContiguityMapStriped, OneStripeIsTheLegacyMap)
-{
-    ContiguityMap map(kBlock, 1, 0, kSpan);
-    EXPECT_FALSE(map.striped());
-    EXPECT_EQ(map.stripes(), 1u);
-    map.onBlockFree(0);
-    map.onBlockFree(kBlock);
-    EXPECT_EQ(map.clusterCount(), 1u);
-    EXPECT_EQ(map.largest()->pages, 2 * kBlock);
-    EXPECT_TRUE(map.checkInvariants());
-}
-
-TEST(ContiguityMapStriped, RunsSplitAtStripeBoundaries)
-{
-    // A free run crossing a stripe boundary is tracked as one cluster
-    // per stripe (clusters are maximal within their stripe), but the
-    // page accounting is unchanged.
-    ContiguityMap map(kBlock, 2, 0, kSpan); // boundary at 32 * kBlock
-    EXPECT_TRUE(map.striped());
-    for (Pfn b = 30; b < 34; ++b)
-        map.onBlockFree(b * kBlock);
-    EXPECT_EQ(map.freePagesTracked(), 4 * kBlock);
-    EXPECT_EQ(map.clusterCount(), 2u);
-    auto snap = map.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].startPfn, 30 * kBlock);
-    EXPECT_EQ(snap[0].pages, 2 * kBlock);
-    EXPECT_EQ(snap[1].startPfn, 32 * kBlock);
-    EXPECT_EQ(snap[1].pages, 2 * kBlock);
-    EXPECT_TRUE(map.checkInvariants());
-}
-
-TEST(ContiguityMapStriped, PlacementScansOtherStripes)
-{
-    // Only stripe 1 has free space; the ring scan must leave the
-    // rover's home stripe and find it.
-    ContiguityMap map(kBlock, 4, 0, kSpan); // 16 blocks per stripe
-    map.onBlockFree(20 * kBlock);           // stripe 1
-    map.onBlockFree(21 * kBlock);
-    auto c = map.placeNextFit(2 * kBlock);
-    ASSERT_TRUE(c);
-    EXPECT_EQ(c->startPfn, 20 * kBlock);
-    EXPECT_EQ(c->pages, 2 * kBlock);
-    // Oversized request falls back to the largest cluster anywhere.
-    auto l = map.placeNextFit(100 * kBlock);
-    ASSERT_TRUE(l);
-    EXPECT_EQ(l->startPfn, 20 * kBlock);
-}
-
-TEST(ContiguityMapStriped, TrackingMatchesUnshardedMirror)
-{
-    // Same op sequence into striped and flat maps: page accounting and
-    // the union of tracked pages agree (cluster boundaries may not —
-    // stripe-crossing runs split).
-    MapPair maps(4);
-    for (Pfn b : {0ull, 1ull, 2ull, 15ull, 16ull, 17ull, 40ull, 63ull})
-        maps.freeBlock(b * kBlock);
-    for (Pfn b : {1ull, 16ull})
-        maps.allocBlock(b * kBlock);
-    EXPECT_EQ(maps.striped.freePagesTracked(),
-              maps.flat.freePagesTracked());
-    std::uint64_t striped_pages = 0, flat_pages = 0;
-    for (const auto &c : maps.striped.snapshot())
-        striped_pages += c.pages;
-    for (const auto &c : maps.flat.snapshot())
-        flat_pages += c.pages;
-    EXPECT_EQ(striped_pages, flat_pages);
-    EXPECT_TRUE(maps.striped.checkInvariants());
-    EXPECT_TRUE(maps.flat.checkInvariants());
-    // Draining every remaining block empties both.
-    for (Pfn b : {0ull, 2ull, 15ull, 17ull, 40ull, 63ull})
-        maps.allocBlock(b * kBlock);
-    EXPECT_EQ(maps.striped.clusterCount(), 0u);
-    EXPECT_EQ(maps.striped.freePagesTracked(), 0u);
-}
-
-TEST(ContiguityMapStriped, RoverRotatesAcrossStripes)
-{
-    // One equal cluster per stripe: successive placements rotate over
-    // all of them before reusing one, like the unsharded rover.
-    ContiguityMap map(kBlock, 2, 0, kSpan);
-    map.onBlockFree(0);            // stripe 0
-    map.onBlockFree(40 * kBlock);  // stripe 1
-    auto a = map.placeNextFit(kBlock);
-    auto b = map.placeNextFit(kBlock);
-    ASSERT_TRUE(a && b);
-    EXPECT_NE(a->startPfn, b->startPfn);
-    auto c = map.placeNextFit(kBlock);
-    ASSERT_TRUE(c);
-    EXPECT_EQ(c->startPfn, a->startPfn);
-    const ContiguityMapStats st = map.stats();
-    EXPECT_EQ(st.placements, 3u);
-    EXPECT_GT(st.placementScanSteps, 0u);
-}

@@ -156,22 +156,18 @@ TEST(FrameDefaults, FreshFrameArrayIsAllZero)
 
 TEST(PhysMem, FreshMachineIsFreeAndUnowned)
 {
-    for (unsigned shards : {0u, 4u}) {
-        PhysMemConfig cfg = smallConfig();
-        cfg.zone.numaShards = shards;
-        PhysicalMemory pm(cfg);
-        EXPECT_EQ(pm.freePages(), pm.totalFrames());
-        for (Pfn p = 0; p < pm.totalFrames(); ++p) {
-            ASSERT_TRUE(pm.isFreePage(p)) << "pfn " << p;
-            const Frame &f = pm.frame(p);
-            ASSERT_EQ(f.ownerKind.load(), FrameOwner::None) << "pfn " << p;
-            ASSERT_EQ(f.refCount.load(), 0u) << "pfn " << p;
-            ASSERT_EQ(f.mapCount.load(), 0u) << "pfn " << p;
-        }
-        for (unsigned n = 0; n < pm.numNodes(); ++n) {
-            EXPECT_TRUE(pm.zone(n).buddy().checkInvariants());
-            EXPECT_TRUE(pm.zone(n).contigMap().checkInvariants());
-        }
+    PhysicalMemory pm(smallConfig());
+    EXPECT_EQ(pm.freePages(), pm.totalFrames());
+    for (Pfn p = 0; p < pm.totalFrames(); ++p) {
+        ASSERT_TRUE(pm.isFreePage(p)) << "pfn " << p;
+        const Frame &f = pm.frame(p);
+        ASSERT_EQ(f.ownerKind.load(), FrameOwner::None) << "pfn " << p;
+        ASSERT_EQ(f.refCount.load(), 0u) << "pfn " << p;
+        ASSERT_EQ(f.mapCount.load(), 0u) << "pfn " << p;
+    }
+    for (unsigned n = 0; n < pm.numNodes(); ++n) {
+        EXPECT_TRUE(pm.zone(n).buddy().checkInvariants());
+        EXPECT_TRUE(pm.zone(n).contigMap().checkInvariants());
     }
 }
 

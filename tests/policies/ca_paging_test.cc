@@ -146,6 +146,68 @@ TEST_F(CaTest, OccupiedTargetTriggersSubVmaPlacement)
     EXPECT_EQ(ca->stats().subVmaPlacements, 1u);
 }
 
+/**
+ * §III-C "Avoiding multithreading pitfalls", as a deterministic
+ * interleaving: the test holds the replacement guard itself, playing
+ * a fault whose re-placement of this VMA is still in flight. A second
+ * huge fault whose Offset fails must lose — no second re-placement —
+ * and demote to 4 KiB; once the winner publishes its Offset and
+ * releases the guard, the next huge fault rides that Offset.
+ */
+TEST_F(CaTest, ReplacementGuardAdmitsOneReplacer)
+{
+    Process &p = kernel->createProcess("t");
+    Vma &vma = p.mmap(32 * kHugeSize);
+    p.touchRange(vma.start(), 16 * kHugeSize);
+    ASSERT_EQ(ca->stats().placements, 1u);
+
+    // Occupy the next huge target so the Offset fast path fails there.
+    auto m = p.pageTable().lookup(vma.start().pageNumber());
+    ASSERT_TRUE(m);
+    ASSERT_TRUE(
+        kernel->physMem().allocSpecific(m->pfn + 16 * 512, kHugeOrder));
+
+    // The winner, mid re-placement.
+    ASSERT_TRUE(vma.tryBeginReplacement());
+
+    // The loser: its huge allocation fails without re-placing.
+    const Vpn vpn16 = vma.start().pageNumber() + 16 * 512;
+    const AllocResult lost =
+        ca->allocate(*kernel, p, vma, vpn16, kHugeOrder);
+    EXPECT_FALSE(lost.ok());
+    EXPECT_EQ(lost.fail, AllocFail::NoHugeBlock);
+    EXPECT_EQ(ca->stats().subVmaPlacements, 0u);
+    EXPECT_TRUE(vma.replacementActive());
+
+    // The loser's fault demotes to 4 KiB.
+    p.touch(vma.start() + 16 * kHugeSize);
+    auto demoted = p.pageTable().lookup(vpn16);
+    ASSERT_TRUE(demoted);
+    EXPECT_EQ(demoted->order, 0u);
+    EXPECT_EQ(ca->stats().subVmaPlacements, 0u);
+
+    // The winner publishes an Offset to a free, aligned block (node 1
+    // is untouched) and releases the guard.
+    auto cluster = kernel->physMem().zone(1).contigMap().largest();
+    ASSERT_TRUE(cluster);
+    const Pfn fresh = cluster->startPfn;
+    const Vpn vpn17 = vpn16 + 512;
+    vma.pushCaOffset(vpn17, static_cast<std::int64_t>(vpn17) -
+                                static_cast<std::int64_t>(fresh));
+    vma.endReplacement();
+
+    // The next huge fault hits that Offset: no new placement.
+    const std::uint64_t hits = ca->stats().offsetHits;
+    p.touch(vma.start() + 17 * kHugeSize);
+    auto rode = p.pageTable().lookup(vpn17);
+    ASSERT_TRUE(rode);
+    EXPECT_EQ(rode->order, kHugeOrder);
+    EXPECT_EQ(rode->pfn, fresh);
+    EXPECT_EQ(ca->stats().offsetHits, hits + 1);
+    EXPECT_EQ(ca->stats().placements, 1u);
+    EXPECT_EQ(ca->stats().subVmaPlacements, 0u);
+}
+
 TEST_F(CaTest, Base4kFailureFallsBack)
 {
     KernelConfig cfg = smallConfig();

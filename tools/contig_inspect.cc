@@ -335,14 +335,13 @@ numbersClose(double cur, double base, double rel_tol)
 }
 
 /** Wall-clock metrics vary run to run; never gate on them. That is
- *  the phase timers plus the concurrency-observatory accounting:
- *  worker busy times, trace-frontend stall/wait times, and the whole
- *  lock.* contention group (counts depend on scheduling). */
+ *  the phase timers plus the trace decode thread's stall/wait
+ *  times. */
 bool
 ignoredMetric(const std::string &path)
 {
     static const char *const suffixes[] = {
-        ".wall_us", ".busy_us", ".stall_us", ".wait_us", ".spin_us",
+        ".wall_us", ".stall_us", ".wait_us",
     };
     for (const char *suffix : suffixes) {
         const std::size_t n = std::strlen(suffix);
@@ -350,7 +349,7 @@ ignoredMetric(const std::string &path)
             path.compare(path.size() - n, n, suffix) == 0)
             return true;
     }
-    return path.rfind("metrics.lock.", 0) == 0;
+    return false;
 }
 
 void

@@ -3,9 +3,8 @@
  * contig_top: the observatory's live consumer. Tails the JSONL
  * timeline a running bench streams via `--timeline FILE` and renders
  * a refreshing top-style view of the run: per-zone fragmentation
- * (free pages, FMFI, clusters, largest cluster), fault progress and
- * rate, and — when the bench runs with `--lock-stats` — the hottest
- * lock sites by contention.
+ * (free pages, FMFI, clusters, largest cluster) and fault progress
+ * and rate.
  *
  *   contig_top <timeline.jsonl>            follow until interrupted
  *   contig_top <timeline.jsonl> --once     render one frame and exit
@@ -19,7 +18,6 @@
  * the same delta stream contig_inspect consumes offline.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -29,7 +27,7 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "obs/snapshot.hh"
 
@@ -146,50 +144,6 @@ renderZones(const StreamState &s)
 }
 
 void
-renderLocks(const StreamState &s)
-{
-    // lock.<site>.<leaf>: group the four leaves back per site. Sites
-    // contain dots ("vma.fault"), so split on the known leaf names.
-    struct Row
-    {
-        double acq = 0, cont = 0, retries = 0, spin = 0;
-    };
-    std::map<std::string, Row> rows;
-    for (const auto &[key, value] : s.state) {
-        if (key.rfind("lock.", 0) != 0)
-            continue;
-        const std::size_t leaf_dot = key.find_last_of('.');
-        const std::string site = key.substr(5, leaf_dot - 5);
-        const std::string leaf = key.substr(leaf_dot + 1);
-        Row &r = rows[site];
-        if (leaf == "acquisitions")
-            r.acq = value;
-        else if (leaf == "contended")
-            r.cont = value;
-        else if (leaf == "retries")
-            r.retries = value;
-        else if (leaf == "spin_us")
-            r.spin = value;
-    }
-    if (rows.empty())
-        return;
-    // Hottest first: contended acquisitions, then wait time.
-    std::vector<std::pair<std::string, Row>> ranked(rows.begin(),
-                                                    rows.end());
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second.cont != b.second.cont)
-                      return a.second.cont > b.second.cont;
-                  return a.second.spin > b.second.spin;
-              });
-    std::printf("  %-20s %12s %11s %10s %11s\n", "lock site",
-                "acquisitions", "contended", "retries", "spin_us");
-    for (const auto &[site, r] : ranked)
-        std::printf("  %-20s %12.0f %11.0f %10.0f %11.0f\n",
-                    site.c_str(), r.acq, r.cont, r.retries, r.spin);
-}
-
-void
 renderFrame(const std::string &path, std::uint64_t frame,
             std::map<std::uint64_t, StreamState> &streams,
             std::uint64_t lines, double interval_s, bool plain)
@@ -215,7 +169,6 @@ renderFrame(const std::string &path, std::uint64_t frame,
         s.prevFaults = faults;
         s.sawFrame = true;
         renderZones(s);
-        renderLocks(s);
         std::printf("\n");
     }
     std::fflush(stdout);
