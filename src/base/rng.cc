@@ -20,12 +20,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,55 +30,10 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    contig_assert(bound > 0, "Rng::below bound must be positive");
-    // Lemire's nearly-divisionless method.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    std::uint64_t l = static_cast<std::uint64_t>(m);
-    if (l < bound) {
-        std::uint64_t t = -bound % bound;
-        while (l < t) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            l = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t
 Rng::between(std::uint64_t lo, std::uint64_t hi)
 {
     contig_assert(lo <= hi, "Rng::between empty range");
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.hh"
+
 namespace contig
 {
 
@@ -24,19 +26,82 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's method. bound > 0. */
-    std::uint64_t below(std::uint64_t bound);
+    std::uint64_t
+    below(std::uint64_t bound)
+    {
+        contig_assert(bound > 0, "Rng::below bound must be positive");
+        // Lemire's nearly-divisionless method.
+        std::uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        std::uint64_t l = static_cast<std::uint64_t>(m);
+        if (l < bound) {
+            std::uint64_t t = -bound % bound;
+            while (l < t) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                l = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** True with the given probability. */
-    bool chance(double p);
+    bool chance(double p) { return uniform() < p; }
+
+    /**
+     * chance(p) on integers: for a raw draw x, `uniform() < p` is
+     * exactly `(x >> 11) < threshold(p)`, because scaling both sides
+     * by 2^53 does not round. p in [0, 1].
+     */
+    static constexpr std::uint64_t
+    threshold(double p)
+    {
+        const double scaled = p * 0x1.0p53;
+        const auto whole = static_cast<std::uint64_t>(scaled);
+        return whole + (static_cast<double>(whole) < scaled); // ceil
+    }
+
+    /**
+     * The next raw value, consumed only when `take` holds, without a
+     * branch: the draw is taken ahead in a copy whose state a mask
+     * select keeps or drops. Chunk generators use it for a draw that
+     * only some mixture components consume.
+     */
+    std::uint64_t
+    nextIf(bool take)
+    {
+        Rng ahead = *this;
+        const std::uint64_t result = ahead.next();
+        const std::uint64_t mask = -static_cast<std::uint64_t>(take);
+        for (int i = 0; i < 4; ++i)
+            s_[i] ^= (s_[i] ^ ahead.s_[i]) & mask;
+        return result;
+    }
 
     /**
      * Raw xoshiro256** state, for checkpoint/restore. setState with a
@@ -69,6 +134,12 @@ class Rng
     }
 
   private:
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

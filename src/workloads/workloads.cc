@@ -21,6 +21,29 @@ pc(unsigned idx)
     return 0x400000 + idx * 0x40;
 }
 
+/**
+ * `off % len` for `off < 2 * len` — a wrapped cursor plus one step
+ * smaller than its region — as a compare and a masked subtract.
+ */
+constexpr std::uint64_t
+wrap(std::uint64_t off, std::uint64_t len)
+{
+    return off - (len & -static_cast<std::uint64_t>(off >= len));
+}
+
+/**
+ * Sample `zipf` through a copy of `rng`, so that a chunk loop's local
+ * Rng never has its address taken and can stay in registers.
+ */
+std::uint64_t
+sampleVia(ZipfSampler &zipf, Rng &rng)
+{
+    Rng copy = rng;
+    const std::uint64_t v = zipf.sample(copy);
+    rng = copy;
+    return v;
+}
+
 } // namespace
 
 void
@@ -148,36 +171,66 @@ SvmWorkload::touchPattern(Process &proc)
         proc.touchRange(base(i), regions_[i].touchBytes);
 }
 
-MemAccess
-SvmWorkload::nextAccess(Rng &rng)
+// Streams dominate the access mix; the random structures are touched
+// through slowly-moving hot pointers, so the new-page rate lands in the
+// paper's ~1 %-of-accesses DTLB-miss regime.
+//
+//   roll  pc  region          behaviour
+//   0.48  0   values          stream, +8 B
+//   0.22  1   column indices  stream, +4 B
+//   0.26  2   model weights   hot feature; w.p. 0.055 jump to a
+//                             Zipf-ranked feature
+//   0.04  3   scratch VMAs    hot offset; w.p. 0.09 hop to a random
+//                             offset of a random scratch VMA (the
+//                             residual misses outside the 32 largest
+//                             mappings, §VI-B)
+void
+SvmWorkload::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)
 {
-    // Streams dominate the access mix; the random structures are
-    // touched through slowly-moving hot pointers, so the new-page
-    // rate lands in the paper's ~1 %-of-accesses DTLB-miss regime.
-    const double roll = rng.uniform();
-    if (roll < 0.48) {
-        valuesCursor_ += 8;
-        return {pc(0), at(0, valuesCursor_)};
+    constexpr std::uint64_t kRoll[3] = {
+        Rng::threshold(0.48), Rng::threshold(0.70), Rng::threshold(0.96)};
+    // Jump threshold per component; the streams draw none.
+    constexpr std::uint64_t kJump[4] = {0, 0, Rng::threshold(0.055),
+                                        Rng::threshold(0.09)};
+    // Steps come from tables: written as `(k == 0) * 8`, GCC threads
+    // the loop on k == 0 and the mixture roll becomes a branch again.
+    constexpr std::uint64_t kValuesStep[4] = {8, 0, 0, 0};
+    constexpr std::uint64_t kColidxStep[4] = {0, 4, 0, 0};
+    const std::uint64_t values_len = regions_[0].touchBytes;
+    const std::uint64_t colidx_len = regions_[1].touchBytes;
+    const Addr values_base = base(0).value;
+    const Addr colidx_base = base(1).value;
+    std::uint64_t values = valuesCursor_;
+    std::uint64_t colidx = colidxCursor_;
+    Addr weight = base(2).value + weightHot_;
+    Addr scratch = at(scratchVma_, scratchHot_).value;
+    Rng r = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = r.next() >> 11;
+        const unsigned k = (roll >= kRoll[0]) + (roll >= kRoll[1]) +
+                           (roll >= kRoll[2]);
+        const std::uint64_t jump = r.nextIf(k >= 2) >> 11;
+        values = wrap(values + kValuesStep[k], values_len);
+        colidx = wrap(colidx + kColidxStep[k], colidx_len);
+        if (jump < kJump[k]) [[unlikely]] {
+            if (k == 2) {
+                weightHot_ = sampleVia(*weightZipf_, r) * 64;
+                weight = base(2).value + weightHot_;
+            } else {
+                scratchVma_ =
+                    scratchFirst_ + r.below(regions_.size() - scratchFirst_);
+                scratchHot_ =
+                    r.below(regions_[scratchVma_].touchBytes) & ~7ull;
+                scratch = base(scratchVma_).value + scratchHot_;
+            }
+        }
+        const Addr va[4] = {values_base + values, colidx_base + colidx,
+                            weight, scratch};
+        out[i] = {pc(k), Gva{va[k]}};
     }
-    if (roll < 0.70) {
-        colidxCursor_ += 4;
-        return {pc(1), at(1, colidxCursor_)};
-    }
-    if (roll < 0.96) {
-        // Model-vector lookups: a hot feature is reused for a while,
-        // then the pointer jumps to another (Zipf-skewed) feature.
-        if (rng.chance(0.055))
-            weightHot_ = weightZipf_->sample(rng) * 64;
-        return {pc(2), at(2, weightHot_)};
-    }
-    // Irregular: one instruction hopping across small scattered VMAs
-    // (the residual misses outside the 32 largest mappings, §VI-B).
-    if (rng.chance(0.09)) {
-        scratchVma_ =
-            scratchFirst_ + rng.below(regions_.size() - scratchFirst_);
-        scratchHot_ = rng.below(regions_[scratchVma_].touchBytes) & ~7ull;
-    }
-    return {pc(3), at(scratchVma_, scratchHot_)};
+    rng = r;
+    valuesCursor_ = values;
+    colidxCursor_ = colidx;
 }
 
 // --- pagerank -------------------------------------------------------------
@@ -204,24 +257,44 @@ PageRankWorkload::touchPattern(Process &proc)
     proc.touchRange(base(2), regions_[2].touchBytes);
 }
 
-MemAccess
-PageRankWorkload::nextAccess(Rng &rng)
+//   roll  pc  region             behaviour
+//   0.55  0   edge array         stream, +8 B
+//   0.25  1   source ranks       hot vertex; w.p. 0.030 jump to the
+//                                next (power-law) neighbour
+//   0.20  2   destination ranks  hot vertex; w.p. 0.030 jump likewise
+void
+PageRankWorkload::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)
 {
-    const double roll = rng.uniform();
-    if (roll < 0.55) {
-        edgeCursor_ += 8;
-        return {pc(0), at(0, edgeCursor_)};
+    constexpr std::uint64_t kRoll[2] = {Rng::threshold(0.55),
+                                        Rng::threshold(0.80)};
+    constexpr std::uint64_t kJump[3] = {0, Rng::threshold(0.030),
+                                        Rng::threshold(0.030)};
+    constexpr std::uint64_t kEdgeStep[3] = {8, 0, 0};
+    const std::uint64_t edge_len = regions_[0].touchBytes;
+    const Addr edge_base = base(0).value;
+    std::uint64_t edge = edgeCursor_;
+    Addr src = base(1).value + srcHot_;
+    Addr dst = base(2).value + dstHot_;
+    Rng r = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = r.next() >> 11;
+        const unsigned k = (roll >= kRoll[0]) + (roll >= kRoll[1]);
+        const std::uint64_t jump = r.nextIf(k >= 1) >> 11;
+        edge = wrap(edge + kEdgeStep[k], edge_len);
+        if (jump < kJump[k]) [[unlikely]] {
+            if (k == 1) {
+                srcHot_ = sampleVia(*vertexZipf_, r) * 8;
+                src = base(1).value + srcHot_;
+            } else {
+                dstHot_ = sampleVia(*vertexZipf_, r) * 8;
+                dst = base(2).value + dstHot_;
+            }
+        }
+        const Addr va[3] = {edge_base + edge, src, dst};
+        out[i] = {pc(k), Gva{va[k]}};
     }
-    if (roll < 0.80) {
-        // Source-rank gather: hot vertex for a while, then jump to
-        // the next (power-law) neighbour.
-        if (rng.chance(0.030))
-            srcHot_ = vertexZipf_->sample(rng) * 8;
-        return {pc(1), at(1, srcHot_)};
-    }
-    if (rng.chance(0.030))
-        dstHot_ = vertexZipf_->sample(rng) * 8;
-    return {pc(2), at(2, dstHot_)};
+    rng = r;
+    edgeCursor_ = edge;
 }
 
 // --- hashjoin --------------------------------------------------------------
@@ -250,18 +323,35 @@ HashjoinWorkload::touchPattern(Process &proc)
     proc.touchRange(base(1), regions_[1].touchBytes);
 }
 
-MemAccess
-HashjoinWorkload::nextAccess(Rng &rng)
+//   roll  pc  region          behaviour
+//   0.50  0   hash table      probe: hot bucket chain; w.p. 0.020 jump
+//                             to a uniformly random bucket
+//   0.50  1   probe relation  stream, +16 B
+void
+HashjoinWorkload::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)
 {
-    if (rng.uniform() < 0.50) {
-        // Probe: each new bucket is uniformly random over the table;
-        // a bucket's chain is then followed for a few accesses.
-        if (rng.chance(0.020))
-            probeHot_ = rng.below(regions_[0].touchBytes) & ~7ull;
-        return {pc(0), at(0, probeHot_)};
+    constexpr std::uint64_t kRoll = Rng::threshold(0.50);
+    constexpr std::uint64_t kJump[2] = {Rng::threshold(0.020), 0};
+    constexpr std::uint64_t kScanStep[2] = {0, 16};
+    const std::uint64_t table_len = regions_[0].touchBytes;
+    const std::uint64_t scan_len = regions_[1].touchBytes;
+    const Addr scan_base = base(1).value;
+    std::uint64_t scan = scanCursor_;
+    Addr probe = base(0).value + probeHot_;
+    Rng r = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        const unsigned k = (r.next() >> 11) >= kRoll;
+        const std::uint64_t jump = r.nextIf(k == 0) >> 11;
+        scan = wrap(scan + kScanStep[k], scan_len);
+        if (jump < kJump[k]) [[unlikely]] {
+            probeHot_ = r.below(table_len) & ~7ull;
+            probe = base(0).value + probeHot_;
+        }
+        const Addr va[2] = {probe, scan_base + scan};
+        out[i] = {pc(k), Gva{va[k]}};
     }
-    scanCursor_ += 16;
-    return {pc(1), at(1, scanCursor_)};
+    rng = r;
+    scanCursor_ = scan;
 }
 
 // --- xsbench ---------------------------------------------------------------
@@ -279,26 +369,51 @@ XsbenchWorkload::XsbenchWorkload(const WorkloadConfig &cfg)
     regions_.push_back({concs + scaled(1 * kMiB), concs});
 }
 
-MemAccess
-XsbenchWorkload::nextAccess(Rng &rng)
+//   roll  pc  region          behaviour
+//   0.55  0   nuclide grid    cross-section lookup: w.p. 0.018 jump to
+//                             a uniformly random row, then scan +8 B
+//   0.25  1   energy grid     binary search: hot entry; w.p. 0.018
+//                             jump to a uniformly random entry
+//   0.20  2   concentrations  stream, +8 B
+void
+XsbenchWorkload::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)
 {
-    const double roll = rng.uniform();
-    if (roll < 0.55) {
-        // Cross-section lookup: a nuclide's grid row is scanned for a
-        // while after each uniformly random jump.
-        if (rng.chance(0.018))
-            nuclideHot_ = rng.below(regions_[0].touchBytes) & ~7ull;
-        nuclideHot_ = (nuclideHot_ + 8) % regions_[0].touchBytes;
-        return {pc(0), at(0, nuclideHot_)};
+    constexpr std::uint64_t kRoll[2] = {Rng::threshold(0.55),
+                                        Rng::threshold(0.80)};
+    constexpr std::uint64_t kJump[3] = {Rng::threshold(0.018),
+                                        Rng::threshold(0.018), 0};
+    constexpr std::uint64_t kNuclideStep[3] = {8, 0, 0};
+    constexpr std::uint64_t kConcStep[3] = {0, 0, 8};
+    const std::uint64_t nuclide_len = regions_[0].touchBytes;
+    const std::uint64_t energy_len = regions_[1].touchBytes;
+    const std::uint64_t conc_len = regions_[2].touchBytes;
+    const Addr nuclide_base = base(0).value;
+    const Addr conc_base = base(2).value;
+    std::uint64_t nuclide = nuclideHot_;
+    std::uint64_t conc = concCursor_;
+    Addr energy = base(1).value + energyHot_;
+    Rng r = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = r.next() >> 11;
+        const unsigned k = (roll >= kRoll[0]) + (roll >= kRoll[1]);
+        const std::uint64_t jump = r.nextIf(k <= 1) >> 11;
+        if (jump < kJump[k]) [[unlikely]] {
+            if (k == 0) {
+                nuclide = r.below(nuclide_len) & ~7ull;
+            } else {
+                energyHot_ = r.below(energy_len) & ~7ull;
+                energy = base(1).value + energyHot_;
+            }
+        }
+        nuclide = wrap(nuclide + kNuclideStep[k], nuclide_len);
+        conc = wrap(conc + kConcStep[k], conc_len);
+        const Addr va[3] = {nuclide_base + nuclide, energy,
+                            conc_base + conc};
+        out[i] = {pc(k), Gva{va[k]}};
     }
-    if (roll < 0.80) {
-        // Binary search over the unionized energy grid.
-        if (rng.chance(0.018))
-            energyHot_ = rng.below(regions_[1].touchBytes) & ~7ull;
-        return {pc(1), at(1, energyHot_)};
-    }
-    concCursor_ += 8;
-    return {pc(2), at(2, concCursor_)};
+    rng = r;
+    nuclideHot_ = nuclide;
+    concCursor_ = conc;
 }
 
 // --- bt ---------------------------------------------------------------------
@@ -328,27 +443,45 @@ BtWorkload::touchPattern(Process &proc)
     }
 }
 
-MemAccess
-BtWorkload::nextAccess(Rng &rng)
+// Plane-major stride sweeps across the five solver arrays: the
+// k-dimension sweeps of BT stride by whole planes, so the TLB misses are
+// regular crossings into new huge pages — exactly the
+// regular-but-TLB-hostile pattern BT exhibits.
+//
+//   prob    pc     region        behaviour
+//   0.9995  array  sweep array   3 cell reads 8 B apart, then stride
+//                                one plane row (32 KiB) ahead
+//   0.0005  array  random array  new sweep phase: jump to a random
+//                                64 B-aligned offset of a random array
+void
+BtWorkload::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)
 {
-    // Plane-major stride sweeps across the five solver arrays: the
-    // k-dimension sweeps of BT stride by whole planes, so the TLB
-    // misses are regular crossings into new huge pages — exactly the
-    // regular-but-TLB-hostile pattern BT exhibits. A rare jump to a
-    // random plane models the start of a new sweep phase.
-    if (rng.chance(0.0005)) {
-        sweepArray_ = rng.below(regions_.size());
-        sweepCursor_ =
-            rng.below(regions_[sweepArray_].touchBytes) & ~63ull;
-        burst_ = 0;
+    constexpr std::uint64_t kPhase = Rng::threshold(0.0005);
+    std::uint64_t len = regions_[sweepArray_].touchBytes;
+    Addr array_base = base(sweepArray_).value;
+    Addr array_pc = pc(static_cast<unsigned>(sweepArray_));
+    std::uint64_t cursor = sweepCursor_;
+    unsigned burst = burst_;
+    Rng r = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        if ((r.next() >> 11) < kPhase) [[unlikely]] {
+            sweepArray_ = r.below(regions_.size());
+            len = regions_[sweepArray_].touchBytes;
+            cursor = r.below(len) & ~63ull;
+            burst = 0;
+            array_base = base(sweepArray_).value;
+            array_pc = pc(static_cast<unsigned>(sweepArray_));
+        }
+        ++burst;
+        const bool stride = burst >= 3;
+        burst &= -static_cast<unsigned>(!stride);
+        cursor = wrap(cursor + stride * 32768, len);
+        out[i] = {array_pc,
+                  Gva{array_base + wrap(cursor + burst * 8, len)}};
     }
-    // A few cell reads per row, then stride one plane row ahead.
-    if (++burst_ >= 3) {
-        burst_ = 0;
-        sweepCursor_ += 32768;
-    }
-    return {pc(static_cast<unsigned>(sweepArray_)),
-            at(sweepArray_, sweepCursor_ + burst_ * 8)};
+    rng = r;
+    sweepCursor_ = cursor;
+    burst_ = burst;
 }
 
 // --- tlbfriendly -------------------------------------------------------------
@@ -359,12 +492,18 @@ TlbFriendlyWorkload::TlbFriendlyWorkload(const WorkloadConfig &cfg)
     regions_.push_back({scaled(16 * kMiB), scaled(16 * kMiB)});
 }
 
-MemAccess
-TlbFriendlyWorkload::nextAccess(Rng &rng)
+// One stream, +8 B, no random draws.
+void
+TlbFriendlyWorkload::fillAccesses(Rng &, MemAccess *out, std::size_t n)
 {
-    (void)rng;
-    cursor_ += 8;
-    return {pc(0), at(0, cursor_)};
+    const std::uint64_t len = regions_[0].touchBytes;
+    const Addr cursor_base = base(0).value;
+    std::uint64_t cursor = cursor_;
+    for (std::size_t i = 0; i < n; ++i) {
+        cursor = wrap(cursor + 8, len);
+        out[i] = {pc(0), Gva{cursor_base + cursor}};
+    }
+    cursor_ = cursor;
 }
 
 // --- factory / hog -----------------------------------------------------------

@@ -71,15 +71,22 @@ class Workload
     /** munmap every region (keeps the process). */
     void teardown();
 
-    /** One steady-state memory access. */
+    /**
+     * One steady-state memory access. The built-in workloads generate
+     * in chunks, so theirs is a one-element fillAccesses(); a subclass
+     * may instead override only this and inherit the per-access
+     * fillAccesses() loop.
+     */
     virtual MemAccess nextAccess(Rng &rng) = 0;
 
     /**
-     * Fill a chunk of steady-state accesses. Semantically exactly
-     * `for (i < n) out[i] = nextAccess(rng)` — the base implementation
-     * is that loop — with the workload virtual dispatch hoisted to
-     * once per chunk. Overrides must produce the identical sequence
-     * (tests/workloads compare against nextAccess element-wise).
+     * Fill a chunk of steady-state accesses, drawing from `rng` and
+     * leaving it where the chunk's last draw left it. The base
+     * implementation is `for (i < n) out[i] = nextAccess(rng)`. The
+     * built-in workloads override it with a chunk loop that keeps the
+     * generator state in locals and stores it back at the end, so
+     * chunk boundaries never change the sequence (tests/workloads pin
+     * every stream by digest and compare chunk sizes element-wise).
      */
     virtual void fillAccesses(Rng &rng, MemAccess *out, std::size_t n);
 
@@ -126,6 +133,15 @@ class Workload
 
     Gva base(std::size_t region) const { return vmas_[region]->start(); }
 
+    /** One access from fillAccesses: the built-ins' nextAccess. */
+    MemAccess
+    fillOne(Rng &rng)
+    {
+        MemAccess a;
+        fillAccesses(rng, &a, 1);
+        return a;
+    }
+
     /** Address `off` bytes into region i (off wraps at touchBytes). */
     Gva
     at(std::size_t region, std::uint64_t off) const
@@ -155,13 +171,15 @@ class SvmWorkload : public Workload
   public:
     explicit SvmWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "svm"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
     std::unique_ptr<ZipfSampler> weightZipf_;
+    // Stream cursors are offsets kept in [0, touchBytes).
     std::uint64_t valuesCursor_ = 0;
     std::uint64_t colidxCursor_ = 0;
     std::uint64_t weightHot_ = 0;   //!< current hot weight entry
@@ -176,14 +194,15 @@ class PageRankWorkload : public Workload
   public:
     explicit PageRankWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "pagerank"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
     std::unique_ptr<ZipfSampler> vertexZipf_;
-    std::uint64_t edgeCursor_ = 0;
+    std::uint64_t edgeCursor_ = 0; //!< in [0, touchBytes)
     std::uint64_t srcHot_ = 0;
     std::uint64_t dstHot_ = 0;
 };
@@ -194,13 +213,14 @@ class HashjoinWorkload : public Workload
   public:
     explicit HashjoinWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "hashjoin"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
-    std::uint64_t scanCursor_ = 0;
+    std::uint64_t scanCursor_ = 0; //!< in [0, touchBytes)
     std::uint64_t probeHot_ = 0;
 };
 
@@ -210,10 +230,11 @@ class XsbenchWorkload : public Workload
   public:
     explicit XsbenchWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "xsbench"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
-    std::uint64_t concCursor_ = 0;
+    std::uint64_t concCursor_ = 0; //!< in [0, touchBytes)
     std::uint64_t nuclideHot_ = 0;
     std::uint64_t energyHot_ = 0;
 };
@@ -224,13 +245,14 @@ class BtWorkload : public Workload
   public:
     explicit BtWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "bt"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
-    std::uint64_t sweepCursor_ = 0;
+    std::uint64_t sweepCursor_ = 0; //!< in [0, touchBytes)
     std::size_t sweepArray_ = 0;
     unsigned burst_ = 0;
 };
@@ -241,10 +263,11 @@ class TlbFriendlyWorkload : public Workload
   public:
     explicit TlbFriendlyWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "tlbfriendly"; }
-    MemAccess nextAccess(Rng &rng) override;
+    MemAccess nextAccess(Rng &rng) override { return fillOne(rng); }
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
-    std::uint64_t cursor_ = 0;
+    std::uint64_t cursor_ = 0; //!< in [0, touchBytes)
 };
 
 /** Factory over the five paper workloads. */

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/experiment.hh"
 #include "workloads/access_stream.hh"
@@ -105,33 +107,43 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-TEST(AccessStream, ChunksMatchTheUnchunkedSequence)
+class AccessStreamChunkTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>>
+{
+};
+
+TEST_P(AccessStreamChunkTest, ChunksMatchTheUnchunkedSequence)
 {
     // Chunk boundaries must never change what is generated: the
-    // stream is element-wise identical to a plain nextAccess loop,
-    // including the short final chunk (1000 % 64 = 40).
+    // stream is element-wise identical to a one-access-per-call
+    // stream, so whatever a chunk generator keeps in locals must be
+    // stored back exactly. The total leaves a short final chunk
+    // (20000 % 64 = 32, 20000 % 4096 = 3616).
+    const auto &[name, chunk_accesses] = GetParam();
     NativeSystem sys(PolicyKind::Thp, 3);
-    auto w1 = makeWorkload("pagerank", quick(42));
-    auto w2 = makeWorkload("pagerank", quick(42));
+    auto w1 = makeWorkload(name, quick(42));
+    auto w2 = makeWorkload(name, quick(42));
     Process &p1 = sys.kernel().createProcess("a");
     Process &p2 = sys.kernel().createProcess("b");
     w1->setup(p1);
     w2->setup(p2);
 
-    constexpr std::uint64_t kTotal = 1000, kChunk = 64;
-    Rng ref(9);
-    AccessStream stream(*w2, kTotal, 9, kChunk);
-    EXPECT_EQ(stream.chunkAccesses(), kChunk);
+    constexpr std::uint64_t kTotal = 20000;
+    AccessStream ref(*w1, kTotal, 9, 1);
+    AccessStream stream(*w2, kTotal, 9, chunk_accesses);
+    EXPECT_EQ(stream.chunkAccesses(), chunk_accesses);
 
     std::uint64_t i = 0, chunks = 0;
     const MemAccess *chunk = nullptr;
+    const MemAccess *one = nullptr;
     while (std::size_t n = stream.next(chunk)) {
         ++chunks;
-        EXPECT_TRUE(n == kChunk || stream.done()) << "short mid-chunk";
+        EXPECT_TRUE(n == chunk_accesses || stream.done())
+            << "short mid-chunk";
         for (std::size_t j = 0; j < n; ++j, ++i) {
-            const MemAccess a = w1->nextAccess(ref);
-            EXPECT_EQ(a.pc, chunk[j].pc) << "access " << i;
-            EXPECT_EQ(a.va.value - w1->vmas()[0]->start().value,
+            ASSERT_EQ(ref.next(one), 1u);
+            EXPECT_EQ(one->pc, chunk[j].pc) << "access " << i;
+            EXPECT_EQ(one->va.value - w1->vmas()[0]->start().value,
                       chunk[j].va.value - w2->vmas()[0]->start().value)
                 << "access " << i;
             if (::testing::Test::HasFailure())
@@ -141,13 +153,24 @@ TEST(AccessStream, ChunksMatchTheUnchunkedSequence)
             break;
     }
     EXPECT_EQ(i, kTotal);
-    EXPECT_EQ(chunks, (kTotal + kChunk - 1) / kChunk);
+    EXPECT_EQ(chunks, (kTotal + chunk_accesses - 1) / chunk_accesses);
     EXPECT_EQ(stream.produced(), kTotal);
     EXPECT_TRUE(stream.done());
     EXPECT_EQ(stream.next(chunk), 0u);
     w1->teardown();
     w2->teardown();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, AccessStreamChunkTest,
+    ::testing::Combine(::testing::Values("svm", "pagerank", "hashjoin",
+                                         "xsbench", "bt", "tlbfriendly"),
+                       ::testing::Values<std::uint64_t>(1, 64, 4096)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::string, std::uint64_t>> &info) {
+        return std::get<0>(info.param) + "_chunk" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Workloads, FactoryRejectsUnknown)
 {
