@@ -231,7 +231,10 @@ CtraceWriter::finish()
         putU32(p + 20, 0);
     }
     const std::uint64_t index_offset = kCtraceHeaderBytes + bytesEncoded_;
-    if (std::fwrite(raw.data(), 1, raw.size(), f_) != raw.size())
+    // An empty capture has no index, and an empty vector's data() may
+    // be null, which fwrite must not be passed. The CRC still follows.
+    if (!raw.empty() &&
+        std::fwrite(raw.data(), 1, raw.size(), f_) != raw.size())
         fatal("short write to trace output '%s'", path_.c_str());
     std::uint8_t crcbuf[4];
     putU32(crcbuf, crc32(raw.data(), raw.size()));
