@@ -22,9 +22,6 @@ namespace
 
 constexpr std::uint64_t kAccesses = ScaledDefaults::kAccessesPerRun;
 
-/** Trace-frontend options (--trace-in / --trace-out / --ckpt-*). */
-XlatReplayOpts gReplay;
-
 double
 nativeOverhead(const std::string &name, PolicyKind kind,
                std::uint64_t seed)
@@ -33,8 +30,7 @@ nativeOverhead(const std::string &name, PolicyKind kind,
     auto wl = makeWorkload(name, {1.0, seed});
     Process &proc = sys.kernel().createProcess(name);
     wl->setup(proc);
-    auto r = runTranslation(*wl, nullptr, XlatScheme::Base, kAccesses,
-                            99, gReplay);
+    auto r = runTranslation(*wl, nullptr, XlatScheme::Base, kAccesses);
     return r.overhead.overhead;
 }
 
@@ -54,8 +50,7 @@ virtBaseOverhead(const std::string &name, PolicyKind kind,
     auto wl = makeWorkload(name, {1.0, seed});
     Process &proc = sys.guest().createProcess(name);
     wl->setup(proc);
-    auto r = runTranslation(*wl, &sys.vm(), XlatScheme::Base, kAccesses,
-                            99, gReplay);
+    auto r = runTranslation(*wl, &sys.vm(), XlatScheme::Base, kAccesses);
     return r.overhead.overhead;
 }
 
@@ -76,13 +71,13 @@ virtCaOverheads(std::uint64_t seed)
         wl->setup(proc);
         VirtResult res;
         res.spot = runTranslation(*wl, &sys.vm(), XlatScheme::Spot,
-                                  kAccesses, 99, gReplay)
+                                  kAccesses)
                        .overhead.overhead;
         res.rmm = runTranslation(*wl, &sys.vm(), XlatScheme::Rmm,
-                                 kAccesses, 99, gReplay)
+                                 kAccesses)
                       .overhead.overhead;
         res.ds = runTranslation(*wl, &sys.vm(), XlatScheme::Ds,
-                                kAccesses, 99, gReplay)
+                                kAccesses)
                      .overhead.overhead;
         out.push_back(res);
         wl->teardown();
@@ -98,11 +93,6 @@ main(int argc, char **argv)
 {
     printScaledBanner();
     BenchOutput out("fig13_translation_overhead", argc, argv);
-    gReplay.traceIn = out.traceIn();
-    gReplay.traceOut = out.traceOut();
-    gReplay.ckptIn = out.ckptIn();
-    gReplay.ckptOut = out.ckptOut();
-    gReplay.ckptAtChunk = out.ckptAtChunk();
 
     Report rep("Fig. 13 — translation overhead vs ideal execution "
                "(lower is better)");

@@ -23,12 +23,6 @@ main(int argc, char **argv)
 {
     printScaledBanner();
     BenchOutput out("fig14_spot_breakdown", argc, argv);
-    XlatReplayOpts replay;
-    replay.traceIn = out.traceIn();
-    replay.traceOut = out.traceOut();
-    replay.ckptIn = out.ckptIn();
-    replay.ckptOut = out.ckptOut();
-    replay.ckptAtChunk = out.ckptAtChunk();
 
     Report rep("Fig. 14 — SpOT outcome breakdown per L2-TLB miss");
     rep.header({"workload", "correct", "mispredicted", "no-prediction",
@@ -40,8 +34,7 @@ main(int argc, char **argv)
         Process &proc = sys.guest().createProcess(name);
         wl->setup(proc);
         auto r = runTranslation(*wl, &sys.vm(), XlatScheme::Spot,
-                                ScaledDefaults::kAccessesPerRun, 99,
-                                replay);
+                                ScaledDefaults::kAccessesPerRun);
         const double w = r.stats.walks ? r.stats.walks : 1;
         rep.row({name,
                  Report::pct(r.stats.spotCorrect / w),

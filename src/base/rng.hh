@@ -104,17 +104,9 @@ class Rng
     }
 
     /**
-     * Raw xoshiro256** state, for checkpoint/restore. setState with a
-     * previously captured state resumes the stream exactly where the
-     * capture left it.
+     * Overwrite the raw xoshiro256** state (tests build generators
+     * with a chosen next output this way).
      */
-    void
-    state(std::uint64_t out[4]) const
-    {
-        for (int i = 0; i < 4; ++i)
-            out[i] = s_[i];
-    }
-
     void
     setState(const std::uint64_t in[4])
     {

@@ -1,6 +1,5 @@
 #include "base/simd.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -12,7 +11,7 @@ namespace simd
 namespace
 {
 
-std::atomic<bool> forceScalar_{false};
+bool forceScalar_ = false;
 
 bool
 detectAvx2()
@@ -44,14 +43,14 @@ avx2Available()
 void
 setForceScalar(bool force)
 {
-    forceScalar_.store(force, std::memory_order_relaxed);
+    forceScalar_ = force;
 }
 
 bool
 forceScalar()
 {
     static const bool env = envForcesScalar();
-    return env || forceScalar_.load(std::memory_order_relaxed);
+    return env || forceScalar_;
 }
 
 const char *

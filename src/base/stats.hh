@@ -59,29 +59,6 @@ class Summary
 
     void reset() { *this = Summary{}; }
 
-    /**
-     * Raw accumulator state for checkpoint/restore: unlike min()/max()
-     * this round-trips the empty summary exactly.
-     */
-    struct Raw
-    {
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-    };
-
-    Raw raw() const { return {count_, sum_, min_, max_}; }
-
-    void
-    setRaw(const Raw &r)
-    {
-        count_ = r.count;
-        sum_ = r.sum;
-        min_ = r.min;
-        max_ = r.max;
-    }
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;

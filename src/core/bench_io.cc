@@ -1,6 +1,5 @@
 #include "core/bench_io.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,43 +56,9 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
     if (timelinePath_.empty())
         if (const char *env = std::getenv("CONTIG_TIMELINE_OUT"))
             timelinePath_ = env;
-    if (traceIn_.empty())
-        if (const char *env = std::getenv("CONTIG_CTRACE_IN"))
-            traceIn_ = env;
-    if (traceOut_.empty())
-        if (const char *env = std::getenv("CONTIG_CTRACE_OUT"))
-            traceOut_ = env;
-    if (ckptIn_.empty())
-        if (const char *env = std::getenv("CONTIG_CKPT_IN"))
-            ckptIn_ = env;
-    if (ckptOut_.empty())
-        if (const char *env = std::getenv("CONTIG_CKPT_OUT"))
-            ckptOut_ = env;
-    if (ckptAtChunk_ == 0)
-        if (const char *env = std::getenv("CONTIG_CKPT_AT"))
-            ckptAtChunk_ = static_cast<std::uint64_t>(
-                std::max(0l, std::strtol(env, nullptr, 10)));
     if (!attrib_)
         if (const char *env = std::getenv("CONTIG_ATTRIB"))
             attrib_ = env[0] != '\0' && std::strcmp(env, "0") != 0;
-
-    if (!traceIn_.empty() && !traceOut_.empty())
-        fatal("%s: --trace-in and --trace-out are mutually exclusive",
-              bench_.c_str());
-    if (!ckptIn_.empty() && traceIn_.empty())
-        fatal("%s: --ckpt-in requires --trace-in (a checkpoint resumes"
-              " a trace replay)",
-              bench_.c_str());
-    if (!ckptOut_.empty() && traceIn_.empty())
-        fatal("%s: --ckpt-out requires --trace-in (checkpoints are"
-              " taken at trace chunk boundaries)",
-              bench_.c_str());
-    if (!ckptOut_.empty() && ckptAtChunk_ == 0)
-        fatal("%s: --ckpt-out requires --ckpt-at CHUNK",
-              bench_.c_str());
-    if (ckptAtChunk_ != 0 && ckptOut_.empty())
-        fatal("%s: --ckpt-at requires --ckpt-out PREFIX",
-              bench_.c_str());
 
     if (noSimd_) {
         // Before any simulator exists, like the switch below; the
@@ -145,21 +110,6 @@ BenchOutput::parseArgs(int argc, char **argv)
             timelinePath_ = argv[++i];
         } else if (arg == "--no-simd") {
             noSimd_ = true;
-        } else if (arg == "--trace-in" && has_next) {
-            traceIn_ = argv[++i];
-        } else if (arg == "--trace-out" && has_next) {
-            traceOut_ = argv[++i];
-        } else if (arg == "--ckpt-in" && has_next) {
-            ckptIn_ = argv[++i];
-        } else if (arg == "--ckpt-out" && has_next) {
-            ckptOut_ = argv[++i];
-        } else if (arg == "--ckpt-at" && has_next) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1)
-                fatal("%s: --ckpt-at wants a positive chunk index,"
-                      " got '%s'",
-                      bench_.c_str(), argv[i]);
-            ckptAtChunk_ = static_cast<std::uint64_t>(n);
         } else if (arg == "--attrib") {
             attrib_ = true;
         } else if (arg == "--trace-categories" && has_next) {
@@ -169,10 +119,7 @@ BenchOutput::parseArgs(int argc, char **argv)
             fatal("%s: unknown argument '%s'\n"
                   "usage: %s [--json FILE] [--trace FILE]"
                   " [--timeline FILE] [--trace-categories LIST]"
-                  " [--no-simd]"
-                  " [--trace-in PREFIX] [--trace-out PREFIX]"
-                  " [--ckpt-in PREFIX] [--ckpt-out PREFIX]"
-                  " [--ckpt-at CHUNK] [--attrib]",
+                  " [--no-simd] [--attrib]",
                   bench_.c_str(), argv[i], bench_.c_str());
         }
     }
@@ -200,32 +147,6 @@ void
 BenchOutput::add(const Report &rep)
 {
     reports_.push_back(rep);
-}
-
-void
-BenchOutput::writeScaling(JsonWriter &w) const
-{
-    // Trace-replay frontend (TraceReplaySource's decode thread).
-    const obs::SampleMap snap = obs::MetricRegistry::global().snapshot();
-    const auto counterOf = [&snap](const std::string &name) {
-        const auto it = snap.find("trace.frontend." + name);
-        return it == snap.end() ? std::uint64_t{0} : it->second.counter;
-    };
-    if (!snap.count("trace.frontend.chunks_decoded"))
-        return;
-
-    w.key("scaling");
-    w.beginObject();
-    w.key("trace_frontend");
-    w.beginObject();
-    w.field("chunks_decoded", counterOf("chunks_decoded"));
-    w.field("accesses_decoded", counterOf("accesses_decoded"));
-    w.field("bytes_decoded", counterOf("bytes_decoded"));
-    w.field("decode_us", counterOf("decode_us"));
-    w.field("producer_stall_us", counterOf("stall_us"));
-    w.field("consumer_wait_us", counterOf("wait_us"));
-    w.endObject();
-    w.endObject();
 }
 
 void
@@ -267,10 +188,6 @@ BenchOutput::write()
 
         w.key("metrics");
         obs::MetricRegistry::global().writeJson(w);
-
-        // Trace-frontend report: present whenever the run replayed a
-        // .ctrace file through the decode thread.
-        writeScaling(w);
 
         // Cost attribution ("where do the cycles go"): present only
         // when --attrib ran at least one instrumented kernel.

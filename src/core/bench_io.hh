@@ -20,9 +20,6 @@
  * observatory TimelineSink: every StateSampler the run creates
  * streams delta-encoded JSONL snapshots there (see obs/observatory).
  *
- * A run that replayed a .ctrace file gains a "scaling" section with
- * the decode thread's trace-frontend report.
- *
  * `--attrib` (or CONTIG_ATTRIB=1) switches the per-event cost
  * attribution on the same way: translation and fault kernels then
  * classify every event by outcome and contiguity class (see
@@ -83,22 +80,6 @@ class BenchOutput
     bool simdDisabled() const { return noSimd_; }
 
     /**
-     * Trace-frontend options (`--trace-in/--trace-out/--ckpt-in/`
-     * `--ckpt-out` file prefixes and `--ckpt-at` chunk index, or the
-     * CONTIG_CTRACE_IN / CONTIG_CTRACE_OUT / CONTIG_CKPT_IN /
-     * CONTIG_CKPT_OUT / CONTIG_CKPT_AT environment fallbacks). Cross
-     * validation happens at parse time: --ckpt-in/--ckpt-out need
-     * --trace-in, --ckpt-out and --ckpt-at need each other, and
-     * --trace-in/--trace-out are mutually exclusive. Translation
-     * benches forward these into XlatReplayOpts.
-     */
-    const std::string &traceIn() const { return traceIn_; }
-    const std::string &traceOut() const { return traceOut_; }
-    const std::string &ckptIn() const { return ckptIn_; }
-    const std::string &ckptOut() const { return ckptOut_; }
-    std::uint64_t ckptAtChunk() const { return ckptAtChunk_; }
-
-    /**
      * True when `--attrib` (or CONTIG_ATTRIB=1) switched the
      * cost-attribution accounting on. Kernels pick the mode up from
      * AttribRegistry::enabled(); benches only need this to decide
@@ -122,18 +103,12 @@ class BenchOutput
     };
 
     void parseArgs(int argc, char **argv);
-    void writeScaling(JsonWriter &w) const;
 
     std::string bench_;
     std::string jsonPath_;
     std::string tracePath_;
     std::string timelinePath_;
     bool noSimd_ = false;
-    std::string traceIn_;
-    std::string traceOut_;
-    std::string ckptIn_;
-    std::string ckptOut_;
-    std::uint64_t ckptAtChunk_ = 0;
     bool attrib_ = false;
     std::vector<Note> notes_;
     std::vector<Report> reports_;

@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "base/simd.hh"
-#include "core/checkpoint.hh"
 #include "obs/attribution.hh"
 #include "obs/observatory.hh"
 #include "policies/ca_paging.hh"
@@ -12,8 +11,6 @@
 #include "policies/ranger.hh"
 #include "tlb/replay.hh"
 #include "workloads/access_stream.hh"
-#include "workloads/ctrace.hh"
-#include "workloads/trace_source.hh"
 
 namespace contig
 {
@@ -242,14 +239,6 @@ VirtSystem::finish(Workload &wl)
     vm_->guest().exitProcess(*proc);
 }
 
-/**
- * Process-global translation-run counter: benches call runTranslation
- * once per configuration on an evolving workload, and the trace
- * frontend needs a stable per-call identity ("<prefix>.runN.ctrace")
- * that capture and replay invocations agree on.
- */
-static std::uint64_t gXlatRunIndex = 0;
-
 XlatRunResult
 runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
                std::uint64_t accesses, std::uint64_t seed,
@@ -257,7 +246,6 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
 {
     Process *proc = wl.process();
     contig_assert(proc, "runTranslation before workload setup");
-    const std::uint64_t run_idx = gXlatRunIndex++;
 
     XlatConfig cfg;
     cfg.tlb = ScaledDefaults::tlb();
@@ -295,74 +283,11 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         }
     }
 
-    // --- trace frontend -------------------------------------------------
-    // The kernels whose state keys a checkpoint (order matters: guest
-    // before host for virtualized runs).
-    std::vector<const Kernel *> kernels;
-    if (vm) {
-        kernels = {&vm->guest(), &vm->host()};
-    } else {
-        kernels = {&proc->kernel()};
-    }
-
-    const std::uint64_t digest =
-        ctraceDigest(wl.name(), seed, accesses, run_idx);
-
-    contig_assert(opts.ckptIn.empty() || !opts.traceIn.empty(),
-                  "checkpoint resume requires a trace input");
-    contig_assert(opts.ckptOut.empty() ||
-                      (!opts.traceIn.empty() && opts.ckptAtChunk > 0),
-                  "checkpoint capture requires a trace input and "
-                  "--ckpt-at");
-
-    std::uint64_t start_chunk = 0;
-    std::unique_ptr<Checkpoint> ckpt;
-    if (!opts.ckptIn.empty()) {
-        ckpt = std::make_unique<Checkpoint>(
-            ckptRunPath(opts.ckptIn, run_idx));
-        if (ckpt->meta().traceDigest != digest)
-            fatal("checkpoint '%s' was taken for a different run "
-                  "(digest %016llx, this run %016llx)",
-                  ckptRunPath(opts.ckptIn, run_idx).c_str(),
-                  static_cast<unsigned long long>(
-                      ckpt->meta().traceDigest),
-                  static_cast<unsigned long long>(digest));
-        start_chunk = ckpt->meta().chunk;
-    }
-
-    std::unique_ptr<CtraceWriter> capture;
-    std::unique_ptr<AccessSource> source;
-    std::unique_ptr<AccessStream> live;
-    if (!opts.traceIn.empty()) {
-        TraceSourceOptions topt;
-        topt.startChunk = start_chunk;
-        auto trace = std::make_unique<TraceReplaySource>(
-            ctraceRunPath(opts.traceIn, run_idx), topt);
-        trace->reader().requireDigest(digest);
-        if (trace->total() != accesses)
-            fatal(".ctrace '%s' holds %llu accesses, this run wants "
-                  "%llu",
-                  trace->reader().path().c_str(),
-                  static_cast<unsigned long long>(trace->total()),
-                  static_cast<unsigned long long>(accesses));
-        source = std::move(trace);
-    } else {
-        live = std::make_unique<AccessStream>(wl, accesses, seed);
-        if (!opts.traceOut.empty()) {
-            capture = std::make_unique<CtraceWriter>(
-                ctraceRunPath(opts.traceOut, run_idx), digest,
-                live->chunkAccesses(), accesses);
-            live->captureTo(capture.get());
-        }
-        source = std::move(live);
-    }
-
-    if (ckpt)
-        ckpt->restore(*engine, kernels);
+    AccessStream stream(wl, accesses, seed);
 
     obs::RunInfo::global().note("seed.translation", seed);
     obs::RunInfo::global().note("xlat.chunk_accesses",
-                                source->chunkAccesses());
+                                stream.chunkAccesses());
     obs::RunInfo::global().note("xlat.memo", opts.memo);
     obs::RunInfo::global().note(
         "xlat.engine", opts.engine == XlatEngine::Reference
@@ -375,19 +300,6 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         "xlat.simd",
         std::string_view(simd::modeName(
             opts.engine == XlatEngine::Batched && simd::enabled())));
-    if (!opts.traceIn.empty()) {
-        obs::RunInfo::global().note("trace.in",
-                                    ctraceRunPath(opts.traceIn, run_idx));
-        obs::RunInfo::global().note("trace.digest", digest);
-    }
-    if (capture) {
-        obs::RunInfo::global().note("trace.out", capture->path());
-        obs::RunInfo::global().note("trace.digest", digest);
-    }
-    if (ckpt)
-        obs::RunInfo::global().note("ckpt.resume_chunk", start_chunk);
-    if (!opts.ckptOut.empty())
-        obs::RunInfo::global().note("ckpt.at_chunk", opts.ckptAtChunk);
 
     // With an open timeline, stream TLB/walker/SpOT counters at 1/8
     // run granularity (the sampler has no kernel, so ticks are access
@@ -407,38 +319,17 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
 
     std::uint64_t next_sample = xlat_period;
     std::uint64_t last_sample = ~0ull;
-    std::uint64_t trace_chunk = start_chunk;
-    bool interrupted = false;
     const MemAccess *chunk = nullptr;
-    while (std::size_t n = source->next(chunk)) {
+    while (std::size_t n = stream.next(chunk)) {
         engine->replayChunk(chunk, n);
-        ++trace_chunk;
-        if (!opts.ckptOut.empty() && trace_chunk == opts.ckptAtChunk) {
-            CkptMeta meta;
-            meta.traceDigest = digest;
-            meta.chunk = trace_chunk;
-            meta.accesses = source->produced();
-            const std::string path = ckptRunPath(opts.ckptOut, run_idx);
-            Checkpoint::write(path, meta, *engine, kernels);
-            obs::RunInfo::global().note("ckpt.out", path);
-            obs::RunInfo::global().note("ckpt.accesses",
-                                        source->produced());
-            interrupted = true;
-            break;
-        }
-        if (sampler && source->produced() >= next_sample) {
-            last_sample = source->produced();
+        if (sampler && stream.produced() >= next_sample) {
+            last_sample = stream.produced();
             sampler->sampleAt(last_sample);
-            while (next_sample <= source->produced())
+            while (next_sample <= stream.produced())
                 next_sample += xlat_period;
         }
     }
-    if (!opts.ckptOut.empty() && !interrupted)
-        fatal("--ckpt-at %llu never reached: the trace ended after "
-              "chunk %llu",
-              static_cast<unsigned long long>(opts.ckptAtChunk),
-              static_cast<unsigned long long>(trace_chunk));
-    if (sampler && !interrupted && last_sample != accesses)
+    if (sampler && last_sample != accesses)
         sampler->sampleAt(accesses);
 
     XlatRunResult res;

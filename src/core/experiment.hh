@@ -143,34 +143,15 @@ struct XlatReplayOpts
      * denominator of the SoA/SIMD speedup gate.
      */
     XlatEngine engine = XlatEngine::Batched;
-    /**
-     * Trace frontend. The strings are file *prefixes*: a bench calls
-     * runTranslation once per configuration on an evolving workload,
-     * so run N reads/writes "<prefix>.runN.ctrace" (and
-     * "<prefix>.runN.ckpt"), each keyed by a config digest over
-     * (workload, seed, accesses, N).
-     *
-     *  - traceOut: capture the generated access stream to disk while
-     *    replaying it live (results identical to a plain run);
-     *  - traceIn: replay a captured trace through the decoupled
-     *    producer-thread frontend instead of generating accesses;
-     *  - ckptOut + ckptAtChunk: stop after trace chunk K and snapshot
-     *    the full simulator state (requires traceIn);
-     *  - ckptIn: resume a traceIn replay from a snapshot.
-     */
-    std::string traceIn;
-    std::string traceOut;
-    std::string ckptIn;
-    std::string ckptOut;
-    std::uint64_t ckptAtChunk = 0;
 };
 
 /**
  * Replay `accesses` steady-state accesses of an already-set-up
- * workload through the translation replay engine. Pass the VM for
- * virtualized runs, nullptr for native. Simulated results depend only
- * on (workload state, scheme, accesses, seed) — the memo, the engine
- * and the trace frontend never change them.
+ * workload through the translation replay engine: a live
+ * AccessStream feeds ReplayEngine::replayChunk one chunk at a time.
+ * Pass the VM for virtualized runs, nullptr for native. Simulated
+ * results depend only on (workload state, scheme, accesses, seed) —
+ * the memo and the engine never change them.
  */
 XlatRunResult runTranslation(Workload &wl, const VirtualMachine *vm,
                              XlatScheme scheme, std::uint64_t accesses,

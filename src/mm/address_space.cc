@@ -2,7 +2,6 @@
 
 #include "base/align.hh"
 #include "base/logging.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -93,23 +92,5 @@ AddressSpace::findVma(Gva gva) const
     return const_cast<AddressSpace *>(this)->findVma(gva);
 }
 
-
-void
-AddressSpace::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('A', 'S', 'P', 'C'));
-    s.u64(vmas_.size());
-    for (const auto &kv : vmas_) {
-        const Vma &vma = *kv.second;
-        s.u32(vma.id());
-        s.u64(vma.start().value);
-        s.u64(vma.bytes());
-        s.u8(static_cast<std::uint8_t>(vma.kind()));
-        s.u32(vma.fileId());
-        s.u64(vma.fileOffsetPages());
-    }
-    pageTable_.saveState(s);
-    s.endSection(sec);
-}
 
 } // namespace contig

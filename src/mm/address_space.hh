@@ -19,8 +19,6 @@
 namespace contig
 {
 
-class Serializer;
-
 /**
  * VMA container + page table for one process (or, for a VM's backing,
  * the host process that owns the guest RAM region).
@@ -72,12 +70,6 @@ class AddressSpace
         for (const auto &kv : vmas_)
             fn(*kv.second);
     }
-
-    /**
-     * Serialize the VMA list (id/base/size/kind/file identity) and
-     * the page table, for checkpoint verification (save-only).
-     */
-    void saveState(Serializer &s) const;
 
   private:
     std::map<Addr, std::unique_ptr<Vma>> vmas_;

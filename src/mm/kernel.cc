@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "obs/observatory.hh"
 #include "obs/trace.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -243,14 +242,13 @@ Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = physMem_.frame(pfn + i);
-        f.ownerKind.store(kind, std::memory_order_relaxed);
-        f.ownerId.store(owner_id, std::memory_order_relaxed);
-        f.ownerVaddr.store(owner_vaddr + i * kPageSize,
-                           std::memory_order_relaxed);
-        f.refCount.store(0, std::memory_order_relaxed);
-        f.mapCount.store(0, std::memory_order_relaxed);
+        f.ownerKind = kind;
+        f.ownerId = owner_id;
+        f.ownerVaddr = owner_vaddr + i * kPageSize;
+        f.refCount = 0;
+        f.mapCount = 0;
     }
-    physMem_.frame(pfn).refCount.store(1, std::memory_order_relaxed);
+    physMem_.frame(pfn).refCount = 1;
     if (reclaim_)
         reclaim_->onClaim(pfn, order, kind);
     CONTIG_TRACE(obs::TraceEventKind::Alloc, pfn, order, owner_id);
@@ -261,22 +259,21 @@ Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
 void
 Kernel::getFrame(Pfn pfn)
 {
-    physMem_.frame(pfn).refCount.fetch_add(1, std::memory_order_relaxed);
+    ++physMem_.frame(pfn).refCount;
 }
 
 void
 Kernel::putFrame(Pfn pfn, unsigned order)
 {
     Frame &f = physMem_.frame(pfn);
-    const auto old = f.refCount.fetch_sub(1, std::memory_order_acq_rel);
-    contig_assert(old > 0, "putFrame on unreferenced frame");
-    if (old == 1) {
+    contig_assert(f.refCount > 0, "putFrame on unreferenced frame");
+    if (--f.refCount == 0) {
         const std::uint64_t n = pagesInOrder(order);
         for (std::uint64_t i = 0; i < n; ++i) {
             Frame &g = physMem_.frame(pfn + i);
-            g.ownerKind.store(FrameOwner::None, std::memory_order_relaxed);
-            g.ownerId.store(kNoOwner, std::memory_order_relaxed);
-            g.ownerVaddr.store(0, std::memory_order_relaxed);
+            g.ownerKind = FrameOwner::None;
+            g.ownerId = kNoOwner;
+            g.ownerVaddr = 0;
         }
         if (reclaim_)
             reclaim_->onFree(pfn);
@@ -356,35 +353,5 @@ Kernel::forkInto(Process &parent, Process &child)
     });
 }
 
-
-void
-Kernel::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('K', 'E', 'R', 'N'));
-    s.u64(now());
-    const FaultStats &fs = faultStats();
-    s.u64(fs.faults);
-    s.u64(fs.hugeFaults);
-    s.u64(fs.baseFaults);
-    s.u64(fs.cowFaults);
-    s.u64(fs.fileFaults);
-    s.u64(fs.totalCycles);
-    s.u64(fs.latencyUs.count());
-    const CounterSet::Map &counters = counters_.all();
-    s.u64(counters.size());
-    for (const auto &[name, value] : counters) {
-        s.str(name);
-        s.u64(value);
-    }
-    s.u64(kernelPoolPages());
-    physMem_.saveState(s);
-    s.u64(processes_.size());
-    for (const auto &p : processes_) {
-        s.u32(p->pid());
-        s.str(p->name());
-        p->addressSpace().saveState(s);
-    }
-    s.endSection(sec);
-}
 
 } // namespace contig

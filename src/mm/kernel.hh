@@ -29,8 +29,6 @@
 namespace contig
 {
 
-class Serializer;
-
 /** Cost-model + behaviour knobs for one kernel instance. */
 struct KernelConfig
 {
@@ -224,16 +222,6 @@ class Kernel
      * config().metricsPrefix for the kernel's lifetime.
      */
     void collectMetrics(obs::MetricSink &sink) const;
-
-    /**
-     * Serialize this kernel's observable state: fault clock and
-     * stats, ad-hoc counters, physical memory (buddy free lists) and
-     * every process's VMAs + page table. Save-only: a
-     * resumed run rebuilds the kernel deterministically (translation
-     * replay never mutates kernel state), then re-serializes and
-     * byte-compares against the snapshot to prove it.
-     */
-    void saveState(Serializer &s) const;
 
     /** Observer invoked after every fault (timeline sampling). */
     std::function<void(const FaultEvent &)> onFault;

@@ -1,5 +1,7 @@
 #include "mm/migrate.hh"
 
+#include <utility>
+
 #include "base/align.hh"
 #include "base/logging.hh"
 #include "mm/kernel.hh"
@@ -100,28 +102,11 @@ swapLeaves(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &fa = pm.frame(m->pfn + i);
         Frame &fb = pm.frame(dest_pfn + i);
-        // Atomics are not std::swap-able; migrations run in exclusive
-        // contexts (policy daemons), so relaxed exchanges suffice.
-        const auto kind = fa.ownerKind.load(std::memory_order_relaxed);
-        fa.ownerKind.store(fb.ownerKind.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-        fb.ownerKind.store(kind, std::memory_order_relaxed);
-        const auto id = fa.ownerId.load(std::memory_order_relaxed);
-        fa.ownerId.store(fb.ownerId.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        fb.ownerId.store(id, std::memory_order_relaxed);
-        const auto va = fa.ownerVaddr.load(std::memory_order_relaxed);
-        fa.ownerVaddr.store(fb.ownerVaddr.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-        fb.ownerVaddr.store(va, std::memory_order_relaxed);
-        const auto ref = fa.refCount.load(std::memory_order_relaxed);
-        fa.refCount.store(fb.refCount.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-        fb.refCount.store(ref, std::memory_order_relaxed);
-        const auto map = fa.mapCount.load(std::memory_order_relaxed);
-        fa.mapCount.store(fb.mapCount.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-        fb.mapCount.store(map, std::memory_order_relaxed);
+        std::swap(fa.ownerKind, fb.ownerKind);
+        std::swap(fa.ownerId, fb.ownerId);
+        std::swap(fa.ownerVaddr, fb.ownerVaddr);
+        std::swap(fa.refCount, fb.refCount);
+        std::swap(fa.mapCount, fb.mapCount);
     }
 
     CONTIG_TRACE(obs::TraceEventKind::Migration, m->pfn, dest_pfn, 2 * n);

@@ -4,7 +4,6 @@
 
 #include "base/align.hh"
 #include "base/logging.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -322,32 +321,5 @@ PageTable::rootFrame() const
     return root_->frame;
 }
 
-
-void
-PageTable::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('P', 'G', 'T', 'B'));
-    s.u32(levels_);
-    s.u64(generation());
-    s.u64(stats_.maps.load(std::memory_order_relaxed));
-    s.u64(stats_.unmaps.load(std::memory_order_relaxed));
-    s.u64(stats_.nodesAllocated.load(std::memory_order_relaxed));
-    s.u64(stats_.mappedBasePages.load(std::memory_order_relaxed));
-    s.u64(stats_.mappedHugePages.load(std::memory_order_relaxed));
-    std::vector<std::pair<Vpn, Mapping>> leaves;
-    forEachLeaf([&leaves](Vpn vpn, const Mapping &m) {
-        leaves.emplace_back(vpn, m);
-    });
-    s.u64(leaves.size());
-    for (const auto &[vpn, m] : leaves) {
-        s.u64(vpn);
-        s.u64(m.pfn);
-        s.u32(m.order);
-        s.boolean(m.writable);
-        s.boolean(m.cow);
-        s.boolean(m.contigBit);
-    }
-    s.endSection(sec);
-}
 
 } // namespace contig

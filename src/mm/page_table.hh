@@ -17,7 +17,6 @@
 #define CONTIG_MM_PAGE_TABLE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,8 +27,6 @@
 
 namespace contig
 {
-
-class Serializer;
 
 /** Number of entries per page-table node (9 index bits per level). */
 constexpr unsigned kPtFanout = 512;
@@ -61,18 +58,14 @@ struct WalkTrace
     bool hit = false;
 };
 
-/**
- * Statistics exported by a PageTable instance. The fields are atomics
- * only for source compatibility with readers that load() them; every
- * update happens on the one simulator thread.
- */
+/** Statistics exported by a PageTable instance. */
 struct PageTableStats
 {
-    std::atomic<std::uint64_t> maps{0};
-    std::atomic<std::uint64_t> unmaps{0};
-    std::atomic<std::uint64_t> nodesAllocated{0};
-    std::atomic<std::uint64_t> mappedBasePages{0};
-    std::atomic<std::uint64_t> mappedHugePages{0};
+    std::uint64_t maps = 0;
+    std::uint64_t unmaps = 0;
+    std::uint64_t nodesAllocated = 0;
+    std::uint64_t mappedBasePages = 0;
+    std::uint64_t mappedHugePages = 0;
 };
 
 /**
@@ -180,26 +173,14 @@ class PageTable
      * unmap, setContigBit, setWritable, RunMapper installs). Software
      * walk memos key their entries on this counter so any change to
      * the table — guest or nested — invalidates cached traversals
-     * without a flush broadcast. Monotonic; relaxed is enough because
-     * readers only compare for equality against a value they stored
-     * under the same ordering regime as the walk itself.
+     * without a flush broadcast. Monotonic.
      */
-    std::uint64_t generation() const
-    { return generation_.load(std::memory_order_relaxed); }
-
-    /**
-     * Serialize the table's observable state — geometry, generation,
-     * stats and every leaf in ascending vpn order — for checkpoint
-     * verification (save-only; the table is rebuilt deterministically
-     * on resume and the bytes compared).
-     */
-    void saveState(Serializer &s) const;
+    std::uint64_t generation() const { return generation_; }
 
   private:
     struct Node;
 
-    void bumpGeneration()
-    { generation_.fetch_add(1, std::memory_order_relaxed); }
+    void bumpGeneration() { ++generation_; }
 
     /** One slot: either a child node or a leaf PTE (or empty). */
     struct Slot
@@ -243,7 +224,7 @@ class PageTable
     std::unique_ptr<Node> root_;
     Pfn syntheticNext_;
     PageTableStats stats_;
-    std::atomic<std::uint64_t> generation_{0};
+    std::uint64_t generation_ = 0;
 };
 
 /**

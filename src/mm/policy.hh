@@ -10,7 +10,6 @@
 #ifndef CONTIG_MM_POLICY_HH
 #define CONTIG_MM_POLICY_HH
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,8 +70,8 @@ struct AllocResult
  */
 struct AllocFailCounts
 {
-    std::atomic<std::uint64_t> noHugeBlock{0};
-    std::atomic<std::uint64_t> oom{0};
+    std::uint64_t noHugeBlock = 0;
+    std::uint64_t oom = 0;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "mm/reclaim.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -38,7 +39,7 @@ ReclaimEngine::onClaim(Pfn pfn, unsigned order, FrameOwner kind)
     if (kind != FrameOwner::Anon && kind != FrameOwner::PageCache)
         return; // page-table pool frames are kernel-pinned
     PhysicalMemory &pm = kernel_.physMem();
-    pm.frame(pfn).referenced.store(false, std::memory_order_relaxed);
+    pm.frame(pfn).referenced = false;
     pm.zoneOf(pfn).lruInsert(Frame::LruList::Inactive, pfn, order);
 }
 
@@ -51,8 +52,7 @@ ReclaimEngine::onFree(Pfn pfn)
 void
 ReclaimEngine::noteReferenced(Pfn head)
 {
-    kernel_.physMem().frame(head).referenced.store(
-        true, std::memory_order_relaxed);
+    kernel_.physMem().frame(head).referenced = true;
 }
 
 // --- swap -----------------------------------------------------------------
@@ -206,18 +206,17 @@ ReclaimEngine::reclaimRange(Pfn base, unsigned order)
     while (p < end) {
         Frame &f = pm.frame(p);
         prog.cycles += kScanCyclesPerEntry;
-        if (!f.inUse.load(std::memory_order_relaxed)) {
+        if (!f.inUse) {
             ++p;
             continue;
         }
-        const FrameOwner kind = f.ownerKind.load(std::memory_order_relaxed);
+        const FrameOwner kind = f.ownerKind;
         Pfn next = p + 1;
         if (kind == FrameOwner::Anon) {
             // Find the mapping head covering p so whole leaves
             // (including huge ones) are evicted in one step.
-            const std::uint32_t pid =
-                f.ownerId.load(std::memory_order_relaxed);
-            const Addr va = f.ownerVaddr.load(std::memory_order_relaxed);
+            const std::uint32_t pid = f.ownerId;
+            const Addr va = f.ownerVaddr;
             if (Process *proc = kernel_.findProcess(pid)) {
                 if (auto m = proc->pageTable().lookup(Gva{va}.pageNumber());
                     m && m->valid()) {
@@ -251,7 +250,7 @@ ReclaimEngine::contigScore(Pfn head) const
     const Pfn block = head & ~(hp - 1);
     unsigned occupied = 0;
     for (Pfn p = block; p < block + hp; p += kScoreStride) {
-        if (pm.frame(p).inUse.load(std::memory_order_relaxed))
+        if (pm.frame(p).inUse)
             ++occupied;
     }
     return occupied;
@@ -266,10 +265,10 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
 
     // The owner triple names the candidate mapping; everything below
     // validates it against the page table.
-    if (f.ownerKind.load(std::memory_order_relaxed) != FrameOwner::Anon)
+    if (f.ownerKind != FrameOwner::Anon)
         return Victim::Gone;
-    const std::uint32_t pid = f.ownerId.load(std::memory_order_relaxed);
-    const Addr va = f.ownerVaddr.load(std::memory_order_relaxed);
+    const std::uint32_t pid = f.ownerId;
+    const Addr va = f.ownerVaddr;
 
     Process *proc = kernel_.findProcess(pid);
     if (!proc)
@@ -287,7 +286,7 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
     auto m = proc->pageTable().lookup(vpn);
     if (!m || !m->valid() || m->pfn != head || m->order != order)
         return Victim::Gone;
-    if (f.refCount.load(std::memory_order_relaxed) != 1 || m->cow) {
+    if (f.refCount != 1 || m->cow) {
         // COW-shared after a fork: a second process holds a reference;
         // swapping would need an rmap walk we don't model. Pinned.
         return Victim::Pinned;
@@ -335,8 +334,8 @@ ReclaimEngine::splitHuge(Zone &zone, Process &proc, Vpn base, Pfn head)
     // fault.
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &fi = pm.frame(head + i);
-        fi.refCount.store(1, std::memory_order_relaxed);
-        fi.referenced.store(false, std::memory_order_relaxed);
+        fi.refCount = 1;
+        fi.referenced = false;
     }
 
     PageTable::RunMapper rm(pt);
@@ -363,17 +362,15 @@ ReclaimEngine::evictPageCache(Zone &, Pfn pfn, Progress &out)
     PhysicalMemory &pm = kernel_.physMem();
     Frame &f = pm.frame(pfn);
 
-    if (f.ownerKind.load(std::memory_order_relaxed) != FrameOwner::PageCache)
+    if (f.ownerKind != FrameOwner::PageCache)
         return Victim::Gone;
-    if (f.refCount.load(std::memory_order_relaxed) != 1 ||
-        f.mapCount.load(std::memory_order_relaxed) != 0) {
+    if (f.refCount != 1 || f.mapCount != 0) {
         // Still mapped by some VMA: not evictable until unmapped. The
         // caller promotes it out of the scan window.
         return Victim::Rotated;
     }
-    const std::uint32_t file_id = f.ownerId.load(std::memory_order_relaxed);
-    const std::uint64_t page =
-        f.ownerVaddr.load(std::memory_order_relaxed) >> kPageShift;
+    const std::uint32_t file_id = f.ownerId;
+    const std::uint64_t page = f.ownerVaddr >> kPageShift;
     if (file_id >= kernel_.pageCache().fileCount())
         return Victim::Gone;
     File &file = kernel_.pageCache().file(file_id);
@@ -396,13 +393,13 @@ ReclaimEngine::scanOne(Zone &zone, const Zone::LruEntry &e, Progress &out)
     stats_.scans.fetch_add(1, std::memory_order_relaxed);
     out.cycles += kScanCyclesPerEntry;
 
-    const FrameOwner kind = f.ownerKind.load(std::memory_order_relaxed);
+    const FrameOwner kind = f.ownerKind;
     if (kind != FrameOwner::Anon && kind != FrameOwner::PageCache)
         return Victim::Pinned;
 
     // Second chance: a block touched since the last scan rotates to
     // the active list instead of being evicted.
-    if (f.referenced.exchange(false, std::memory_order_relaxed)) {
+    if (std::exchange(f.referenced, false)) {
         zone.lruRequeue(Frame::LruList::Active, e.head, e.order);
         stats_.rotations.fetch_add(1, std::memory_order_relaxed);
         return Victim::Rotated;
@@ -460,8 +457,7 @@ ReclaimEngine::shrinkZone(Zone &zone, std::uint64_t target)
             for (std::size_t i = 0; i < na; ++i) {
                 Frame &f = pm.frame(buf[i].head);
                 prog.cycles += kScanCyclesPerEntry;
-                if (f.referenced.exchange(false,
-                                          std::memory_order_relaxed)) {
+                if (std::exchange(f.referenced, false)) {
                     zone.lruRequeue(Frame::LruList::Active, buf[i].head,
                                     buf[i].order);
                 } else {

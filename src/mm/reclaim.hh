@@ -66,9 +66,11 @@ struct SwapCostModel
 };
 
 /**
- * Reclaim-path counters ("reclaim.*" metrics). The fields are atomics
- * only because readers load() them; every update is a relaxed bump
- * on the one simulator thread.
+ * Reclaim-path counters ("reclaim.*" metrics). The simulator runs one
+ * thread; the fields stay atomics only because readers (perfbench,
+ * fig_overcommit, micro_reclaim_path, the observatory) bind them as
+ * `const std::atomic<std::uint64_t> &` and load() them. Every update
+ * is a relaxed bump.
  */
 struct ReclaimStats
 {

@@ -11,7 +11,6 @@
 #define CONTIG_MM_VMA_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -85,30 +84,22 @@ class Vma
 
     // --- CA paging metadata -------------------------------------------
     //
-    // The Offset FIFO is a lock-free ring, matching the paper's §III-C
-    // design: a fault publishes a new Offset with plain atomic stores
-    // after reserving a sequence number, and readers scan the ring
-    // without any lock. An Offset is only a placement hint: the
-    // allocSpecific() that follows re-checks the target, so a stale
-    // hint costs at worst one extra placement attempt.
+    // The Offset FIFO (§III-C) is a plain ring of kMaxCaOffsets slots
+    // indexed by two sequence numbers: offsetHead_ is the next record
+    // to write, offsetTail_ the oldest live one. An Offset is only a
+    // placement hint: the allocSpecific() that follows re-checks the
+    // target, so a stale hint costs at worst one extra placement
+    // attempt.
 
     /** Record a new Offset (FIFO eviction beyond kMaxCaOffsets). */
     void
     pushCaOffset(Vpn origin_vpn, std::int64_t offset_pages)
     {
-        const std::uint64_t seq =
-            offsetHead_.fetch_add(1, std::memory_order_acq_rel);
-        OffsetSlot &slot = offsetRing_[seq % kMaxCaOffsets];
-        slot.originVpn.store(origin_vpn, std::memory_order_relaxed);
-        slot.offsetPages.store(offset_pages, std::memory_order_relaxed);
-        // Retire overwritten sequence numbers so count/pop stay in
-        // step with the ring capacity.
-        std::uint64_t tail = offsetTail_.load(std::memory_order_relaxed);
-        while (seq + 1 - tail > kMaxCaOffsets &&
-               !offsetTail_.compare_exchange_weak(
-                   tail, seq + 1 - kMaxCaOffsets,
-                   std::memory_order_acq_rel, std::memory_order_relaxed)) {
-        }
+        offsetRing_[offsetHead_ % kMaxCaOffsets] =
+            CaOffset{origin_vpn, offset_pages};
+        ++offsetHead_;
+        if (offsetHead_ - offsetTail_ > kMaxCaOffsets)
+            ++offsetTail_;
     }
 
     /**
@@ -120,22 +111,15 @@ class Vma
     std::optional<CaOffset>
     nearestCaOffset(Vpn vpn) const
     {
-        std::uint64_t head = offsetHead_.load(std::memory_order_acquire);
-        std::uint64_t tail = offsetTail_.load(std::memory_order_acquire);
-        if (head - tail > kMaxCaOffsets)
-            tail = head - kMaxCaOffsets;
         std::optional<CaOffset> best;
         std::uint64_t best_dist = ~std::uint64_t{0};
-        for (std::uint64_t seq = tail; seq != head; ++seq) {
-            const OffsetSlot &slot = offsetRing_[seq % kMaxCaOffsets];
-            const Vpn origin =
-                slot.originVpn.load(std::memory_order_relaxed);
-            const std::int64_t off =
-                slot.offsetPages.load(std::memory_order_relaxed);
-            std::uint64_t dist =
-                origin > vpn ? origin - vpn : vpn - origin;
+        for (std::uint64_t seq = offsetTail_; seq != offsetHead_; ++seq) {
+            const CaOffset &rec = offsetRing_[seq % kMaxCaOffsets];
+            const std::uint64_t dist = rec.originVpn > vpn
+                                           ? rec.originVpn - vpn
+                                           : vpn - rec.originVpn;
             if (!best || dist < best_dist) {
-                best = CaOffset{origin, off};
+                best = rec;
                 best_dist = dist;
             }
         }
@@ -144,55 +128,38 @@ class Vma
 
     bool hasCaOffsets() const { return caOffsetCount() > 0; }
 
-    std::size_t
-    caOffsetCount() const
-    {
-        std::uint64_t head = offsetHead_.load(std::memory_order_acquire);
-        std::uint64_t tail = offsetTail_.load(std::memory_order_acquire);
-        return std::min<std::uint64_t>(head - tail, kMaxCaOffsets);
-    }
+    std::size_t caOffsetCount() const { return offsetHead_ - offsetTail_; }
 
     /** Drop the oldest Offset (ablation hook for shallower FIFOs). */
     void
     popOldestCaOffset()
     {
-        std::uint64_t tail = offsetTail_.load(std::memory_order_acquire);
-        while (offsetHead_.load(std::memory_order_acquire) != tail &&
-               !offsetTail_.compare_exchange_weak(
-                   tail, tail + 1, std::memory_order_acq_rel,
-                   std::memory_order_acquire)) {
-        }
+        if (offsetTail_ != offsetHead_)
+            ++offsetTail_;
     }
 
     /**
      * Replacement guard (§III-C, "Avoiding multithreading pitfalls"):
-     * a CAS gate so that of all the faults whose fast-path Offset
-     * failed, only the first triggers the expensive re-placement; the
-     * losers retry their fast path against the winner's fresh Offset.
-     * Returns true if the caller acquired the right to re-place. The
-     * simulator raises one fault at a time, so the race is pinned by a
-     * deterministic interleaving test that holds the guard itself.
+     * of all the faults whose fast-path Offset failed, only the first
+     * triggers the expensive re-placement; the losers retry their fast
+     * path against the winner's fresh Offset. Returns true if the
+     * caller acquired the right to re-place. The simulator raises one
+     * fault at a time, so the guard is a plain flag, and the race is
+     * pinned by a deterministic interleaving test that holds the guard
+     * itself.
      */
     bool
     tryBeginReplacement()
     {
-        bool expected = false;
-        return replacementActive_.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel,
-            std::memory_order_acquire);
+        if (replacementActive_)
+            return false;
+        replacementActive_ = true;
+        return true;
     }
 
-    void
-    endReplacement()
-    {
-        replacementActive_.store(false, std::memory_order_release);
-    }
+    void endReplacement() { replacementActive_ = false; }
 
-    bool
-    replacementActive() const
-    {
-        return replacementActive_.load(std::memory_order_acquire);
-    }
+    bool replacementActive() const { return replacementActive_; }
 
     // --- accounting -----------------------------------------------------
 
@@ -235,19 +202,11 @@ class Vma
     std::uint32_t fileId_;
     std::uint64_t fileOffsetPages_;
 
-    /** One ring slot; the pair is read/written with independent
-     *  relaxed atomics. */
-    struct OffsetSlot
-    {
-        std::atomic<Vpn> originVpn{0};
-        std::atomic<std::int64_t> offsetPages{0};
-    };
-
-    std::array<OffsetSlot, kMaxCaOffsets> offsetRing_;
-    /** Next sequence number to publish / oldest live sequence. */
-    std::atomic<std::uint64_t> offsetHead_{0};
-    std::atomic<std::uint64_t> offsetTail_{0};
-    std::atomic<bool> replacementActive_{false};
+    std::array<CaOffset, kMaxCaOffsets> offsetRing_{};
+    /** Next sequence number to write / oldest live sequence. */
+    std::uint64_t offsetHead_ = 0;
+    std::uint64_t offsetTail_ = 0;
+    bool replacementActive_ = false;
 };
 
 } // namespace contig

@@ -4,7 +4,6 @@
 
 #include "base/json.hh"
 #include "base/logging.hh"
-#include "base/serialize.hh"
 #include "contig/analysis.hh"
 #include "obs/metrics.hh"
 
@@ -15,8 +14,6 @@ namespace obs
 
 namespace
 {
-
-constexpr std::uint32_t kAttrTag = sectionTag('A', 'T', 'T', 'R');
 
 const char *const kOutcomeNames[kXlatOutcomes] = {
     "tlb_hit", "segment_hit", "spot_hit",
@@ -33,27 +30,6 @@ const char *const kClassNames[kContigClasses] = {
 const char *const kKindNames[kFaultKinds] = {"anon", "cow", "file"};
 
 const char *const kFallNames[kFaultFalls] = {"none", "no_huge_block", "oom"};
-
-void
-saveHistogram(Serializer &s, const Log2Histogram &h)
-{
-    s.u32(h.numBuckets());
-    for (unsigned i = 0; i < h.numBuckets(); ++i)
-        s.u64(h.bucket(i));
-}
-
-void
-restoreHistogram(Deserializer &d, Log2Histogram &h)
-{
-    h.reset();
-    const std::uint32_t n = d.u32();
-    if (n > 64)
-        fatal("attribution checkpoint: histogram with %u buckets", n);
-    // add(2^i, w) lands exactly in bucket i, so replaying the bucket
-    // weights reconstructs the histogram state bit-for-bit.
-    for (std::uint32_t i = 0; i < n; ++i)
-        h.add(std::uint64_t{1} << i, d.u64());
-}
 
 /**
  * Strict total order on exemplar content (hottest first). Because it
@@ -154,24 +130,6 @@ CostCell::mergeFrom(const CostCell &other)
     hist.mergeFrom(other.hist);
 }
 
-void
-CostCell::save(Serializer &s) const
-{
-    s.u64(events);
-    s.u64(cycles);
-    s.u64(exposed);
-    saveHistogram(s, hist);
-}
-
-void
-CostCell::restore(Deserializer &d)
-{
-    events = d.u64();
-    cycles = d.u64();
-    exposed = d.u64();
-    restoreHistogram(d, hist);
-}
-
 // --- XlatAttribution --------------------------------------------------
 
 void
@@ -224,64 +182,6 @@ XlatAttribution::collectMetrics(MetricSink &sink) const
     }
 }
 
-void
-XlatAttribution::save(Serializer &s) const
-{
-    const std::size_t cookie = s.beginSection(kAttrTag);
-    s.str(label_);
-    s.u64(chunk_);
-    s.u64(seq_);
-    s.u32(kXlatOutcomes);
-    s.u32(kContigClasses);
-    for (unsigned o = 0; o < kXlatOutcomes; ++o)
-        for (unsigned c = 0; c < kContigClasses; ++c)
-            cells_[o][c].save(s);
-    s.u32(static_cast<std::uint32_t>(exemplars_.size()));
-    for (const Exemplar &e : exemplars_) {
-        s.u64(e.vpn);
-        s.u64(e.cycles);
-        s.u8(e.outcome);
-        s.u8(e.cls);
-        s.u64(e.chunk);
-        s.u64(e.seq);
-    }
-    s.endSection(cookie);
-}
-
-void
-XlatAttribution::restore(Deserializer &d)
-{
-    d.expectSection(kAttrTag, "attribution");
-    label_ = d.str();
-    chunk_ = d.u64();
-    seq_ = d.u64();
-    const std::uint32_t outs = d.u32();
-    const std::uint32_t classes = d.u32();
-    if (outs != kXlatOutcomes || classes != kContigClasses) {
-        fatal("attribution checkpoint dimensions %ux%u do not match "
-              "this build's %ux%u",
-              outs, classes, kXlatOutcomes, kContigClasses);
-    }
-    for (unsigned o = 0; o < kXlatOutcomes; ++o)
-        for (unsigned c = 0; c < kContigClasses; ++c)
-            cells_[o][c].restore(d);
-    exemplars_.clear();
-    const std::uint32_t n = d.u32();
-    if (n > kExemplarCapacity)
-        fatal("attribution checkpoint: %u exemplars exceed capacity %zu",
-              n, kExemplarCapacity);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Exemplar e;
-        e.vpn = d.u64();
-        e.cycles = d.u64();
-        e.outcome = d.u8();
-        e.cls = d.u8();
-        e.chunk = d.u64();
-        e.seq = d.u64();
-        exemplars_.push_back(e);
-    }
-}
-
 // --- FaultAttribution -------------------------------------------------
 
 std::uint64_t
@@ -318,7 +218,6 @@ AttribRegistry::absorbXlat(const XlatAttribution &table)
 {
     if (table.events() == 0 && table.exemplars().empty())
         return;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = xlat_.find(table.label());
     if (it == xlat_.end()) {
         it = xlat_.emplace(table.label(), XlatAttribution(table.label()))
@@ -332,7 +231,6 @@ AttribRegistry::absorbFault(const FaultAttribution &table)
 {
     if (table.events() == 0)
         return;
-    std::lock_guard<std::mutex> lock(mu_);
     fault_.mergeFrom(table);
     hasFault_ = true;
 }
@@ -340,14 +238,12 @@ AttribRegistry::absorbFault(const FaultAttribution &table)
 bool
 AttribRegistry::hasData() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return !xlat_.empty() || hasFault_;
 }
 
 std::vector<std::string>
 AttribRegistry::labels() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> out;
     out.reserve(xlat_.size());
     for (const auto &kv : xlat_)
@@ -358,7 +254,6 @@ AttribRegistry::labels() const
 const XlatAttribution *
 AttribRegistry::xlat(const std::string &label) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = xlat_.find(label);
     return it == xlat_.end() ? nullptr : &it->second;
 }
@@ -366,7 +261,6 @@ AttribRegistry::xlat(const std::string &label) const
 void
 AttribRegistry::reset()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     xlat_.clear();
     fault_ = FaultAttribution{};
     hasFault_ = false;
@@ -457,7 +351,6 @@ writeXlatTable(JsonWriter &w, const XlatAttribution &t)
 void
 AttribRegistry::writeSection(JsonWriter &w) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (xlat_.empty() && !hasFault_)
         return;
     w.key("attribution");

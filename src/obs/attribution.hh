@@ -27,11 +27,9 @@
 #ifndef CONTIG_OBS_ATTRIBUTION_HH
 #define CONTIG_OBS_ATTRIBUTION_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,8 +40,6 @@ namespace contig
 {
 
 class JsonWriter;
-class Serializer;
-class Deserializer;
 struct Seg;
 
 namespace obs
@@ -123,13 +119,11 @@ struct CostCell
 
     bool empty() const { return events == 0; }
     void mergeFrom(const CostCell &other);
-    void save(Serializer &s) const;
-    void restore(Deserializer &d);
 };
 
 /**
  * Translation-side attribution table. Owned by TranslationSim when
- * the registry switch is on; only the replaying thread touches it.
+ * the registry switch is on.
  */
 class XlatAttribution
 {
@@ -197,10 +191,6 @@ class XlatAttribution
     /** Per-outcome rollup counters ("<outcome>.events", ...). */
     void collectMetrics(MetricSink &sink) const;
 
-    /** Checkpoint the cells, exemplars and event ordinal. */
-    void save(Serializer &s) const;
-    void restore(Deserializer &d);
-
   private:
     void offer(const Exemplar &e);
 
@@ -253,24 +243,16 @@ class FaultAttribution
 
 /**
  * The process-wide switch and accumulator. Dying simulators and
- * fault engines absorb their tables here (cold path, mutexed);
+ * fault engines absorb their tables here (cold path);
  * BenchOutput renders the result as the "attribution" JSON section.
  */
 class AttribRegistry
 {
   public:
-    static bool
-    enabled()
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+    static bool enabled() { return enabled_; }
 
     /** Flip before any simulator/kernel exists (BenchOutput ctor). */
-    static void
-    setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
+    static void setEnabled(bool on) { enabled_ = on; }
 
     static AttribRegistry &global();
 
@@ -297,9 +279,8 @@ class AttribRegistry
     void reset();
 
   private:
-    inline static std::atomic<bool> enabled_{false};
+    inline static bool enabled_ = false;
 
-    mutable std::mutex mu_;
     std::map<std::string, XlatAttribution> xlat_;
     FaultAttribution fault_;
     bool hasFault_ = false;

@@ -105,7 +105,6 @@ void
 TraceSink::record(TraceEventKind kind, std::uint64_t a0, std::uint64_t a1,
                   std::uint64_t a2)
 {
-    std::lock_guard<std::mutex> g(lock_);
     TraceEvent &ev = nextSlot();
     ev.tsNs = nowNs();
     ev.durNs = 0;
@@ -120,7 +119,6 @@ void
 TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
                       std::uint64_t dur_ns, std::uint64_t a0)
 {
-    std::lock_guard<std::mutex> g(lock_);
     TraceEvent &ev = nextSlot();
     ev.tsNs = ts_ns;
     ev.durNs = dur_ns;
@@ -134,7 +132,6 @@ TraceSink::recordSpan(const char *interned_name, std::uint64_t ts_ns,
 const char *
 TraceSink::intern(std::string_view name)
 {
-    std::lock_guard<std::mutex> g(lock_);
     for (const auto &s : interned_)
         if (*s == name)
             return s->c_str();
@@ -145,14 +142,12 @@ TraceSink::intern(std::string_view name)
 std::size_t
 TraceSink::size() const
 {
-    std::lock_guard<std::mutex> g(lock_);
     return ring_.size();
 }
 
 void
 TraceSink::clear()
 {
-    std::lock_guard<std::mutex> g(lock_);
     ring_.clear();
     head_ = 0;
     recorded_ = 0;
@@ -162,7 +157,6 @@ TraceSink::clear()
 std::vector<TraceEvent>
 TraceSink::events() const
 {
-    std::lock_guard<std::mutex> g(lock_);
     std::vector<TraceEvent> out;
     out.reserve(ring_.size());
     // head_ is the oldest slot once the ring has wrapped.

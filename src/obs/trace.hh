@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -196,12 +195,6 @@ class TraceSink
   private:
     TraceEvent &nextSlot();
 
-    /**
-     * Guards the ring and the interned names. wants() stays lock-free:
-     * with the category masked off (the default) the hot path never
-     * reaches the lock.
-     */
-    mutable std::mutex lock_;
     std::uint32_t mask_ = 0;
     std::size_t capacity_ = 1u << 20;
     std::vector<TraceEvent> ring_;

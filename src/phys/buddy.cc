@@ -3,7 +3,6 @@
 #include "base/align.hh"
 #include "base/rng.hh"
 #include "obs/metrics.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -80,7 +79,7 @@ BuddyAllocator::markAllocated(Pfn pfn, unsigned order)
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = frames_[pfn + i];
-        f.inUse.store(true, std::memory_order_relaxed);
+        f.inUse = true;
         f.freeHead = false;
     }
 }
@@ -91,7 +90,7 @@ BuddyAllocator::markFree(Pfn pfn, unsigned order)
     const std::uint64_t n = pagesInOrder(order);
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &f = frames_[pfn + i];
-        f.inUse.store(false, std::memory_order_relaxed);
+        f.inUse = false;
         f.freeHead = false;
     }
     frames_[pfn].order = static_cast<std::uint8_t>(order);
@@ -319,7 +318,7 @@ BuddyAllocator::isFreePage(Pfn pfn) const
         return false;
     // Occupancy probe (paper §III-C): allocSpecific() still checks
     // that the whole block is free before carving it out.
-    return !frames_[pfn].inUse.load(std::memory_order_relaxed);
+    return !frames_[pfn].inUse;
 }
 
 std::optional<std::pair<Pfn, unsigned>>
@@ -472,26 +471,5 @@ BuddyAllocator::collectMetrics(obs::MetricSink &sink) const
                static_cast<double>(lists_[maxOrder_].count));
 }
 
-
-void
-BuddyAllocator::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('B', 'U', 'D', 'Y'));
-    s.u64(basePfn_);
-    s.u64(nFrames_);
-    s.u32(maxOrder_);
-    s.u64(freePages_);
-    s.u64(stats_.allocCalls);
-    s.u64(stats_.allocSpecificCalls);
-    s.u64(stats_.allocSpecificFailures);
-    s.u64(stats_.splits);
-    s.u64(stats_.merges);
-    s.u64(stats_.freeCalls);
-    for (unsigned o = 0; o <= maxOrder_; ++o) {
-        s.u64(lists_[o].count);
-        forEachFreeBlock(o, [&s](Pfn pfn) { s.u64(pfn); });
-    }
-    s.endSection(sec);
-}
 
 } // namespace contig

@@ -29,7 +29,6 @@ namespace contig
 {
 
 namespace obs { class MetricSink; }
-class Serializer;
 
 /** Statistics exported by a BuddyAllocator instance. */
 struct BuddyStats
@@ -136,14 +135,6 @@ class BuddyAllocator
 
     /** Internal consistency check; used by the property tests. */
     bool checkInvariants() const;
-
-    /**
-     * Serialize the allocator's observable state (geometry, free-list
-     * contents in list order, stats) for checkpoint verification.
-     * Save-only: the kernel is rebuilt deterministically on resume and
-     * the re-serialized bytes are compared against the snapshot.
-     */
-    void saveState(Serializer &s) const;
 
   private:
     struct FreeList

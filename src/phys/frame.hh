@@ -10,7 +10,6 @@
 #ifndef CONTIG_PHYS_FRAME_HH
 #define CONTIG_PHYS_FRAME_HH
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -47,40 +46,37 @@ enum class FrameOwner : std::uint8_t
  * are written before anything reads them: the links by list insert,
  * the owner id together with `ownerKind`.
  *
- * The simulator handles one fault at a time, so no field is shared
- * between threads. refCount/mapCount/inUse, the owner fields and the
- * second-chance bit are still std::atomic because their readers use
- * load()/store(); converting them to plain fields is a separate
- * cleanup. `inUse` is CA paging's
- * occupancy probe (§III-C): the placement policy reads it before
- * allocSpecific() carves the block out of the buddy lists.
+ * The simulator runs one thread and handles one fault at a time, so
+ * every field is a plain field. `inUse` is CA paging's occupancy probe
+ * (§III-C): the placement policy reads it before allocSpecific()
+ * carves the block out of the buddy lists.
  *
  * The small fields are grouped so a descriptor fills one 64-byte line.
  */
 struct Frame
 {
     /** References held (0 while the frame sits in the buddy allocator). */
-    std::atomic<std::uint32_t> refCount{0};
+    std::uint32_t refCount = 0;
     /** Number of page-table mappings pointing at this frame. */
-    std::atomic<std::uint32_t> mapCount{0};
+    std::uint32_t mapCount = 0;
     /** Owning process or file id; meaningful only if ownerKind != None. */
-    std::atomic<std::uint32_t> ownerId{0};
+    std::uint32_t ownerId = 0;
 
     /** Buddy order of the free block this frame heads (valid if freeHead). */
     std::uint8_t order = 0;
     /** False for every frame inside a free buddy block. */
-    std::atomic<bool> inUse{false};
+    bool inUse = false;
     /** True only for the first frame of a free block on a free list. */
     bool freeHead = false;
     /** Reverse mapping: which kind of object backs this frame. */
-    std::atomic<FrameOwner> ownerKind{FrameOwner::None};
+    FrameOwner ownerKind = FrameOwner::None;
 
     /** Intrusive free-list linkage (heads only; set by list insert). */
     Pfn freeNext = 0;
     Pfn freePrev = 0;
 
     /** Reverse mapping: the owning gva (or file offset). */
-    std::atomic<Addr> ownerVaddr{0};
+    Addr ownerVaddr = 0;
 
     // --- LRU reclaim state (reclaimEnabled kernels only) ---------------
     //
@@ -98,7 +94,7 @@ struct Frame
     std::uint8_t lruOrder = 0;
     LruList lruList = LruList::None;
     /** Second-chance bit: touched since the last LRU scan looked. */
-    std::atomic<bool> referenced{false};
+    bool referenced = false;
 };
 
 static_assert(std::is_trivially_destructible_v<Frame>,

@@ -2,7 +2,6 @@
 
 #include "base/align.hh"
 #include "base/logging.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -89,16 +88,5 @@ PhysicalMemory::freeClusters() const
     return out;
 }
 
-
-void
-PhysicalMemory::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('P', 'M', 'E', 'M'));
-    s.u64(frames_.size());
-    s.u64(zones_.size());
-    for (const auto &z : zones_)
-        z->saveState(s);
-    s.endSection(sec);
-}
 
 } // namespace contig

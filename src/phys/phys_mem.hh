@@ -80,9 +80,6 @@ class PhysicalMemory
      */
     std::vector<Cluster> freeClusters() const;
 
-    /** Serialize every zone (save-only; checkpoint verification). */
-    void saveState(Serializer &s) const;
-
   private:
     FrameArray frames_;
     std::vector<std::unique_ptr<Zone>> zones_;

@@ -1,5 +1,4 @@
 #include "phys/zone.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -160,15 +159,6 @@ std::uint64_t
 Zone::lruPages(Frame::LruList list) const
 {
     return lruOf(list).pages;
-}
-
-void
-Zone::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('Z', 'O', 'N', 'E'));
-    s.u32(node_);
-    buddy_.saveState(s);
-    s.endSection(sec);
 }
 
 } // namespace contig

@@ -14,8 +14,6 @@
 namespace contig
 {
 
-class Serializer;
-
 /** Tunables for one zone / the whole physical memory. */
 struct ZoneConfig
 {
@@ -134,12 +132,6 @@ class Zone
                            LruEntry *out);
     /** Pages (not blocks) currently on the given list. */
     std::uint64_t lruPages(Frame::LruList list) const;
-
-    /**
-     * Serialize the buddy free lists for checkpoint verification
-     * (save-only; see BuddyAllocator).
-     */
-    void saveState(Serializer &s) const;
 
   private:
     /** One LRU list: head = MRU end, tail = LRU end (eviction end). */

@@ -28,7 +28,7 @@ CaPagingPolicy::takeTarget(Kernel &kernel, Pfn target, unsigned order)
     if (ReclaimEngine *rec = kernel.reclaim(); rec && rec->contigAware()) {
         if (rec->reclaimRange(target, order) && pm.isFreePage(target) &&
             pm.allocSpecific(target, order)) {
-            stats_.reclaimTakes.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.reclaimTakes;
             return true;
         }
     }

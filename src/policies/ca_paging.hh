@@ -24,7 +24,6 @@
 #ifndef CONTIG_POLICIES_CA_PAGING_HH
 #define CONTIG_POLICIES_CA_PAGING_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "mm/policy.hh"
@@ -52,17 +51,17 @@ struct CaPagingConfig
 /** Observable CA paging behaviour (tests + benches). */
 struct CaPagingStats
 {
-    std::atomic<std::uint64_t> placements{0};  //!< first-fault placements
+    std::uint64_t placements = 0;   //!< first-fault placements
     /** Re-placements after failures. */
-    std::atomic<std::uint64_t> subVmaPlacements{0};
-    std::atomic<std::uint64_t> offsetHits{0};  //!< target free and taken
-    std::atomic<std::uint64_t> offsetMisses{0}; //!< target occupied/invalid
-    std::atomic<std::uint64_t> fallbacks{0};   //!< 4 KiB default fallbacks
-    std::atomic<std::uint64_t> filePlacements{0};
-    std::atomic<std::uint64_t> markedPtes{0};  //!< contiguity bits set
+    std::uint64_t subVmaPlacements = 0;
+    std::uint64_t offsetHits = 0;   //!< target free and taken
+    std::uint64_t offsetMisses = 0; //!< target occupied/invalid
+    std::uint64_t fallbacks = 0;    //!< 4 KiB default fallbacks
+    std::uint64_t filePlacements = 0;
+    std::uint64_t markedPtes = 0;   //!< contiguity bits set
     /** Targets taken only after contiguity-aware reclaim evicted the
      *  occupants (reclaim kernels with contigAwareReclaim only). */
-    std::atomic<std::uint64_t> reclaimTakes{0};
+    std::uint64_t reclaimTakes = 0;
 };
 
 class CaPagingPolicy : public AllocationPolicy

@@ -5,7 +5,6 @@
 #include "base/align.hh"
 #include "base/logging.hh"
 #include "obs/metrics.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -166,53 +165,5 @@ RangeTlb::collectMetrics(obs::MetricSink &sink) const
     sink.counter("table_misses", stats_.tableMisses);
 }
 
-
-void
-RangeTlb::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('R', 'T', 'L', 'B'));
-    s.u32(cfg_.entries);
-    s.u64(clock_);
-    s.u64(stats_.lookups);
-    s.u64(stats_.hits);
-    s.u64(stats_.refills);
-    s.u64(stats_.tableMisses);
-    s.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        s.u64(e.seg.vpn);
-        s.u64(e.seg.pfn);
-        s.u64(e.seg.pages);
-        s.boolean(e.valid);
-        s.u64(e.lastUse);
-    }
-    s.endSection(sec);
-}
-
-void
-RangeTlb::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('R', 'T', 'L', 'B'), "range_tlb");
-    const unsigned entries = d.u32();
-    if (entries != cfg_.entries)
-        fatal("checkpoint range-TLB size mismatch: file has %u"
-              " entries, this run has %u",
-              entries, cfg_.entries);
-    clock_ = d.u64();
-    stats_.lookups = d.u64();
-    stats_.hits = d.u64();
-    stats_.refills = d.u64();
-    stats_.tableMisses = d.u64();
-    const std::uint64_t n = d.u64();
-    if (n != entries_.size())
-        fatal("checkpoint range-TLB entry count mismatch: %llu vs %zu",
-              static_cast<unsigned long long>(n), entries_.size());
-    for (Entry &e : entries_) {
-        e.seg.vpn = d.u64();
-        e.seg.pfn = d.u64();
-        e.seg.pages = d.u64();
-        e.valid = d.boolean();
-        e.lastUse = d.u64();
-    }
-}
 
 } // namespace contig

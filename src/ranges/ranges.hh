@@ -29,9 +29,6 @@ namespace contig
 
 namespace obs { class MetricSink; }
 
-class Serializer;
-class Deserializer;
-
 /** vRMM range-TLB configuration (Table II: 32-entry, fully assoc). */
 struct RangeTlbConfig
 {
@@ -81,14 +78,6 @@ class RangeTlb
 
     /** Report lookup/hit/refill counters into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;
-
-    /**
-     * Checkpoint the cached ranges, LRU clock and stats. The backing
-     * RangeTable is NOT serialized — it is rebuilt deterministically
-     * from the extracted segments on resume.
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     struct Entry

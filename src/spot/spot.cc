@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "obs/metrics.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -153,79 +152,5 @@ SpotEngine::collectMetrics(obs::MetricSink &sink) const
     sink.counter("offset_replacements", stats_.offsetReplacements);
 }
 
-
-void
-SpotEngine::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('S', 'P', 'O', 'T'));
-    s.u32(cfg_.sets);
-    s.u32(cfg_.ways);
-    s.u64(clock_);
-    s.u64(stats_.lookups);
-    s.u64(stats_.correct);
-    s.u64(stats_.mispredicted);
-    s.u64(stats_.noPrediction);
-    s.u64(stats_.fills);
-    s.u64(stats_.fillsBlockedByBits);
-    s.u64(stats_.offsetReplacements);
-    s.u64(static_cast<std::uint64_t>(cfg_.sets) * cfg_.ways);
-    // Padding slots are not checkpointed; invalid slots write a
-    // canonical zero tag (the live lane holds the sentinel instead).
-    for (unsigned set = 0; set < cfg_.sets; ++set) {
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            const unsigned i = set * wayStride_ + w;
-            s.u64(valid_[i] ? pcTags_[i] : 0);
-            s.i64(offsets_[i]);
-            s.u8(confidence_[i]);
-            s.boolean(valid_[i] != 0);
-            s.u64(lastUse_[i]);
-        }
-    }
-    s.boolean(pending_.has_value());
-    s.i64(pending_ ? *pending_ : 0);
-    s.u64(pendingPc_);
-    s.endSection(sec);
-}
-
-void
-SpotEngine::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('S', 'P', 'O', 'T'), "spot");
-    const unsigned sets = d.u32();
-    const unsigned ways = d.u32();
-    if (sets != cfg_.sets || ways != cfg_.ways)
-        fatal("checkpoint SpOT geometry mismatch: file has %ux%u, this"
-              " run has %ux%u",
-              sets, ways, cfg_.sets, cfg_.ways);
-    clock_ = d.u64();
-    stats_.lookups = d.u64();
-    stats_.correct = d.u64();
-    stats_.mispredicted = d.u64();
-    stats_.noPrediction = d.u64();
-    stats_.fills = d.u64();
-    stats_.fillsBlockedByBits = d.u64();
-    stats_.offsetReplacements = d.u64();
-    const std::uint64_t n = d.u64();
-    if (n != static_cast<std::uint64_t>(cfg_.sets) * cfg_.ways)
-        fatal("checkpoint SpOT entry count mismatch: %llu vs %llu",
-              static_cast<unsigned long long>(n),
-              static_cast<unsigned long long>(cfg_.sets) * cfg_.ways);
-    for (unsigned set = 0; set < cfg_.sets; ++set) {
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            const unsigned i = set * wayStride_ + w;
-            const std::uint64_t tag = d.u64();
-            offsets_[i] = d.i64();
-            confidence_[i] = d.u8();
-            valid_[i] = d.boolean() ? 1 : 0;
-            pcTags_[i] = valid_[i] ? tag : simd::kNoTag64;
-            lastUse_[i] = d.u64();
-        }
-    }
-    const bool has_pending = d.boolean();
-    const std::int64_t pending = d.i64();
-    pending_ = has_pending ? std::optional<std::int64_t>(pending)
-                           : std::nullopt;
-    pendingPc_ = d.u64();
-}
 
 } // namespace contig

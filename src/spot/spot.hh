@@ -34,9 +34,6 @@ namespace contig
 
 namespace obs { class MetricSink; }
 
-class Serializer;
-class Deserializer;
-
 /** SpOT configuration (Table II: 32-entry, 4-way set associative). */
 struct SpotConfig
 {
@@ -123,13 +120,6 @@ class SpotEngine
     void collectMetrics(obs::MetricSink &sink) const;
 
     void flush();
-
-    /**
-     * Checkpoint the prediction table: entries with confidence
-     * counters, LRU clock, stats and any in-flight prediction.
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     unsigned setOf(Addr pc) const;

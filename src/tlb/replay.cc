@@ -1,7 +1,6 @@
 #include "tlb/replay.hh"
 
 #include "base/logging.hh"
-#include "base/serialize.hh"
 #include "obs/trace.hh"
 
 namespace contig
@@ -66,23 +65,6 @@ ReplayEngine::replayChunk(const MemAccess *a, std::size_t n)
     ++chunks_;
     CONTIG_TRACE(obs::TraceEventKind::ReplayChunk, chunks_ - 1, n,
                  sim_.stats().walks);
-}
-
-void
-ReplayEngine::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('R', 'E', 'N', 'G'));
-    s.u64(chunks_);
-    sim_.saveState(s);
-    s.endSection(sec);
-}
-
-void
-ReplayEngine::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('R', 'E', 'N', 'G'), "replay_engine");
-    chunks_ = d.u64();
-    sim_.restoreState(d);
 }
 
 } // namespace contig

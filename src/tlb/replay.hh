@@ -1,9 +1,9 @@
 /**
  * @file
  * Batched translation replay. A ReplayEngine drives one
- * TranslationSim chunk by chunk and keeps the replay position (chunks
- * and accesses done) that checkpoints record and trace frontends
- * resume from.
+ * TranslationSim chunk by chunk, fed by an AccessStream, and exports
+ * the replay position (chunks and accesses done) as the
+ * xlat.replay.* counters.
  *
  * Determinism contract: replaying a stream in chunks of any size is
  * instruction-identical to handing the same accesses to
@@ -58,15 +58,6 @@ class ReplayEngine
     std::uint64_t chunks() const { return chunks_; }
     std::uint64_t accesses() const { return sim_.stats().accesses; }
     const TranslationSim &sim() const { return sim_; }
-
-    /**
-     * Checkpoint the engine: the chunk count and the pipeline's full
-     * state (scheme verified on restore). Restore
-     * requires an engine built with the same configuration (fatal
-     * otherwise).
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     TranslationSim sim_;

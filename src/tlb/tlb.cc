@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "obs/metrics.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -202,88 +201,5 @@ TlbHierarchy::collectMetrics(obs::MetricSink &sink) const
     sink.counter("l2_misses", l2Misses_);
 }
 
-
-void
-Tlb::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('T', 'L', 'B', ' '));
-    s.u32(cfg_.sets);
-    s.u32(cfg_.ways);
-    s.u32(pageOrder_);
-    s.u64(clock_);
-    s.u64(stats_.lookups);
-    s.u64(stats_.hits);
-    s.u64(stats_.fills);
-    s.u64(stats_.evictions);
-    s.u64(static_cast<std::uint64_t>(cfg_.sets) * cfg_.ways);
-    // Padding slots are not checkpointed; invalid slots write a
-    // canonical zero tag (the live lane holds the sentinel instead).
-    for (unsigned set = 0; set < cfg_.sets; ++set) {
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            const unsigned i = set * wayStride_ + w;
-            s.u64(valid_[i] ? tags_[i] : 0);
-            s.boolean(valid_[i] != 0);
-            s.u64(lastUse_[i]);
-        }
-    }
-    s.endSection(sec);
-}
-
-void
-Tlb::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('T', 'L', 'B', ' '), "tlb");
-    const unsigned sets = d.u32();
-    const unsigned ways = d.u32();
-    const unsigned order = d.u32();
-    if (sets != cfg_.sets || ways != cfg_.ways || order != pageOrder_)
-        fatal("checkpoint TLB geometry mismatch: file has %ux%u order"
-              " %u, this run has %ux%u order %u",
-              sets, ways, order, cfg_.sets, cfg_.ways, pageOrder_);
-    clock_ = d.u64();
-    stats_.lookups = d.u64();
-    stats_.hits = d.u64();
-    stats_.fills = d.u64();
-    stats_.evictions = d.u64();
-    const std::uint64_t n = d.u64();
-    if (n != static_cast<std::uint64_t>(cfg_.sets) * cfg_.ways)
-        fatal("checkpoint TLB entry count mismatch: %llu vs %llu",
-              static_cast<unsigned long long>(n),
-              static_cast<unsigned long long>(cfg_.sets) * cfg_.ways);
-    for (unsigned set = 0; set < cfg_.sets; ++set) {
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            const unsigned i = set * wayStride_ + w;
-            const std::uint64_t tag = d.u64();
-            valid_[i] = d.boolean() ? 1 : 0;
-            tags_[i] = valid_[i] ? tag : simd::kNoTag64;
-            lastUse_[i] = d.u64();
-        }
-    }
-}
-
-void
-TlbHierarchy::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('T', 'L', 'B', 'H'));
-    s.u64(accesses_);
-    s.u64(l2Misses_);
-    l1_4k_.saveState(s);
-    l1_2m_.saveState(s);
-    l2_4k_.saveState(s);
-    l2_2m_.saveState(s);
-    s.endSection(sec);
-}
-
-void
-TlbHierarchy::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('T', 'L', 'B', 'H'), "tlb_hierarchy");
-    accesses_ = d.u64();
-    l2Misses_ = d.u64();
-    l1_4k_.restoreState(d);
-    l1_2m_.restoreState(d);
-    l2_4k_.restoreState(d);
-    l2_2m_.restoreState(d);
-}
 
 } // namespace contig

@@ -28,9 +28,6 @@ namespace contig
 
 namespace obs { class MetricSink; }
 
-class Serializer;
-class Deserializer;
-
 /** Geometry of one TLB array. */
 struct TlbConfig
 {
@@ -113,14 +110,6 @@ class Tlb
 
     /** Report hit/miss counters into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;
-
-    /**
-     * Checkpoint this array: geometry (verified on restore), clock,
-     * stats and every entry. restoreState into a same-geometry array
-     * reproduces lookup/evict behaviour exactly.
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     Vpn tagOf(Vpn vpn) const { return vpn >> pageOrder_; }
@@ -207,10 +196,6 @@ class TlbHierarchy
 
     /** Report per-array + hierarchy counters into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;
-
-    /** Checkpoint the whole hierarchy (all four arrays + counters). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
     const Tlb &l1For(unsigned order) const
     { return order == kHugeOrder ? l1_2m_ : l1_4k_; }

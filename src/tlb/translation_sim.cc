@@ -4,7 +4,6 @@
 #include "base/simd.hh"
 #include "obs/attribution.hh"
 #include "obs/trace.hh"
-#include "base/serialize.hh"
 
 namespace contig
 {
@@ -384,94 +383,6 @@ TranslationSim::accessChunk(const MemAccess *a, std::size_t n)
       CONTIG_XLAT_DISPATCH(Ds);
     }
 #undef CONTIG_XLAT_DISPATCH
-}
-
-void
-TranslationSim::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('X', 'S', 'I', 'M'));
-    s.u8(static_cast<std::uint8_t>(cfg_.scheme));
-    s.u64(stats_.accesses);
-    s.u64(stats_.l1Hits);
-    s.u64(stats_.l2Hits);
-    s.u64(stats_.walks);
-    s.u64(stats_.walkRefs);
-    s.u64(stats_.walkCycles);
-    s.u64(stats_.exposedCycles);
-    s.u64(stats_.spotCorrect);
-    s.u64(stats_.spotMispredicted);
-    s.u64(stats_.spotNoPrediction);
-    s.u64(stats_.rangeHits);
-    s.u64(stats_.segmentHits);
-    const Summary::Raw lat = l2MissLatency_.raw();
-    s.u64(lat.count);
-    s.f64(lat.sum);
-    s.f64(lat.min);
-    s.f64(lat.max);
-    tlb_.saveState(s);
-    walker_->saveState(s);
-    s.boolean(spot_ != nullptr);
-    if (spot_)
-        spot_->saveState(s);
-    s.boolean(rangeTlb_ != nullptr);
-    if (rangeTlb_)
-        rangeTlb_->saveState(s);
-    s.boolean(attrib_ != nullptr);
-    if (attrib_)
-        attrib_->save(s);
-    s.endSection(sec);
-}
-
-void
-TranslationSim::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('X', 'S', 'I', 'M'), "translation_sim");
-    const std::uint8_t scheme = d.u8();
-    if (scheme != static_cast<std::uint8_t>(cfg_.scheme))
-        fatal("checkpoint scheme mismatch: file has scheme %u, this"
-              " run has %u",
-              scheme, static_cast<unsigned>(cfg_.scheme));
-    stats_.accesses = d.u64();
-    stats_.l1Hits = d.u64();
-    stats_.l2Hits = d.u64();
-    stats_.walks = d.u64();
-    stats_.walkRefs = d.u64();
-    stats_.walkCycles = d.u64();
-    stats_.exposedCycles = d.u64();
-    stats_.spotCorrect = d.u64();
-    stats_.spotMispredicted = d.u64();
-    stats_.spotNoPrediction = d.u64();
-    stats_.rangeHits = d.u64();
-    stats_.segmentHits = d.u64();
-    Summary::Raw lat;
-    lat.count = d.u64();
-    lat.sum = d.f64();
-    lat.min = d.f64();
-    lat.max = d.f64();
-    l2MissLatency_.setRaw(lat);
-    tlb_.restoreState(d);
-    walker_->restoreState(d);
-    const bool has_spot = d.boolean();
-    if (has_spot != (spot_ != nullptr))
-        fatal("checkpoint SpOT presence mismatch (file %d, run %d)",
-              has_spot ? 1 : 0, spot_ ? 1 : 0);
-    if (spot_)
-        spot_->restoreState(d);
-    const bool has_range = d.boolean();
-    if (has_range != (rangeTlb_ != nullptr))
-        fatal("checkpoint range-TLB presence mismatch (file %d,"
-              " run %d)",
-              has_range ? 1 : 0, rangeTlb_ ? 1 : 0);
-    if (rangeTlb_)
-        rangeTlb_->restoreState(d);
-    const bool has_attrib = d.boolean();
-    if (has_attrib != (attrib_ != nullptr))
-        fatal("checkpoint attribution presence mismatch (file %d,"
-              " run %d) — was --attrib toggled between capture and"
-              " resume?",
-              has_attrib ? 1 : 0, attrib_ ? 1 : 0);
-    if (attrib_)
-        attrib_->restore(d);
 }
 
 } // namespace contig

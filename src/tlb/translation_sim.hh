@@ -23,9 +23,6 @@
 namespace contig
 {
 
-class Serializer;
-class Deserializer;
-
 namespace obs
 {
 class ContigClassIndex;
@@ -50,7 +47,7 @@ enum class XlatScheme : std::uint8_t
 
 /**
  * Which replay inner loop runs. Both produce bit-identical
- * statistics, scheme state and checkpoints (pinned by the engine
+ * statistics and scheme state (pinned by the engine
  * golden-equivalence test); only wall-clock time differs, which is
  * what the micro_xlat_scaling ratio gate measures.
  */
@@ -169,17 +166,6 @@ class TranslationSim
      * simulator's lifetime.
      */
     void collectMetrics(obs::MetricSink &sink) const;
-
-    /**
-     * Checkpoint the full pipeline state: scheme identity (verified
-     * on restore), stats, the L2-miss latency summary, TLB
-     * hierarchy, walker caches, SpOT table and range TLB. The direct
-     * segments / range table are not serialized — setSegments() on
-     * the resumed engine rebuilds them from the (verified-identical)
-     * kernel state.
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     void init();

@@ -1,7 +1,6 @@
 #include "tlb/walker.hh"
 
 #include "base/logging.hh"
-#include "base/serialize.hh"
 #include "obs/metrics.hh"
 #include "virt/vm.hh"
 
@@ -265,67 +264,5 @@ Walker::collectMetrics(obs::MetricSink &sink) const
     }
 }
 
-
-void
-Walker::saveState(Serializer &s) const
-{
-    const std::size_t sec = s.beginSection(sectionTag('W', 'A', 'L', 'K'));
-    s.boolean(virtualized());
-    s.u64(clock_);
-    s.u64(stats_.walks);
-    s.u64(stats_.totalRefs);
-    s.u64(stats_.pscHits);
-    s.u64(stats_.nestedTlbHits);
-    s.u64(stats_.nestedTlbLookups);
-    // Padding slots are not checkpointed; invalid slots write a
-    // canonical zero tag (the live lane holds the sentinel instead).
-    const auto save_cache = [&s](const SoaCache &cache) {
-        s.u64(cache.entries);
-        for (unsigned i = 0; i < cache.entries; ++i) {
-            s.u64(cache.valid[i] ? cache.tags[i] : 0);
-            s.u64(cache.lastUse[i]);
-            s.boolean(cache.valid[i] != 0);
-        }
-    };
-    save_cache(psc_);
-    save_cache(nestedTlb_);
-    s.endSection(sec);
-}
-
-void
-Walker::restoreState(Deserializer &d)
-{
-    d.expectSection(sectionTag('W', 'A', 'L', 'K'), "walker");
-    const bool virt = d.boolean();
-    if (virt != virtualized())
-        fatal("checkpoint walker mode mismatch: file is %s, this run"
-              " is %s",
-              virt ? "virtualized" : "native",
-              virtualized() ? "virtualized" : "native");
-    clock_ = d.u64();
-    stats_.walks = d.u64();
-    stats_.totalRefs = d.u64();
-    stats_.pscHits = d.u64();
-    stats_.nestedTlbHits = d.u64();
-    stats_.nestedTlbLookups = d.u64();
-    const auto restore_cache = [&d](SoaCache &cache, const char *what) {
-        const std::uint64_t n = d.u64();
-        if (n != cache.entries)
-            fatal("checkpoint walker %s size mismatch: %llu vs %u",
-                  what, static_cast<unsigned long long>(n),
-                  cache.entries);
-        for (unsigned i = 0; i < cache.entries; ++i) {
-            const std::uint64_t tag = d.u64();
-            cache.lastUse[i] = d.u64();
-            cache.valid[i] = d.boolean() ? 1 : 0;
-            cache.tags[i] = cache.valid[i] ? tag : simd::kNoTag64;
-        }
-    };
-    restore_cache(psc_, "PSC");
-    restore_cache(nestedTlb_, "nested TLB");
-    // The traversal memo is intentionally not restored: it only
-    // affects wall-clock time, and its epoch tags are bound to this
-    // process's page-table generations anyway.
-}
 
 } // namespace contig

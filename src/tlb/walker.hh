@@ -30,8 +30,6 @@ namespace contig
 
 class VirtualMachine;
 namespace obs { class MetricSink; }
-class Serializer;
-class Deserializer;
 
 /** Walker knobs. */
 struct WalkerConfig
@@ -121,16 +119,6 @@ class Walker
 
     /** Flush the PSC and nested TLB (context switch). */
     void flushCaches();
-
-    /**
-     * Checkpoint the modelled caches (PSC, nested TLB), the LRU
-     * clock and the stats. The traversal memo is NOT checkpointed:
-     * it is a pure wall-clock optimization whose contents never move
-     * modelled counters, so a resumed run simply starts it cold
-     * (memo.* metrics are excluded from golden equivalence).
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
 
   private:
     /** Nested translation of one guest frame, with costing. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "workloads/ctrace.hh"
 #include "workloads/workloads.hh"
 
 namespace contig
@@ -24,17 +23,9 @@ AccessStream::next(const MemAccess *&chunk)
     const std::uint64_t left = total_ - produced_;
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(left, buf_.size()));
-    if (n) {
+    if (n)
         wl_.fillAccesses(rng_, buf_.data(), n);
-        if (writer_)
-            writer_->appendChunk(buf_.data(), n);
-    }
     produced_ += n;
-    if (writer_ && produced_ == total_) {
-        // The stream drained: seal the capture (idempotent) so even a
-        // caller that never touches the writer leaves a valid file.
-        writer_->finish();
-    }
     chunk = buf_.data();
     return n;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Chunked access-stream generator. The replay engine does not pull
- * accesses one at a time — each pull was a virtual call into the
- * workload plus RNG state threading. AccessStream drains the
- * workload's steady-state generator into fixed-size contiguous
- * MemAccess buffers, so the consumer sees plain arrays and the
+ * Chunked access-stream generator, the one access source translation
+ * replay has. The replay engine does not pull accesses one at a time —
+ * each pull was a virtual call into the workload plus RNG state
+ * threading. AccessStream drains the workload's steady-state
+ * generator into fixed-size contiguous MemAccess buffers, so the
+ * consumer (ReplayEngine::replayChunk) sees plain arrays and the
  * workload's virtual dispatch happens once per chunk
  * (Workload::fillAccesses).
  *
@@ -14,30 +15,25 @@
  * When `total` is not a multiple of the chunk size the final chunk is
  * exactly the remainder (`total % chunk`), and a zero-length stream
  * returns 0 from the first next() without touching the workload
- * (tests/workloads/ctrace_test.cc pins both).
- *
- * captureTo() tees every generated chunk into a CtraceWriter — the
- * capture path of the trace frontend. The tee is downstream of
- * generation, so a captured run's simulated results are identical to
- * the same run without capture.
+ * (tests/workloads/workloads_test.cc pins both).
  */
 
 #ifndef CONTIG_WORKLOADS_ACCESS_STREAM_HH
 #define CONTIG_WORKLOADS_ACCESS_STREAM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "base/rng.hh"
-#include "workloads/access_source.hh"
+#include "tlb/translation_sim.hh"
 
 namespace contig
 {
 
 class Workload;
-class CtraceWriter;
 
-class AccessStream : public AccessSource
+class AccessStream
 {
   public:
     /** Default chunk: 4096 accesses (64 KiB of MemAccess, L2-sized). */
@@ -55,20 +51,14 @@ class AccessStream : public AccessSource
      * size (0 when the stream is exhausted) and points `chunk` at the
      * buffer, which stays valid until the next call.
      */
-    std::size_t next(const MemAccess *&chunk) override;
+    std::size_t next(const MemAccess *&chunk);
 
     /** Accesses generated so far. */
-    std::uint64_t produced() const override { return produced_; }
-    std::uint64_t total() const override { return total_; }
-    std::uint64_t chunkAccesses() const override { return buf_.size(); }
-
-    /**
-     * Tee every subsequently generated chunk into `writer` (nullptr
-     * detaches). The stream finishes the writer when it drains, so a
-     * fully consumed stream leaves a sealed .ctrace behind; partial
-     * consumption leaves finishing to the writer's owner.
-     */
-    void captureTo(CtraceWriter *writer) { writer_ = writer; }
+    std::uint64_t produced() const { return produced_; }
+    std::uint64_t total() const { return total_; }
+    /** Nominal chunk size (the final chunk may be short). */
+    std::uint64_t chunkAccesses() const { return buf_.size(); }
+    bool done() const { return produced_ == total_; }
 
   private:
     Workload &wl_;
@@ -76,7 +66,6 @@ class AccessStream : public AccessSource
     std::uint64_t total_;
     std::uint64_t produced_ = 0;
     std::vector<MemAccess> buf_;
-    CtraceWriter *writer_ = nullptr;
 };
 
 } // namespace contig

@@ -75,6 +75,29 @@ TEST(Vma, CaOffsetFifoCapped)
     auto off = a.nearestCaOffset(0);
     ASSERT_TRUE(off);
     EXPECT_EQ(off->offsetPages, 10);
+
+    // Popping after the ring wrapped drops the oldest live record, not
+    // whatever sits in ring slot 0 (ablate_offset_fifo trims this way).
+    a.popOldestCaOffset();
+    EXPECT_EQ(a.caOffsetCount(), kMaxCaOffsets - 1);
+    EXPECT_EQ(a.nearestCaOffset(0)->offsetPages, 11);
+    while (a.hasCaOffsets())
+        a.popOldestCaOffset();
+    EXPECT_FALSE(a.nearestCaOffset(0));
+    a.popOldestCaOffset(); // a no-op on an empty ring
+    EXPECT_EQ(a.caOffsetCount(), 0u);
+
+    // Two records equidistant from the fault: the older one wins. The
+    // padding puts the older record in the ring's last slot, so the
+    // newer one wraps around to slot 0.
+    for (std::uint64_t i = 0; i < kMaxCaOffsets - 11; ++i)
+        a.pushCaOffset(1'000'000 + i, 0);
+    a.pushCaOffset(1000, -1);
+    a.pushCaOffset(1200, -2);
+    EXPECT_EQ(a.nearestCaOffset(1100)->offsetPages, -1);
+    a.pushCaOffset(1300, -3);
+    a.pushCaOffset(1100, -4);
+    EXPECT_EQ(a.nearestCaOffset(1250)->offsetPages, -2);
 }
 
 TEST(Vma, NearestCaOffsetPicksClosest)

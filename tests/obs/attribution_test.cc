@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "base/serialize.hh"
 #include "contig/analysis.hh"
 #include "obs/attribution.hh"
 
@@ -99,41 +98,6 @@ TEST(XlatAttribution, MergeIsOrderIndependent)
     const CostCell total = ab.outcomeTotal(
         static_cast<unsigned>(XlatOutcome::FullWalk));
     EXPECT_EQ(total.events, 80u);
-}
-
-TEST(XlatAttribution, SaveRestoreRoundtrip)
-{
-    XlatAttribution t("spot_2d");
-    t.setChunk(7);
-    for (std::uint64_t i = 0; i < 20; ++i)
-        t.record(XlatOutcome::PscWalk, i, 50 + i, 50 + i);
-    t.record(XlatOutcome::TlbHit, 5, 0, 0);
-
-    Serializer s;
-    t.save(s);
-    Deserializer d(s.data().data(), s.size(), "test");
-    XlatAttribution r("");
-    r.restore(d);
-
-    EXPECT_EQ(r.label(), "spot_2d");
-    EXPECT_EQ(r.events(), t.events());
-    ASSERT_EQ(r.exemplars().size(), t.exemplars().size());
-    for (std::size_t i = 0; i < r.exemplars().size(); ++i) {
-        EXPECT_EQ(r.exemplars()[i].vpn, t.exemplars()[i].vpn);
-        EXPECT_EQ(r.exemplars()[i].chunk, t.exemplars()[i].chunk);
-    }
-    for (unsigned o = 0; o < kXlatOutcomes; ++o) {
-        for (unsigned c = 0; c < kContigClasses; ++c) {
-            const CostCell &x = t.cell(o, c);
-            const CostCell &y = r.cell(o, c);
-            EXPECT_EQ(x.events, y.events);
-            EXPECT_EQ(x.cycles, y.cycles);
-            EXPECT_EQ(x.exposed, y.exposed);
-            EXPECT_EQ(x.hist.totalWeight(), y.hist.totalWeight());
-            for (unsigned bkt = 0; bkt < x.hist.numBuckets(); ++bkt)
-                EXPECT_EQ(x.hist.bucket(bkt), y.hist.bucket(bkt));
-        }
-    }
 }
 
 TEST(FaultAttribution, RecordAndMerge)

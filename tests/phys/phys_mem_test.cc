@@ -121,21 +121,21 @@ namespace
 void
 expectAllZero(const Frame &f)
 {
-    EXPECT_EQ(f.refCount.load(), 0u);
-    EXPECT_EQ(f.mapCount.load(), 0u);
-    EXPECT_EQ(f.ownerId.load(), 0u);
+    EXPECT_EQ(f.refCount, 0u);
+    EXPECT_EQ(f.mapCount, 0u);
+    EXPECT_EQ(f.ownerId, 0u);
     EXPECT_EQ(f.order, 0u);
-    EXPECT_FALSE(f.inUse.load());
+    EXPECT_FALSE(f.inUse);
     EXPECT_FALSE(f.freeHead);
-    EXPECT_EQ(f.ownerKind.load(), FrameOwner::None);
+    EXPECT_EQ(f.ownerKind, FrameOwner::None);
     EXPECT_EQ(f.freeNext, 0u);
     EXPECT_EQ(f.freePrev, 0u);
-    EXPECT_EQ(f.ownerVaddr.load(), 0u);
+    EXPECT_EQ(f.ownerVaddr, 0u);
     EXPECT_EQ(f.lruNext, 0u);
     EXPECT_EQ(f.lruPrev, 0u);
     EXPECT_EQ(f.lruOrder, 0u);
     EXPECT_EQ(f.lruList, Frame::LruList::None);
-    EXPECT_FALSE(f.referenced.load());
+    EXPECT_FALSE(f.referenced);
 }
 
 } // namespace
@@ -161,9 +161,9 @@ TEST(PhysMem, FreshMachineIsFreeAndUnowned)
     for (Pfn p = 0; p < pm.totalFrames(); ++p) {
         ASSERT_TRUE(pm.isFreePage(p)) << "pfn " << p;
         const Frame &f = pm.frame(p);
-        ASSERT_EQ(f.ownerKind.load(), FrameOwner::None) << "pfn " << p;
-        ASSERT_EQ(f.refCount.load(), 0u) << "pfn " << p;
-        ASSERT_EQ(f.mapCount.load(), 0u) << "pfn " << p;
+        ASSERT_EQ(f.ownerKind, FrameOwner::None) << "pfn " << p;
+        ASSERT_EQ(f.refCount, 0u) << "pfn " << p;
+        ASSERT_EQ(f.mapCount, 0u) << "pfn " << p;
     }
     for (unsigned n = 0; n < pm.numNodes(); ++n) {
         EXPECT_TRUE(pm.zone(n).buddy().checkInvariants());

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
-#include "base/serialize.hh"
 #include "base/simd.hh"
 #include "core/config.hh"
 #include "mm/kernel.hh"
@@ -292,31 +291,4 @@ TEST_F(ReplayTest, ForcedScalarProbesNeverMoveCounters)
     feed(wide, t, 1024);
     feed(narrow, t, 1024);
     expectSameStats(wide.mergedStats(), narrow.mergedStats());
-}
-
-TEST_F(ReplayTest, BatchedEngineCheckpointRoundTrips)
-{
-    // Snapshot mid-replay with the SoA structures live, restore into
-    // a fresh engine, and require the resumed half to land on the
-    // uninterrupted run's counters exactly.
-    const auto t = trace(20000, 43);
-    const std::size_t half = 10000;
-
-    ReplayEngine full(config(XlatScheme::Spot), 1, proc.pageTable());
-    feed(full, t, 512);
-
-    ReplayEngine first(config(XlatScheme::Spot), 1, proc.pageTable());
-    for (std::size_t off = 0; off < half; off += 512)
-        first.replayChunk(&t[off], std::min<std::size_t>(512, half - off));
-    Serializer s;
-    first.saveState(s);
-
-    ReplayEngine resumed(config(XlatScheme::Spot), 1, proc.pageTable());
-    Deserializer d(s.data().data(), s.size(), "test snapshot");
-    resumed.restoreState(d);
-    for (std::size_t off = half; off < t.size(); off += 512)
-        resumed.replayChunk(&t[off],
-                            std::min<std::size_t>(512, t.size() - off));
-    expectSameStats(resumed.mergedStats(), full.mergedStats());
-    EXPECT_EQ(resumed.accesses(), full.accesses());
 }

@@ -172,6 +172,49 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param));
     });
 
+TEST(AccessStream, PrimeSizedTotalEmitsExactRemainder)
+{
+    // 997 accesses in chunks of 64: 15 full chunks + a 37-access
+    // final chunk. The partial final chunk must be exactly the
+    // remainder — not padded, not dropped.
+    NativeSystem sys(PolicyKind::Thp, 3);
+    auto wl = makeWorkload("pagerank", quick());
+    Process &p = sys.kernel().createProcess("w");
+    wl->setup(p);
+
+    constexpr std::uint64_t kTotal = 997, kChunk = 64;
+    AccessStream stream(*wl, kTotal, 11, kChunk);
+    std::uint64_t produced = 0, chunks = 0;
+    std::size_t last = 0;
+    const MemAccess *chunk = nullptr;
+    while (std::size_t n = stream.next(chunk)) {
+        ++chunks;
+        last = n;
+        produced += n;
+        EXPECT_LE(n, kChunk);
+    }
+    EXPECT_EQ(produced, kTotal);
+    EXPECT_EQ(chunks, (kTotal + kChunk - 1) / kChunk);
+    EXPECT_EQ(last, kTotal % kChunk);
+    EXPECT_TRUE(stream.done());
+    wl->teardown();
+}
+
+TEST(AccessStream, EmptyStreamNeverTouchesTheWorkload)
+{
+    NativeSystem sys(PolicyKind::Thp, 3);
+    auto wl = makeWorkload("pagerank", quick());
+    Process &p = sys.kernel().createProcess("w");
+    wl->setup(p);
+
+    AccessStream stream(*wl, 0, 11, 64);
+    const MemAccess *chunk = nullptr;
+    EXPECT_EQ(stream.next(chunk), 0u);
+    EXPECT_EQ(stream.produced(), 0u);
+    EXPECT_TRUE(stream.done());
+    wl->teardown();
+}
+
 TEST(Workloads, FactoryRejectsUnknown)
 {
     EXPECT_DEATH((void)makeWorkload("nonsense", quick()), "unknown");

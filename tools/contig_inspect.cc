@@ -25,15 +25,14 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/json.hh"
 #include "obs/snapshot.hh"
-#include "workloads/ctrace.hh"
 
 using namespace contig;
 
@@ -334,22 +333,15 @@ numbersClose(double cur, double base, double rel_tol)
     return std::fabs(cur - base) <= rel_tol * mag + 1e-12;
 }
 
-/** Wall-clock metrics vary run to run; never gate on them. That is
- *  the phase timers plus the trace decode thread's stall/wait
- *  times. */
+/** Wall-clock metrics (the phase timers) vary run to run; never gate
+ *  on them. */
 bool
 ignoredMetric(const std::string &path)
 {
-    static const char *const suffixes[] = {
-        ".wall_us", ".stall_us", ".wait_us",
-    };
-    for (const char *suffix : suffixes) {
-        const std::size_t n = std::strlen(suffix);
-        if (path.size() >= n &&
-            path.compare(path.size() - n, n, suffix) == 0)
-            return true;
-    }
-    return false;
+    static constexpr std::string_view kSuffix = ".wall_us";
+    return path.size() >= kSuffix.size() &&
+           path.compare(path.size() - kSuffix.size(), kSuffix.size(),
+                        kSuffix) == 0;
 }
 
 void
@@ -457,45 +449,6 @@ cmdCheckBaseline(const std::string &cur_path, const std::string &base_path,
     return gExitCode;
 }
 
-/**
- * trace-info: dump a .ctrace container — header fields, per-chunk
- * access counts and the achieved compression ratio. CtraceReader's
- * construction-time validation handles bad files: a wrong magic,
- * version or CRC is a fatal() (non-zero exit) naming the problem.
- */
-int
-cmdTraceInfo(const std::string &path, bool chunks)
-{
-    CtraceReader r(path);
-    const std::uint64_t raw =
-        r.totalAccesses() * sizeof(MemAccess);
-    std::uint64_t encoded = 0;
-    for (std::uint64_t k = 0; k < r.chunkCount(); ++k)
-        encoded += r.chunkEncodedBytes(k);
-    std::printf("file:            %s\n", r.path().c_str());
-    std::printf("version:         %u\n", r.version());
-    std::printf("config digest:   %016" PRIx64 "\n", r.configDigest());
-    std::printf("total accesses:  %" PRIu64 "\n", r.totalAccesses());
-    std::printf("chunk accesses:  %" PRIu64 "\n", r.chunkAccesses());
-    std::printf("chunks:          %" PRIu64 "\n", r.chunkCount());
-    std::printf("file bytes:      %" PRIu64 "\n", r.fileBytes());
-    std::printf("encoded bytes:   %" PRIu64 "\n", encoded);
-    std::printf("raw bytes:       %" PRIu64 " (%zu B/access)\n", raw,
-                sizeof(MemAccess));
-    std::printf("compression:     %.2fx (%.2f bytes/access)\n",
-                encoded ? static_cast<double>(raw) / encoded : 0.0,
-                r.totalAccesses()
-                    ? static_cast<double>(encoded) / r.totalAccesses()
-                    : 0.0);
-    if (chunks) {
-        std::printf("%8s %12s %12s\n", "chunk", "accesses", "bytes");
-        for (std::uint64_t k = 0; k < r.chunkCount(); ++k)
-            std::printf("%8" PRIu64 " %12u %12u\n", k,
-                        r.chunkAccessCount(k), r.chunkEncodedBytes(k));
-    }
-    return 0;
-}
-
 [[noreturn]] void
 usage()
 {
@@ -506,8 +459,7 @@ usage()
         "  top <timeline.jsonl> [--top N] \n"
         "  diff <timeline.jsonl> <seqA> <seqB> [--stream N]\n"
         "  check-baseline <current.json> <baseline.json>\n"
-        "      [--row-tol R (1e-6)] [--metric-tol M (1e-4)]\n"
-        "  trace-info <file.ctrace> [--chunks]\n");
+        "      [--row-tol R (1e-6)] [--metric-tol M (1e-4)]\n");
     std::exit(2);
 }
 
@@ -523,15 +475,12 @@ main(int argc, char **argv)
     std::vector<std::string> pos;
     long stream = -1;
     int top_n = 10;
-    bool chunks = false;
     double row_tol = 1e-6, metric_tol = 1e-4;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_next = i + 1 < argc;
         if (arg == "--stream" && has_next)
             stream = std::strtol(argv[++i], nullptr, 10);
-        else if (arg == "--chunks")
-            chunks = true;
         else if (arg == "--top" && has_next)
             top_n = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
         else if (arg == "--row-tol" && has_next)
@@ -554,7 +503,5 @@ main(int argc, char **argv)
                        std::strtoull(pos[2].c_str(), nullptr, 10));
     if (cmd == "check-baseline" && pos.size() == 2)
         return cmdCheckBaseline(pos[0], pos[1], row_tol, metric_tol);
-    if (cmd == "trace-info" && pos.size() == 1)
-        return cmdTraceInfo(pos[0], chunks);
     usage();
 }
