@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Validate a bench binary's --json output against the documented schema.
 
-Usage: check_bench_json.py [--expect-trace] [--expect-attrib]
-                           [--expect-reclaim]
+Usage: check_bench_json.py [--expect-attrib] [--expect-reclaim]
                            <bench-binary> [extra args...]
        check_bench_json.py --timeline-file <timeline.jsonl>
 
@@ -17,18 +16,6 @@ valid JSON of shape {schema_version, bench, config, rows, metrics}:
   - "metrics" is a non-empty object of MetricRegistry samples
     (counters/gauges as numbers, summaries as {count, sum, min, max,
     mean}, histograms as {log2_buckets: [...]}).
-
-Trace-frontend additions, validated whenever present:
-  - "config.run" keys trace.in/trace.out require trace.digest; a
-    ckpt.at_chunk note requires ckpt.out + ckpt.accesses; a
-    ckpt.resume_chunk note requires trace.in,
-  - "metrics" keys trace.frontend.<leaf> must use known leaves and be
-    numeric; any run noting trace.in must emit them,
-  - the "scaling" section, when present, holds exactly the
-    "trace_frontend" decode report.
---expect-trace first captures a trace (--trace-out into a temp dir),
-then runs the validated bench with --trace-in on it, requiring
-trace.frontend.* metrics.
 
 Schema v4 additions, validated whenever present:
   - "config.attrib" is a boolean mirroring the --attrib switch,
@@ -90,27 +77,6 @@ RECLAIM_LEAVES = {"scans", "rotations", "deactivations", "reclaimed",
 # A reclaim-enabled kernel always emits at least these (the headline
 # pressure counters); their absence means reclaim never ran.
 RECLAIM_CORE = {"reclaimed", "swap_outs", "refaults"}
-
-FRONTEND_LEAVES = {"chunks_decoded", "accesses_decoded",
-                   "bytes_decoded", "decode_us", "stall_us", "wait_us",
-                   "ring_depth", "start_chunk"}
-
-
-def check_frontend_metrics(metrics):
-    """Validate trace.frontend.<leaf> keys; return True if any seen."""
-    seen = False
-    for name, value in metrics.items():
-        if not name.startswith("trace.frontend."):
-            continue
-        seen = True
-        leaf = name[len("trace.frontend."):]
-        if leaf not in FRONTEND_LEAVES:
-            fail(f"trace metric {name!r} has unknown leaf {leaf!r} "
-                 f"(expected one of {sorted(FRONTEND_LEAVES)})")
-        if not isinstance(value, (int, float)):
-            fail(f"trace metric {name!r} is not numeric: {value!r}")
-    return seen
-
 
 def check_reclaim_metrics(metrics):
     """Validate <prefix>.reclaim.<leaf> keys; return prefixes seen."""
@@ -286,23 +252,6 @@ def check_attribution(attrib):
     return len(xlat)
 
 
-def check_scaling(scaling):
-    """Validate the 'scaling' section: the trace-frontend report."""
-    if not isinstance(scaling, dict) or set(scaling) != {"trace_frontend"}:
-        fail(f"'scaling' must hold exactly a 'trace_frontend' report, "
-             f"got {scaling!r}")
-    tf = scaling["trace_frontend"]
-    if not isinstance(tf, dict):
-        fail("'scaling.trace_frontend' must be an object")
-    for key in ("chunks_decoded", "accesses_decoded", "bytes_decoded",
-                "decode_us", "producer_stall_us", "consumer_wait_us"):
-        if key not in tf:
-            fail(f"'scaling.trace_frontend' missing {key!r}")
-        if not isinstance(tf[key], (int, float)):
-            fail(f"'scaling.trace_frontend.{key}' is not numeric: "
-                 f"{tf[key]!r}")
-
-
 def check_metric(name, value):
     if isinstance(value, (int, float)):
         return
@@ -367,20 +316,16 @@ def check_timeline(path):
 
 def main():
     argv = sys.argv[1:]
-    expect_trace = False
     expect_attrib = False
     expect_reclaim = False
-    while argv and argv[0] in ("--expect-trace", "--expect-attrib",
-                               "--expect-reclaim"):
+    while argv and argv[0] in ("--expect-attrib", "--expect-reclaim"):
         if argv[0] == "--expect-attrib":
             expect_attrib = True
-        elif argv[0] == "--expect-reclaim":
-            expect_reclaim = True
         else:
-            expect_trace = True
+            expect_reclaim = True
         argv = argv[1:]
     if not argv:
-        fail("usage: check_bench_json.py [--expect-trace] "
+        fail("usage: check_bench_json.py "
              "[--expect-attrib] [--expect-reclaim] "
              "<bench-binary> [args...] | "
              "--timeline-file <timeline.jsonl>")
@@ -396,22 +341,6 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "out.json"
         cmd = [str(bench), *argv[1:], "--json", str(out_path)]
-        if expect_trace:
-            # Capture → replay through the trace frontend inside the
-            # temp dir, then validate the replay run's JSON (it carries
-            # both trace.in provenance and trace.frontend.* metrics).
-            cap = Path(tmp) / "cap"
-            proc = subprocess.run(
-                [str(bench), *argv[1:], "--json",
-                 str(Path(tmp) / "cap.json"), "--trace-out", str(cap)],
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                timeout=600)
-            if proc.returncode != 0:
-                fail(f"capture run exited {proc.returncode}:\n"
-                     f"{proc.stdout.decode(errors='replace')[-2000:]}")
-            if not list(Path(tmp).glob("cap.*.ctrace")):
-                fail("--expect-trace: capture produced no .ctrace files")
-            cmd += ["--trace-in", str(cap)]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, timeout=600)
         if proc.returncode != 0:
@@ -464,22 +393,6 @@ def main():
         if run["xlat.simd"] not in ("avx2", "scalar"):
             fail(f"'xlat.simd' must be avx2|scalar: "
                  f"{run['xlat.simd']!r}")
-    # Trace-frontend provenance: a run that captured (trace.out) or
-    # replayed (trace.in) .ctrace files must record the config digest
-    # the files are keyed by, and checkpoint notes must come in
-    # consistent pairs (interrupted runs note ckpt.out + the snapshot
-    # position; resumed runs note where they rejoined the trace).
-    if "trace.in" in run or "trace.out" in run:
-        if "trace.digest" not in run:
-            fail("'config.run' has trace.in/trace.out but no "
-                 "trace.digest")
-    if "ckpt.at_chunk" in run:
-        for key in ("ckpt.out", "ckpt.accesses"):
-            if key not in run:
-                fail(f"'config.run' has ckpt.at_chunk but no {key!r}")
-    if "ckpt.resume_chunk" in run and "trace.in" not in run:
-        fail("'config.run' has ckpt.resume_chunk but no trace.in "
-             "(resume is only defined while replaying a trace)")
 
     rows = doc["rows"]
     if not isinstance(rows, list) or not rows:
@@ -501,16 +414,6 @@ def main():
         fail("--expect-reclaim: no *.reclaim.* metrics in output "
              "(did any kernel run with reclaimEnabled?)")
 
-    have_frontend = check_frontend_metrics(metrics)
-    if "trace.in" in run and not have_frontend:
-        fail("run replayed a trace (trace.in noted) but emitted no "
-             "trace.frontend.* metrics")
-    if expect_trace and not have_frontend:
-        fail("--expect-trace: no trace.frontend.* metrics in output")
-
-    if "scaling" in doc:
-        check_scaling(doc["scaling"])
-
     if "attrib" in config and not isinstance(config["attrib"], bool):
         fail(f"'config.attrib' must be a boolean: {config['attrib']!r}")
     n_attrib_labels = 0
@@ -526,10 +429,6 @@ def main():
     extra = ""
     if reclaim_prefixes:
         extra += f", reclaim ({len(reclaim_prefixes)} kernels)"
-    if have_frontend:
-        extra += ", trace frontend"
-    if "scaling" in doc:
-        extra += ", scaling section"
     if n_attrib_labels:
         extra += f", attribution ({n_attrib_labels} xlat labels)"
     print(f"check_bench_json: OK: {doc['bench']}: {len(rows)} rows, "

@@ -1,7 +1,6 @@
 #include "mm/fault_engine.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "base/align.hh"
 #include "base/logging.hh"
@@ -192,18 +191,8 @@ FaultEngine::anonFault(Process &proc, Vma &vma, Vpn vpn)
     FaultContext ctx;
     ctx.vpn = vpn;
     classifyAnon(proc, vma, ctx);
-    {
-        std::optional<obs::ScopedPhase> stage;
-        if (cfg_.faultStageTimers)
-            stage.emplace(placePhase_);
-        placeAnon(proc, vma, ctx);
-    }
-    {
-        std::optional<obs::ScopedPhase> stage;
-        if (cfg_.faultStageTimers)
-            stage.emplace(installPhase_);
-        installAnon(proc, vma, ctx);
-    }
+    placeAnon(proc, vma, ctx);
+    installAnon(proc, vma, ctx);
 }
 
 void

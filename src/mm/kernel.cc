@@ -13,10 +13,9 @@ namespace contig
 KernelConfig
 Kernel::normalized(KernelConfig cfg)
 {
-    // Fan the pressure knobs out to the zones (watermarks and LRU
+    // Fan the pressure switch out to the zones (watermarks and LRU
     // lists live there).
     cfg.phys.zone.reclaim = cfg.reclaimEnabled;
-    cfg.phys.zone.watermarkScale = cfg.watermarkScale;
     return cfg;
 }
 
@@ -48,7 +47,6 @@ Kernel::Kernel(const KernelConfig &cfg,
     ri.note(p + "page_table_levels",
             static_cast<std::uint64_t>(cfg_.pageTableLevels));
     ri.note(p + "fault_batching", cfg_.faultBatching);
-    ri.note(p + "fault_stage_timers", cfg_.faultStageTimers);
     ri.note(p + "obs_sample_period_faults", cfg_.obsSamplePeriodFaults);
     ri.note(p + "phys.bytes_per_node", cfg_.phys.bytesPerNode);
     ri.note(p + "phys.num_nodes",
@@ -64,7 +62,6 @@ Kernel::Kernel(const KernelConfig &cfg,
         ri.note(p + "reclaim_enabled", cfg_.reclaimEnabled);
         ri.note(p + "kswapd_enabled", cfg_.kswapdEnabled);
         ri.note(p + "contig_aware_reclaim", cfg_.contigAwareReclaim);
-        ri.note(p + "watermark_scale", cfg_.watermarkScale);
         ri.note(p + "swap.out_cycles_per_page", cfg_.swapCost.outCyclesPerPage);
         ri.note(p + "swap.in_cycles_per_page", cfg_.swapCost.inCyclesPerPage);
         ri.note(p + "swap.cache_hit_cycles", cfg_.swapCost.cacheHitCycles);

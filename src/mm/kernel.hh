@@ -55,13 +55,6 @@ struct KernelConfig
      */
     bool faultBatching = true;
     /**
-     * Time the placement/install stages of every *single* fault too
-     * (the batch path always times per chunk). Off by default: two
-     * extra clock reads per stage per fault is exactly the overhead
-     * the batch path amortizes away.
-     */
-    bool faultStageTimers = false;
-    /**
      * Observatory sampling interval, in faults. 0 leaves the cadence
      * to whoever attaches a StateSampler (the experiment drivers);
      * nonzero overrides it for every sampler attached to this kernel.
@@ -97,8 +90,6 @@ struct KernelConfig
     bool contigAwareReclaim = false;
     /** Swap device model (reclaimEnabled kernels only). */
     SwapCostModel swapCost;
-    /** Multiplier over the derived min/low/high zone watermarks. */
-    double watermarkScale = 1.0;
 };
 
 class Kernel

@@ -18,16 +18,14 @@ Zone::Zone(FrameArray &frames, NodeId node, Pfn base_pfn,
         // Watermarks derived from zone size (Linux derives min from
         // managed pages; low/high are fixed fractions above it):
         // min = 1/256th of the zone, low = 1.5x min, high = 2x min,
-        // all scaled by the config multiplier and floored at
-        // kMinWatermarkPages so tiny test zones still have a band.
-        const auto scaled = [&](std::uint64_t pages) {
-            const auto v =
-                static_cast<std::uint64_t>(pages * cfg.watermarkScale);
-            return std::max<std::uint64_t>(v, kMinWatermarkPages);
+        // all floored at kMinWatermarkPages so tiny test zones still
+        // have a band.
+        const auto floored = [](std::uint64_t pages) {
+            return std::max<std::uint64_t>(pages, kMinWatermarkPages);
         };
-        wm_.min = scaled(n_frames / 256);
-        wm_.low = scaled(n_frames / 256 + n_frames / 512);
-        wm_.high = scaled(n_frames / 128);
+        wm_.min = floored(n_frames / 256);
+        wm_.low = floored(n_frames / 256 + n_frames / 512);
+        wm_.high = floored(n_frames / 128);
     }
 }
 

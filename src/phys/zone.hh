@@ -34,8 +34,6 @@ struct ZoneConfig
      * the LRU lists stay empty.
      */
     bool reclaim = false;
-    /** Multiplier over the derived min/low/high watermarks. */
-    double watermarkScale = 1.0;
 };
 
 /** Floor of every derived watermark, so tiny zones keep a band. */
