@@ -175,12 +175,14 @@ class PageTable
      * the table — guest or nested — invalidates cached traversals
      * without a flush broadcast. Monotonic.
      */
-    std::uint64_t generation() const { return generation_; }
+    std::uint64_t generation() const
+    { return generation_; }
 
   private:
     struct Node;
 
-    void bumpGeneration() { ++generation_; }
+    void bumpGeneration()
+    { ++generation_; }
 
     /** One slot: either a child node or a leaf PTE (or empty). */
     struct Slot

@@ -128,7 +128,11 @@ class Vma
 
     bool hasCaOffsets() const { return caOffsetCount() > 0; }
 
-    std::size_t caOffsetCount() const { return offsetHead_ - offsetTail_; }
+    std::size_t
+    caOffsetCount() const
+    {
+        return offsetHead_ - offsetTail_;
+    }
 
     /** Drop the oldest Offset (ablation hook for shallower FIFOs). */
     void
@@ -157,9 +161,17 @@ class Vma
         return true;
     }
 
-    void endReplacement() { replacementActive_ = false; }
+    void
+    endReplacement()
+    {
+        replacementActive_ = false;
+    }
 
-    bool replacementActive() const { return replacementActive_; }
+    bool
+    replacementActive() const
+    {
+        return replacementActive_;
+    }
 
     // --- accounting -----------------------------------------------------
 

@@ -249,10 +249,18 @@ class FaultAttribution
 class AttribRegistry
 {
   public:
-    static bool enabled() { return enabled_; }
+    static bool
+    enabled()
+    {
+        return enabled_;
+    }
 
     /** Flip before any simulator/kernel exists (BenchOutput ctor). */
-    static void setEnabled(bool on) { enabled_ = on; }
+    static void
+    setEnabled(bool on)
+    {
+        enabled_ = on;
+    }
 
     static AttribRegistry &global();
 

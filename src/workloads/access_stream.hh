@@ -55,7 +55,6 @@ class AccessStream
 
     /** Accesses generated so far. */
     std::uint64_t produced() const { return produced_; }
-    std::uint64_t total() const { return total_; }
     /** Nominal chunk size (the final chunk may be short). */
     std::uint64_t chunkAccesses() const { return buf_.size(); }
     bool done() const { return produced_ == total_; }
