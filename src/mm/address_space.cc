@@ -92,5 +92,4 @@ AddressSpace::findVma(Gva gva) const
     return const_cast<AddressSpace *>(this)->findVma(gva);
 }
 
-
 } // namespace contig

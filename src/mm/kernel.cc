@@ -350,5 +350,4 @@ Kernel::forkInto(Process &parent, Process &child)
     });
 }
 
-
 } // namespace contig

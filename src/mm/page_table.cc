@@ -321,5 +321,4 @@ PageTable::rootFrame() const
     return root_->frame;
 }
 
-
 } // namespace contig

@@ -471,5 +471,4 @@ BuddyAllocator::collectMetrics(obs::MetricSink &sink) const
                static_cast<double>(lists_[maxOrder_].count));
 }
 
-
 } // namespace contig

@@ -88,5 +88,4 @@ PhysicalMemory::freeClusters() const
     return out;
 }
 
-
 } // namespace contig

@@ -41,7 +41,6 @@ Zone::freeBlockHistogram() const
     return hist;
 }
 
-
 // --- LRU lists (memory-pressure kernels only) ----------------------------
 
 Zone::Lru &

@@ -165,5 +165,4 @@ RangeTlb::collectMetrics(obs::MetricSink &sink) const
     sink.counter("table_misses", stats_.tableMisses);
 }
 
-
 } // namespace contig

@@ -152,5 +152,4 @@ SpotEngine::collectMetrics(obs::MetricSink &sink) const
     sink.counter("offset_replacements", stats_.offsetReplacements);
 }
 
-
 } // namespace contig

@@ -201,5 +201,4 @@ TlbHierarchy::collectMetrics(obs::MetricSink &sink) const
     sink.counter("l2_misses", l2Misses_);
 }
 
-
 } // namespace contig

@@ -264,5 +264,4 @@ Walker::collectMetrics(obs::MetricSink &sink) const
     }
 }
 
-
 } // namespace contig
