@@ -31,6 +31,12 @@ PageCache::file(std::uint32_t id)
     return *files_[id];
 }
 
+const File &
+PageCache::file(std::uint32_t id) const
+{
+    return const_cast<PageCache *>(this)->file(id);
+}
+
 void
 PageCache::dropCaches(Kernel &kernel)
 {

@@ -78,6 +78,7 @@ class PageCache
     File &createFile(std::uint64_t size_pages);
 
     File &file(std::uint32_t id);
+    const File &file(std::uint32_t id) const;
 
     /** Drop every cached page of every file, freeing the frames. */
     void dropCaches(Kernel &kernel);

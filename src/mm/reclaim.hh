@@ -142,6 +142,16 @@ class ReclaimEngine
     /** Pages currently swapped out across all processes. */
     std::uint64_t swappedPages() const { return swappedPages_; }
 
+    /** Visit every swapped-out page: fn(pid, vpn). */
+    template <typename Fn>
+    void
+    forEachSwapSlot(Fn &&fn) const
+    {
+        for (const auto &[pid, slots] : swapMap_)
+            for (const auto &slot : slots)
+                fn(pid, slot.first);
+    }
+
     // --- pressure entry points -------------------------------------------
 
     /**

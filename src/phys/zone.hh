@@ -131,6 +131,17 @@ class Zone
     /** Pages (not blocks) currently on the given list. */
     std::uint64_t lruPages(Frame::LruList list) const;
 
+    /** Visit the blocks on `list`, MRU end first: fn(head, order). */
+    template <typename Fn>
+    void
+    forEachLru(Frame::LruList list, Fn &&fn) const
+    {
+        for (Pfn p = lruOf(list).head; p != kInvalidPfn;
+             p = frames_[p].lruNext) {
+            fn(p, unsigned{frames_[p].lruOrder});
+        }
+    }
+
   private:
     /** One LRU list: head = MRU end, tail = LRU end (eviction end). */
     struct Lru

@@ -228,6 +228,45 @@ TEST(Kernel, BackingHookFires)
     EXPECT_GE(backed_pages, 512u);
 }
 
+TEST(KernelAudit, FlagsDescriptorDrift)
+{
+    auto k = makeKernel(true);
+    Process &p = k->createProcess("t");
+    Vma &vma = p.mmap(4 * kHugeSize);
+    p.touchRange(vma.start(), 2 * kHugeSize);
+    ASSERT_EQ(k->audit(), "");
+
+    auto m = p.pageTable().lookup(vma.start().pageNumber());
+    ASSERT_TRUE(m);
+    Frame &f = k->physMem().frame(m->pfn);
+    ++f.mapCount;
+    EXPECT_NE(k->audit(), "");
+    --f.mapCount;
+    ++f.refCount;
+    EXPECT_NE(k->audit(), "");
+    --f.refCount;
+    f.ownerVaddr += kPageSize;
+    EXPECT_NE(k->audit(), "");
+    f.ownerVaddr -= kPageSize;
+    EXPECT_EQ(k->audit(), "");
+}
+
+TEST(KernelAudit, ForkedChildOutlivesParent)
+{
+    auto k = makeKernel(false);
+    Process &p = k->createProcess("parent");
+    Vma &vma = p.mmap(1 << 20);
+    p.touchRange(vma.start(), 1 << 20);
+    Process &c = p.fork("child");
+    c.touch(vma.start(), Access::Write);
+    EXPECT_EQ(k->audit(), "");
+    // The child's untouched COW leaves still name the parent.
+    k->exitProcess(p);
+    EXPECT_EQ(k->audit(), "");
+    k->exitProcess(c);
+    EXPECT_EQ(k->audit(), "");
+}
+
 TEST(Migrate, MovesLeafToChosenFrame)
 {
     auto k = makeKernel(false);

@@ -131,6 +131,7 @@ TEST_P(MmPropertyTest, RandomLifecyclePreservesAccounting)
                     k.physMem().zone(n).contigMap().checkInvariants())
                     << "step " << step;
             }
+            ASSERT_EQ(k.audit(), "") << "step " << step;
         }
     }
 
@@ -143,6 +144,7 @@ TEST_P(MmPropertyTest, RandomLifecyclePreservesAccounting)
     EXPECT_EQ(k.physMem().freePages(), free0 - k.kernelPoolPages());
     for (unsigned n = 0; n < k.physMem().numNodes(); ++n)
         EXPECT_TRUE(k.physMem().zone(n).buddy().checkInvariants());
+    EXPECT_EQ(k.audit(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
