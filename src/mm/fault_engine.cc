@@ -170,9 +170,8 @@ FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx)
     kernel_.claimFrames(ctx.alloc.pfn, ctx.order, FrameOwner::Anon,
                         proc.pid(), ctx.base << kPageShift);
     proc.pageTable().map(ctx.base, ctx.alloc.pfn, ctx.order, true, false);
+    ++kernel_.physMem().frame(ctx.alloc.pfn).mapCount;
     const std::uint64_t n = pagesInOrder(ctx.order);
-    for (std::uint64_t i = 0; i < n; ++i)
-        ++kernel_.physMem().frame(ctx.alloc.pfn + i).mapCount;
     vma.allocatedPages += n;
 
     ctx.cycles = cfg_.faultBaseCycles + cfg_.zeroCyclesPerPage * n +
@@ -213,14 +212,12 @@ FaultEngine::cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m)
     kernel_.claimFrames(res.pfn, order, FrameOwner::Anon, proc.pid(),
                         base << kPageShift);
     proc.pageTable().unmap(base, order);
-    const std::uint64_t n = pagesInOrder(order);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        --kernel_.physMem().frame(m.pfn + i).mapCount;
-        ++kernel_.physMem().frame(res.pfn + i).mapCount;
-    }
+    --kernel_.physMem().frame(m.pfn).mapCount;
+    ++kernel_.physMem().frame(res.pfn).mapCount;
     kernel_.putFrame(m.pfn, order);
     proc.pageTable().map(base, res.pfn, order, true, false);
 
+    const std::uint64_t n = pagesInOrder(order);
     const Cycles cycles = cfg_.faultBaseCycles +
                           cfg_.copyCyclesPerPage * n + res.placementCycles;
     ++stats_.cowFaults;
@@ -784,10 +781,8 @@ FaultEngine::shareCowRange(Process &parent, Process &child, Vma &pvma,
         else
             cpt.map(vpn, m.pfn, m.order, false, true);
         kernel_.getFrame(m.pfn);
-        const std::uint64_t n = pagesInOrder(m.order);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ++kernel_.physMem().frame(m.pfn + i).mapCount;
-        cvma.allocatedPages += n;
+        ++kernel_.physMem().frame(m.pfn).mapCount;
+        cvma.allocatedPages += pagesInOrder(m.order);
     });
 }
 
@@ -811,8 +806,7 @@ FaultEngine::installPrepared(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
             kernel_.claimFrames(f, kHugeOrder, FrameOwner::Anon,
                                 proc.pid(), v << kPageShift);
             pt.map(v, f, kHugeOrder, true, false);
-            for (std::uint64_t j = 0; j < huge_pages; ++j)
-                ++kernel_.physMem().frame(f + j).mapCount;
+            ++kernel_.physMem().frame(f).mapCount;
             i += huge_pages;
         } else {
             kernel_.claimFrames(f, 0, FrameOwner::Anon, proc.pid(),

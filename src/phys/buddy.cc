@@ -1,5 +1,7 @@
 #include "phys/buddy.hh"
 
+#include <bit>
+
 #include "base/align.hh"
 #include "base/rng.hh"
 #include "obs/metrics.hh"
@@ -7,13 +9,45 @@
 namespace contig
 {
 
+namespace
+{
+
+/** Frames per occupancy-bitmap word, as an order. */
+constexpr unsigned kWordOrder = 6;
+
+/**
+ * Call fn(word, mask) for each bitmap word covering the block of
+ * 2^order frames at bit `off`, with `mask` selecting the block's bits
+ * in that word; stop early when fn returns false. Blocks are
+ * order-aligned, so one smaller than a word sits inside one word.
+ */
+template <typename Words, typename Fn>
+bool
+forBlockWords(Words &words, std::uint64_t off, unsigned order, Fn fn)
+{
+    if (order < kWordOrder) {
+        const std::uint64_t bits = pagesInOrder(order);
+        const std::uint64_t mask = ((std::uint64_t{1} << bits) - 1)
+                                   << (off % 64);
+        return fn(words[off / 64], mask);
+    }
+    const std::uint64_t first = off / 64;
+    const std::uint64_t last = first + pagesInOrder(order - kWordOrder);
+    for (std::uint64_t w = first; w < last; ++w)
+        if (!fn(words[w], ~std::uint64_t{0}))
+            return false;
+    return true;
+}
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
                                std::uint64_t n_frames, unsigned max_order,
                                bool sorted_top,
                                std::uint64_t scramble_seed)
     : frames_(frames), basePfn_(base_pfn), nFrames_(n_frames),
       maxOrder_(max_order), sortedTop_(sorted_top),
-      lists_(max_order + 1)
+      lists_(max_order + 1), inUse_((n_frames + 63) / 64)
 {
     const std::uint64_t top_pages = pagesInOrder(maxOrder_);
     contig_assert(isAligned(basePfn_, top_pages),
@@ -24,8 +58,8 @@ BuddyAllocator::BuddyAllocator(FrameArray &frames, Pfn base_pfn,
                   "zone exceeds mem_map");
 
     // Seed the allocator with top-order blocks. A zero-filled mem_map
-    // already reads as free (inUse false, no list linkage), so only the
-    // block heads are written, by the list inserts below.
+    // and a clear bitmap already read as free, so only the block heads
+    // are written, by the list inserts below.
     //
     // The seeding order: ascending by default (head insertion
     // back-to-front yields an ascending list), or shuffled to model an
@@ -76,24 +110,30 @@ BuddyAllocator::buddyOf(Pfn pfn, unsigned order) const
 void
 BuddyAllocator::markAllocated(Pfn pfn, unsigned order)
 {
-    const std::uint64_t n = pagesInOrder(order);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Frame &f = frames_[pfn + i];
-        f.inUse = true;
-        f.freeHead = false;
-    }
+    forBlockWords(inUse_, pfn - basePfn_, order,
+                  [](std::uint64_t &w, std::uint64_t mask) {
+                      w |= mask;
+                      return true;
+                  });
 }
 
 void
 BuddyAllocator::markFree(Pfn pfn, unsigned order)
 {
-    const std::uint64_t n = pagesInOrder(order);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Frame &f = frames_[pfn + i];
-        f.inUse = false;
-        f.freeHead = false;
-    }
-    frames_[pfn].order = static_cast<std::uint8_t>(order);
+    forBlockWords(inUse_, pfn - basePfn_, order,
+                  [](std::uint64_t &w, std::uint64_t mask) {
+                      w &= ~mask;
+                      return true;
+                  });
+}
+
+bool
+BuddyAllocator::blockIs(Pfn pfn, unsigned order, bool in_use) const
+{
+    return forBlockWords(inUse_, pfn - basePfn_, order,
+                         [&](std::uint64_t w, std::uint64_t mask) {
+                             return (w & mask) == (in_use ? mask : 0);
+                         });
 }
 
 void
@@ -225,9 +265,7 @@ BuddyAllocator::alloc(unsigned order)
     while (o > order) {
         --o;
         ++stats_.splits;
-        Pfn upper = pfn + pagesInOrder(o);
-        frames_[upper].order = static_cast<std::uint8_t>(o);
-        pushBlock(upper, o);
+        pushBlock(pfn + pagesInOrder(o), o);
     }
     markAllocated(pfn, order);
     freePages_ -= pagesInOrder(order);
@@ -266,11 +304,9 @@ BuddyAllocator::allocSpecific(Pfn pfn, unsigned order)
         Pfn lower = head;
         Pfn upper = head + pagesInOrder(o);
         if (pfn >= upper) {
-            frames_[lower].order = static_cast<std::uint8_t>(o);
             pushBlock(lower, o);
             head = upper;
         } else {
-            frames_[upper].order = static_cast<std::uint8_t>(o);
             pushBlock(upper, o);
         }
     }
@@ -286,10 +322,14 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
     ++stats_.freeCalls;
     contig_assert(order <= maxOrder_, "order %u beyond maxOrder", order);
     contig_assert(contains(pfn, order), "free outside zone");
-    contig_assert(frames_[pfn].inUse, "double free of pfn %llu",
-                  static_cast<unsigned long long>(pfn));
     contig_assert(isAligned(pfn - basePfn_, pagesInOrder(order)),
                   "free of unaligned block");
+    // Every frame of the block must still be allocated: freeing a block
+    // one of whose pieces is already free would corrupt the lists.
+    contig_assert(blockIs(pfn, order, true),
+                  "double free in block of pfn %llu order %u",
+                  static_cast<unsigned long long>(pfn), order);
+    markFree(pfn, order);
 
     // Coalesce with free buddies as far as possible.
     unsigned o = order;
@@ -306,7 +346,6 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
         cur = std::min(cur, buddy);
         ++o;
     }
-    markFree(cur, o);
     pushBlock(cur, o);
     freePages_ += pagesInOrder(order);
 }
@@ -314,17 +353,15 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
 bool
 BuddyAllocator::isFreePage(Pfn pfn) const
 {
-    if (!contains(pfn, 0))
-        return false;
     // Occupancy probe (paper §III-C): allocSpecific() still checks
     // that the whole block is free before carving it out.
-    return !frames_[pfn].inUse;
+    return contains(pfn, 0) && !inUse(pfn);
 }
 
 std::optional<std::pair<Pfn, unsigned>>
 BuddyAllocator::enclosingFreeBlock(Pfn pfn) const
 {
-    if (!contains(pfn, 0) || frames_[pfn].inUse)
+    if (!isFreePage(pfn))
         return std::nullopt;
     // Free blocks are order-aligned, so the head of the enclosing block
     // must be an alignment ancestor of pfn.
@@ -406,9 +443,8 @@ BuddyAllocator::checkInvariants() const
             if (!isAligned(cur - basePfn_, pagesInOrder(o)))
                 return false;
             // No page of a listed block may be marked in use.
-            for (std::uint64_t i = 0; i < pagesInOrder(o); ++i)
-                if (frames_[cur + i].inUse)
-                    return false;
+            if (!blockIs(cur, o, false))
+                return false;
             // A listed block's buddy of the same order must not also be
             // free-listed (they should have coalesced)...
             if (o < maxOrder_) {
@@ -433,7 +469,11 @@ BuddyAllocator::checkInvariants() const
     for (unsigned o = 0; o <= maxOrder_; ++o)
         if (!check_list(lists_[o], o))
             return false;
-    return free_pages == freePages_;
+    // Listed pages and set bits partition the zone.
+    std::uint64_t used = 0;
+    for (std::uint64_t w : inUse_)
+        used += std::popcount(w);
+    return free_pages == freePages_ && free_pages + used == nFrames_;
 }
 
 std::vector<std::uint64_t>

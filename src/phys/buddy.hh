@@ -7,12 +7,17 @@
  * optimization of the paper (§III-C) — and exposes insert/remove hooks
  * that the ContiguityMap subscribes to.
  *
+ * Occupancy is one bit per frame in a bitmap indexed from the zone
+ * base: alloc and free set and clear a block's bits a word at a time,
+ * and write no frame descriptor beyond the free-list heads they link
+ * or unlink.
+ *
  * Two extensions beyond a stock buddy allocator support CA paging:
  *  - allocSpecific(): carve an exact block out of whatever free block
  *    encloses it (the "retrieve the target page from buddy's lists"
  *    step of Fig. 2b);
- *  - enclosingFreeBlock(): the occupancy probe CA paging performs via
- *    mem_map before committing to a target.
+ *  - isFreePage() / enclosingFreeBlock(): the occupancy probe CA
+ *    paging performs before committing to a target.
  */
 
 #ifndef CONTIG_PHYS_BUDDY_HH
@@ -84,11 +89,22 @@ class BuddyAllocator
      */
     bool allocSpecific(Pfn pfn, unsigned order);
 
-    /** Return a block of 2^order pages, coalescing with free buddies. */
+    /**
+     * Return a block of 2^order pages, coalescing with free buddies.
+     * Every frame of the block must be allocated.
+     */
     void free(Pfn pfn, unsigned order);
 
     /** True iff this base page is inside some free block. */
     bool isFreePage(Pfn pfn) const;
+
+    /** Occupancy bit of a page of this zone: allocated, not free. */
+    bool
+    inUse(Pfn pfn) const
+    {
+        const std::uint64_t off = pfn - basePfn_;
+        return (inUse_[off / 64] >> (off % 64)) & 1;
+    }
 
     /**
      * The free buddy block containing pfn, if any, as (head, order).
@@ -152,8 +168,11 @@ class BuddyAllocator
 
     void insertHead(FreeList &list, Pfn pfn, unsigned order);
     void insertSorted(FreeList &list, Pfn pfn, unsigned order);
+    /** Set / clear the occupancy bits of one block. */
     void markAllocated(Pfn pfn, unsigned order);
     void markFree(Pfn pfn, unsigned order);
+    /** True iff every occupancy bit of the block equals `in_use`. */
+    bool blockIs(Pfn pfn, unsigned order, bool in_use) const;
 
     FrameArray &frames_;
     Pfn basePfn_;
@@ -161,6 +180,8 @@ class BuddyAllocator
     unsigned maxOrder_;
     bool sortedTop_;
     std::vector<FreeList> lists_;
+    /** Occupancy bitmap: bit (pfn - basePfn_) set while allocated. */
+    std::vector<std::uint64_t> inUse_;
     std::uint64_t freePages_ = 0;
     BuddyStats stats_;
     TopListHook onTopInsert_;

@@ -2,9 +2,10 @@
  * @file
  * Frame descriptors: the simulator's analogue of Linux's `struct page`
  * array (`mem_map`). One descriptor per base (4 KiB) frame of a
- * physical address space. CA paging consults these descriptors
- * (refcount/mapcount) to decide whether an allocation target is free,
- * exactly as the paper describes (§III-B).
+ * physical address space. As with Linux compound pages, an allocated
+ * block keeps its state in its head descriptor; whether a frame is
+ * allocated at all is kept in the buddy allocator's occupancy bitmap,
+ * which CA paging probes before taking a target (§III-B/C).
  */
 
 #ifndef CONTIG_PHYS_FRAME_HH
@@ -37,45 +38,54 @@ enum class FrameOwner : std::uint8_t
  * linkage for the free lists, and a reverse-mapping triple used by the
  * migration-based baselines (Ranger, Ingens promotion).
  *
- * A frame whose bytes are all zero is a valid, unowned frame inside a
- * free buddy block (`inUse` false, no list linkage, no owner). The
- * mem_map is therefore a zero-filled mapping: a fresh machine writes
- * only the descriptors of its top-order free-block heads, and every
- * other page of the mem_map stays untouched until first use. Fields
- * whose zero is not meaningful on its own (list linkage, `ownerId`)
- * are written before anything reads them: the links by list insert,
- * the owner id together with `ownerKind`.
+ * Head-only state: Kernel::claimFrames() writes the claim state
+ * (owner triple, refcount, mapcount, `claimOrder`) into the head
+ * descriptor of the claimed block only, every map or unmap of a leaf
+ * changes the head's mapcount once, and the final putFrame() clears
+ * the head again. Tail descriptors carry no claim state; a tail finds
+ * its head with Kernel::claimHead(), and its reverse-mapped address is
+ * the head's `ownerVaddr` plus its offset. Occupancy is not a frame
+ * field but one bit per frame in the BuddyAllocator. The only path
+ * that writes tail descriptors is a THP split, which turns the 512
+ * frames of a huge leaf into order-0 heads (and the memory hog, which
+ * makes each 2 MiB piece of its 4 MiB chunks a head of its own).
+ *
+ * A frame whose bytes are all zero is a valid, unowned frame: free, or
+ * a tail of a claimed block. The mem_map is therefore a zero-filled
+ * mapping: a fresh machine writes only the descriptors of its
+ * top-order free-block heads, and a page of the mem_map is touched
+ * only when a block head lands on it. Fields whose zero is not
+ * meaningful on its own (list linkage, `ownerId`) are written before
+ * anything reads them: the links by list insert, the owner id together
+ * with `ownerKind`.
  *
  * The simulator runs one thread and handles one fault at a time, so
- * every field is a plain field. `inUse` is CA paging's occupancy probe
- * (§III-C): the placement policy reads it before allocSpecific()
- * carves the block out of the buddy lists.
- *
- * The small fields are grouped so a descriptor fills one 64-byte line.
+ * every field is a plain field. The small fields are grouped so a
+ * descriptor fills one 64-byte line.
  */
 struct Frame
 {
-    /** References held (0 while the frame sits in the buddy allocator). */
+    /** References held; nonzero exactly on the head of a claimed block. */
     std::uint32_t refCount = 0;
-    /** Number of page-table mappings pointing at this frame. */
+    /** Number of page-table leaves mapping the block headed here. */
     std::uint32_t mapCount = 0;
     /** Owning process or file id; meaningful only if ownerKind != None. */
     std::uint32_t ownerId = 0;
 
     /** Buddy order of the free block this frame heads (valid if freeHead). */
     std::uint8_t order = 0;
-    /** False for every frame inside a free buddy block. */
-    bool inUse = false;
+    /** Order of the claimed block this frame heads (valid if refCount). */
+    std::uint8_t claimOrder = 0;
     /** True only for the first frame of a free block on a free list. */
     bool freeHead = false;
-    /** Reverse mapping: which kind of object backs this frame. */
+    /** Reverse mapping: which kind of object backs the block. */
     FrameOwner ownerKind = FrameOwner::None;
 
     /** Intrusive free-list linkage (heads only; set by list insert). */
     Pfn freeNext = 0;
     Pfn freePrev = 0;
 
-    /** Reverse mapping: the owning gva (or file offset). */
+    /** Reverse mapping: the owning gva (or file offset) of the head. */
     Addr ownerVaddr = 0;
 
     // --- LRU reclaim state (reclaimEnabled kernels only) ---------------

@@ -564,20 +564,21 @@ hogMemory(Kernel &kernel, double fraction, Rng &rng)
             continue;
         kernel.claimFrames(where, order, FrameOwner::Anon, hog.pid(),
                            next_vpn << kPageShift);
-        // Map the chunk as huge leaves.
+        // Map the chunk as huge leaves. Each leaf is unmapped and freed
+        // on its own, so the chunk's one claim becomes one order-9
+        // claim per leaf: owner triple, refcount 1 and the leaf's
+        // mapcount on each 2 MiB head.
+        const Frame claim = pm.frame(where);
         for (std::uint64_t off = 0; off < n;
              off += pagesInOrder(kHugeOrder)) {
             pt.map(next_vpn + off, where + off, kHugeOrder);
-            for (std::uint64_t i = 0; i < pagesInOrder(kHugeOrder); ++i)
-                ++pm.frame(where + off + i).mapCount;
-        }
-        // claimFrames refcounts the block head once; transfer the
-        // count to per-huge-leaf granularity for clean unmapping.
-        if (order > kHugeOrder) {
-            for (std::uint64_t off = pagesInOrder(kHugeOrder); off < n;
-                 off += pagesInOrder(kHugeOrder)) {
-                pm.frame(where + off).refCount = 1;
-            }
+            Frame &head = pm.frame(where + off);
+            head.ownerKind = claim.ownerKind;
+            head.ownerId = claim.ownerId;
+            head.ownerVaddr = claim.ownerVaddr + off * kPageSize;
+            head.refCount = 1;
+            head.claimOrder = kHugeOrder;
+            ++head.mapCount;
         }
         vma.allocatedPages += n;
         next_vpn += n;
