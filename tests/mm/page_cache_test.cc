@@ -132,6 +132,7 @@ TEST(Migrate, SwapLeavesExchangesTwoProcesses)
     const Frame &fa = k->physMem().frame(ma2->pfn);
     EXPECT_EQ(fa.ownerId, a.pid());
     EXPECT_EQ(k->counters().get("migrate.shootdowns"), 2u);
+    EXPECT_EQ(k->audit(), "");
     k->exitProcess(a);
     k->exitProcess(b);
 }
