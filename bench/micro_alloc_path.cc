@@ -2,12 +2,12 @@
  * @file
  * Micro-benchmark: the cost of the allocation fast path itself — the
  * software-overhead claim behind Fig. 11, plus the FaultEngine's
- * batched-vs-per-fault comparison. The batched rows drive 64-page
- * spans through handleRange()/readFile() with
- * KernelConfig::faultBatching on and off; placements and simulated
- * cycles are identical either way (the golden-equivalence test), so
- * the delta is pure host-side amortization (one VMA lookup, chunked
- * placement, grouped PTE installs). Raw buddy/contiguity-map
+ * batched-vs-per-fault comparison. The batched arm drives 64-page
+ * spans through handleRange()/readFile(); the per-fault arm makes one
+ * touch() or one one-page readFile() per page. Placements and
+ * simulated cycles are identical either way (the golden-equivalence
+ * test), so the delta is pure host-side amortization (one VMA lookup,
+ * chunked placement, grouped PTE installs). Raw buddy/contiguity-map
  * primitive costs follow in a second table.
  */
 
@@ -40,46 +40,64 @@ std::unique_ptr<Kernel>
 makeKernel(PolicyKind kind, bool batching)
 {
     KernelConfig cfg = kernelConfigFor(kind);
-    // 4 KiB faults only: the batched path applies to order-0 runs
-    // (huge faults always resolve through the single-fault path).
+    // 4 KiB faults only: spans chunk order-0 runs (huge faults always
+    // resolve through the single-fault path).
     cfg.thpEnabled = false;
-    cfg.faultBatching = batching;
     cfg.metricsPrefix = batching ? "micro_batched" : "micro_single";
     return std::make_unique<Kernel>(cfg, makePolicy(kind));
 }
 
-/** us/page to demand-populate `total` pages in kBatchPages spans. */
+/**
+ * Touch `total` pages from `start` in kBatchPages spans, or with one
+ * touch() per page.
+ */
+void
+touchPages(Process &p, Gva start, std::uint64_t total, bool batching,
+           Access access = Access::Write)
+{
+    if (batching) {
+        for (std::uint64_t off = 0; off < total; off += kBatchPages)
+            p.touchRange(start + off * kPageSize, kBatchPages * kPageSize,
+                         access);
+    } else {
+        for (std::uint64_t off = 0; off < total; ++off)
+            p.touch(start + off * kPageSize, access);
+    }
+}
+
+/** us/page to demand-populate `total` pages. */
 double
 anonPopulate(PolicyKind kind, bool batching, std::uint64_t total)
 {
     auto k = makeKernel(kind, batching);
     Process &p = k->createProcess("bench");
     Vma &vma = p.mmap(total * kPageSize);
-    const double us = wallUs([&] {
-        for (std::uint64_t off = 0; off < total; off += kBatchPages)
-            p.touchRange(vma.start() + off * kPageSize,
-                         kBatchPages * kPageSize);
-    });
+    const double us =
+        wallUs([&] { touchPages(p, vma.start(), total, batching); });
     return us / total;
 }
 
-/** us/page to read a `total`-page file in kBatchPages requests. */
+/**
+ * us/page to read a `total`-page file in kBatchPages requests, or in
+ * one-page requests.
+ */
 double
 readFilePath(PolicyKind kind, bool batching, std::uint64_t total)
 {
     auto k = makeKernel(kind, batching);
     File &f = k->createFile(total);
+    const std::uint64_t step = batching ? kBatchPages : 1;
     const double us = wallUs([&] {
-        for (std::uint64_t pg = 0; pg < total; pg += kBatchPages)
-            k->readFile(f, pg, kBatchPages);
+        for (std::uint64_t pg = 0; pg < total; pg += step)
+            k->readFile(f, pg, step);
     });
     return us / total;
 }
 
 /**
- * us/page to fault a warm file mapping in kBatchPages spans — the
- * per-fault machinery (VMA lookup, page-cache hit, install,
- * accounting) with no allocation cost in the way.
+ * us/page to fault a warm file mapping — the per-fault machinery
+ * (VMA lookup, page-cache hit, install, accounting) with no
+ * allocation cost in the way.
  */
 double
 fileTouch(PolicyKind kind, bool batching, std::uint64_t total)
@@ -90,9 +108,7 @@ fileTouch(PolicyKind kind, bool batching, std::uint64_t total)
     Process &p = k->createProcess("bench");
     Vma &vma = p.mmapFile(f.id(), total * kPageSize, 0);
     const double us = wallUs([&] {
-        for (std::uint64_t off = 0; off < total; off += kBatchPages)
-            p.touchRange(vma.start() + off * kPageSize,
-                         kBatchPages * kPageSize, Access::Read);
+        touchPages(p, vma.start(), total, batching, Access::Read);
     });
     return us / total;
 }

@@ -1,8 +1,5 @@
 #include "base/simd.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace contig
 {
 namespace simd
@@ -23,14 +20,6 @@ detectAvx2()
 #endif
 }
 
-/** CONTIG_SIMD=0 in the environment forces scalar before main(). */
-bool
-envForcesScalar()
-{
-    const char *env = std::getenv("CONTIG_SIMD");
-    return env && std::strcmp(env, "0") == 0;
-}
-
 } // namespace
 
 bool
@@ -49,8 +38,7 @@ setForceScalar(bool force)
 bool
 forceScalar()
 {
-    static const bool env = envForcesScalar();
-    return env || forceScalar_;
+    return forceScalar_;
 }
 
 const char *

@@ -12,9 +12,8 @@
  * Which kernel runs is decided at run time:
  *  - the CPU: __builtin_cpu_supports("avx2") is checked once — a
  *    non-AVX2 host silently runs the scalar loop;
- *  - the one override: setForceScalar() (bench_io's --no-simd /
- *    CONTIG_SIMD=0) pins the scalar loop for A/B measurements in one
- *    binary.
+ *  - the one override: setForceScalar() (bench_io's --no-simd) pins
+ *    the scalar loop for A/B measurements in one binary.
  *
  * The scalar and AVX2 kernels return the same lane for the same
  * input (the lowest matching index), so simulated statistics are
@@ -57,8 +56,8 @@ padLanes(unsigned ways)
 bool avx2Available();
 
 /**
- * Process-wide scalar override (--no-simd / CONTIG_SIMD=0). Affects
- * structures built afterwards; existing ones keep their probe mode.
+ * Process-wide scalar override (--no-simd). Affects structures built
+ * afterwards; existing ones keep their probe mode.
  */
 void setForceScalar(bool force);
 bool forceScalar();

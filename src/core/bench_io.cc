@@ -1,8 +1,6 @@
 #include "core/bench_io.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -28,15 +26,14 @@ endsWith(std::string_view s, std::string_view suffix)
 
 /** parseTraceCategories(), fatal on an unknown or empty mask. */
 std::uint32_t
-traceMaskOrDie(const std::string &bench, const char *source,
-               const char *list)
+traceMaskOrDie(const std::string &bench, const char *list)
 {
     const std::uint32_t mask = obs::parseTraceCategories(list);
     if (mask == 0)
-        fatal("%s: unknown trace category in %s '%s'\n"
+        fatal("%s: unknown trace category in --trace-categories '%s'\n"
               "valid: all, fault, alloc, promote, migrate, tlb, spot,"
               " walk, daemon, phase, replay (or a hex mask)",
-              bench.c_str(), source, list);
+              bench.c_str(), list);
     return mask;
 }
 
@@ -47,23 +44,8 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
 {
     parseArgs(argc, argv);
 
-    if (jsonPath_.empty())
-        if (const char *env = std::getenv("CONTIG_JSON_OUT"))
-            jsonPath_ = env;
-    if (tracePath_.empty())
-        if (const char *env = std::getenv("CONTIG_TRACE_OUT"))
-            tracePath_ = env;
-    if (timelinePath_.empty())
-        if (const char *env = std::getenv("CONTIG_TIMELINE_OUT"))
-            timelinePath_ = env;
-    if (!attrib_)
-        if (const char *env = std::getenv("CONTIG_ATTRIB"))
-            attrib_ = env[0] != '\0' && std::strcmp(env, "0") != 0;
-
     if (noSimd_) {
-        // Before any simulator exists, like the switch below; the
-        // CONTIG_SIMD=0 environment form is honoured by simd::
-        // enabled() itself.
+        // Before any simulator exists, like the switch below.
         simd::setForceScalar(true);
     }
 
@@ -85,9 +67,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
         if (sink.categoryMask() == 0)
             sink.setCategoryMask(obs::kCatAll);
     }
-    if (const char *env = std::getenv("CONTIG_TRACE_CATEGORIES"))
-        obs::TraceSink::global().setCategoryMask(
-            traceMaskOrDie(bench_, "CONTIG_TRACE_CATEGORIES", env));
 }
 
 BenchOutput::~BenchOutput()
@@ -114,7 +93,7 @@ BenchOutput::parseArgs(int argc, char **argv)
             attrib_ = true;
         } else if (arg == "--trace-categories" && has_next) {
             obs::TraceSink::global().setCategoryMask(
-                traceMaskOrDie(bench_, "--trace-categories", argv[++i]));
+                traceMaskOrDie(bench_, argv[++i]));
         } else {
             fatal("%s: unknown argument '%s'\n"
                   "usage: %s [--json FILE] [--trace FILE]"

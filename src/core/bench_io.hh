@@ -2,7 +2,7 @@
  * @file
  * Machine-readable bench output. Every bench main wraps its run in a
  * BenchOutput: plain-text tables keep printing as before, and when
- * `--json <file>` (or CONTIG_JSON_OUT) is given the same tables are
+ * `--json <file>` is given the same tables are
  * also written as one JSON document of schema
  *
  *   { "bench": <name>, "config": {...}, "rows": [...], "metrics": {...} }
@@ -11,16 +11,15 @@
  * tagged with its caption) and "metrics" is the global MetricRegistry
  * snapshot. The document carries "schema_version" (currently 5) and
  * a config.run object with the RunInfo reproducibility record (RNG
- * seeds, full KernelConfig knob sets). `--trace <file>` (or
- * CONTIG_TRACE_OUT) additionally enables event tracing and exports
- * the ring buffer on write() — Chrome trace_event JSON by default,
- * JSONL when the path ends in ".jsonl". `--trace-categories
- * fault,spot,...` (or CONTIG_TRACE_CATEGORIES) narrows what is
- * recorded. `--timeline <file>` (or CONTIG_TIMELINE_OUT) opens the
- * observatory TimelineSink: every StateSampler the run creates
- * streams delta-encoded JSONL snapshots there (see obs/observatory).
+ * seeds, full KernelConfig knob sets). `--trace <file>`
+ * additionally enables event tracing and exports the ring buffer on
+ * write() — Chrome trace_event JSON by default, JSONL when the path
+ * ends in ".jsonl". `--trace-categories fault,spot,...` narrows what
+ * is recorded. `--timeline <file>` opens the observatory
+ * TimelineSink: every StateSampler the run creates streams
+ * delta-encoded JSONL snapshots there (see obs/observatory).
  *
- * `--attrib` (or CONTIG_ATTRIB=1) switches the per-event cost
+ * `--attrib` switches the per-event cost
  * attribution on the same way: translation and fault kernels then
  * classify every event by outcome and contiguity class (see
  * obs/attribution), and the JSON document gains an "attribution"
@@ -72,7 +71,7 @@ class BenchOutput
     bool timelineEnabled() const { return !timelinePath_.empty(); }
 
     /**
-     * True when `--no-simd` (or CONTIG_SIMD=0) forced the probe
+     * True when `--no-simd` forced the probe
      * kernels scalar. Purely a wall-clock knob: simulated results are
      * identical either way. The switch is applied process-wide
      * (simd::setForceScalar) before any simulator exists.
@@ -80,7 +79,7 @@ class BenchOutput
     bool simdDisabled() const { return noSimd_; }
 
     /**
-     * True when `--attrib` (or CONTIG_ATTRIB=1) switched the
+     * True when `--attrib` switched the
      * cost-attribution accounting on. Kernels pick the mode up from
      * AttribRegistry::enabled(); benches only need this to decide
      * whether to build a ContigClassIndex for classification.

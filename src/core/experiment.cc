@@ -295,7 +295,7 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
                            : std::string_view("batched"));
     // The effective probe-kernel mode: "avx2" only when the batched
     // engine runs on an AVX2-capable CPU not forced scalar
-    // (CONTIG_SIMD=0 / --no-simd).
+    // (--no-simd).
     obs::RunInfo::global().note(
         "xlat.simd",
         std::string_view(simd::modeName(

@@ -100,31 +100,48 @@ FaultEngine::placeAnon(Process &proc, Vma &vma, FaultContext &ctx)
     AllocationPolicy &policy = kernel_.policy();
     ReclaimEngine *rec = kernel_.reclaim();
     ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
-    if (!ctx.alloc.ok() && !rec) {
+    if (!ctx.alloc.ok() && ctx.order == kHugeOrder) {
+        if (!rec) {
+            // Direct reclaim: evict clean page-cache pages and retry.
+            kernel_.dropCaches();
+            kernel_.counters().inc("reclaim.direct");
+            ctx.alloc =
+                policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
+        }
+        if (!ctx.alloc.ok()) {
+            // A huge-order shortfall is a defragmentation problem, not
+            // a pressure problem: ask for background reclaim and
+            // demote immediately rather than stall this fault on
+            // direct reclaim of 512 pages (the THP defrag=madvise
+            // stance).
+            if (rec)
+                rec->noteKswapdWake();
+            ctx.fallback = ctx.alloc.fail == AllocFail::None
+                               ? AllocFail::NoHugeBlock
+                               : ctx.alloc.fail;
+            policy.noteAllocFail(ctx.fallback);
+            CONTIG_TRACE(obs::TraceEventKind::HugeFallback, ctx.vpn);
+            ctx.order = 0;
+            ctx.base = ctx.vpn;
+            ctx.alloc =
+                policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
+        }
+    }
+    if (!ctx.alloc.ok())
+        recoverBaseAlloc(proc, vma, ctx);
+}
+
+void
+FaultEngine::recoverBaseAlloc(Process &proc, Vma &vma, FaultContext &ctx)
+{
+    AllocationPolicy &policy = kernel_.policy();
+    if (kernel_.reclaim()) {
+        reclaimRetry(proc, vma, ctx.base, 0, ctx.alloc);
+    } else {
         // Direct reclaim: evict clean page-cache pages and retry.
         kernel_.dropCaches();
         kernel_.counters().inc("reclaim.direct");
-        ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
-    }
-    if (!ctx.alloc.ok() && rec && ctx.order != kHugeOrder)
-        reclaimRetry(proc, vma, ctx.base, ctx.order, ctx.alloc);
-    if (!ctx.alloc.ok() && ctx.order == kHugeOrder) {
-        // A huge-order shortfall is a defragmentation problem, not a
-        // pressure problem: ask for background reclaim and demote
-        // immediately rather than stall this fault on direct reclaim
-        // of 512 pages (the THP defrag=madvise stance).
-        if (rec)
-            rec->noteKswapdWake();
-        ctx.fallback = ctx.alloc.fail == AllocFail::None
-                           ? AllocFail::NoHugeBlock
-                           : ctx.alloc.fail;
-        policy.noteAllocFail(ctx.fallback);
-        CONTIG_TRACE(obs::TraceEventKind::HugeFallback, ctx.vpn);
-        ctx.order = 0;
-        ctx.base = ctx.vpn;
-        ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
-        if (!ctx.alloc.ok() && rec)
-            reclaimRetry(proc, vma, ctx.base, ctx.order, ctx.alloc);
+        ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, 0);
     }
     if (!ctx.alloc.ok()) {
         policy.noteAllocFail(AllocFail::Oom);
@@ -165,11 +182,16 @@ FaultEngine::reclaimRetry(Process &proc, Vma &vma, Vpn base, unsigned order,
 }
 
 void
-FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx)
+FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx,
+                         PageTable::RunMapper *mapper)
 {
     kernel_.claimFrames(ctx.alloc.pfn, ctx.order, FrameOwner::Anon,
                         proc.pid(), ctx.base << kPageShift);
-    proc.pageTable().map(ctx.base, ctx.alloc.pfn, ctx.order, true, false);
+    if (mapper)
+        mapper->map(ctx.base, ctx.alloc.pfn, true, false);
+    else
+        proc.pageTable().map(ctx.base, ctx.alloc.pfn, ctx.order, true,
+                             false);
     ++kernel_.physMem().frame(ctx.alloc.pfn).mapCount;
     const std::uint64_t n = pagesInOrder(ctx.order);
     vma.allocatedPages += n;
@@ -180,8 +202,25 @@ FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx)
         ctx.cycles += rec->chargeSwapIn(proc.pid(), ctx.base, ctx.order);
     kernel_.policy().onMapped(kernel_, proc, vma, ctx.base, ctx.alloc.pfn,
                               ctx.order);
-    finishFault(proc, vma, ctx.base, ctx.alloc.pfn, ctx.order, ctx.cycles,
-                false, false, ctx.fallback);
+    finishFault(vma, ctx.base, ctx.alloc.pfn, ctx.order, ctx.cycles, false,
+                false, ctx.fallback);
+}
+
+void
+FaultEngine::installFile(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
+                         PageTable::RunMapper *mapper)
+{
+    // File mappings are shared read-only in this model.
+    if (mapper)
+        mapper->map(vpn, pfn, false, false);
+    else
+        proc.pageTable().map(vpn, pfn, 0, false, false);
+    kernel_.getFrame(pfn);
+    ++kernel_.physMem().frame(pfn).mapCount;
+    vma.allocatedPages += 1;
+
+    ++stats_.fileFaults;
+    finishFault(vma, vpn, pfn, 0, cfg_.faultBaseCycles, false, true);
 }
 
 void
@@ -222,7 +261,7 @@ FaultEngine::cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m)
                           cfg_.copyCyclesPerPage * n + res.placementCycles;
     ++stats_.cowFaults;
     kernel_.policy().onMapped(kernel_, proc, vma, base, res.pfn, order);
-    finishFault(proc, vma, base, res.pfn, order, cycles, true, false);
+    finishFault(vma, base, res.pfn, order, cycles, true, false);
 }
 
 void
@@ -238,20 +277,12 @@ FaultEngine::fileFault(Process &proc, Vma &vma, Vpn vpn)
     const Pfn pfn = ensureFileCached(file, file_page);
     if (pfn == kInvalidPfn)
         fatal("out of memory: page-cache fault in %s", proc.name().c_str());
-
-    // File mappings are shared read-only in this model.
-    proc.pageTable().map(vpn, pfn, 0, false, false);
-    kernel_.getFrame(pfn);
-    ++kernel_.physMem().frame(pfn).mapCount;
-    vma.allocatedPages += 1;
-
-    ++stats_.fileFaults;
-    finishFault(proc, vma, vpn, pfn, 0, cfg_.faultBaseCycles, false, true);
+    installFile(proc, vma, vpn, pfn);
 }
 
 void
-FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
-                         unsigned order, Cycles cycles, bool cow, bool file,
+FaultEngine::finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
+                         Cycles cycles, bool cow, bool file,
                          AllocFail fallback)
 {
     ++stats_.faults;
@@ -282,18 +313,6 @@ FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
     else
         CONTIG_TRACE(obs::TraceEventKind::PageFault, vpn, pfn, order);
 
-    if (kernel_.onFault) {
-        FaultEvent ev;
-        ev.proc = &proc;
-        ev.vma = &vma;
-        ev.vpn = vpn;
-        ev.pfn = pfn;
-        ev.order = order;
-        ev.cow = cow;
-        ev.file = file;
-        kernel_.onFault(ev);
-    }
-
     // Observatory sampling happens before the policy tick below, so a
     // capture at fault N sees the pre-tick state (the cadence the
     // coverage timelines were defined with).
@@ -307,7 +326,7 @@ FaultEngine::finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
     }
 }
 
-// --- batch paths ---------------------------------------------------------
+// --- span paths ----------------------------------------------------------
 
 std::uint64_t
 FaultEngine::tickBudget() const
@@ -336,11 +355,6 @@ FaultEngine::handleRange(const FaultRequest &span, TouchNote note)
             touchOne(proc, Gva{v << kPageShift}, span.access);
     }
 
-    if (!cfg_.faultBatching) {
-        resolveSpanSingle(proc, span, note);
-        return;
-    }
-
     Vpn v = span.vpn;
     Vma *vma = span.vma;
     while (v < end) {
@@ -355,18 +369,6 @@ FaultEngine::handleRange(const FaultRequest &span, TouchNote note)
         resolveSpan(proc, *vma, v, sub_end, span.access,
                     note == TouchNote::AllPages);
         v = sub_end;
-    }
-}
-
-void
-FaultEngine::resolveSpanSingle(Process &proc, const FaultRequest &span,
-                               TouchNote note)
-{
-    const Vpn end = span.vpn + span.pages;
-    for (Vpn v = span.vpn; v < end; ++v) {
-        if (note == TouchNote::Origins && proc.pageTable().lookup(v))
-            continue;
-        touchOne(proc, Gva{v << kPageShift}, span.access);
     }
 }
 
@@ -416,25 +418,25 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
     PageTable &pt = proc.pageTable();
     AllocationPolicy &policy = kernel_.policy();
     const std::uint64_t huge_pages = pagesInOrder(kHugeOrder);
-    std::vector<FaultSlot> slots;
-    slots.reserve(std::min<std::uint64_t>(gap_end - gap_start,
+    std::vector<FaultContext> chunk;
+    chunk.reserve(std::min<std::uint64_t>(gap_end - gap_start,
                                           cfg_.tickPeriodFaults));
 
     Vpn v = gap_start;
     while (v < gap_end) {
         // Huge candidate? Same criteria as the per-fault classify
-        // stage, plus "no queued 4 KiB slot inside the block" (queued
-        // slots are installs the per-fault path would already have
+        // stage, plus "no queued 4 KiB fault inside the block" (queued
+        // faults are installs the per-fault path would already have
         // made).
         const Vpn block = v & ~(huge_pages - 1);
         const bool huge =
             cfg_.thpEnabled && policy.allowsHugeFaults() &&
             vma.coversAligned(v, kHugeOrder) &&
-            (slots.empty() || slots.back().base < block) &&
+            (chunk.empty() || chunk.back().base < block) &&
             pt.findMappedIn(block, block + huge_pages) ==
                 block + huge_pages;
         if (huge) {
-            commitAnonChunk(proc, vma, slots);
+            commitAnonChunk(proc, vma, chunk);
             {
                 obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
                 anonFault(proc, vma, v);
@@ -451,20 +453,22 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
             v = leaf_end;
             continue;
         }
-        slots.push_back(FaultSlot{v, 0, AllocResult{}});
-        if (slots.size() >= tickBudget())
-            commitAnonChunk(proc, vma, slots);
+        FaultContext &ctx = chunk.emplace_back();
+        ctx.vpn = v;
+        ctx.base = v;
+        if (chunk.size() >= tickBudget())
+            commitAnonChunk(proc, vma, chunk);
         ++v;
     }
-    commitAnonChunk(proc, vma, slots);
+    commitAnonChunk(proc, vma, chunk);
     return v;
 }
 
 void
 FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
-                             std::vector<FaultSlot> &slots)
+                             std::vector<FaultContext> &chunk)
 {
-    if (slots.empty())
+    if (chunk.empty())
         return;
     obs::ScopedPhase fault_timer(faultPhase_, &stats_.totalCycles);
     AllocationPolicy &policy = kernel_.policy();
@@ -477,7 +481,7 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
     if (rec)
         rec->checkWatermarks(proc.homeNode());
 
-    // Reclaim (a policy's targeted eviction inside allocateBatch, the
+    // Reclaim (a policy's targeted eviction inside allocate(), the
     // slow path below, or a page-table pool refill inside mapper.map
     // itself) can unmap leaves of this very page table and free
     // interior nodes the mapper has cached. Track the engine's unmap
@@ -493,66 +497,41 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
             epoch = e;
         }
     };
-
-    auto install = [&](FaultSlot &s) {
-        kernel_.claimFrames(s.res.pfn, 0, FrameOwner::Anon, proc.pid(),
-                            s.base << kPageShift);
+    const auto install = [&](FaultContext &ctx) {
         resyncMapper();
-        mapper.map(s.base, s.res.pfn, true, false);
-        ++kernel_.physMem().frame(s.res.pfn).mapCount;
-        vma.allocatedPages += 1;
-        Cycles cycles = cfg_.faultBaseCycles +
-                        cfg_.zeroCyclesPerPage +
-                        s.res.placementCycles;
-        if (rec)
-            cycles += rec->chargeSwapIn(proc.pid(), s.base, 0);
-        policy.onMapped(kernel_, proc, vma, s.base, s.res.pfn, 0);
-        finishFault(proc, vma, s.base, s.res.pfn, 0, cycles, false, false);
-        proc.noteTouched(vma, s.base);
+        installAnon(proc, vma, ctx, &mapper);
+        proc.noteTouched(vma, ctx.base);
     };
 
     std::size_t i = 0;
-    while (i < slots.size()) {
-        std::size_t got;
+    while (i < chunk.size()) {
+        std::size_t placed = i;
         {
             obs::ScopedPhase stage(placePhase_);
-            got = policy.allocateBatch(kernel_, proc, vma,
-                                       slots.data() + i,
-                                       slots.size() - i);
+            for (; placed < chunk.size(); ++placed) {
+                FaultContext &ctx = chunk[placed];
+                ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, 0);
+                if (!ctx.alloc.ok())
+                    break;
+            }
         }
-        resyncMapper();
         {
             obs::ScopedPhase stage(installPhase_);
-            for (std::size_t j = i; j < i + got; ++j)
-                install(slots[j]);
+            for (std::size_t j = i; j < placed; ++j)
+                install(chunk[j]);
         }
-        batch_.batchedFaults += got;
-        i += got;
-        if (i < slots.size()) {
-            // The per-fault failure machinery for the failing slot:
-            // direct reclaim, one retry, OOM is fatal at order 0.
-            FaultSlot &s = slots[i];
-            if (rec) {
-                reclaimRetry(proc, vma, s.base, 0, s.res);
-            } else {
-                kernel_.dropCaches();
-                kernel_.counters().inc("reclaim.direct");
-                s.res = policy.allocate(kernel_, proc, vma, s.base, 0);
-            }
-            if (!s.res.ok()) {
-                policy.noteAllocFail(AllocFail::Oom);
-                fatal("out of memory: anon fault in %s (vma %u)",
-                      proc.name().c_str(), vma.id());
-            }
-            resyncMapper();
-            install(s);
+        batch_.batchedFaults += placed - i;
+        i = placed;
+        if (i < chunk.size()) {
+            recoverBaseAlloc(proc, vma, chunk[i]);
+            install(chunk[i]);
             ++i;
         }
     }
 
     ++batch_.chunks;
-    batch_.chunkPages.add(slots.size());
-    slots.clear();
+    batch_.chunkPages.add(chunk.size());
+    chunk.clear();
 }
 
 void
@@ -604,15 +583,8 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
             for (Vpn w = v; w < chunk_end; ++w) {
                 const std::uint64_t fp =
                     vma.fileOffsetPages() + (w - vma_start);
-                const Pfn pfn = file.frameFor(fp);
                 resyncMapper();
-                mapper.map(w, pfn, false, false);
-                kernel_.getFrame(pfn);
-                ++kernel_.physMem().frame(pfn).mapCount;
-                vma.allocatedPages += 1;
-                ++stats_.fileFaults;
-                finishFault(proc, vma, w, pfn, 0, cfg_.faultBaseCycles,
-                            false, true);
+                installFile(proc, vma, w, file.frameFor(fp), &mapper);
                 proc.noteTouched(vma, w);
             }
         }
@@ -643,7 +615,6 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
                           std::uint64_t end)
 {
     AllocationPolicy &policy = kernel_.policy();
-    const bool steered = policy.steersFilePlacement();
     // While this scope is live, any reclaim the fill triggers skips
     // page-cache victims — it could otherwise evict the pages this
     // very run just installed.
@@ -664,26 +635,20 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
         const std::size_t n = run_end - p;
         results.resize(n);
 
-        const auto allocRun = [&](std::uint64_t page0, std::size_t off,
-                                  std::size_t count) {
-            std::size_t g;
-            if (steered) {
-                g = policy.allocateFileRange(kernel_, file, page0, count,
-                                             results.data() + off);
-            } else {
-                // Unsteered policies take plain buddy pages; skip the
-                // virtual dispatch per page.
-                g = 0;
-                while (g < count) {
-                    results[off + g] = buddyAlloc(kernel_, 0, 0);
-                    if (!results[off + g].ok())
-                        break;
-                    ++g;
-                }
+        // Place pages [off, off + count) of the run, ascending,
+        // stopping at the first failure; returns how many were placed.
+        const auto allocRun = [&](std::size_t off, std::size_t count) {
+            std::size_t g = 0;
+            while (g < count) {
+                results[off + g] =
+                    policy.allocateFilePage(kernel_, file, p + off + g);
+                if (!results[off + g].ok())
+                    break;
+                ++g;
             }
             return g;
         };
-        std::size_t got = allocRun(p, 0, n);
+        std::size_t got = allocRun(0, n);
         if (got < n) {
             if (ReclaimEngine *reng = kernel_.reclaim()) {
                 // Readahead under pressure: reclaim (anon victims
@@ -691,7 +656,7 @@ FaultEngine::fillFileSpan(File &file, std::uint64_t begin,
                 // shortfall once before trimming the window.
                 reng->noteKswapdWake();
                 if (reng->directReclaim(0, n - got).freed)
-                    got += allocRun(p + got, got, n - got);
+                    got += allocRun(got, n - got);
             }
         }
         for (std::size_t i = 0; i < got; ++i) {
@@ -723,16 +688,6 @@ FaultEngine::readFile(File &file, std::uint64_t page_start,
     if (ReclaimEngine *rec = kernel_.reclaim())
         rec->checkWatermarks(0); // file fills allocate node-0 first
     const std::uint64_t req_end = page_start + n_pages;
-
-    if (!cfg_.faultBatching) {
-        for (std::uint64_t p = page_start; p < req_end; ++p) {
-            if (file.isCached(p))
-                continue;
-            if (ensureFileCached(file, p) == kInvalidPfn)
-                fatal("out of memory reading file %u", file.id());
-        }
-        return;
-    }
 
     std::uint64_t p = page_start;
     while (p < req_end) {

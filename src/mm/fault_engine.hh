@@ -13,16 +13,17 @@
  * statistics, the fault/daemon phase timers and the policy-daemon
  * clock; the Kernel shrinks to ownership and frame/metadata services.
  *
- * Besides the single-fault path, the engine has a first-class batch
- * path: handleRange() resolves a whole vpn span with one VMA lookup,
- * tick-aligned chunks of policy allocateBatch() calls, and grouped
- * PTE installs (PageTable::RunMapper). The host kernel, guest
+ * The single-fault API is the reference: one touch(), or one
+ * one-page readFile(), per page. handleRange() resolves a whole vpn
+ * span with one VMA lookup, tick-aligned chunks of policy allocate()
+ * calls and grouped PTE installs (PageTable::RunMapper); readFile()
+ * unions readahead windows into one fill per run. Both call the
+ * single fault's install and out-of-memory code, and on reclaim-off
+ * kernels (a span probes the watermarks once per chunk, not once per
+ * page) they place and account what the reference would; DESIGN.md
+ * "Fault pipeline" names the one known gap. The host kernel, guest
  * kernels (nested backing faults), the page cache (readahead fills)
- * and fork's COW sharing all go through this one pipeline; see
- * DESIGN.md "Fault pipeline" for the batching contract policies must
- * honor. `KernelConfig::faultBatching = false` degrades every batch
- * entry point to the per-fault loop, which the golden-equivalence
- * test uses to prove the two paths produce identical placements.
+ * and fork's COW sharing all go through this one pipeline.
  *
  * The engine resolves one fault at a time: policy-daemon ticks and
  * observatory samples run inline after the fault that makes them due
@@ -90,18 +91,6 @@ struct FaultStats
     Percentiles latencyUs;
 };
 
-/** One fault, as reported to experiment observers. */
-struct FaultEvent
-{
-    Process *proc = nullptr;
-    Vma *vma = nullptr;
-    Vpn vpn = 0;
-    Pfn pfn = kInvalidPfn;
-    unsigned order = 0;
-    bool cow = false;
-    bool file = false;
-};
-
 /**
  * What a caller asks the engine to resolve: a vpn span of one
  * process. `vma` is an optional hint; spans may cross VMA boundaries
@@ -139,7 +128,7 @@ struct FaultBatchStats
     std::uint64_t rangeRequests = 0; //!< handleRange() calls
     std::uint64_t rangePages = 0;    //!< pages those spans covered
     std::uint64_t chunks = 0;        //!< tick-aligned commit chunks
-    std::uint64_t batchedFaults = 0; //!< faults resolved via allocateBatch
+    std::uint64_t batchedFaults = 0; //!< faults a chunk placed in one pass
     Log2Histogram chunkPages;        //!< chunk-size distribution
     /** Pages filled per page-cache readahead batch. */
     Log2Histogram readaheadPages;
@@ -161,34 +150,26 @@ class FaultEngine
     /** The access entry point: fault / COW-resolve vpn as needed. */
     void touch(Process &proc, Gva gva, Access access);
 
-    // --- batch paths ----------------------------------------------------
+    // --- span paths -----------------------------------------------------
 
     /**
-     * Resolve every fault a walk of the span would raise. With
-     * KernelConfig::faultBatching this runs the batched pipeline
-     * (one VMA lookup, allocateBatch chunks that never cross a
-     * policy-tick boundary, grouped installs); without it, the exact
-     * per-fault loop. Placements, fault statistics and policy state
-     * are identical either way.
+     * Resolve every fault a walk of the span would raise: one VMA
+     * lookup per VMA, order-0 gaps in chunks that never cross a
+     * policy-tick boundary, grouped installs. Placements, fault
+     * statistics and policy state match one touch() per page, within
+     * the limits the file comment states.
      */
     void handleRange(const FaultRequest &span,
                      TouchNote note = TouchNote::AllPages);
 
     /**
      * read()-style page-cache population for [page_start,
-     * page_start + n_pages): batched readahead-window fills, the
-     * placement steered per batch (not per page) when the policy
-     * steers file placement. Fatal if a requested page cannot be
-     * cached.
+     * page_start + n_pages): the readahead windows the requested
+     * pages open, merged into one fill per run. Fatal if a requested
+     * page cannot be cached.
      */
     void readFile(File &file, std::uint64_t page_start,
                   std::uint64_t n_pages);
-
-    /**
-     * Ensure file_page (and its readahead window) is cached; returns
-     * its frame, or kInvalidPfn on OOM.
-     */
-    Pfn ensureFileCached(File &file, std::uint64_t file_page);
 
     /**
      * fork(): COW-share every leaf of parent's pvma into the child's
@@ -222,7 +203,6 @@ class FaultEngine
 
     FaultStats &stats() { return stats_; }
     const FaultStats &stats() const { return stats_; }
-    const FaultBatchStats &batchStats() const { return batch_; }
 
     /**
      * Register/clear the observatory sampler ticked after every
@@ -243,6 +223,12 @@ class FaultEngine
     /** Policy placement incl. direct reclaim and huge demotion. */
     void placeAnon(Process &proc, Vma &vma, FaultContext &ctx);
     /**
+     * The order-0 slow path after a failed allocation at ctx.base:
+     * reclaimRetry() on reclaim kernels, otherwise drop the clean page
+     * cache and retry once. Out of memory is fatal.
+     */
+    void recoverBaseAlloc(Process &proc, Vma &vma, FaultContext &ctx);
+    /**
      * Memory-pressure escalation for a failed allocation at (base,
      * order): wake kswapd, then up to four direct-reclaim rounds with
      * an allocation retry after each, then dropping the clean page
@@ -252,8 +238,15 @@ class FaultEngine
      */
     void reclaimRetry(Process &proc, Vma &vma, Vpn base, unsigned order,
                       AllocResult &res);
-    /** claim + PTE install + accounting for a resolved anon fault. */
-    void installAnon(Process &proc, Vma &vma, FaultContext &ctx);
+    /**
+     * claim + PTE install + accounting for a placed anon fault. A
+     * chunk passes its RunMapper for its order-0 installs.
+     */
+    void installAnon(Process &proc, Vma &vma, FaultContext &ctx,
+                     PageTable::RunMapper *mapper = nullptr);
+    /** Map a cached file page at vpn + accounting (a file fault). */
+    void installFile(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
+                     PageTable::RunMapper *mapper = nullptr);
 
     /** touch() without the entry watermark probe (range paths). */
     void touchOne(Process &proc, Gva gva, Access access);
@@ -261,32 +254,42 @@ class FaultEngine
     void anonFault(Process &proc, Vma &vma, Vpn vpn);
     void cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m);
     void fileFault(Process &proc, Vma &vma, Vpn vpn);
-    void finishFault(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
-                     unsigned order, Cycles cycles, bool cow, bool file,
+    void finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
+                     Cycles cycles, bool cow, bool file,
                      AllocFail fallback = AllocFail::None);
 
-    // --- batch internals -------------------------------------------------
+    // --- span internals --------------------------------------------------
 
-    /** Per-fault reference loop (faultBatching off / golden arm). */
-    void resolveSpanSingle(Process &proc, const FaultRequest &span,
-                           TouchNote note);
-    /** Batched resolution of [start, end) inside one VMA. */
+    /** Chunked resolution of [start, end) inside one VMA. */
     void resolveSpan(Process &proc, Vma &vma, Vpn start, Vpn end,
                      Access access, bool note_all);
     Vpn resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
                        Vpn gap_end, Vpn span_end, bool note_all);
     void resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
                         Vpn gap_end);
-    /** Allocate + install + finish the queued order-0 slots. */
+    /**
+     * Place every queued order-0 fault up to the first failure, then
+     * install them; the failing fault takes the order-0 slow path.
+     * Placements never see installs: CA's targeted reclaim reads LRU
+     * state that claimFrames() changes.
+     */
     void commitAnonChunk(Process &proc, Vma &vma,
-                         std::vector<FaultSlot> &slots);
+                         std::vector<FaultContext> &chunk);
     /** Faults remaining until the next policy tick (always >= 1). */
     std::uint64_t tickBudget() const;
 
+    // --- page cache ------------------------------------------------------
+
     /**
-     * Fill every uncached page of [begin, end) of `file`, consulting
-     * steersFilePlacement() once and allocating uncached runs through
-     * allocateFileRange(). Stops at the first allocation failure.
+     * Ensure file_page (and its readahead window) is cached; returns
+     * its frame, or kInvalidPfn on OOM.
+     */
+    Pfn ensureFileCached(File &file, std::uint64_t file_page);
+
+    /**
+     * Fill every uncached page of [begin, end) of `file` through the
+     * policy's allocateFilePage(). Stops at the first allocation
+     * failure.
      */
     void fillFileSpan(File &file, std::uint64_t begin, std::uint64_t end);
 

@@ -47,8 +47,6 @@ Kernel::Kernel(const KernelConfig &cfg,
     ri.note(p + "tick_period_faults", cfg_.tickPeriodFaults);
     ri.note(p + "page_table_levels",
             static_cast<std::uint64_t>(cfg_.pageTableLevels));
-    ri.note(p + "fault_batching", cfg_.faultBatching);
-    ri.note(p + "obs_sample_period_faults", cfg_.obsSamplePeriodFaults);
     ri.note(p + "phys.bytes_per_node", cfg_.phys.bytesPerNode);
     ri.note(p + "phys.num_nodes",
             static_cast<std::uint64_t>(cfg_.phys.numNodes));

@@ -49,19 +49,6 @@ struct KernelConfig
     /** Page-table radix depth: 4, or 5 (LA57) for huge-memory hosts. */
     unsigned pageTableLevels = kPtLevels;
     /**
-     * Resolve range touches through the FaultEngine's batched pipeline
-     * (one VMA lookup + chunked placement per span). Placements and
-     * fault statistics are identical with it off — the switch exists
-     * for the golden-equivalence test and for A/B timing.
-     */
-    bool faultBatching = true;
-    /**
-     * Observatory sampling interval, in faults. 0 leaves the cadence
-     * to whoever attaches a StateSampler (the experiment drivers);
-     * nonzero overrides it for every sampler attached to this kernel.
-     */
-    std::uint64_t obsSamplePeriodFaults = 0;
-    /**
      * MetricRegistry prefix this kernel reports under ("kernel" for
      * the host; VirtualMachine sets "guest" for its guest kernel).
      */
@@ -238,9 +225,6 @@ class Kernel
      * Linear in frames and leaves: for tests and debugging only.
      */
     std::string audit() const;
-
-    /** Observer invoked after every fault (timeline sampling). */
-    std::function<void(const FaultEvent &)> onFault;
 
     /**
      * Guest kernels: invoked whenever guest frames [pfn, pfn+2^order)

@@ -44,19 +44,6 @@ AllocationPolicy::collectFailMetrics(obs::MetricSink &sink) const
     sink.counter("fallback.oom", failCounts_.oom);
 }
 
-std::size_t
-AllocationPolicy::allocateBatch(Kernel &kernel, Process &proc, Vma &vma,
-                                FaultSlot *slots, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        slots[i].res = allocate(kernel, proc, vma, slots[i].base,
-                                slots[i].order);
-        if (!slots[i].res.ok())
-            return i;
-    }
-    return n;
-}
-
 AllocResult
 AllocationPolicy::allocateFilePage(Kernel &kernel, File &file,
                                    std::uint64_t file_page)
@@ -64,19 +51,6 @@ AllocationPolicy::allocateFilePage(Kernel &kernel, File &file,
     (void)file;
     (void)file_page;
     return buddyAlloc(kernel, 0, 0);
-}
-
-std::size_t
-AllocationPolicy::allocateFileRange(Kernel &kernel, File &file,
-                                    std::uint64_t first_page,
-                                    std::size_t n, AllocResult *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = allocateFilePage(kernel, file, first_page + i);
-        if (!out[i].ok())
-            return i;
-    }
-    return n;
 }
 
 AllocResult

@@ -75,17 +75,6 @@ struct AllocFailCounts
 };
 
 /**
- * One fault of a batched range resolution: the engine fills base/order
- * (granularity stage), the policy fills res (placement stage).
- */
-struct FaultSlot
-{
-    Vpn base = 0;
-    unsigned order = 0;
-    AllocResult res;
-};
-
-/**
  * Physical-placement policy for demand paging. Implementations must
  * return blocks obtained from kernel.physMem() so the buddy/contiguity
  * bookkeeping stays consistent.
@@ -114,39 +103,12 @@ class AllocationPolicy
                                  Vpn vpn, unsigned order) = 0;
 
     /**
-     * Batched placement: fill slots[0..n) in ascending order, stopping
-     * at the first failure. Returns the number of slots filled; when
-     * the return value k < n, slots[k].res carries the failing result
-     * and the FaultEngine runs its per-fault failure machinery
-     * (reclaim, huge demotion) for that slot before resuming.
-     *
-     * The default loops allocate(). See DESIGN.md "Fault pipeline —
-     * the batching contract" for what implementations may assume about
-     * engine state between the batch call and the installs.
-     */
-    virtual std::size_t allocateBatch(Kernel &kernel, Process &proc,
-                                      Vma &vma, FaultSlot *slots,
-                                      std::size_t n);
-
-    /**
      * Allocate one page-cache frame for page `file_page` of a file
-     * (readahead batches call this repeatedly with ascending pages).
-     * Consulted only when steersFilePlacement() is true; otherwise the
-     * FaultEngine bulk-fills from the buddy allocator exactly as the
-     * default implementation here would.
+     * (readahead fills call this with ascending pages). The default
+     * takes a plain buddy page on node 0.
      */
     virtual AllocResult allocateFilePage(Kernel &kernel, File &file,
                                          std::uint64_t file_page);
-
-    /**
-     * Batched page-cache placement for the contiguous uncached run
-     * [first_page, first_page + n): fill out[0..n) ascending, stopping
-     * at the first failure. Returns the number of pages placed. The
-     * default loops allocateFilePage().
-     */
-    virtual std::size_t allocateFileRange(Kernel &kernel, File &file,
-                                          std::uint64_t first_page,
-                                          std::size_t n, AllocResult *out);
 
     /**
      * Called after the PTE for a fresh allocation is installed; CA

@@ -14,8 +14,8 @@
  * a Log2Histogram of its cycle distribution; a bounded reservoir of
  * exemplar events links hot outliers back to --trace streams.
  *
- * Gating: AttribRegistry::enabled() is a process-wide switch flipped by BenchOutput (--attrib /
- * CONTIG_ATTRIB) before any simulator exists. When off, no
+ * Gating: AttribRegistry::enabled() is a process-wide switch flipped
+ * by BenchOutput (--attrib) before any simulator exists. When off, no
  * attribution object is ever allocated and hot paths pay exactly one
  * nullable-pointer branch per event site (ratio-gated by
  * micro_obs_overhead's BM_AttribOff row). When on, each

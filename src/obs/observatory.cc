@@ -31,8 +31,6 @@ StateSampler::attachKernel(Kernel &kernel)
 {
     contig_assert(!engineAttached_, "sampler already attached");
     kernel_ = &kernel;
-    if (kernel.config().obsSamplePeriodFaults != 0)
-        periodFaults_ = kernel.config().obsSamplePeriodFaults;
     kernel.faultEngine().setSampler(this);
     engineAttached_ = true;
 }

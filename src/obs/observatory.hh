@@ -6,8 +6,8 @@
  * (obs/snapshot.hh) of allocator fragmentation, contiguity-map
  * cluster CDFs, per-VMA offset runs, coverage and translation
  * counters, optionally streaming delta-encoded JSONL records into
- * the process-wide TimelineSink (`--timeline FILE` /
- * CONTIG_TIMELINE_OUT via core/bench_io).
+ * the process-wide TimelineSink (`--timeline FILE` via
+ * core/bench_io).
  *
  * Cost model: a detached sampler costs the fault path exactly one
  * branch on a null pointer; an attached sampler with a large period
@@ -52,8 +52,6 @@ struct SamplerConfig
     /**
      * Capture every this-many faults once attached to a kernel.
      * 0 = never from the fault path; only explicit sampleNow().
-     * KernelConfig::obsSamplePeriodFaults, when set, overrides this
-     * at attachKernel() time.
      */
     std::uint64_t periodFaults = 0;
     /**
@@ -176,7 +174,7 @@ class StateSampler
 
 /**
  * The process-wide JSONL timeline file. BenchOutput opens it from
- * `--timeline FILE` / CONTIG_TIMELINE_OUT; every StateSampler whose
+ * `--timeline FILE`; every StateSampler whose
  * lifetime overlaps streams its records into it under a fresh
  * stream id.
  */

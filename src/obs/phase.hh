@@ -76,11 +76,9 @@ class ScopedPhase
         phase_.wallUs().add(static_cast<double>(dur_ns) / 1000.0);
         if (simCycles_)
             phase_.cycles().add(static_cast<double>(sim));
-#if CONTIG_TRACING
         TraceSink &sink = TraceSink::global();
         if (sink.wants(kCatPhase))
             sink.recordSpan(phase_.name(), t0_, dur_ns, sim);
-#endif
     }
 
     ScopedPhase(const ScopedPhase &) = delete;

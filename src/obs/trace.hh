@@ -5,13 +5,10 @@
  * misses, SpOT outcomes, nested walks, daemon ticks, phase spans)
  * with Chrome trace_event JSON and JSONL exporters.
  *
- * Cost model:
- *  - compile-time: building with -DCONTIG_TRACING=0 compiles every
- *    CONTIG_TRACE() to nothing;
- *  - runtime: with tracing compiled in (the default), a disabled
- *    category costs exactly one predictable branch on a cached mask
- *    load (verified by bench/micro_obs_overhead.cc). Only enabled
- *    events pay for a clock read and a ring-buffer store.
+ * Cost model: every CONTIG_TRACE() site is compiled in, and a
+ * disabled category costs exactly one predictable branch on a cached
+ * mask load (verified by bench/micro_obs_overhead.cc). Only enabled
+ * events pay for a clock read and a ring-buffer store.
  *
  * Open exported traces in chrome://tracing or https://ui.perfetto.dev.
  */
@@ -24,10 +21,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef CONTIG_TRACING
-#define CONTIG_TRACING 1
-#endif
 
 namespace contig
 {
@@ -225,10 +218,9 @@ TraceSink::global()
 /**
  * The instrumentation macro. Usage:
  *   CONTIG_TRACE(obs::TraceEventKind::PageFault, vpn, pfn, order);
- * Compiles away entirely under -DCONTIG_TRACING=0; otherwise costs a
- * single branch per call site while the category is masked off.
+ * Costs a single branch per call site while the category is masked
+ * off.
  */
-#if CONTIG_TRACING
 #define CONTIG_TRACE(kind, ...)                                           \
     do {                                                                  \
         ::contig::obs::TraceSink &sink_ =                                 \
@@ -236,8 +228,5 @@ TraceSink::global()
         if (sink_.wants(::contig::obs::traceCategoryOf(kind)))            \
             sink_.record((kind)__VA_OPT__(, ) __VA_ARGS__);               \
     } while (0)
-#else
-#define CONTIG_TRACE(kind, ...) ((void)0)
-#endif
 
 #endif // CONTIG_OBS_TRACE_HH

@@ -187,8 +187,6 @@ CaPagingPolicy::onMapped(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn,
 {
     (void)kernel;
     (void)vma;
-    if (!cfg_.markContigBits)
-        return;
 
     PageTable &pt = proc.pageTable();
     const std::int64_t offset =

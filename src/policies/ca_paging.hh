@@ -40,8 +40,6 @@ struct CaPagingConfig
      * contiguity bit (the paper empirically uses 32).
      */
     std::uint64_t markThresholdPages = 32;
-    /** Maintain PTE contiguity bits at all (off for pure-SW studies). */
-    bool markContigBits = true;
     /** Modelled cost of one contiguity-map scan step. */
     Cycles cyclesPerScanStep = 25;
     /** Modelled fixed cost of one placement decision. */

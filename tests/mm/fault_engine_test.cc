@@ -1,15 +1,17 @@
 /**
  * @file
- * FaultEngine tests: the new PageTable batch primitives, and the
+ * FaultEngine tests: the PageTable batch primitives, and the
  * golden-equivalence property — for every policy, with and without
- * THP, sorted and scrambled touch orders, the batched range pipeline
- * (KernelConfig::faultBatching = true) must produce byte-identical
- * placements, fault statistics and policy fallback counts to the
- * seed's per-fault loop (faultBatching = false).
+ * THP, sorted and scrambled touch orders, a kernel driven by spans
+ * (touchRange(), multi-page readFile()) must produce byte-identical
+ * placements, fault statistics and policy fallback counts to a
+ * kernel of the same config driven by one touch() or one one-page
+ * readFile() per page.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -94,7 +96,7 @@ TEST(PageTable, RunMapperFiresUpdateHook)
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: batched vs per-fault resolution.
+// Golden equivalence: span vs per-page resolution.
 
 namespace
 {
@@ -117,6 +119,7 @@ struct Snapshot
     std::uint64_t parentAllocated = 0;
     std::uint64_t noHugeBlock = 0;
     std::uint64_t oom = 0;
+    std::uint64_t directReclaims = 0;
     std::vector<Pfn> fileFrames;
 };
 
@@ -143,6 +146,65 @@ scramble(std::vector<std::uint64_t> &v)
 }
 
 /**
+ * How an arm feeds its kernel: by spans (touchRange(), one multi-page
+ * readFile()) or page by page (one touch(), one one-page readFile()
+ * per page).
+ */
+struct Arm
+{
+    bool spans = true;
+
+    void
+    touch(Process &p, Gva start, std::uint64_t bytes,
+          Access access = Access::Write) const
+    {
+        if (spans) {
+            p.touchRange(start, bytes, access);
+            return;
+        }
+        for (std::uint64_t off = 0; off < bytes; off += kPageSize)
+            p.touch(start + off, access);
+    }
+
+    void
+    read(Kernel &k, File &f, std::uint64_t first, std::uint64_t n) const
+    {
+        if (spans) {
+            k.readFile(f, first, n);
+            return;
+        }
+        for (std::uint64_t pg = first; pg < first + n; ++pg)
+            k.readFile(f, pg, 1);
+    }
+};
+
+/** Everything the Snapshot records, read off a finished run. */
+Snapshot
+capture(Kernel &k, const Process &p, const Process *child, const File &f)
+{
+    Snapshot snap;
+    snap.parentLeaves = collectLeaves(p);
+    if (child)
+        snap.childLeaves = collectLeaves(*child);
+    const FaultStats &fs = k.faultStats();
+    snap.faults = fs.faults;
+    snap.hugeFaults = fs.hugeFaults;
+    snap.baseFaults = fs.baseFaults;
+    snap.cowFaults = fs.cowFaults;
+    snap.fileFaults = fs.fileFaults;
+    snap.totalCycles = fs.totalCycles;
+    snap.latencySamples = fs.latencyUs.count();
+    snap.parentTouched = p.touchedPages();
+    snap.parentAllocated = p.allocatedPages();
+    snap.noHugeBlock = k.policy().allocFailCounts().noHugeBlock;
+    snap.oom = k.policy().allocFailCounts().oom;
+    snap.directReclaims = k.counters().get("reclaim.direct");
+    for (std::uint64_t pg = 0; pg < f.sizePages(); ++pg)
+        snap.fileFrames.push_back(f.frameFor(pg));
+    return snap;
+}
+
+/**
  * One fixed workload hitting every pipeline path: partial then full
  * anonymous population (gap/mapped alternation), a sub-huge VMA
  * (order-0 batching), fork + COW writes on both sides, page-cache
@@ -150,7 +212,7 @@ scramble(std::vector<std::uint64_t> &v)
  * touchRange.
  */
 Snapshot
-runScenario(Kernel &k, bool scrambled)
+runScenario(Kernel &k, const Arm &arm, bool scrambled)
 {
     constexpr std::uint64_t kSpanPages = 64;
     Process &p = k.createProcess("golden");
@@ -164,65 +226,85 @@ runScenario(Kernel &k, bool scrambled)
     // First pass: every other span, leaving holes.
     for (std::uint64_t s : spans) {
         if (s % 2 == 0)
-            p.touchRange(anon.start() + s * kSpanPages * kPageSize,
-                         kSpanPages * kPageSize);
+            arm.touch(p, anon.start() + s * kSpanPages * kPageSize,
+                      kSpanPages * kPageSize);
     }
     // Second pass: the whole VMA (alternating mapped/unmapped gaps).
-    p.touchRange(anon.start(), anon.bytes());
+    arm.touch(p, anon.start(), anon.bytes());
 
-    // A VMA too small for huge faults: pure order-0 batches.
+    // A VMA too small for huge faults: pure order-0 chunks.
     Vma &small = p.mmap(100 * kPageSize);
-    p.touchRange(small.start(), small.bytes());
+    arm.touch(p, small.start(), small.bytes());
 
     // fork + COW traffic on both sides of the share.
     Process &child = p.fork("golden-child");
-    child.touchRange(anon.start(), kHugeSize + 16 * kPageSize);
-    p.touchRange(anon.start() + 2 * kHugeSize, 32 * kPageSize);
+    arm.touch(child, anon.start(), kHugeSize + 16 * kPageSize);
+    arm.touch(p, anon.start() + 2 * kHugeSize, 32 * kPageSize);
 
     // Page cache: overlapping read windows, then a mapped file span.
     File &f = k.createFile(600);
-    k.readFile(f, 3, 40);
-    k.readFile(f, 10, 100);
+    arm.read(k, f, 3, 40);
+    arm.read(k, f, 10, 100);
     Vma &fv = p.mmapFile(f.id(), 128 * kPageSize, 200);
-    p.touchRange(fv.start(), fv.bytes(), Access::Read);
+    arm.touch(p, fv.start(), fv.bytes(), Access::Read);
 
-    Snapshot snap;
-    snap.parentLeaves = collectLeaves(p);
-    snap.childLeaves = collectLeaves(child);
-    const FaultStats &fs = k.faultStats();
-    snap.faults = fs.faults;
-    snap.hugeFaults = fs.hugeFaults;
-    snap.baseFaults = fs.baseFaults;
-    snap.cowFaults = fs.cowFaults;
-    snap.fileFaults = fs.fileFaults;
-    snap.totalCycles = fs.totalCycles;
-    snap.latencySamples = fs.latencyUs.count();
-    snap.parentTouched = p.touchedPages();
-    snap.parentAllocated = p.allocatedPages();
-    snap.noHugeBlock = k.policy().allocFailCounts().noHugeBlock;
-    snap.oom = k.policy().allocFailCounts().oom;
-    for (std::uint64_t pg = 0; pg < f.sizePages(); ++pg)
-        snap.fileFrames.push_back(f.frameFor(pg));
-    return snap;
+    return capture(k, p, &child, f);
+}
+
+/**
+ * Memory runs out mid-span: page cache fills about 3/4 of the node,
+ * then an anonymous VMA half the node's size is touched. With THP off
+ * an order-0 chunk's placement fails part-way and the slow path drops
+ * the cache (one "reclaim.direct") before the chunk resumes.
+ */
+Snapshot
+runOomScenario(Kernel &k, const Arm &arm)
+{
+    const std::uint64_t node_pages = k.config().phys.bytesPerNode / kPageSize;
+    File &f = k.createFile(node_pages * 3 / 4);
+    arm.read(k, f, 0, f.sizePages());
+    Process &p = k.createProcess("golden-oom");
+    Vma &anon = p.mmap(node_pages / 2 * kPageSize);
+    arm.touch(p, anon.start(), anon.bytes());
+    return capture(k, p, nullptr, f);
 }
 
 void
-expectIdentical(const Snapshot &batched, const Snapshot &single)
+expectIdentical(const Snapshot &spans, const Snapshot &pages)
 {
-    EXPECT_EQ(batched.parentLeaves, single.parentLeaves);
-    EXPECT_EQ(batched.childLeaves, single.childLeaves);
-    EXPECT_EQ(batched.faults, single.faults);
-    EXPECT_EQ(batched.hugeFaults, single.hugeFaults);
-    EXPECT_EQ(batched.baseFaults, single.baseFaults);
-    EXPECT_EQ(batched.cowFaults, single.cowFaults);
-    EXPECT_EQ(batched.fileFaults, single.fileFaults);
-    EXPECT_EQ(batched.totalCycles, single.totalCycles);
-    EXPECT_EQ(batched.latencySamples, single.latencySamples);
-    EXPECT_EQ(batched.parentTouched, single.parentTouched);
-    EXPECT_EQ(batched.parentAllocated, single.parentAllocated);
-    EXPECT_EQ(batched.noHugeBlock, single.noHugeBlock);
-    EXPECT_EQ(batched.oom, single.oom);
-    EXPECT_EQ(batched.fileFrames, single.fileFrames);
+    EXPECT_EQ(spans.parentLeaves, pages.parentLeaves);
+    EXPECT_EQ(spans.childLeaves, pages.childLeaves);
+    EXPECT_EQ(spans.faults, pages.faults);
+    EXPECT_EQ(spans.hugeFaults, pages.hugeFaults);
+    EXPECT_EQ(spans.baseFaults, pages.baseFaults);
+    EXPECT_EQ(spans.cowFaults, pages.cowFaults);
+    EXPECT_EQ(spans.fileFaults, pages.fileFaults);
+    EXPECT_EQ(spans.totalCycles, pages.totalCycles);
+    EXPECT_EQ(spans.latencySamples, pages.latencySamples);
+    EXPECT_EQ(spans.parentTouched, pages.parentTouched);
+    EXPECT_EQ(spans.parentAllocated, pages.parentAllocated);
+    EXPECT_EQ(spans.noHugeBlock, pages.noHugeBlock);
+    EXPECT_EQ(spans.oom, pages.oom);
+    EXPECT_EQ(spans.directReclaims, pages.directReclaims);
+    EXPECT_EQ(spans.fileFrames, pages.fileFrames);
+}
+
+/**
+ * One single-node kernel per arm; both arms get the same config.
+ * Eager raises MAX_ORDER to 1 GiB blocks, so its node must stay a
+ * multiple of the top-order block.
+ */
+std::unique_ptr<Kernel>
+makeGoldenKernel(PolicyKind kind, bool thp, const char *prefix,
+                 std::uint64_t node_bytes = 256ull << 20)
+{
+    KernelConfig cfg = kernelConfigFor(kind);
+    cfg.phys.bytesPerNode =
+        kind == PolicyKind::Eager ? (1ull << 30) : node_bytes;
+    cfg.phys.numNodes = 1;
+    cfg.thpEnabled = thp && kind != PolicyKind::Base4k;
+    cfg.metricsPrefix = prefix;
+    return std::make_unique<Kernel>(cfg, makePolicy(kind));
 }
 
 class FaultEngineGolden : public ::testing::TestWithParam<PolicyKind>
@@ -238,24 +320,34 @@ TEST_P(FaultEngineGolden, BatchedMatchesPerFault)
         for (bool scrambled : {false, true}) {
             SCOPED_TRACE(policyName(kind) + (thp ? "/thp" : "/4k") +
                          (scrambled ? "/scrambled" : "/sorted"));
-            auto make = [&](bool batching) {
-                KernelConfig cfg = kernelConfigFor(kind);
-                // Eager raises MAX_ORDER to 1 GiB blocks; the node
-                // must stay a multiple of the top-order block.
-                cfg.phys.bytesPerNode = kind == PolicyKind::Eager
-                                            ? (1ull << 30)
-                                            : (256ull << 20);
-                cfg.phys.numNodes = 1;
-                cfg.thpEnabled = thp && kind != PolicyKind::Base4k;
-                cfg.faultBatching = batching;
-                cfg.metricsPrefix = batching ? "golden_b" : "golden_s";
-                return std::make_unique<Kernel>(cfg, makePolicy(kind));
-            };
-            auto kb = make(true);
-            auto ks = make(false);
-            expectIdentical(runScenario(*kb, scrambled),
-                            runScenario(*ks, scrambled));
+            auto kspan = makeGoldenKernel(kind, thp, "golden_span");
+            auto kpage = makeGoldenKernel(kind, thp, "golden_page");
+            expectIdentical(runScenario(*kspan, Arm{true}, scrambled),
+                            runScenario(*kpage, Arm{false}, scrambled));
         }
+    }
+}
+
+TEST_P(FaultEngineGolden, OutOfMemoryMatchesPerFault)
+{
+    const PolicyKind kind = GetParam();
+    if (kind == PolicyKind::Eager)
+        GTEST_SKIP() << "eager pre-allocates at mmap time, which does "
+                        "not drop the page cache";
+    // A 32 MiB node keeps the anonymous VMA (4 K pages) inside the
+    // page-table pool's first 64-frame refill (see
+    // MidChunkPoolRefillDivergesFromPerPage for longer spans) and CA's
+    // per-fault run rescans cheap.
+    constexpr std::uint64_t kNodeBytes = 32ull << 20;
+    for (bool thp : {false, true}) {
+        SCOPED_TRACE(policyName(kind) + (thp ? "/thp" : "/4k"));
+        auto kspan =
+            makeGoldenKernel(kind, thp, "golden_oom_span", kNodeBytes);
+        auto kpage =
+            makeGoldenKernel(kind, thp, "golden_oom_page", kNodeBytes);
+        const Snapshot spans = runOomScenario(*kspan, Arm{true});
+        EXPECT_EQ(spans.directReclaims, 1u);
+        expectIdentical(spans, runOomScenario(*kpage, Arm{false}));
     }
 }
 
@@ -271,3 +363,30 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+// Known gap: a chunk places all of its pages before it installs any,
+// so a page-table pool refill (a 64-page buddy block) that one touch()
+// per page would take between two data pages is taken after the whole
+// chunk's placements instead, and the pages after it land elsewhere.
+// A fresh process first refills about 31 K pages into a 4 KiB span.
+// This pins that the arms still diverge there; when the chunk path
+// ends its placement run at an install that refills the pool, make
+// it expect equality (the goldens will move with it).
+TEST(FaultEngineSpans, MidChunkPoolRefillDivergesFromPerPage)
+{
+    auto kspan = makeGoldenKernel(PolicyKind::Thp, false, "refill_span");
+    auto kpage = makeGoldenKernel(PolicyKind::Thp, false, "refill_page");
+    std::vector<Leaf> leaves[2];
+    for (int i = 0; i < 2; ++i) {
+        Kernel &k = i == 0 ? *kspan : *kpage;
+        Process &p = k.createProcess("refill");
+        Vma &anon = p.mmap(32768 * kPageSize);
+        Arm{i == 0}.touch(p, anon.start(), anon.bytes());
+        leaves[i] = collectLeaves(p);
+    }
+    ASSERT_EQ(leaves[0].size(), leaves[1].size());
+    const auto diverged = std::mismatch(leaves[0].begin(), leaves[0].end(),
+                                        leaves[1].begin());
+    ASSERT_NE(diverged.first, leaves[0].end());
+    EXPECT_GT(diverged.first - leaves[0].begin(), 30000);
+}

@@ -198,22 +198,6 @@ TEST(Kernel, FaultLatencyRecorded)
     EXPECT_GT(lat, base_us);
 }
 
-TEST(Kernel, OnFaultObserverFires)
-{
-    auto k = makeKernel(true);
-    int events = 0;
-    Vpn last_vpn = 0;
-    k->onFault = [&](const FaultEvent &ev) {
-        ++events;
-        last_vpn = ev.vpn;
-    };
-    Process &p = k->createProcess("t");
-    Vma &vma = p.mmap(kHugeSize);
-    p.touch(vma.start() + 5 * kPageSize);
-    EXPECT_EQ(events, 1);
-    EXPECT_EQ(last_vpn, vma.start().pageNumber()); // huge-aligned base
-}
-
 TEST(Kernel, BackingHookFires)
 {
     auto k = makeKernel(true);

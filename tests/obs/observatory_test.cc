@@ -240,19 +240,6 @@ TEST(StateSampler, PeriodicFaultDrivenCapture)
     EXPECT_EQ(manual.faults, 17u);
 }
 
-TEST(StateSampler, KernelKnobOverridesPeriod)
-{
-    KernelConfig kcfg = smallConfig();
-    kcfg.obsSamplePeriodFaults = 2;
-    Kernel kernel(kcfg, std::make_unique<DefaultThpPolicy>());
-
-    SamplerConfig cfg;
-    cfg.periodFaults = 1000;
-    StateSampler sampler(cfg);
-    sampler.attachKernel(kernel);
-    EXPECT_EQ(sampler.periodFaults(), 2u);
-}
-
 TEST(StateSampler, KernellessSampleAtUsesExplicitTick)
 {
     StateSampler sampler;
