@@ -104,21 +104,17 @@ python3 "$root/scripts/check_bench_json.py" --expect-attrib \
     --a-xlat base_2d --b-xlat spot_2d --gate \
     | tee "$root/BENCH_contig_report_ca_vs_spot.txt"
 # Off means off: without the switch the same binary must emit no
-# attribution section and stay deterministic run-to-run — and the
-# golden ctests above already pin the attrib-off output to the
-# committed pre-attribution goldens byte-for-byte.
+# attribution section — and the golden ctests above already pin the
+# attrib-off output to the committed pre-attribution goldens
+# byte-for-byte.
 "$bench/fig14_spot_breakdown" --json "$root/BENCH_fig14_plain.json"
-CONTIG_ATTRIB=0 "$bench/fig14_spot_breakdown" \
-    --json "$out/fig14_plain_env0.json"
-python3 - "$root/BENCH_fig14_plain.json" "$out/fig14_plain_env0.json" \
-    <<'PYEOF'
+python3 - "$root/BENCH_fig14_plain.json" <<'PYEOF'
 import json, sys
-a, b = (json.load(open(p)) for p in sys.argv[1:3])
-assert "attribution" not in a and "attribution" not in b, \
+a = json.load(open(sys.argv[1]))
+assert "attribution" not in a, \
     "attribution section leaked into an attrib-off run"
-assert not a["config"].get("attrib") and not b["config"].get("attrib")
+assert not a["config"].get("attrib")
 PYEOF
-rm -f "$out/fig14_plain_env0.json"
 
 # Regression gate: the fig09 rows/metrics must match the committed
 # baseline within contig_inspect's per-metric tolerances.
