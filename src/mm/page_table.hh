@@ -170,10 +170,13 @@ class PageTable
 
     /**
      * Mapping-change epoch: bumped by every leaf mutation (map,
-     * unmap, setContigBit, setWritable, RunMapper installs). Software
-     * walk memos key their entries on this counter so any change to
-     * the table — guest or nested — invalidates cached traversals
-     * without a flush broadcast. Monotonic.
+     * unmap, setContigBit, setWritable, RunMapper installs). Two
+     * readers rely on that. Software walk memos key their entries on
+     * this counter so any change to the table — guest or nested —
+     * invalidates cached traversals without a flush broadcast. CA
+     * paging's contiguity-bit marking reuses the run it computed on
+     * the previous fault only when the table is exactly one epoch
+     * past it (that fault's own map). Monotonic.
      */
     std::uint64_t generation() const
     { return generation_; }

@@ -194,9 +194,15 @@ CaPagingPolicy::onMapped(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn,
     const std::uint64_t new_pages = pagesInOrder(order);
 
     // Compute the contiguous run [run_start, run_end) around the new
-    // mapping by walking neighbouring leaves while offsets match.
-    Vpn run_start = vpn;
-    while (run_start > 0) {
+    // mapping. When this leaf extends the run the previous call
+    // recorded and this leaf's map is the table's only change since,
+    // that run's start still bounds it; otherwise walk neighbouring
+    // leaves backwards while offsets match.
+    const bool extends = lastRun_ && lastRun_->pid == proc.pid() &&
+                         pt.generation() == lastRun_->generation + 1 &&
+                         lastRun_->offset == offset && lastRun_->end == vpn;
+    Vpn run_start = extends ? lastRun_->start : vpn;
+    while (!extends && run_start > 0) {
         auto m = pt.lookup(run_start - 1);
         if (!m || !m->valid())
             break;
@@ -219,19 +225,24 @@ CaPagingPolicy::onMapped(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn,
         run_end += pagesInOrder(m->order);
     }
 
-    if (run_end - run_start < cfg_.markThresholdPages)
-        return;
-
-    // Mark every leaf of the run whose bit is not yet set.
-    for (Vpn v = run_start; v < run_end;) {
-        auto m = pt.lookup(v);
-        contig_assert(m && m->valid(), "hole inside a contiguous run");
-        if (!m->contigBit) {
-            pt.setContigBit(v, true);
-            ++stats_.markedPtes;
+    const bool mark = run_end - run_start >= cfg_.markThresholdPages;
+    if (mark) {
+        // Mark every leaf of the run whose bit is not yet set. Every
+        // leaf before this one is already marked if the extended run
+        // was.
+        const Vpn first = extends && lastRun_->marked ? vpn : run_start;
+        for (Vpn v = first; v < run_end;) {
+            auto m = pt.lookup(v);
+            contig_assert(m && m->valid(), "hole inside a contiguous run");
+            if (!m->contigBit) {
+                pt.setContigBit(v, true);
+                ++stats_.markedPtes;
+            }
+            v += pagesInOrder(m->order);
         }
-        v += pagesInOrder(m->order);
     }
+    lastRun_ = RunRecord{proc.pid(), pt.generation(), offset, run_start,
+                         run_end, mark};
 }
 
 void

@@ -18,13 +18,23 @@
  *    Offset per file;
  *  - after each successful allocation the policy maintains the PTE
  *    contiguity bits that gate SpOT's prediction-table fills
- *    (§IV-C "Preventing thrashing").
+ *    (§IV-C "Preventing thrashing"): onMapped() computes the maximal
+ *    same-Offset run of leaves around the new one and, once that run
+ *    spans markThresholdPages, sets the bit on each of its unmarked
+ *    leaves. The run is found by scanning neighbouring leaves both
+ *    ways, except when the fault extends the run the previous call
+ *    computed and nothing else has touched the page table since (its
+ *    generation() moved by exactly this leaf's map): then the
+ *    recorded start stands, and a marked run is marked only from the
+ *    new leaf onward — O(1) lookups per fault of an ascending
+ *    fault-in instead of a rescan of the whole run.
  */
 
 #ifndef CONTIG_POLICIES_CA_PAGING_HH
 #define CONTIG_POLICIES_CA_PAGING_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "mm/policy.hh"
 #include "mm/process.hh"
@@ -115,7 +125,26 @@ class CaPagingPolicy : public AllocationPolicy
     CaPagingStats stats_;
 
   private:
+    /**
+     * The last maximal same-Offset run onMapped() computed, keyed by
+     * process (pids are never reused within a kernel) and by the page
+     * table's generation() after that call's marks. Every leaf
+     * mutation bumps the generation, so a table exactly one past it
+     * has changed only by the next fault's own map: the run's
+     * backward boundary and its marks are as recorded.
+     */
+    struct RunRecord
+    {
+        std::uint32_t pid = 0;
+        std::uint64_t generation = 0;
+        std::int64_t offset = 0;
+        Vpn start = 0;
+        Vpn end = 0;         //!< one past the run's last page
+        bool marked = false; //!< every leaf of [start, end) is marked
+    };
+
     CaPagingConfig cfg_;
+    std::optional<RunRecord> lastRun_;
 };
 
 } // namespace contig

@@ -20,7 +20,9 @@
  * time and are dead the moment it moves. Every leaf mutation (map,
  * unmap, setContigBit, setWritable, RunMapper installs) bumps the
  * generation, so guest *and* nested mapping changes invalidate
- * without any flush broadcast into the walkers.
+ * without any flush broadcast into the walkers. The memo is one of
+ * two readers of that epoch: CaPagingPolicy::onMapped() also keys its
+ * last contiguity-bit run on it.
  */
 
 #ifndef CONTIG_TLB_WALK_MEMO_HH

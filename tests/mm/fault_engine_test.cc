@@ -336,8 +336,7 @@ TEST_P(FaultEngineGolden, OutOfMemoryMatchesPerFault)
                         "not drop the page cache";
     // A 32 MiB node keeps the anonymous VMA (4 K pages) inside the
     // page-table pool's first 64-frame refill (see
-    // MidChunkPoolRefillDivergesFromPerPage for longer spans) and CA's
-    // per-fault run rescans cheap.
+    // MidChunkPoolRefillDivergesFromPerPage for longer spans).
     constexpr std::uint64_t kNodeBytes = 32ull << 20;
     for (bool thp : {false, true}) {
         SCOPED_TRACE(policyName(kind) + (thp ? "/thp" : "/4k"));

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "base/rng.hh"
 #include "mm/kernel.hh"
+#include "mm/migrate.hh"
 #include "policies/ca_paging.hh"
 
 using namespace contig;
@@ -53,6 +58,83 @@ largestContiguousRun(const Process &proc)
         best = std::max(best, cur);
     });
     return best;
+}
+
+/**
+ * Reference for the contiguity-bit marking: on every new leaf, scan
+ * the same-Offset run around it both ways and mark each unmarked leaf
+ * once the run reaches the threshold.
+ */
+class RescanCaPolicy : public CaPagingPolicy
+{
+  public:
+    using CaPagingPolicy::CaPagingPolicy;
+
+    void
+    onMapped(Kernel &kernel, Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
+             unsigned order) override
+    {
+        (void)kernel;
+        (void)vma;
+        PageTable &pt = proc.pageTable();
+        const std::int64_t offset =
+            static_cast<std::int64_t>(vpn) - static_cast<std::int64_t>(pfn);
+        const auto offsetOf = [](Vpn base, const Mapping &m) {
+            return static_cast<std::int64_t>(base) -
+                   static_cast<std::int64_t>(m.pfn);
+        };
+        Vpn run_start = vpn;
+        while (run_start > 0) {
+            auto m = pt.lookup(run_start - 1);
+            if (!m)
+                break;
+            const Vpn base = (run_start - 1) & ~(pagesInOrder(m->order) - 1);
+            if (offsetOf(base, *m) != offset)
+                break;
+            run_start = base;
+        }
+        Vpn run_end = vpn + pagesInOrder(order);
+        for (auto m = pt.lookup(run_end); m && offsetOf(run_end, *m) == offset;
+             m = pt.lookup(run_end))
+            run_end += pagesInOrder(m->order);
+        if (run_end - run_start < config().markThresholdPages)
+            return;
+        for (Vpn v = run_start; v < run_end;) {
+            auto m = pt.lookup(v);
+            if (!m->contigBit) {
+                pt.setContigBit(v, true);
+                ++stats_.markedPtes;
+            }
+            v += pagesInOrder(m->order);
+        }
+    }
+};
+
+/** Huge-aligned start of a region well above the mmap cursor. */
+constexpr Addr kFarBase = Addr{0x7700} << 32;
+
+Vma &
+mmapAt(Process &p, std::uint64_t page, std::uint64_t pages)
+{
+    return p.addressSpace().mmap(pages * kPageSize, VmaKind::Anon,
+                                 Gva{kFarBase + page * kPageSize});
+}
+
+Gva
+pageAt(const Vma &vma, std::uint64_t page)
+{
+    return vma.start() + page * kPageSize;
+}
+
+/** Every leaf of a process as (vpn, pfn, order, contigBit). */
+std::vector<std::tuple<Vpn, Pfn, unsigned, bool>>
+leaves(const Process &p)
+{
+    std::vector<std::tuple<Vpn, Pfn, unsigned, bool>> out;
+    p.pageTable().forEachLeaf([&](Vpn vpn, const Mapping &m) {
+        out.emplace_back(vpn, m.pfn, m.order, m.contigBit);
+    });
+    return out;
 }
 
 } // namespace
@@ -308,4 +390,126 @@ TEST_F(CaTest, SpillsToRemoteNodeWhenHomeExhausted)
     ASSERT_TRUE(m);
     EXPECT_EQ(pm.zoneOf(m->pfn).node(), 1u);
     EXPECT_EQ(largestContiguousRun(p), 8u * 512);
+}
+
+TEST_F(CaTest, RunMarksMatchRescanReference)
+{
+    // Two identical kernels see the same inputs; one marks through
+    // CaPagingPolicy::onMapped, the other through the full two-way
+    // rescan. Every leaf and the marked-PTE count must agree after
+    // each phase, for thresholds of 1, the paper's 32 and 600 (more
+    // than a huge page's 512), with THP off (4 KiB runs only) and on
+    // (huge leaves joining 4 KiB runs).
+    struct Rig
+    {
+        CaPagingPolicy *ca = nullptr;
+        std::unique_ptr<Kernel> k;
+        std::vector<Process *> procs;
+        std::vector<Vma *> vmas;
+    };
+    for (const bool thp : {false, true}) {
+        for (const std::uint64_t threshold : {1u, 32u, 600u}) {
+            SCOPED_TRACE(testing::Message() << "thp " << thp
+                                            << " threshold " << threshold);
+            KernelConfig cfg = smallConfig();
+            cfg.thpEnabled = thp;
+            CaPagingConfig ccfg;
+            ccfg.markThresholdPages = threshold;
+            const auto make_rig = [&](bool rescan) {
+                Rig r;
+                std::unique_ptr<CaPagingPolicy> policy;
+                if (rescan)
+                    policy = std::make_unique<RescanCaPolicy>(ccfg);
+                else
+                    policy = std::make_unique<CaPagingPolicy>(ccfg);
+                r.ca = policy.get();
+                r.k = std::make_unique<Kernel>(cfg, std::move(policy));
+                Process &a = r.k->createProcess("a");
+                Process &b = r.k->createProcess("b");
+                r.procs = {&a, &b};
+                // vmas[0]: 40 head pages, one huge region, 400 tail
+                // pages. vmas[1]: no huge region. vmas[2] (in a) and
+                // vmas[3] (in b): one huge region each.
+                r.vmas = {&mmapAt(a, 472, 952), &mmapAt(a, 2051, 300),
+                          &mmapAt(a, 4496, 700), &mmapAt(b, 450, 600)};
+                return r;
+            };
+            Rig live = make_rig(false);
+            Rig ref = make_rig(true);
+            const auto check = [&](const char *phase) {
+                SCOPED_TRACE(phase);
+                ASSERT_EQ(live.ca->stats().markedPtes,
+                          ref.ca->stats().markedPtes);
+                for (std::size_t i = 0; i < live.procs.size(); ++i)
+                    ASSERT_EQ(leaves(*live.procs[i]), leaves(*ref.procs[i]))
+                        << "proc " << i;
+            };
+            const auto touch = [&](std::size_t proc, std::size_t vma,
+                                   std::uint64_t page) {
+                for (Rig *r : {&live, &ref})
+                    r->procs[proc]->touch(pageAt(*r->vmas[vma], page));
+            };
+
+            // Ascending faults across every threshold.
+            for (std::uint64_t i = 0; i < 652; ++i)
+                touch(0, 0, i);
+            ASSERT_NO_FATAL_FAILURE(check("ascending"));
+
+            // A span extending the same run.
+            for (Rig *r : {&live, &ref})
+                r->procs[0]->touchRange(pageAt(*r->vmas[0], 652),
+                                        200 * kPageSize);
+            ASSERT_NO_FATAL_FAILURE(check("span"));
+
+            // Break the marked run 5 pages before its end, then extend
+            // what is left of it.
+            for (Rig *r : {&live, &ref}) {
+                const Vpn vpn = r->vmas[0]->start().pageNumber() + 847;
+                auto m = r->procs[0]->pageTable().lookup(vpn);
+                ASSERT_TRUE(m);
+                ASSERT_EQ(m->order, 0u);
+                EXPECT_TRUE(m->contigBit);
+                PhysicalMemory &pm = r->k->physMem();
+                const Pfn dest = *pm.alloc(0, 1);
+                pm.free(dest, 0);
+                ASSERT_EQ(migrateLeaf(*r->k, *r->procs[0], vpn, dest),
+                          MigrateResult::Done);
+            }
+            for (std::uint64_t i = 852; i < 892; ++i)
+                touch(0, 0, i);
+            ASSERT_NO_FATAL_FAILURE(check("break + extend"));
+
+            // Descending faults below an anchored first page: each new
+            // leaf joins the run above it.
+            touch(0, 1, 0);
+            for (std::uint64_t i = 299; i > 0; --i)
+                touch(0, 1, i);
+            ASSERT_NO_FATAL_FAILURE(check("descending"));
+
+            // Random faults interleaved across two processes.
+            std::vector<std::pair<std::size_t, std::uint64_t>> order;
+            for (std::uint64_t i = 0; i < 700; ++i)
+                order.emplace_back(2, i);
+            for (std::uint64_t i = 0; i < 600; ++i)
+                order.emplace_back(3, i);
+            Rng rng(11);
+            rng.shuffle(order);
+            for (const auto &[vma, page] : order)
+                touch(vma == 2 ? 0 : 1, vma, page);
+            ASSERT_NO_FATAL_FAILURE(check("random"));
+
+            // Fork, then COW writes inside marked runs of both sides.
+            for (Rig *r : {&live, &ref}) {
+                r->procs.push_back(&r->procs[0]->fork("child"));
+                r->vmas.push_back(
+                    r->procs[2]->addressSpace().findVma(r->vmas[0]->start()));
+            }
+            for (std::uint64_t i = 100; i < 140; ++i)
+                touch(0, 0, i);
+            for (std::uint64_t i = 600; i < 640; ++i)
+                touch(2, 4, i);
+            ASSERT_NO_FATAL_FAILURE(check("fork + COW"));
+            EXPECT_GT(ref.ca->stats().markedPtes, 0u);
+        }
+    }
 }
