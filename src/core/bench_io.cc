@@ -178,9 +178,11 @@ BenchOutput::write()
         if (!f)
             fatal("cannot open --json output '%s'", jsonPath_.c_str());
         const std::string &doc = w.str();
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
+        bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+        ok = std::fputc('\n', f) != EOF && ok;
+        ok = std::fclose(f) == 0 && ok;
+        if (!ok)
+            fatal("cannot write --json output '%s'", jsonPath_.c_str());
         std::printf("json: wrote %s\n", jsonPath_.c_str());
     }
 
@@ -190,7 +192,7 @@ BenchOutput::write()
                             ? sink.writeJsonl(tracePath_)
                             : sink.writeChromeTrace(tracePath_);
         if (!ok)
-            fatal("cannot open --trace output '%s'", tracePath_.c_str());
+            fatal("cannot write --trace output '%s'", tracePath_.c_str());
         std::printf("trace: wrote %s (%llu events, %llu dropped)\n",
                     tracePath_.c_str(),
                     static_cast<unsigned long long>(sink.size()),
@@ -201,7 +203,9 @@ BenchOutput::write()
         obs::TimelineSink &sink = obs::TimelineSink::global();
         const std::uint64_t records = sink.records();
         const std::uint64_t streams = sink.streams();
-        sink.close();
+        if (!sink.close())
+            fatal("cannot write --timeline output '%s'",
+                  timelinePath_.c_str());
         std::printf("timeline: wrote %s (%llu snapshots, %llu streams)\n",
                     timelinePath_.c_str(),
                     static_cast<unsigned long long>(records),

@@ -249,9 +249,8 @@ TraceSink::writeChromeTrace(const std::string &path) const
     w.endObject();
 
     const std::string &s = w.str();
-    std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    return true;
+    const bool ok = std::fwrite(s.data(), 1, s.size(), f) == s.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 bool
@@ -260,15 +259,15 @@ TraceSink::writeJsonl(const std::string &path) const
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
+    bool ok = true;
     for (const TraceEvent &ev : events()) {
         JsonWriter w;
         writeEventJson(w, ev, /*chrome=*/false);
         const std::string &s = w.str();
-        std::fwrite(s.data(), 1, s.size(), f);
-        std::fputc('\n', f);
+        ok = ok && std::fwrite(s.data(), 1, s.size(), f) == s.size() &&
+             std::fputc('\n', f) != EOF;
     }
-    std::fclose(f);
-    return true;
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace obs

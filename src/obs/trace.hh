@@ -178,11 +178,14 @@ class TraceSink
     /**
      * Write the buffer as Chrome trace_event JSON ({"traceEvents":
      * [...]}) loadable by chrome://tracing and Perfetto. Returns
-     * false if the file could not be opened.
+     * false if the file could not be opened, written or closed.
      */
     bool writeChromeTrace(const std::string &path) const;
 
-    /** Write the buffer as JSON Lines (one event object per line). */
+    /**
+     * Write the buffer as JSON Lines (one event object per line);
+     * false on the same failures.
+     */
     bool writeJsonl(const std::string &path) const;
 
   private:
