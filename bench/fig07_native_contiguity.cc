@@ -15,6 +15,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -26,6 +27,25 @@ const std::vector<PolicyKind> kPolicies{
     PolicyKind::Thp,   PolicyKind::Ingens, PolicyKind::Ca,
     PolicyKind::Eager, PolicyKind::Ranger, PolicyKind::Ideal};
 
+/** One workload's time-averaged coverage under one policy. */
+struct Coverage
+{
+    double cov32 = 0.0;
+    double cov128 = 0.0;
+    std::uint64_t maps99 = 0;
+};
+
+Coverage
+runCell(const std::string &name, PolicyKind kind)
+{
+    NativeSystem sys(kind, 7);
+    auto wl = makeWorkload(name, {1.0, 7});
+    auto r = sys.run(*wl);
+    const Coverage out{r.avg.cov32, r.avg.cov128, r.avg.mappingsFor99};
+    sys.finish(*wl);
+    return out;
+}
+
 } // namespace
 
 int
@@ -34,26 +54,28 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("fig07_native_contiguity", argc, argv);
 
+    // Cell i runs workload i / |policies| under policy i % |policies|.
+    const std::vector<std::string> &names = paperWorkloads();
+    const std::size_t np = kPolicies.size();
+    const std::vector<Coverage> cov = runCells<Coverage>(
+        names.size() * np, [&](std::size_t i) {
+            return runCell(names[i / np], kPolicies[i % np]);
+        });
+
     Report rep("Fig. 7 — native contiguity, no memory pressure "
                "(time-averaged)");
     rep.header({"workload", "policy", "cov32", "cov128", "maps-for-99%"});
 
     std::map<PolicyKind, std::vector<double>> g32, g128, g99;
-    for (const auto &name : paperWorkloads()) {
-        for (PolicyKind kind : kPolicies) {
-            NativeSystem sys(kind, 7);
-            auto wl = makeWorkload(name, {1.0, 7});
-            auto r = sys.run(*wl);
-            rep.row({name, policyName(kind), Report::pct(r.avg.cov32),
-                     Report::pct(r.avg.cov128),
-                     std::to_string(r.avg.mappingsFor99)});
-            g32[kind].push_back(r.avg.cov32);
-            g128[kind].push_back(r.avg.cov128);
-            g99[kind].push_back(
-                static_cast<double>(std::max<std::uint64_t>(
-                    r.avg.mappingsFor99, 1)));
-            sys.finish(*wl);
-        }
+    for (std::size_t i = 0; i < cov.size(); ++i) {
+        const PolicyKind kind = kPolicies[i % np];
+        const Coverage &c = cov[i];
+        rep.row({names[i / np], policyName(kind), Report::pct(c.cov32),
+                 Report::pct(c.cov128), std::to_string(c.maps99)});
+        g32[kind].push_back(c.cov32);
+        g128[kind].push_back(c.cov128);
+        g99[kind].push_back(
+            static_cast<double>(std::max<std::uint64_t>(c.maps99, 1)));
     }
     for (PolicyKind kind : kPolicies) {
         rep.row({"geomean", policyName(kind),

@@ -14,6 +14,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -48,6 +49,38 @@ excluded(PolicyKind kind, const std::string &name)
     return kind == PolicyKind::Eager && name == "hashjoin";
 }
 
+/** One workload under one policy at one hog level, on its own machine. */
+struct Cell
+{
+    double pressure;
+    PolicyKind kind;
+    std::string workload;
+};
+
+/** A cell's coverage, floored for the geometric means. */
+struct Coverage
+{
+    double cov32 = 0.0;
+    double cov128 = 0.0;
+    double maps99 = 0.0;
+};
+
+Coverage
+runCell(const Cell &cell)
+{
+    NativeSystem sys(cell.kind, 7);
+    if (cell.pressure > 0.0)
+        sys.hog(cell.pressure);
+    auto wl = makeWorkload(cell.workload, {1.0, 7});
+    auto r = sys.run(*wl);
+    const Coverage out{std::max(r.avg.cov32, 1e-6),
+                       std::max(r.avg.cov128, 1e-6),
+                       static_cast<double>(std::max<std::uint64_t>(
+                           r.avg.mappingsFor99, 1))};
+    sys.finish(*wl);
+    return out;
+}
+
 } // namespace
 
 int
@@ -56,26 +89,29 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("fig08_fragmentation", argc, argv);
 
+    std::vector<Cell> cells;
+    for (double pressure : kPressure)
+        for (PolicyKind kind : kPolicies)
+            for (const auto &name : workloads())
+                if (!excluded(kind, name))
+                    cells.push_back({pressure, kind, name});
+    const std::vector<Coverage> cov = runCells<Coverage>(
+        cells.size(), [&](std::size_t i) { return runCell(cells[i]); });
+
     Report rep("Fig. 8 — contiguity under memory pressure "
                "(geomean over svm/pagerank/hashjoin/xsbench)");
     rep.header({"hog", "policy", "cov32", "cov128", "maps-for-99%"});
 
+    std::size_t i = 0;
     for (double pressure : kPressure) {
         for (PolicyKind kind : kPolicies) {
             std::vector<double> c32, c128, m99;
-            for (const auto &name : workloads()) {
-                if (excluded(kind, name))
-                    continue;
-                NativeSystem sys(kind, 7);
-                if (pressure > 0.0)
-                    sys.hog(pressure);
-                auto wl = makeWorkload(name, {1.0, 7});
-                auto r = sys.run(*wl);
-                c32.push_back(std::max(r.avg.cov32, 1e-6));
-                c128.push_back(std::max(r.avg.cov128, 1e-6));
-                m99.push_back(static_cast<double>(
-                    std::max<std::uint64_t>(r.avg.mappingsFor99, 1)));
-                sys.finish(*wl);
+            for (; i < cells.size() && cells[i].pressure == pressure &&
+                   cells[i].kind == kind;
+                 ++i) {
+                c32.push_back(cov[i].cov32);
+                c128.push_back(cov[i].cov128);
+                m99.push_back(cov[i].maps99);
             }
             char hog[16];
             std::snprintf(hog, sizeof(hog), "hog-%.0f%%",

@@ -9,10 +9,13 @@
  * (<0.1%), both close to DS (~0).
  */
 
+#include <array>
 #include <cstdio>
 
+#include "base/logging.hh"
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -21,6 +24,12 @@ namespace
 {
 
 constexpr std::uint64_t kAccesses = ScaledDefaults::kAccessesPerRun;
+
+/** paperWorkloads().size(): the CA cell returns one result each. */
+constexpr std::size_t kWorkloads = 5;
+
+/** Per-workload cells: native 4K, native THP, 4K+4K and THP+THP. */
+constexpr std::size_t kCellKinds = 4;
 
 double
 nativeOverhead(const std::string &name, PolicyKind kind,
@@ -60,12 +69,13 @@ virtBaseOverhead(const std::string &name, PolicyKind kind,
  * without VM reboots") — the gPA->hPA dimension persists and ages,
  * which is where guest/host mapping mismatches come from.
  */
-std::vector<VirtResult>
+std::array<VirtResult, kWorkloads>
 virtCaOverheads(std::uint64_t seed)
 {
     VirtSystem sys(PolicyKind::Ca, PolicyKind::Ca, seed);
-    std::vector<VirtResult> out;
-    for (const auto &name : paperWorkloads()) {
+    std::array<VirtResult, kWorkloads> out;
+    for (std::size_t i = 0; i < kWorkloads; ++i) {
+        const std::string &name = paperWorkloads()[i];
         auto wl = makeWorkload(name, {1.0, seed});
         Process &proc = sys.guest().createProcess(name);
         wl->setup(proc);
@@ -79,9 +89,46 @@ virtCaOverheads(std::uint64_t seed)
         res.ds = runTranslation(*wl, &sys.vm(), XlatScheme::Ds,
                                 kAccesses)
                      .overhead.overhead;
-        out.push_back(res);
+        out[i] = res;
         wl->teardown();
         sys.guest().exitProcess(proc);
+    }
+    return out;
+}
+
+/**
+ * One cell's result. Cell 0 ages the CA/CA VM through every workload
+ * (the longest chain, so it starts first); cell 1 + kCellKinds * w + k
+ * runs workload w in per-workload column k.
+ */
+struct CellResult
+{
+    double overhead = 0.0;
+    std::array<VirtResult, kWorkloads> ca{};
+};
+
+CellResult
+runCell(std::size_t cell, std::uint64_t seed)
+{
+    CellResult out;
+    if (cell == 0) {
+        out.ca = virtCaOverheads(seed);
+        return out;
+    }
+    const std::string &name = paperWorkloads()[(cell - 1) / kCellKinds];
+    switch ((cell - 1) % kCellKinds) {
+      case 0:
+        out.overhead = nativeOverhead(name, PolicyKind::Base4k, seed);
+        break;
+      case 1:
+        out.overhead = nativeOverhead(name, PolicyKind::Thp, seed);
+        break;
+      case 2:
+        out.overhead = virtBaseOverhead(name, PolicyKind::Base4k, seed);
+        break;
+      default:
+        out.overhead = virtBaseOverhead(name, PolicyKind::Thp, seed);
+        break;
     }
     return out;
 }
@@ -100,16 +147,21 @@ main(int argc, char **argv)
                 "SpOT(CA)", "vRMM(CA)", "DS"});
 
     const std::uint64_t seed = 7;
-    std::vector<VirtResult> ca_all = virtCaOverheads(seed);
+    contig_assert(paperWorkloads().size() == kWorkloads,
+                  "fig13 sizes its CA cell for %zu workloads", kWorkloads);
+    const std::vector<CellResult> cells = runCells<CellResult>(
+        1 + kWorkloads * kCellKinds,
+        [seed](std::size_t i) { return runCell(i, seed); });
 
     std::vector<double> thp_n, thp_v, spot_v, rmm_v, ds_v;
-    for (std::size_t i = 0; i < paperWorkloads().size(); ++i) {
+    for (std::size_t i = 0; i < kWorkloads; ++i) {
         const auto &name = paperWorkloads()[i];
-        double n4k = nativeOverhead(name, PolicyKind::Base4k, seed);
-        double nthp = nativeOverhead(name, PolicyKind::Thp, seed);
-        double v4k = virtBaseOverhead(name, PolicyKind::Base4k, seed);
-        double vthp = virtBaseOverhead(name, PolicyKind::Thp, seed);
-        const VirtResult &ca = ca_all[i];
+        const CellResult *c = &cells[1 + i * kCellKinds];
+        double n4k = c[0].overhead;
+        double nthp = c[1].overhead;
+        double v4k = c[2].overhead;
+        double vthp = c[3].overhead;
+        const VirtResult &ca = cells[0].ca[i];
 
         thp_n.push_back(nthp);
         thp_v.push_back(vthp);

@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -50,16 +51,24 @@ main(int argc, char **argv)
                                         PolicyKind::Ca,
                                         PolicyKind::Eager};
 
+    // Cell i runs workload i / |kinds| under policy i % |kinds|.
+    const std::vector<std::string> &names = paperWorkloads();
+    const std::size_t nk = kinds.size();
+    const std::vector<std::uint64_t> bloat = runCells<std::uint64_t>(
+        names.size() * nk, [&](std::size_t i) {
+            return bloatBytes(names[i / nk], kinds[i % nk]);
+        });
+
     Report rep("Table VI — bloat vs 4 KiB demand paging "
                "[absolute (fraction of footprint)]");
     rep.header({"workload", "THP", "Ingens", "CA", "eager"});
-    for (const auto &name : paperWorkloads()) {
-        auto ref = makeWorkload(name, {1.0, 7});
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        auto ref = makeWorkload(names[w], {1.0, 7});
         const double footprint =
             static_cast<double>(ref->footprintBytes());
-        std::vector<std::string> row{name};
-        for (PolicyKind kind : kinds) {
-            std::uint64_t b = bloatBytes(name, kind);
+        std::vector<std::string> row{names[w]};
+        for (std::size_t k = 0; k < nk; ++k) {
+            const std::uint64_t b = bloat[w * nk + k];
             row.push_back(Report::bytes(b) + " (" +
                           Report::pct(b / footprint) + ")");
         }

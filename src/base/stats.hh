@@ -51,6 +51,23 @@ class Summary
         count_ += other.count_;
     }
 
+    /**
+     * Rebuild a summary from the four fields it is made of (a summary
+     * sent between processes); count 0 gives the empty summary.
+     */
+    static Summary
+    fromParts(std::uint64_t count, double sum, double min, double max)
+    {
+        Summary s;
+        if (count == 0)
+            return s;
+        s.count_ = count;
+        s.sum_ = sum;
+        s.min_ = min;
+        s.max_ = max;
+        return s;
+    }
+
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double min() const { return count_ ? min_ : 0.0; }

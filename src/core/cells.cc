@@ -1,0 +1,455 @@
+#include "core/cells.hh"
+
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
+
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "base/logging.hh"
+#include "obs/attribution.hh"
+#include "obs/metrics.hh"
+#include "obs/observatory.hh"
+#include "obs/trace.hh"
+
+namespace contig
+{
+
+unsigned
+affinityCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    const int n = CPU_COUNT(&set);
+    return n > 0 ? static_cast<unsigned>(n) : 1;
+}
+
+namespace
+{
+
+using CellFn = std::function<void(std::size_t, void *)>;
+
+// --- the exact export -----------------------------------------------------
+//
+// One record per line: a type letter, a length-prefixed name
+// ("13:kernel.faults") and typed fields, each after one space.
+//   c NAME U64                  counter
+//   g NAME F64                  gauge
+//   s NAME COUNT SUM MIN MAX    summary
+//   h NAME N B0 .. B(N-1)       histogram buckets
+//   v KEY VALUE                 one RunInfo value of KEY (length-prefixed)
+//   n KEY U64                   RunInfo counter
+// U64 is decimal and F64 is a %a hex float, so every value
+// round-trips bit for bit.
+
+void
+putStr(std::string &out, std::string_view s)
+{
+    out += ' ';
+    out += std::to_string(s.size());
+    out += ':';
+    out += s;
+}
+
+void
+putU64(std::string &out, std::uint64_t v)
+{
+    out += ' ';
+    out += std::to_string(v);
+}
+
+void
+putF64(std::string &out, double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), " %a", v);
+    out += buf;
+}
+
+/** This process's owned metrics and RunInfo record, exactly. */
+std::string
+exportState()
+{
+    std::string out;
+    for (const auto &[name, s] :
+         obs::MetricRegistry::global().ownedSnapshot()) {
+        switch (s.type) {
+          case obs::MetricType::Counter:
+            out += 'c';
+            putStr(out, name);
+            putU64(out, s.counter);
+            break;
+          case obs::MetricType::Gauge:
+            out += 'g';
+            putStr(out, name);
+            putF64(out, s.gauge);
+            break;
+          case obs::MetricType::Summary:
+            out += 's';
+            putStr(out, name);
+            putU64(out, s.summary.count());
+            putF64(out, s.summary.sum());
+            putF64(out, s.summary.min());
+            putF64(out, s.summary.max());
+            break;
+          case obs::MetricType::Histogram:
+            out += 'h';
+            putStr(out, name);
+            putU64(out, s.buckets.size());
+            for (std::uint64_t b : s.buckets)
+                putU64(out, b);
+            break;
+        }
+        out += '\n';
+    }
+    const obs::RunInfo &ri = obs::RunInfo::global();
+    for (const auto &[key, vals] : ri.values()) {
+        for (const std::string &v : vals) {
+            out += 'v';
+            putStr(out, key);
+            putStr(out, v);
+            out += '\n';
+        }
+    }
+    for (const auto &[key, n] : ri.counts()) {
+        out += 'n';
+        putStr(out, key);
+        putU64(out, n);
+        out += '\n';
+    }
+    return out;
+}
+
+/** Reads exportState() text; each getter returns false on bad input. */
+class ExportReader
+{
+  public:
+    explicit ExportReader(std::string_view text) : s_(text) {}
+
+    bool done() const { return pos_ == s_.size(); }
+
+    bool
+    kind(char &c)
+    {
+        if (done())
+            return false;
+        c = s_[pos_++];
+        return true;
+    }
+
+    bool
+    newline()
+    {
+        return lit('\n');
+    }
+
+    bool
+    str(std::string &out)
+    {
+        std::uint64_t len = 0;
+        if (!lit(' ') || !digits(len) || !lit(':') ||
+            len > s_.size() - pos_)
+            return false;
+        out.assign(s_.substr(pos_, len));
+        pos_ += len;
+        return true;
+    }
+
+    bool
+    u64(std::uint64_t &v)
+    {
+        return lit(' ') && digits(v);
+    }
+
+    bool
+    f64(double &v)
+    {
+        if (!lit(' '))
+            return false;
+        const std::size_t end = s_.find_first_of(" \n", pos_);
+        if (end == std::string_view::npos || end == pos_)
+            return false;
+        const std::string tok(s_.substr(pos_, end - pos_));
+        char *stop = nullptr;
+        v = std::strtod(tok.c_str(), &stop);
+        if (stop != tok.c_str() + tok.size())
+            return false;
+        pos_ = end;
+        return true;
+    }
+
+  private:
+    bool
+    lit(char c)
+    {
+        if (done() || s_[pos_] != c)
+            return false;
+        ++pos_;
+        return true;
+    }
+
+    bool
+    digits(std::uint64_t &v)
+    {
+        const char *first = s_.data() + pos_;
+        const char *last = s_.data() + s_.size();
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec != std::errc{})
+            return false;
+        pos_ += static_cast<std::size_t>(ptr - first);
+        return true;
+    }
+
+    std::string_view s_;
+    std::size_t pos_ = 0;
+};
+
+/**
+ * Merge one cell's exportState() text into this process's owned
+ * metrics and RunInfo record. Nothing is merged from malformed text.
+ */
+bool
+absorbState(std::string_view text)
+{
+    obs::SampleMap samples;
+    obs::RunInfo info;
+    ExportReader in(text);
+    while (!in.done()) {
+        char kind = 0;
+        std::string name;
+        if (!in.kind(kind) || !in.str(name))
+            return false;
+        obs::MetricSample s;
+        bool ok = true;
+        switch (kind) {
+          case 'c':
+            s.type = obs::MetricType::Counter;
+            ok = in.u64(s.counter);
+            break;
+          case 'g':
+            s.type = obs::MetricType::Gauge;
+            ok = in.f64(s.gauge);
+            break;
+          case 's': {
+            std::uint64_t count = 0;
+            double sum = 0, min = 0, max = 0;
+            ok = in.u64(count) && in.f64(sum) && in.f64(min) &&
+                 in.f64(max);
+            s.type = obs::MetricType::Summary;
+            s.summary = Summary::fromParts(count, sum, min, max);
+            break;
+          }
+          case 'h': {
+            std::uint64_t n = 0;
+            // A Log2Histogram over u64 values has at most 64 buckets.
+            ok = in.u64(n) && n <= 64;
+            s.type = obs::MetricType::Histogram;
+            s.buckets.resize(ok ? n : 0);
+            for (std::uint64_t &b : s.buckets)
+                ok = ok && in.u64(b);
+            break;
+          }
+          case 'v': {
+            std::string value;
+            ok = in.str(value);
+            if (ok)
+                info.note(name, std::string_view(value));
+            break;
+          }
+          case 'n': {
+            std::uint64_t n = 0;
+            ok = in.u64(n);
+            if (ok)
+                info.count(name, n);
+            break;
+          }
+          default:
+            ok = false;
+        }
+        if (!ok || !in.newline())
+            return false;
+        if (kind != 'v' && kind != 'n' &&
+            !samples.emplace(std::move(name), std::move(s)).second)
+            return false;
+    }
+    obs::MetricRegistry::global().absorb(samples);
+    obs::RunInfo::global().absorb(info);
+    return true;
+}
+
+// --- the runner -------------------------------------------------------
+
+/**
+ * Trace, timeline and attribution sinks record per-event data that
+ * cannot be merged across processes.
+ */
+bool
+perEventSinkOn()
+{
+    return obs::TraceSink::global().categoryMask() != 0 ||
+           obs::TimelineSink::global().enabled() ||
+           obs::AttribRegistry::enabled();
+}
+
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+
+struct Child
+{
+    pid_t pid = 0;
+    std::size_t cell = 0;
+    /** Unlinked temp file the child writes its result into. */
+    std::unique_ptr<std::FILE, FileCloser> file;
+};
+
+/** Run one cell in a fresh child and leave without any cleanup. */
+[[noreturn]] void
+runChild(std::size_t cell, std::size_t size, const CellFn &fn,
+         std::FILE *file)
+{
+    obs::MetricRegistry::global().resetOwned();
+    obs::RunInfo::global().clear();
+    std::string msg(size, '\0');
+    fn(cell, msg.data());
+    msg += exportState();
+    const bool ok =
+        std::fwrite(msg.data(), 1, msg.size(), file) == msg.size() &&
+        std::fflush(file) == 0;
+    if (!ok)
+        std::fprintf(stderr, "cell %zu: cannot write its result\n", cell);
+    _exit(ok ? 0 : 1);
+}
+
+/** The whole file from its start; false on a read error. */
+bool
+readAll(std::FILE *file, std::string &out)
+{
+    std::rewind(file);
+    char buf[1 << 14];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        out.append(buf, got);
+    return std::ferror(file) == 0;
+}
+
+/** Kill and reap every child still running. */
+void
+killAll(std::vector<Child> &running)
+{
+    for (const Child &c : running) {
+        kill(c.pid, SIGKILL);
+        waitpid(c.pid, nullptr, 0);
+    }
+    running.clear();
+}
+
+} // namespace
+
+void
+detail::runCellsRaw(std::size_t n, std::size_t size, const CellFn &fn,
+                    unsigned jobs, void *out)
+{
+    auto *dst = static_cast<unsigned char *>(out);
+    if (jobs == 0)
+        jobs = affinityCpus();
+    if (n <= 1 || jobs <= 1 || perEventSinkOn()) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i, dst + i * size);
+        return;
+    }
+
+    // The binary's name is the bench's name.
+    const char *bench = program_invocation_short_name;
+    std::vector<Child> running;
+    // Results of finished cells, each absorbed once every earlier
+    // cell's has been.
+    std::vector<std::string> results(n);
+    std::vector<bool> finished(n, false);
+    std::size_t started = 0;
+    std::size_t absorbed = 0;
+    while (absorbed < n) {
+        while (started < n && running.size() < jobs) {
+            Child child;
+            child.cell = started++;
+            child.file.reset(std::tmpfile());
+            if (!child.file) {
+                const int err = errno;
+                killAll(running);
+                fatal("%s: cannot create a temp file for cell %zu: %s",
+                      bench, child.cell, std::strerror(err));
+            }
+            // Nothing buffered may be written twice.
+            std::fflush(nullptr);
+            child.pid = fork();
+            if (child.pid < 0) {
+                const int err = errno;
+                killAll(running);
+                fatal("%s: cannot fork cell %zu: %s", bench, child.cell,
+                      std::strerror(err));
+            }
+            if (child.pid == 0)
+                runChild(child.cell, size, fn, child.file.get());
+            running.push_back(std::move(child));
+        }
+
+        int status = 0;
+        const pid_t pid = waitpid(-1, &status, 0);
+        if (pid < 0) {
+            if (errno == EINTR)
+                continue;
+            const int err = errno;
+            killAll(running);
+            fatal("%s: waiting for cells: %s", bench, std::strerror(err));
+        }
+        auto it = std::find_if(running.begin(), running.end(),
+                               [pid](const Child &c) { return c.pid == pid; });
+        if (it == running.end())
+            continue; // not a cell
+        const Child child = std::move(*it);
+        running.erase(it);
+
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+            killAll(running);
+            if (WIFSIGNALED(status))
+                fatal("%s: cell %zu of %zu died on signal %d (%s)", bench,
+                      child.cell, n, WTERMSIG(status),
+                      strsignal(WTERMSIG(status)));
+            fatal("%s: cell %zu of %zu exited with status %d", bench,
+                  child.cell, n, WEXITSTATUS(status));
+        }
+        std::string &msg = results[child.cell];
+        if (!readAll(child.file.get(), msg) || msg.size() < size) {
+            killAll(running);
+            fatal("%s: cannot read the result of cell %zu", bench,
+                  child.cell);
+        }
+        finished[child.cell] = true;
+
+        for (; absorbed < n && finished[absorbed]; ++absorbed) {
+            std::string &m = results[absorbed];
+            std::memcpy(dst + absorbed * size, m.data(), size);
+            if (!absorbState(std::string_view(m).substr(size))) {
+                killAll(running);
+                fatal("%s: malformed metrics from cell %zu", bench,
+                      absorbed);
+            }
+            std::string().swap(m);
+        }
+    }
+}
+
+} // namespace contig

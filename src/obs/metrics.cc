@@ -161,32 +161,31 @@ MetricRegistry::addSource(std::string prefix, CollectFn fn)
 }
 
 void
-MetricRegistry::removeSource(SourceId id, bool absorb)
+MetricRegistry::removeSource(SourceId id, bool absorb_final)
 {
     auto it = std::find_if(sources_.begin(), sources_.end(),
                            [&](const Source &s) { return s.id == id; });
     if (it == sources_.end())
         return;
-    if (absorb && it->fn) {
+    if (absorb_final && it->fn) {
         MetricSink sink;
         MetricSink::Scope scope(sink, it->prefix);
         it->fn(sink);
-        for (const auto &[name, sample] : sink.samples())
-            absorbSample(name, sample);
+        absorb(sink.samples());
     }
     sources_.erase(it);
 }
 
 void
-MetricRegistry::absorbSample(const std::string &name,
-                             const MetricSample &sample)
+MetricRegistry::absorb(const SampleMap &samples)
 {
-    auto it = owned_.find(name);
-    if (it == owned_.end()) {
-        owned_.emplace(name, sample);
-        return;
+    for (const auto &[name, sample] : samples) {
+        auto it = owned_.find(name);
+        if (it == owned_.end())
+            owned_.emplace(name, sample);
+        else
+            it->second.mergeFrom(sample);
     }
-    it->second.mergeFrom(sample);
 }
 
 void
@@ -204,11 +203,18 @@ MetricRegistry::snapshot() const
     MetricSink sink;
     collectInto(sink);
     SampleMap out = sink.samples();
-    for (const auto &[name, sample] : owned_) {
+    for (const auto &[name, sample] : ownedSnapshot()) {
         auto [it, inserted] = out.emplace(name, sample);
         if (!inserted)
             it->second.mergeFrom(sample);
     }
+    return out;
+}
+
+SampleMap
+MetricRegistry::ownedSnapshot() const
+{
+    SampleMap out = owned_;
     for (const auto &[name, hist] : ownedHists_) {
         MetricSample sample;
         sample.type = MetricType::Histogram;

@@ -138,7 +138,7 @@ class MetricRegistry
      * Remove a source; by default its final values are absorbed into
      * the owned metrics so they keep contributing to snapshots.
      */
-    void removeSource(SourceId id, bool absorb = true);
+    void removeSource(SourceId id, bool absorb_final = true);
 
     std::size_t sourceCount() const { return sources_.size(); }
 
@@ -146,6 +146,19 @@ class MetricRegistry
 
     /** All metrics: owned plus every live source, merged by name. */
     SampleMap snapshot() const;
+
+    /**
+     * The owned metrics alone (absorbed sources included, live ones
+     * not), merged by name as snapshot() merges them. A forked cell
+     * (core/cells) hands this back to its parent.
+     */
+    SampleMap ownedSnapshot() const;
+
+    /**
+     * Merge samples into the owned metrics, exactly as if a source
+     * that emitted them had died here.
+     */
+    void absorb(const SampleMap &samples);
 
     /** Emit snapshot() as one JSON object keyed by metric name. */
     void writeJson(JsonWriter &w) const;
@@ -155,7 +168,6 @@ class MetricRegistry
 
   private:
     void collectInto(MetricSink &sink) const;
-    void absorbSample(const std::string &name, const MetricSample &s);
 
     struct Source
     {

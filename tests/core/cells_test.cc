@@ -1,0 +1,183 @@
+/**
+ * The cell runner (core/cells): cells run in forked children return
+ * the same results, and leave the same merged metrics and run record,
+ * as the same cells run inline.
+ */
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdlib>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
+
+#include "base/json.hh"
+#include "core/cells.hh"
+#include "core/experiment.hh"
+#include "obs/metrics.hh"
+#include "obs/observatory.hh"
+
+using namespace contig;
+
+namespace
+{
+
+struct CellOut
+{
+    std::uint64_t faults = 0;
+    std::uint64_t mappingsFor99 = 0;
+    double cov32 = 0.0;
+    double overhead = 0.0;
+};
+
+/** Even cells run a small native machine, odd ones a small VM. */
+CellOut
+smallCell(std::size_t i)
+{
+    static const PolicyKind kKinds[] = {PolicyKind::Thp, PolicyKind::Ca,
+                                        PolicyKind::Ingens};
+    const PolicyKind kind = kKinds[i % 3];
+    WorkloadConfig cfg;
+    cfg.scale = 0.05;
+    cfg.seed = 3 + i;
+    CellOut out;
+    if (i % 2 == 0) {
+        NativeSystem sys(kind, 5 + i);
+        auto wl = makeWorkload("pagerank", cfg);
+        const ContigRunResult r = sys.run(*wl);
+        out.faults = r.faults;
+        out.mappingsFor99 = r.final.mappingsFor99;
+        out.cov32 = r.final.cov32;
+        sys.finish(*wl);
+    } else {
+        VirtSystem sys(kind, kind, 5 + i);
+        auto wl = makeWorkload("xsbench", cfg);
+        Process &proc = sys.guest().createProcess("xsbench");
+        wl->setup(proc);
+        out.faults = sys.guest().faultStats().faults;
+        out.overhead = runTranslation(*wl, &sys.vm(), XlatScheme::Spot,
+                                      20000)
+                           .overhead.overhead;
+        wl->teardown();
+        sys.guest().exitProcess(proc);
+    }
+    return out;
+}
+
+/** What one arm of a comparison leaves behind. */
+struct Arm
+{
+    std::vector<CellOut> out;
+    /** Merged metrics as JSON, host wall-clock summaries dropped. */
+    std::string metrics;
+    std::string run;
+};
+
+Arm
+runArm(std::size_t n, unsigned jobs)
+{
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    reg.resetOwned();
+    obs::RunInfo::global().clear();
+
+    Arm arm;
+    arm.out = runCells<CellOut>(n, smallCell, jobs);
+
+    obs::SampleMap samples = reg.snapshot();
+    std::erase_if(samples, [](const auto &kv) {
+        return kv.first.find("wall") != std::string::npos;
+    });
+    obs::MetricRegistry simulated;
+    simulated.absorb(samples);
+    JsonWriter m;
+    simulated.writeJson(m);
+    arm.metrics = m.str();
+    JsonWriter r;
+    obs::RunInfo::global().writeJson(r);
+    arm.run = r.str();
+    return arm;
+}
+
+} // namespace
+
+TEST(CellsTest, ForkedMatchesInline)
+{
+    const std::size_t n = 6;
+    const Arm serial = runArm(n, 1);
+    const Arm forked = runArm(n, 3);
+
+    ASSERT_EQ(serial.out.size(), n);
+    ASSERT_EQ(forked.out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_GT(serial.out[i].faults, 0u);
+        EXPECT_EQ(serial.out[i].faults, forked.out[i].faults);
+        EXPECT_EQ(serial.out[i].mappingsFor99, forked.out[i].mappingsFor99);
+        EXPECT_EQ(serial.out[i].cov32, forked.out[i].cov32);
+        EXPECT_EQ(serial.out[i].overhead, forked.out[i].overhead);
+    }
+    EXPECT_NE(serial.metrics.find("guest.faults"), std::string::npos);
+    EXPECT_EQ(serial.metrics, forked.metrics);
+    EXPECT_NE(serial.run.find("\"kernel.instances\":6"), std::string::npos);
+    EXPECT_EQ(serial.run, forked.run);
+}
+
+TEST(CellsTest, ExportIsExact)
+{
+    // A counter above 2^53 and non-integral doubles, one contribution
+    // per cell: the merge must reproduce the inline sums bit for bit.
+    // Earlier cells sleep longer, so they finish last; "test.order"
+    // reads 1e16 only when cell 0's 1e16 is added first.
+    auto cell = [](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3 * (7 - i)));
+        obs::MetricRegistry &reg = obs::MetricRegistry::global();
+        reg.counter("test.big") += (std::uint64_t{1} << 60) + i;
+        reg.gauge("test.order") += i == 0 ? 1e16 : 1.0;
+        reg.gauge("test.third") += (i + 1) / 3.0;
+        reg.summary("test.tenths").add(0.1 * static_cast<double>(i));
+        reg.histogram("test.hist").add(std::uint64_t{1} << (i * 9), i);
+        obs::RunInfo::global().note("test.cell", std::uint64_t{i % 2});
+        return static_cast<int>(i * i);
+    };
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    auto arm = [&](unsigned jobs) {
+        reg.resetOwned();
+        obs::RunInfo::global().clear();
+        const std::vector<int> out = runCells<int>(7, cell, jobs);
+        JsonWriter run;
+        obs::RunInfo::global().writeJson(run);
+        return std::make_tuple(out, reg.snapshot(), run.str());
+    };
+    const auto [out1, snap1, run1] = arm(1);
+    const auto [out3, snap3, run3] = arm(3);
+
+    EXPECT_EQ(out1, out3);
+    EXPECT_EQ(out3[6], 36);
+    ASSERT_EQ(snap1.size(), snap3.size());
+    EXPECT_EQ(snap3.at("test.big").counter, snap1.at("test.big").counter);
+    EXPECT_GT(snap3.at("test.big").counter, std::uint64_t{1} << 62);
+    EXPECT_EQ(snap3.at("test.order").gauge, 1e16);
+    EXPECT_EQ(snap3.at("test.third").gauge, snap1.at("test.third").gauge);
+    const Summary &s1 = snap1.at("test.tenths").summary;
+    const Summary &s3 = snap3.at("test.tenths").summary;
+    EXPECT_EQ(s3.count(), s1.count());
+    EXPECT_EQ(s3.sum(), s1.sum());
+    EXPECT_EQ(s3.min(), s1.min());
+    EXPECT_EQ(s3.max(), s1.max());
+    EXPECT_EQ(snap3.at("test.hist").buckets, snap1.at("test.hist").buckets);
+    EXPECT_EQ(run3, run1);
+    reg.resetOwned();
+    obs::RunInfo::global().clear();
+}
+
+TEST(CellsTest, FailedCellIsFatal)
+{
+    auto cell = [](std::size_t i) {
+        if (i == 2)
+            std::abort();
+        return static_cast<int>(i);
+    };
+    EXPECT_DEATH(runCells<int>(5, cell, 3), "cell 2 of 5 died on signal");
+}
