@@ -53,7 +53,8 @@ python3 "$root/scripts/check_bench_json.py" --expect-reclaim \
 
 # SIMD equivalence + speedup gates. The fig13 table with the AVX2
 # probes and the same binary under --no-simd must agree on every
-# simulated row value (only config/wall clock may differ). Then the
+# simulated row value (only the wall clock may differ); the ctest
+# fig13_simd_equivalence runs the same script. Then the
 # replay-throughput ratio: the committed
 # baseline records the paper-reproduction evidence (>= 1.5x batched
 # SoA+SIMD vs the per-access Reference loop, same-run ratio so it is
@@ -61,23 +62,8 @@ python3 "$root/scripts/check_bench_json.py" --expect-reclaim \
 # floor so a silent fallback to the scalar per-access path still
 # fails the build.
 echo "=== simd equivalence + xlat ratio gate ==="
-"$bench/fig13_translation_overhead" --json "$out/fig13_simd.json"
-"$bench/fig13_translation_overhead" --no-simd \
-    --json "$out/fig13_nosimd.json"
-python3 - "$out/fig13_simd.json" "$out/fig13_nosimd.json" <<'PYEOF'
-import json, sys
-def rows(path):
-    doc = json.load(open(path))
-    assert doc["config"]["run"].get("xlat.simd"), \
-        f"{path}: no xlat.simd note"
-    return [{k: v for k, v in r.items() if not k.endswith(".wall_us")}
-            for r in doc["rows"]]
-simd, nosimd = (rows(p) for p in sys.argv[1:3])
-assert simd == nosimd, "fig13 rows differ: avx2 vs --no-simd"
-print(f"fig13 simd equivalence: {len(simd)} rows identical "
-      "across avx2 / --no-simd")
-PYEOF
-rm -f "$out/fig13_simd.json" "$out/fig13_nosimd.json"
+python3 "$root/scripts/simd_equivalence.py" \
+    "$bench/fig13_translation_overhead"
 python3 "$root/scripts/xlat_ratio_gate.py" \
     "$root/bench/baselines/BENCH_micro_xlat_scaling.json" \
     --min-ratio 1.5
