@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Validate a bench binary's --json output against the documented schema.
 
-Usage: check_bench_json.py [--expect-attrib] [--expect-reclaim]
+Usage: check_bench_json.py [--expect-attrib | --expect-no-attrib]
+                           [--expect-reclaim]
                            <bench-binary> [extra args...]
+       check_bench_json.py [same flags] --json-file <doc.json>
        check_bench_json.py --timeline-file <timeline.jsonl>
 
-Runs the bench with --json into a temp file and checks the document is
-valid JSON of shape {schema_version, bench, config, rows, metrics}:
+Runs the bench with --json into a temp file (or reads a document a
+bench already wrote) and checks the document is valid JSON of shape
+{schema_version, bench, config, rows, metrics}:
   - "schema_version" is an integer (currently 5),
   - "bench" is a non-empty string,
   - "config" is an object with the scaled-machine geometry keys and a
@@ -30,7 +33,9 @@ Schema v4 additions, validated whenever present:
     (kind x order x fallback).
 --expect-attrib turns presence of the "attribution" section into a
 hard requirement (used by the attrib_schema_check ctest, which runs a
-bench under --attrib).
+bench under --attrib). --expect-no-attrib requires the opposite: no
+"attribution" section and no true config.attrib, as a run without
+--attrib must leave (the check_bench_json_fig14 ctest).
 
 Memory-pressure additions, validated whenever present:
   - "metrics" keys <kernel-prefix>.reclaim.<leaf> must use the
@@ -314,30 +319,20 @@ def check_timeline(path):
           f"{len(streams)} streams")
 
 
-def main():
-    argv = sys.argv[1:]
-    expect_attrib = False
-    expect_reclaim = False
-    while argv and argv[0] in ("--expect-attrib", "--expect-reclaim"):
-        if argv[0] == "--expect-attrib":
-            expect_attrib = True
-        else:
-            expect_reclaim = True
-        argv = argv[1:]
-    if not argv:
-        fail("usage: check_bench_json.py "
-             "[--expect-attrib] [--expect-reclaim] "
-             "<bench-binary> [args...] | "
-             "--timeline-file <timeline.jsonl>")
-    if argv[0] == "--timeline-file":
-        if len(argv) != 2:
-            fail("--timeline-file takes exactly one path")
-        check_timeline(argv[1])
-        return
+def load_doc(path):
+    if not path.exists():
+        fail(f"no --json document at {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        fail(f"output is not valid JSON: {e}")
+
+
+def run_bench(argv):
+    """Run `bench args...` with --json into a temp file; its document."""
     bench = Path(argv[0])
     if not bench.exists():
         fail(f"bench binary not found: {bench}")
-
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "out.json"
         cmd = [str(bench), *argv[1:], "--json", str(out_path)]
@@ -348,10 +343,39 @@ def main():
                  f"{proc.stdout.decode(errors='replace')[-2000:]}")
         if not out_path.exists():
             fail("bench did not create the --json file")
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError as e:
-            fail(f"output is not valid JSON: {e}")
+        return load_doc(out_path)
+
+
+def main():
+    argv = sys.argv[1:]
+    expect_attrib = False
+    expect_no_attrib = False
+    expect_reclaim = False
+    while argv and argv[0] in ("--expect-attrib", "--expect-no-attrib",
+                               "--expect-reclaim"):
+        if argv[0] == "--expect-attrib":
+            expect_attrib = True
+        elif argv[0] == "--expect-no-attrib":
+            expect_no_attrib = True
+        else:
+            expect_reclaim = True
+        argv = argv[1:]
+    if not argv or (expect_attrib and expect_no_attrib):
+        fail("usage: check_bench_json.py "
+             "[--expect-attrib | --expect-no-attrib] [--expect-reclaim] "
+             "<bench-binary> [args...] | --json-file <doc.json> | "
+             "--timeline-file <timeline.jsonl>")
+    if argv[0] == "--timeline-file":
+        if len(argv) != 2:
+            fail("--timeline-file takes exactly one path")
+        check_timeline(argv[1])
+        return
+    if argv[0] == "--json-file":
+        if len(argv) != 2:
+            fail("--json-file takes exactly one path")
+        doc = load_doc(Path(argv[1]))
+    else:
+        doc = run_bench(argv)
 
     for key in ("schema_version", "bench", "config", "rows", "metrics"):
         if key not in doc:
@@ -425,6 +449,9 @@ def main():
     elif expect_attrib:
         fail("--expect-attrib: no 'attribution' section in output "
              "(was the bench run with --attrib?)")
+    if expect_no_attrib and ("attribution" in doc or config.get("attrib")):
+        fail("--expect-no-attrib: attribution leaked into a run "
+             "without --attrib")
 
     extra = ""
     if reclaim_prefixes:

@@ -9,8 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <sched.h>
 #include <sys/wait.h>
@@ -51,8 +53,14 @@ using CellFn = std::function<void(std::size_t, void *)>;
 //   h NAME N B0 .. B(N-1)       histogram buckets
 //   v KEY VALUE                 one RunInfo value of KEY (length-prefixed)
 //   n KEY U64                   RunInfo counter
+//   x LABEL SEQ CHUNK CELL*96 M EXEMPLAR*M
+//                               translation attribution table
+//   f 5:fault CELL*18           fault attribution table
 // U64 is decimal and F64 is a %a hex float, so every value
-// round-trips bit for bit.
+// round-trips bit for bit. An attribution table lists every cell,
+// outcome (or kind, order, fallback) major, each as EVENTS CYCLES
+// EXPOSED N B0 .. B(N-1); an exemplar is VPN CYCLES OUTCOME CLASS
+// CHUNK SEQ.
 
 void
 putStr(std::string &out, std::string_view s)
@@ -78,7 +86,21 @@ putF64(std::string &out, double v)
     out += buf;
 }
 
-/** This process's owned metrics and RunInfo record, exactly. */
+void
+putCell(std::string &out, const obs::CostCell &c)
+{
+    putU64(out, c.events);
+    putU64(out, c.cycles);
+    putU64(out, c.exposed);
+    putU64(out, c.hist.numBuckets());
+    for (unsigned b = 0; b < c.hist.numBuckets(); ++b)
+        putU64(out, c.hist.bucket(b));
+}
+
+/**
+ * This process's owned metrics, RunInfo record and attribution
+ * tables, exactly.
+ */
 std::string
 exportState()
 {
@@ -127,6 +149,36 @@ exportState()
         out += 'n';
         putStr(out, key);
         putU64(out, n);
+        out += '\n';
+    }
+    const obs::AttribRegistry &attrib = obs::AttribRegistry::global();
+    for (const std::string &label : attrib.labels()) {
+        const obs::XlatAttribution &t = *attrib.xlat(label);
+        out += 'x';
+        putStr(out, label);
+        putU64(out, t.events());
+        putU64(out, t.chunk());
+        for (unsigned o = 0; o < obs::kXlatOutcomes; ++o)
+            for (unsigned c = 0; c < obs::kContigClasses; ++c)
+                putCell(out, t.cell(o, c));
+        putU64(out, t.exemplars().size());
+        for (const obs::XlatAttribution::Exemplar &e : t.exemplars()) {
+            putU64(out, e.vpn);
+            putU64(out, e.cycles);
+            putU64(out, e.outcome);
+            putU64(out, e.cls);
+            putU64(out, e.chunk);
+            putU64(out, e.seq);
+        }
+        out += '\n';
+    }
+    if (attrib.fault().events() != 0) {
+        out += 'f';
+        putStr(out, "fault");
+        for (unsigned k = 0; k < obs::kFaultKinds; ++k)
+            for (unsigned o = 0; o < obs::kFaultOrders; ++o)
+                for (unsigned f = 0; f < obs::kFaultFalls; ++f)
+                    putCell(out, attrib.fault().cell(k, o, f));
         out += '\n';
     }
     return out;
@@ -216,15 +268,68 @@ class ExportReader
     std::size_t pos_ = 0;
 };
 
+/** Read one putCell() cell into an empty cell. */
+bool
+readCell(ExportReader &in, obs::CostCell &c)
+{
+    std::uint64_t n = 0;
+    // A Log2Histogram over u64 values has at most 64 buckets.
+    if (!in.u64(c.events) || !in.u64(c.cycles) || !in.u64(c.exposed) ||
+        !in.u64(n) || n > 64) {
+        return false;
+    }
+    for (unsigned b = 0; b < n; ++b) {
+        std::uint64_t w = 0;
+        if (!in.u64(w))
+            return false;
+        // add() sizes the histogram even for a zero weight.
+        c.hist.add(b == 0 ? 0 : std::uint64_t{1} << b, w);
+    }
+    return true;
+}
+
+/** Read the fields of an exportState() 'x' record into t. */
+bool
+readXlat(ExportReader &in, obs::XlatAttribution &t)
+{
+    std::uint64_t seq = 0, chunk = 0, m = 0;
+    if (!in.u64(seq) || !in.u64(chunk))
+        return false;
+    for (unsigned o = 0; o < obs::kXlatOutcomes; ++o)
+        for (unsigned c = 0; c < obs::kContigClasses; ++c)
+            if (!readCell(in, t.cell(o, c)))
+                return false;
+    if (!in.u64(m) || m > obs::XlatAttribution::kExemplarCapacity)
+        return false;
+    std::vector<obs::XlatAttribution::Exemplar> exemplars(m);
+    for (obs::XlatAttribution::Exemplar &e : exemplars) {
+        std::uint64_t outcome = 0, cls = 0;
+        if (!in.u64(e.vpn) || !in.u64(e.cycles) || !in.u64(outcome) ||
+            outcome >= obs::kXlatOutcomes || !in.u64(cls) ||
+            cls >= obs::kContigClasses || !in.u64(e.chunk) ||
+            !in.u64(e.seq)) {
+            return false;
+        }
+        e.outcome = static_cast<std::uint8_t>(outcome);
+        e.cls = static_cast<std::uint8_t>(cls);
+    }
+    t.setChunk(chunk);
+    t.restore(exemplars, seq);
+    return true;
+}
+
 /**
  * Merge one cell's exportState() text into this process's owned
- * metrics and RunInfo record. Nothing is merged from malformed text.
+ * metrics, RunInfo record and attribution tables. Nothing is merged
+ * from malformed text.
  */
 bool
 absorbState(std::string_view text)
 {
     obs::SampleMap samples;
     obs::RunInfo info;
+    std::vector<obs::XlatAttribution> xlat;
+    std::optional<obs::FaultAttribution> fault;
     ExportReader in(text);
     while (!in.done()) {
         char kind = 0;
@@ -275,32 +380,48 @@ absorbState(std::string_view text)
                 info.count(name, n);
             break;
           }
+          case 'x':
+            ok = readXlat(in, xlat.emplace_back(name));
+            break;
+          case 'f':
+            ok = !fault;
+            fault.emplace();
+            for (unsigned k = 0; k < obs::kFaultKinds; ++k)
+                for (unsigned o = 0; o < obs::kFaultOrders; ++o)
+                    for (unsigned f = 0; f < obs::kFaultFalls; ++f)
+                        ok = ok && readCell(in, fault->cell(k, o, f));
+            break;
           default:
             ok = false;
         }
         if (!ok || !in.newline())
             return false;
-        if (kind != 'v' && kind != 'n' &&
-            !samples.emplace(std::move(name), std::move(s)).second)
+        const bool metric =
+            kind == 'c' || kind == 'g' || kind == 's' || kind == 'h';
+        if (metric && !samples.emplace(std::move(name), std::move(s)).second)
             return false;
     }
     obs::MetricRegistry::global().absorb(samples);
     obs::RunInfo::global().absorb(info);
+    obs::AttribRegistry &attrib = obs::AttribRegistry::global();
+    for (const obs::XlatAttribution &t : xlat)
+        attrib.absorbXlat(t);
+    if (fault)
+        attrib.absorbFault(*fault);
     return true;
 }
 
 // --- the runner -------------------------------------------------------
 
 /**
- * Trace, timeline and attribution sinks record per-event data that
- * cannot be merged across processes.
+ * Trace and timeline sinks record per-event data that cannot be
+ * merged across processes.
  */
 bool
 perEventSinkOn()
 {
     return obs::TraceSink::global().categoryMask() != 0 ||
-           obs::TimelineSink::global().enabled() ||
-           obs::AttribRegistry::enabled();
+           obs::TimelineSink::global().enabled();
 }
 
 struct FileCloser
@@ -323,6 +444,7 @@ runChild(std::size_t cell, std::size_t size, const CellFn &fn,
 {
     obs::MetricRegistry::global().resetOwned();
     obs::RunInfo::global().clear();
+    obs::AttribRegistry::global().reset();
     std::string msg(size, '\0');
     fn(cell, msg.data());
     msg += exportState();

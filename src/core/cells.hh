@@ -8,18 +8,18 @@
  *
  * Fork gives every cell its own copy of the process-wide registries,
  * so the library stays single-threaded. Each child clears its copies
- * of the owned metrics and of the RunInfo record, runs its cell, and
- * sends back the result with an exact export of both (counters as
- * decimal integers, doubles as %a hex floats); the parent absorbs the
- * exports in cell order. The merged metrics equal a serial run's
- * whenever each non-integral double metric gets at most one
- * contribution per cell (DESIGN.md, "Execution model").
+ * of the owned metrics, the RunInfo record and the attribution
+ * tables, runs its cell, and sends back the result with an exact
+ * export of all three (counters as decimal integers, doubles as %a
+ * hex floats); the parent absorbs the exports in cell order. The
+ * merged metrics equal a serial run's whenever each non-integral
+ * double metric gets at most one contribution per cell, and the
+ * merged attribution tables always do (DESIGN.md, "Execution model").
  *
  * Cells run inline instead — the same code in the same order, no
  * fork — when there is at most one cell, when `jobs` is 1, or while
- * a trace, timeline or attribution sink is on: those record
- * per-event data that cannot be merged. So `taskset -c 0 <bench>`
- * runs a bench serially.
+ * a trace or timeline sink is on: those record per-event data that
+ * cannot be merged. So `taskset -c 0 <bench>` runs a bench serially.
  *
  * A cell must not print (children leave by _exit, so their stdio
  * buffers are never flushed) and must build every simulator object

@@ -78,20 +78,35 @@ FaultEngine::touchOne(Process &proc, Gva gva, Access access)
     proc.noteTouched(*vma, vpn);
 }
 
+bool
+FaultEngine::hugeFaultAllowed(const Process &proc, const Vma &vma,
+                              Vpn vpn) const
+{
+    if (!cfg_.thpEnabled || !kernel_.policy().allowsHugeFaults() ||
+        !vma.coversAligned(vpn, kHugeOrder)) {
+        return false;
+    }
+    // THP faults require the whole aligned huge range unmapped.
+    const Vpn huge_base = vpn & ~(pagesInOrder(kHugeOrder) - 1);
+    const Vpn huge_end = huge_base + pagesInOrder(kHugeOrder);
+    return proc.pageTable().findMappedIn(huge_base, huge_end) == huge_end;
+}
+
 void
 FaultEngine::classifyAnon(Process &proc, Vma &vma, FaultContext &ctx) const
 {
-    ctx.kind = FaultKind::Anon;
-    ctx.order = 0;
-    if (cfg_.thpEnabled && kernel_.policy().allowsHugeFaults() &&
-        vma.coversAligned(ctx.vpn, kHugeOrder)) {
-        // THP faults require the whole aligned huge range unmapped.
-        const Vpn huge_base = ctx.vpn & ~(pagesInOrder(kHugeOrder) - 1);
-        const Vpn huge_end = huge_base + pagesInOrder(kHugeOrder);
-        if (proc.pageTable().findMappedIn(huge_base, huge_end) == huge_end)
-            ctx.order = kHugeOrder;
-    }
+    ctx.order = hugeFaultAllowed(proc, vma, ctx.vpn) ? kHugeOrder : 0;
     ctx.base = ctx.vpn & ~(pagesInOrder(ctx.order) - 1);
+}
+
+AllocResult
+FaultEngine::dropCachesAndRetry(Process &proc, Vma &vma, Vpn base,
+                                unsigned order)
+{
+    // Direct reclaim: evict clean page-cache pages and retry.
+    kernel_.dropCaches();
+    kernel_.counters().inc("reclaim.direct");
+    return kernel_.policy().allocate(kernel_, proc, vma, base, order);
 }
 
 void
@@ -101,13 +116,8 @@ FaultEngine::placeAnon(Process &proc, Vma &vma, FaultContext &ctx)
     ReclaimEngine *rec = kernel_.reclaim();
     ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
     if (!ctx.alloc.ok() && ctx.order == kHugeOrder) {
-        if (!rec) {
-            // Direct reclaim: evict clean page-cache pages and retry.
-            kernel_.dropCaches();
-            kernel_.counters().inc("reclaim.direct");
-            ctx.alloc =
-                policy.allocate(kernel_, proc, vma, ctx.base, ctx.order);
-        }
+        if (!rec)
+            ctx.alloc = dropCachesAndRetry(proc, vma, ctx.base, ctx.order);
         if (!ctx.alloc.ok()) {
             // A huge-order shortfall is a defragmentation problem, not
             // a pressure problem: ask for background reclaim and
@@ -134,17 +144,12 @@ FaultEngine::placeAnon(Process &proc, Vma &vma, FaultContext &ctx)
 void
 FaultEngine::recoverBaseAlloc(Process &proc, Vma &vma, FaultContext &ctx)
 {
-    AllocationPolicy &policy = kernel_.policy();
-    if (kernel_.reclaim()) {
+    if (kernel_.reclaim())
         reclaimRetry(proc, vma, ctx.base, 0, ctx.alloc);
-    } else {
-        // Direct reclaim: evict clean page-cache pages and retry.
-        kernel_.dropCaches();
-        kernel_.counters().inc("reclaim.direct");
-        ctx.alloc = policy.allocate(kernel_, proc, vma, ctx.base, 0);
-    }
+    else
+        ctx.alloc = dropCachesAndRetry(proc, vma, ctx.base, 0);
     if (!ctx.alloc.ok()) {
-        policy.noteAllocFail(AllocFail::Oom);
+        kernel_.policy().noteAllocFail(AllocFail::Oom);
         fatal("out of memory: anon fault in %s (vma %u)",
               proc.name().c_str(), vma.id());
     }
@@ -187,12 +192,8 @@ FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx,
 {
     kernel_.claimFrames(ctx.alloc.pfn, ctx.order, FrameOwner::Anon,
                         proc.pid(), ctx.base << kPageShift);
-    if (mapper)
-        mapper->map(ctx.base, ctx.alloc.pfn, true, false);
-    else
-        proc.pageTable().map(ctx.base, ctx.alloc.pfn, ctx.order, true,
-                             false);
-    ++kernel_.physMem().frame(ctx.alloc.pfn).mapCount;
+    kernel_.mapLeaf(proc.pageTable(), ctx.base, ctx.alloc.pfn, ctx.order,
+                    true, false, mapper);
     const std::uint64_t n = pagesInOrder(ctx.order);
     vma.allocatedPages += n;
 
@@ -211,12 +212,8 @@ FaultEngine::installFile(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
                          PageTable::RunMapper *mapper)
 {
     // File mappings are shared read-only in this model.
-    if (mapper)
-        mapper->map(vpn, pfn, false, false);
-    else
-        proc.pageTable().map(vpn, pfn, 0, false, false);
+    kernel_.mapLeaf(proc.pageTable(), vpn, pfn, 0, false, false, mapper);
     kernel_.getFrame(pfn);
-    ++kernel_.physMem().frame(pfn).mapCount;
     vma.allocatedPages += 1;
 
     ++stats_.fileFaults;
@@ -250,11 +247,8 @@ FaultEngine::cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m)
 
     kernel_.claimFrames(res.pfn, order, FrameOwner::Anon, proc.pid(),
                         base << kPageShift);
-    proc.pageTable().unmap(base, order);
-    --kernel_.physMem().frame(m.pfn).mapCount;
-    ++kernel_.physMem().frame(res.pfn).mapCount;
-    kernel_.putFrame(m.pfn, order);
-    proc.pageTable().map(base, res.pfn, order, true, false);
+    kernel_.unmapLeaf(proc.pageTable(), base, order);
+    kernel_.mapLeaf(proc.pageTable(), base, res.pfn, order, true, false);
 
     const std::uint64_t n = pagesInOrder(order);
     const Cycles cycles = cfg_.faultBaseCycles +
@@ -268,8 +262,7 @@ void
 FaultEngine::fileFault(Process &proc, Vma &vma, Vpn vpn)
 {
     File &file = kernel_.pageCache().file(vma.fileId());
-    const std::uint64_t file_page =
-        vma.fileOffsetPages() + (vpn - vma.start().pageNumber());
+    const std::uint64_t file_page = vma.filePage(vpn);
     contig_assert(file_page < file.sizePages(),
                   "file fault beyond EOF (page %llu)",
                   static_cast<unsigned long long>(file_page));
@@ -416,7 +409,6 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
                             Vpn gap_end, Vpn span_end, bool note_all)
 {
     PageTable &pt = proc.pageTable();
-    AllocationPolicy &policy = kernel_.policy();
     const std::uint64_t huge_pages = pagesInOrder(kHugeOrder);
     std::vector<FaultContext> chunk;
     chunk.reserve(std::min<std::uint64_t>(gap_end - gap_start,
@@ -424,18 +416,12 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
 
     Vpn v = gap_start;
     while (v < gap_end) {
-        // Huge candidate? Same criteria as the per-fault classify
-        // stage, plus "no queued 4 KiB fault inside the block" (queued
-        // faults are installs the per-fault path would already have
-        // made).
+        // Huge candidate? No queued 4 KiB fault inside the block
+        // (queued faults are installs the per-fault path would already
+        // have made), then the classify stage's own test.
         const Vpn block = v & ~(huge_pages - 1);
-        const bool huge =
-            cfg_.thpEnabled && policy.allowsHugeFaults() &&
-            vma.coversAligned(v, kHugeOrder) &&
-            (chunk.empty() || chunk.back().base < block) &&
-            pt.findMappedIn(block, block + huge_pages) ==
-                block + huge_pages;
-        if (huge) {
+        if ((chunk.empty() || chunk.back().base < block) &&
+            hugeFaultAllowed(proc, vma, v)) {
             commitAnonChunk(proc, vma, chunk);
             {
                 obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
@@ -481,24 +467,7 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
     if (rec)
         rec->checkWatermarks(proc.homeNode());
 
-    // Reclaim (a policy's targeted eviction inside allocate(), the
-    // slow path below, or a page-table pool refill inside mapper.map
-    // itself) can unmap leaves of this very page table and free
-    // interior nodes the mapper has cached. Track the engine's unmap
-    // epoch and drop the cached node whenever it moved — checked
-    // before every mapper use.
-    std::uint64_t epoch = rec ? rec->unmapEpoch() : 0;
-    const auto resyncMapper = [&] {
-        if (!rec)
-            return;
-        const std::uint64_t e = rec->unmapEpoch();
-        if (e != epoch) {
-            mapper.invalidate();
-            epoch = e;
-        }
-    };
     const auto install = [&](FaultContext &ctx) {
-        resyncMapper();
         installAnon(proc, vma, ctx, &mapper);
         proc.noteTouched(vma, ctx.base);
     };
@@ -540,22 +509,7 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
 {
     File &file = kernel_.pageCache().file(vma.fileId());
     PageTable::RunMapper mapper(proc.pageTable());
-    const Vpn vma_start = vma.start().pageNumber();
     ReclaimEngine *rec = kernel_.reclaim();
-
-    // Same mapper-vs-reclaim discipline as commitAnonChunk: the cache
-    // fills and page-table pool refills below can trigger reclaim,
-    // whose unmaps may free interior nodes the mapper cached.
-    std::uint64_t epoch = rec ? rec->unmapEpoch() : 0;
-    const auto resyncMapper = [&] {
-        if (!rec)
-            return;
-        const std::uint64_t e = rec->unmapEpoch();
-        if (e != epoch) {
-            mapper.invalidate();
-            epoch = e;
-        }
-    };
 
     Vpn v = gap_start;
     while (v < gap_end) {
@@ -568,8 +522,7 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
             // windows merge); installs below then never miss.
             obs::ScopedPhase stage(fillPhase_);
             for (Vpn w = v; w < chunk_end; ++w) {
-                const std::uint64_t fp =
-                    vma.fileOffsetPages() + (w - vma_start);
+                const std::uint64_t fp = vma.filePage(w);
                 contig_assert(fp < file.sizePages(),
                               "file fault beyond EOF (page %llu)",
                               static_cast<unsigned long long>(fp));
@@ -581,17 +534,14 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
         {
             obs::ScopedPhase stage(installPhase_);
             for (Vpn w = v; w < chunk_end; ++w) {
-                const std::uint64_t fp =
-                    vma.fileOffsetPages() + (w - vma_start);
-                resyncMapper();
-                installFile(proc, vma, w, file.frameFor(fp), &mapper);
+                installFile(proc, vma, w, file.frameFor(vma.filePage(w)),
+                            &mapper);
                 proc.noteTouched(vma, w);
             }
         }
         batch_.batchedFaults += chunk_end - v;
         ++batch_.chunks;
         batch_.chunkPages.add(chunk_end - v);
-        mapper.invalidate();
         v = chunk_end;
     }
 }
@@ -731,12 +681,8 @@ FaultEngine::shareCowRange(Process &parent, Process &child, Vma &pvma,
         // Write-protect the parent's leaf and share it COW. The
         // in-place protection flip does not disturb the traversal.
         ppt.setWritable(vpn, false, true);
-        if (m.order == 0)
-            mapper.map(vpn, m.pfn, false, true);
-        else
-            cpt.map(vpn, m.pfn, m.order, false, true);
+        kernel_.mapLeaf(cpt, vpn, m.pfn, m.order, false, true, &mapper);
         kernel_.getFrame(m.pfn);
-        ++kernel_.physMem().frame(m.pfn).mapCount;
         cvma.allocatedPages += pagesInOrder(m.order);
     });
 }
@@ -756,20 +702,13 @@ FaultEngine::installPrepared(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
     while (i < n) {
         const Vpn v = vpn + i;
         const Pfn f = pfn + i;
-        if (n - i >= huge_pages && isAligned(v, huge_pages) &&
-            isAligned(f, huge_pages)) {
-            kernel_.claimFrames(f, kHugeOrder, FrameOwner::Anon,
-                                proc.pid(), v << kPageShift);
-            pt.map(v, f, kHugeOrder, true, false);
-            ++kernel_.physMem().frame(f).mapCount;
-            i += huge_pages;
-        } else {
-            kernel_.claimFrames(f, 0, FrameOwner::Anon, proc.pid(),
-                                v << kPageShift);
-            mapper.map(v, f, true, false);
-            ++kernel_.physMem().frame(f).mapCount;
-            i += 1;
-        }
+        const bool huge = n - i >= huge_pages && isAligned(v, huge_pages) &&
+                          isAligned(f, huge_pages);
+        const unsigned order_i = huge ? kHugeOrder : 0;
+        kernel_.claimFrames(f, order_i, FrameOwner::Anon, proc.pid(),
+                            v << kPageShift);
+        kernel_.mapLeaf(pt, v, f, order_i, true, false, &mapper);
+        i += pagesInOrder(order_i);
     }
     vma.allocatedPages += n;
 }

@@ -107,13 +107,12 @@ struct FaultRequest
 
 /**
  * Per-fault resolution state flowing through the pipeline stages:
- * classify fills kind, the granularity stage fills base/order, the
- * placement stage fills alloc (and fallback when a huge request was
- * demoted), the accounting stage fills cycles.
+ * the granularity stage fills base/order, the placement stage fills
+ * alloc (and fallback when a huge request was demoted), the
+ * accounting stage fills cycles.
  */
 struct FaultContext
 {
-    FaultKind kind = FaultKind::Anon;
     Vpn vpn = 0;        //!< faulting page (the origin)
     Vpn base = 0;       //!< order-aligned install base
     unsigned order = 0; //!< resolved granularity (0 or kHugeOrder)
@@ -218,16 +217,29 @@ class FaultEngine
   private:
     // --- pipeline stages -------------------------------------------------
 
+    /**
+     * May an anon fault at vpn take a THP? THP on, a policy that
+     * takes huge faults, the aligned 2 MiB block inside the VMA and
+     * wholly unmapped.
+     */
+    bool hugeFaultAllowed(const Process &proc, const Vma &vma,
+                          Vpn vpn) const;
     /** Granularity decision for an anon fault at vpn (THP or 4 KiB). */
     void classifyAnon(Process &proc, Vma &vma, FaultContext &ctx) const;
     /** Policy placement incl. direct reclaim and huge demotion. */
     void placeAnon(Process &proc, Vma &vma, FaultContext &ctx);
     /**
      * The order-0 slow path after a failed allocation at ctx.base:
-     * reclaimRetry() on reclaim kernels, otherwise drop the clean page
-     * cache and retry once. Out of memory is fatal.
+     * reclaimRetry() on reclaim kernels, otherwise
+     * dropCachesAndRetry(). Out of memory is fatal.
      */
     void recoverBaseAlloc(Process &proc, Vma &vma, FaultContext &ctx);
+    /**
+     * Reclaim-off direct reclaim: drop the clean page cache, count
+     * "reclaim.direct" and retry the allocation once.
+     */
+    AllocResult dropCachesAndRetry(Process &proc, Vma &vma, Vpn base,
+                                   unsigned order);
     /**
      * Memory-pressure escalation for a failed allocation at (base,
      * order): wake kswapd, then up to four direct-reclaim rounds with

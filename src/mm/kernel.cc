@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "base/align.hh"
 #include "base/logging.hh"
@@ -208,12 +209,10 @@ Kernel::unmapVmaPages(Process &proc, Vma &vma)
     // the mapping (megabytes for a big VMA).
     Vpn v = pt.findMappedIn(vma.start().pageNumber(), end);
     while (v < end) {
-        const Mapping m = *pt.lookup(v);
-        const std::uint64_t n = pagesInOrder(m.order);
+        const unsigned order = pt.lookup(v)->order;
+        const std::uint64_t n = pagesInOrder(order);
         const Vpn base = v & ~(n - 1);
-        pt.unmap(base, m.order);
-        --physMem_.frame(m.pfn).mapCount;
-        putFrame(m.pfn, m.order);
+        unmapLeaf(pt, base, order);
         v = pt.findMappedIn(base + n, end);
     }
 }
@@ -290,6 +289,65 @@ Kernel::putFrame(Pfn pfn, unsigned order)
     }
 }
 
+void
+Kernel::mapLeaf(PageTable &pt, Vpn vpn, Pfn pfn, unsigned order,
+                bool writable, bool cow, PageTable::RunMapper *mapper)
+{
+    if (mapper && order == 0)
+        mapper->map(vpn, pfn, writable, cow);
+    else
+        pt.map(vpn, pfn, order, writable, cow);
+    ++physMem_.frame(pfn).mapCount;
+}
+
+void
+Kernel::unmapLeaf(PageTable &pt, Vpn vpn, unsigned order)
+{
+    const Pfn pfn = pt.unmap(vpn, order).pfn;
+    --physMem_.frame(pfn).mapCount;
+    putFrame(pfn, order);
+}
+
+void
+Kernel::splitClaim(PageTable &pt, Vpn vpn, Pfn head, unsigned order)
+{
+    Frame &h = physMem_.frame(head);
+    const unsigned from = h.claimOrder;
+    contig_assert(h.refCount == 1 && h.mapCount <= 1 && order <= from,
+                  "split of a shared block at pfn %llu",
+                  static_cast<unsigned long long>(head));
+    bool writable = true;
+    if (h.mapCount) {
+        writable = pt.unmap(vpn, from).writable;
+        h.mapCount = 0;
+    }
+    // The only loop over the frames of a claimed block.
+    const Frame claim = h;
+    const std::uint64_t step = pagesInOrder(order);
+    PageTable::RunMapper mapper(pt);
+    for (std::uint64_t off = 0; off < pagesInOrder(from); off += step) {
+        Frame &f = physMem_.frame(head + off);
+        f.ownerKind = claim.ownerKind;
+        f.ownerId = claim.ownerId;
+        f.ownerVaddr = claim.ownerVaddr + off * kPageSize;
+        f.refCount = 1;
+        f.mapCount = 0;
+        f.claimOrder = static_cast<std::uint8_t>(order);
+        f.referenced = false;
+        mapLeaf(pt, vpn + off, head + off, order, writable, false, &mapper);
+    }
+}
+
+void
+Kernel::swapOwners(Pfn a, Pfn b)
+{
+    Frame &fa = physMem_.frame(a);
+    Frame &fb = physMem_.frame(b);
+    std::swap(fa.ownerKind, fb.ownerKind);
+    std::swap(fa.ownerId, fb.ownerId);
+    std::swap(fa.ownerVaddr, fb.ownerVaddr);
+}
+
 bool
 Kernel::refillPool(NodeId node)
 {
@@ -323,8 +381,9 @@ Kernel::allocKernelFrame(NodeId node)
             return pfn;
         }
         // Page-table allocations have no failure path of their own, so
-        // under overcommit the empty pool escalates to direct reclaim
-        // (whose unmaps may also return page-table nodes to the pool).
+        // under overcommit the empty pool escalates to direct reclaim,
+        // which frees data pages for the next refill (its unmaps free
+        // no page-table node).
         if (!reclaim_ ||
             reclaim_->directReclaim(node,
                                     pagesInOrder(kKernelPoolOrder))
@@ -394,8 +453,7 @@ Kernel::audit() const
                 err = csprintf("pid %u vpn %#llx: leaf outside any VMA",
                                proc->pid(), ull{vpn});
             } else if (vma->kind() == VmaKind::File) {
-                const std::uint64_t page = vma->fileOffsetPages() + vpn -
-                                           vma->start().pageNumber();
+                const std::uint64_t page = vma->filePage(vpn);
                 if (f.ownerKind != FrameOwner::PageCache ||
                     f.ownerId != vma->fileId() ||
                     f.ownerVaddr != page * kPageSize) {

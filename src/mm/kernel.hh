@@ -94,7 +94,6 @@ class Kernel
     Process &createProcess(const std::string &name, NodeId home_node = 0);
     /** Tear down a process, unmapping and freeing all its memory. */
     void exitProcess(Process &proc);
-    std::size_t processCount() const { return processes_.size(); }
 
     /** Visit every live process. */
     template <typename Fn>
@@ -186,6 +185,31 @@ class Kernel
      * free the block back to buddy.
      */
     void putFrame(Pfn pfn, unsigned order);
+
+    // A mapped leaf holds one mapcount on its block's head. These four,
+    // claimFrames(), getFrame() and putFrame() are the only writers of
+    // a claimed block's head.
+
+    /**
+     * Install a leaf over the block headed at pfn and charge the head
+     * one mapcount; the mapper, if given, installs order-0 leaves. The
+     * leaf's reference is the claim's own or one from getFrame().
+     */
+    void mapLeaf(PageTable &pt, Vpn vpn, Pfn pfn, unsigned order,
+                 bool writable, bool cow,
+                 PageTable::RunMapper *mapper = nullptr);
+    /** Remove the leaf at (vpn, order), uncharge its head, putFrame(). */
+    void unmapLeaf(PageTable &pt, Vpn vpn, unsigned order);
+    /**
+     * Split the exclusively owned block headed at `head` into heads of
+     * `order` (owner address advanced, refcount 1) and map each at its
+     * place from vpn, replacing a leaf that maps the whole block and
+     * keeping its protection. Nothing is claimed anew: no backing
+     * fault, no Alloc trace, no LRU listing.
+     */
+    void splitClaim(PageTable &pt, Vpn vpn, Pfn head, unsigned order);
+    /** Exchange the owner triples of two claimed heads (swapLeaves). */
+    void swapOwners(Pfn a, Pfn b);
 
     /**
      * Allocate one frame for kernel metadata (page-table nodes).

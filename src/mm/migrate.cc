@@ -1,7 +1,5 @@
 #include "mm/migrate.hh"
 
-#include <utility>
-
 #include "base/align.hh"
 #include "base/logging.hh"
 #include "mm/kernel.hh"
@@ -35,16 +33,12 @@ migrateLeaf(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     kernel.claimFrames(dest_pfn, order, src.ownerKind, src.ownerId,
                        src.ownerVaddr);
 
-    pt.unmap(base, order);
-    pt.map(base, dest_pfn, order, m->writable, m->cow);
+    kernel.unmapLeaf(pt, base, order);
+    kernel.mapLeaf(pt, base, dest_pfn, order, m->writable, m->cow);
     if (m->contigBit)
         pt.setContigBit(base, true);
-    --pm.frame(m->pfn).mapCount;
-    ++pm.frame(dest_pfn).mapCount;
-    Pfn old = m->pfn;
-    kernel.putFrame(old, order);
 
-    CONTIG_TRACE(obs::TraceEventKind::Migration, old, dest_pfn, n);
+    CONTIG_TRACE(obs::TraceEventKind::Migration, m->pfn, dest_pfn, n);
     kernel.counters().inc("migrate.pages", n);
     kernel.counters().inc("migrate.shootdowns");
     kernel.counters().inc("migrate.cycles",
@@ -95,14 +89,10 @@ swapLeaves(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     if (om->contigBit)
         other->pageTable().setContigBit(other_base, true);
 
-    // Swap the owner triples of the two block heads. Both blocks have
-    // the same order and each is one exclusive leaf, so their
-    // refcounts and mapcounts are 1 and stay put.
-    Frame &fa = pm.frame(m->pfn);
-    Frame &fb = pm.frame(dest_pfn);
-    std::swap(fa.ownerKind, fb.ownerKind);
-    std::swap(fa.ownerId, fb.ownerId);
-    std::swap(fa.ownerVaddr, fb.ownerVaddr);
+    // Both blocks have the same order and each is one exclusive leaf,
+    // so their refcounts and mapcounts are 1 and stay put; only the
+    // owner triples trade places.
+    kernel.swapOwners(m->pfn, dest_pfn);
     const std::uint64_t n = pagesInOrder(order);
 
     CONTIG_TRACE(obs::TraceEventKind::Migration, m->pfn, dest_pfn, 2 * n);
@@ -141,13 +131,9 @@ promoteHuge(Kernel &kernel, Process &proc, Vpn huge_vpn)
     const Frame &src = pm.frame(old[0]);
     kernel.claimFrames(*huge, kHugeOrder, src.ownerKind, src.ownerId,
                        huge_vpn << kPageShift);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        pt.unmap(huge_vpn + i, 0);
-        --pm.frame(old[i]).mapCount;
-        kernel.putFrame(old[i], 0);
-    }
-    pt.map(huge_vpn, *huge, kHugeOrder, true, false);
-    ++pm.frame(*huge).mapCount;
+    for (std::uint64_t i = 0; i < n; ++i)
+        kernel.unmapLeaf(pt, huge_vpn + i, 0);
+    kernel.mapLeaf(pt, huge_vpn, *huge, kHugeOrder, true, false);
 
     CONTIG_TRACE(obs::TraceEventKind::Promotion, huge_vpn, n);
     kernel.counters().inc("promote.pages", n);

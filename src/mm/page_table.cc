@@ -39,6 +39,7 @@ PageTable::freeNodes(Node *node)
         if (slot.child)
             freeNodes(slot.child.get());
     }
+    ++nodeFrees_;
     if (nodeFree_ && node->frame < kSyntheticBase)
         nodeFree_(node->frame);
 }
@@ -128,7 +129,7 @@ PageTable::findLeafSlot(Vpn vpn) const
     }
 }
 
-void
+Mapping
 PageTable::unmap(Vpn vpn, unsigned order)
 {
     Slot *slot = findLeafSlot(vpn);
@@ -147,6 +148,7 @@ PageTable::unmap(Vpn vpn, unsigned order)
     bumpGeneration();
     if (updateHook_)
         updateHook_(vpn & ~(pagesInOrder(order) - 1), old, false);
+    return old;
 }
 
 std::optional<Mapping>
@@ -295,12 +297,13 @@ void
 PageTable::RunMapper::map(Vpn vpn, Pfn pfn, bool writable, bool cow)
 {
     const Vpn block = vpn & ~static_cast<Vpn>(kPtFanout - 1);
-    if (!l1_ || block != l1Base_) {
+    if (!l1_ || block != l1Base_ || nodeFrees_ != pt_.nodeFrees_) {
         Node *node = pt_.root_.get();
         while (node->level > 1)
             node = pt_.ensureChild(node, indexAt(vpn, node->level));
         l1_ = node;
         l1Base_ = block;
+        nodeFrees_ = pt_.nodeFrees_;
     }
     Slot &slot = l1_->slots[indexAt(vpn, 1)];
     contig_assert(!slot.present,

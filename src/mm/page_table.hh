@@ -103,8 +103,8 @@ class PageTable
     void map(Vpn vpn, Pfn pfn, unsigned order, bool writable = true,
              bool cow = false);
 
-    /** Remove a leaf previously installed at this vpn/order. */
-    void unmap(Vpn vpn, unsigned order);
+    /** Remove and return the leaf at this vpn/order; frees no node. */
+    Mapping unmap(Vpn vpn, unsigned order);
 
     /** Leaf covering vpn, if any. Does not record a trace. */
     std::optional<Mapping> lookup(Vpn vpn) const;
@@ -230,6 +230,11 @@ class PageTable
     Pfn syntheticNext_;
     PageTableStats stats_;
     std::uint64_t generation_ = 0;
+    /**
+     * Nodes freed so far: a RunMapper's cached node is live while
+     * this has not moved.
+     */
+    std::uint64_t nodeFrees_ = 0;
 };
 
 /**
@@ -237,9 +242,9 @@ class PageTable
  * so a run of base-page installs inside one 2 MiB region costs one
  * descent instead of one per page. Semantics are identical to
  * PageTable::map(vpn, pfn, 0, ...) — stats and the update hook fire
- * per leaf. The cache must be invalidated (or the mapper discarded)
- * before any page-table mutation made behind its back that can free
- * nodes (unmap, huge promotion).
+ * per leaf. Any page-table mutation may happen between two calls:
+ * the mapper descends again whenever the table has freed a node
+ * since it cached its own.
  */
 class PageTable::RunMapper
 {
@@ -249,13 +254,12 @@ class PageTable::RunMapper
     /** Install a 4 KiB leaf at vpn (the slot must be empty). */
     void map(Vpn vpn, Pfn pfn, bool writable, bool cow);
 
-    /** Drop the cached node (after external page-table mutations). */
-    void invalidate() { l1_ = nullptr; }
-
   private:
     PageTable &pt_;
     Node *l1_ = nullptr;
     Vpn l1Base_ = ~Vpn{0};
+    /** pt_.nodeFrees_ when l1_ was cached. */
+    std::uint64_t nodeFrees_ = 0;
 };
 
 } // namespace contig

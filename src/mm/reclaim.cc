@@ -299,60 +299,26 @@ ReclaimEngine::evictAnon(Zone &zone, Pfn head, unsigned order,
 
     if (order != 0) {
         // THP on the reclaim path: split first (split_huge_page), then
-        // reclaim the 512 base candidates individually.
-        splitHuge(zone, *proc, vpn & ~(pagesInOrder(order) - 1), head);
+        // reclaim the 512 base candidates individually. They are listed
+        // at the scan end, descending, so the scanner pops them back in
+        // ascending pfn order — frees merge back toward one buddy block
+        // as eviction proceeds.
+        kernel_.splitClaim(proc->pageTable(),
+                           vpn & ~(pagesInOrder(order) - 1), head, 0);
+        for (std::uint64_t i = pagesInOrder(order); i > 0; --i)
+            zone.lruInsertTail(Frame::LruList::Inactive, head + i - 1, 0);
         out.cycles += kernel_.config().faultBaseCycles;
         stats_.thpSplits.fetch_add(1, std::memory_order_relaxed);
         return Victim::Split;
     }
 
-    proc->pageTable().unmap(vpn, 0);
-    ++unmapEpoch_;
-    --pm.frame(head).mapCount;
+    // putFrame's onFree unlists; here the block is already off.
+    kernel_.unmapLeaf(proc->pageTable(), vpn, 0);
     vma->allocatedPages -= 1;
     out.cycles += recordSwapOut(pid, vpn);
-    kernel_.putFrame(head, 0); // onFree unlists; here it is already off
     out.freed += 1;
     stats_.reclaimed.fetch_add(1, std::memory_order_relaxed);
     return Victim::Freed;
-}
-
-void
-ReclaimEngine::splitHuge(Zone &zone, Process &proc, Vpn base, Pfn head)
-{
-    PhysicalMemory &pm = kernel_.physMem();
-    PageTable &pt = proc.pageTable();
-    const std::uint64_t n = pagesInOrder(kHugeOrder);
-
-    auto m = pt.lookup(base);
-    const bool writable = m->writable;
-
-    pt.unmap(base, kHugeOrder);
-    ++unmapEpoch_;
-
-    // Each base page becomes its own exclusive order-0 block: copy the
-    // head's owner triple into 512 heads. This is the only loop over
-    // the frames of a claimed block. No claimFrames here — the frames
-    // never left the owner, so no Alloc trace, no backing fault.
-    const Frame h = pm.frame(head);
-    PageTable::RunMapper rm(pt);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Frame &fi = pm.frame(head + i);
-        fi.ownerKind = h.ownerKind;
-        fi.ownerId = h.ownerId;
-        fi.ownerVaddr = h.ownerVaddr + i * kPageSize;
-        fi.refCount = 1;
-        fi.mapCount = 1;
-        fi.claimOrder = 0;
-        fi.referenced = false;
-        rm.map(base + i, head + i, writable, false);
-    }
-
-    // List the pieces at the scan end, descending, so the scanner pops
-    // them back in ascending pfn order — frees merge back toward one
-    // buddy block as eviction proceeds.
-    for (std::uint64_t i = n; i > 0; --i)
-        zone.lruInsertTail(Frame::LruList::Inactive, head + i - 1, 0);
 }
 
 ReclaimEngine::Victim

@@ -206,15 +206,6 @@ class ReclaimEngine
     };
 
     /**
-     * Bumped on every eviction that unmaps page-table leaves (anon
-     * evictions and THP splits). Unmapping can free empty page-table
-     * nodes, so batch installers holding a PageTable::RunMapper
-     * snapshot this around anything that can reclaim and invalidate
-     * the mapper's cached node when it moved.
-     */
-    std::uint64_t unmapEpoch() const { return unmapEpoch_; }
-
-    /**
      * Targeted (contiguity-aware) reclaim: try to evict every
      * reclaimable block inside [base, base + 2^order) so the span can
      * be allocated as one free block — how CA paging / Ranger route
@@ -248,8 +239,6 @@ class ReclaimEngine
     Victim scanOne(Zone &zone, const Zone::LruEntry &e, Progress &out);
     Victim evictAnon(Zone &zone, Pfn head, unsigned order, Progress &out);
     Victim evictPageCache(Zone &zone, Pfn head, Progress &out);
-    /** Split one validated huge leaf into 512 base mappings. */
-    void splitHuge(Zone &zone, Process &proc, Vpn base, Pfn head);
     /** Record a swap-out of (pid, vpn); returns the modelled cost. */
     Cycles recordSwapOut(std::uint32_t pid, Vpn vpn);
 
@@ -269,7 +258,6 @@ class ReclaimEngine
     const bool contigAware_;
     const SwapCostModel cost_;
     ReclaimStats stats_;
-    std::uint64_t unmapEpoch_ = 0;
     /** Live PageCacheFillScope nesting depth. */
     unsigned fillDepth_ = 0;
 

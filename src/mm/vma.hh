@@ -65,6 +65,12 @@ class Vma
     VmaKind kind() const { return kind_; }
     std::uint32_t fileId() const { return fileId_; }
     std::uint64_t fileOffsetPages() const { return fileOffsetPages_; }
+    /** File page that vpn of this file VMA maps. */
+    std::uint64_t
+    filePage(Vpn vpn) const
+    {
+        return fileOffsetPages_ + (vpn - start_.pageNumber());
+    }
 
     bool
     contains(Gva a) const

@@ -146,6 +146,15 @@ XlatAttribution::offer(const Exemplar &e)
         exemplars_.pop_back();
 }
 
+void
+XlatAttribution::restore(const std::vector<Exemplar> &exemplars,
+                         std::uint64_t events)
+{
+    for (const Exemplar &e : exemplars)
+        offer(e);
+    seq_ = events;
+}
+
 CostCell
 XlatAttribution::outcomeTotal(unsigned outcome) const
 {

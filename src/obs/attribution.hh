@@ -176,6 +176,11 @@ class XlatAttribution
     {
         return cells_[outcome][cls];
     }
+    CostCell &
+    cell(unsigned outcome, unsigned cls)
+    {
+        return cells_[outcome][cls];
+    }
 
     /** All classes of one outcome folded together. */
     CostCell outcomeTotal(unsigned outcome) const;
@@ -184,6 +189,15 @@ class XlatAttribution
     const std::vector<Exemplar> &exemplars() const { return exemplars_; }
 
     std::uint64_t events() const { return seq_; }
+    std::uint64_t chunk() const { return chunk_; }
+
+    /**
+     * Rebuild a table another process exported (core/cells), after
+     * its cells and setChunk(): offer its exemplars and take its
+     * event count.
+     */
+    void restore(const std::vector<Exemplar> &exemplars,
+                 std::uint64_t events);
 
     /** Fold another table in (AttribRegistry::absorbXlat). */
     void mergeFrom(const XlatAttribution &other);
@@ -229,6 +243,11 @@ class FaultAttribution
 
     const CostCell &
     cell(unsigned kind, unsigned order_idx, unsigned fall) const
+    {
+        return cells_[kind][order_idx][fall];
+    }
+    CostCell &
+    cell(unsigned kind, unsigned order_idx, unsigned fall)
     {
         return cells_[kind][order_idx][fall];
     }

@@ -17,7 +17,7 @@ namespace obs
 // --- StateSampler ---------------------------------------------------------
 
 StateSampler::StateSampler(SamplerConfig cfg)
-    : cfg_(std::move(cfg)), periodFaults_(cfg_.periodFaults)
+    : cfg_(std::move(cfg))
 {
 }
 

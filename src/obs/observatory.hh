@@ -121,9 +121,9 @@ class StateSampler
     void
     onFaultTick()
     {
-        if (periodFaults_ == 0)
+        if (cfg_.periodFaults == 0)
             return;
-        if (++sinceSample_ >= periodFaults_) {
+        if (++sinceSample_ >= cfg_.periodFaults) {
             sinceSample_ = 0;
             sampleNow();
         }
@@ -138,9 +138,6 @@ class StateSampler
     // --- results --------------------------------------------------------
 
     const std::vector<Snapshot> &snapshots() const { return snapshots_; }
-    std::uint64_t captures() const { return seqNext_; }
-    std::uint64_t periodFaults() const { return periodFaults_; }
-    void setPeriodFaults(std::uint64_t p) { periodFaults_ = p; }
     const SamplerConfig &config() const { return cfg_; }
 
   private:
@@ -156,7 +153,6 @@ class StateSampler
     void emitTimeline(const Snapshot &snap);
 
     SamplerConfig cfg_;
-    std::uint64_t periodFaults_ = 0;
     std::uint64_t sinceSample_ = 0;
     std::uint64_t seqNext_ = 0;
     Kernel *kernel_ = nullptr;

@@ -41,14 +41,15 @@ enum class FrameOwner : std::uint8_t
  * Head-only state: Kernel::claimFrames() writes the claim state
  * (owner triple, refcount, mapcount, `claimOrder`) into the head
  * descriptor of the claimed block only, every map or unmap of a leaf
- * changes the head's mapcount once, and the final putFrame() clears
- * the head again. Tail descriptors carry no claim state; a tail finds
- * its head with Kernel::claimHead(), and its reverse-mapped address is
- * the head's `ownerVaddr` plus its offset. Occupancy is not a frame
- * field but one bit per frame in the BuddyAllocator. The only path
- * that writes tail descriptors is a THP split, which turns the 512
- * frames of a huge leaf into order-0 heads (and the memory hog, which
- * makes each 2 MiB piece of its 4 MiB chunks a head of its own).
+ * changes the head's mapcount once (Kernel::mapLeaf/unmapLeaf), and
+ * the final putFrame() clears the head again. Tail descriptors carry
+ * no claim state; a tail finds its head with Kernel::claimHead(), and
+ * its reverse-mapped address is the head's `ownerVaddr` plus its
+ * offset. Occupancy is not a frame field but one bit per frame in the
+ * BuddyAllocator. The only path that writes tail descriptors is
+ * Kernel::splitClaim(): a THP split turns the 512 frames of a huge
+ * leaf into order-0 heads, and the memory hog makes each 2 MiB piece
+ * of its 4 MiB chunks a head of its own.
  *
  * A frame whose bytes are all zero is a valid, unowned frame: free, or
  * a tail of a claimed block. The mem_map is therefore a zero-filled

@@ -114,7 +114,6 @@ class SpotEngine
 
     /** Select the probe kernel; the answer never depends on it. */
     void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
 
     /** Report prediction-outcome counters into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;

@@ -102,7 +102,6 @@ class Tlb
 
     /** Select the probe kernel; the answer never depends on it. */
     void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
 
     unsigned pageOrder() const { return pageOrder_; }
     unsigned entries() const { return cfg_.sets * cfg_.ways; }

@@ -106,7 +106,6 @@ class Walker
 
     /** Select the cache-probe kernel; the answer never depends on it. */
     void setSimd(bool simd) { simd_ = simd; }
-    bool simdEnabled() const { return simd_; }
 
     const WalkerStats &stats() const { return stats_; }
     const WalkerConfig &config() const { return cfg_; }

@@ -549,7 +549,6 @@ hogMemory(Kernel &kernel, double fraction, Rng &rng)
     // into one big hog VMA so exiting the process releases them.
     Vma &vma = hog.addressSpace().mmap(target * kPageSize + kHugeSize,
                                        VmaKind::Anon);
-    PageTable &pt = hog.pageTable();
     Vpn next_vpn = vma.start().pageNumber();
 
     std::uint64_t pinned = 0;
@@ -566,20 +565,8 @@ hogMemory(Kernel &kernel, double fraction, Rng &rng)
                            next_vpn << kPageShift);
         // Map the chunk as huge leaves. Each leaf is unmapped and freed
         // on its own, so the chunk's one claim becomes one order-9
-        // claim per leaf: owner triple, refcount 1 and the leaf's
-        // mapcount on each 2 MiB head.
-        const Frame claim = pm.frame(where);
-        for (std::uint64_t off = 0; off < n;
-             off += pagesInOrder(kHugeOrder)) {
-            pt.map(next_vpn + off, where + off, kHugeOrder);
-            Frame &head = pm.frame(where + off);
-            head.ownerKind = claim.ownerKind;
-            head.ownerId = claim.ownerId;
-            head.ownerVaddr = claim.ownerVaddr + off * kPageSize;
-            head.refCount = 1;
-            head.claimOrder = kHugeOrder;
-            ++head.mapCount;
-        }
+        // claim per leaf.
+        kernel.splitClaim(hog.pageTable(), next_vpn, where, kHugeOrder);
         vma.allocatedPages += n;
         next_vpn += n;
         pinned += n;

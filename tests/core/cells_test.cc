@@ -1,7 +1,7 @@
 /**
  * The cell runner (core/cells): cells run in forked children return
- * the same results, and leave the same merged metrics and run record,
- * as the same cells run inline.
+ * the same results, and leave the same merged metrics, run record and
+ * attribution tables, as the same cells run inline.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "base/json.hh"
 #include "core/cells.hh"
 #include "core/experiment.hh"
+#include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/observatory.hh"
 
@@ -73,6 +74,8 @@ struct Arm
     /** Merged metrics as JSON, host wall-clock summaries dropped. */
     std::string metrics;
     std::string run;
+    /** The bench JSON's "attribution" section ("{}" without one). */
+    std::string attribution;
 };
 
 Arm
@@ -81,6 +84,7 @@ runArm(std::size_t n, unsigned jobs)
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
     reg.resetOwned();
     obs::RunInfo::global().clear();
+    obs::AttribRegistry::global().reset();
 
     Arm arm;
     arm.out = runCells<CellOut>(n, smallCell, jobs);
@@ -97,6 +101,11 @@ runArm(std::size_t n, unsigned jobs)
     JsonWriter r;
     obs::RunInfo::global().writeJson(r);
     arm.run = r.str();
+    JsonWriter a;
+    a.beginObject();
+    obs::AttribRegistry::global().writeSection(a);
+    a.endObject();
+    arm.attribution = a.str();
     return arm;
 }
 
@@ -105,23 +114,41 @@ runArm(std::size_t n, unsigned jobs)
 TEST(CellsTest, ForkedMatchesInline)
 {
     const std::size_t n = 6;
-    const Arm serial = runArm(n, 1);
-    const Arm forked = runArm(n, 3);
+    // A plain arm, then an attribution arm with the tables --attrib
+    // turns on.
+    for (const bool attrib : {false, true}) {
+        SCOPED_TRACE(attrib ? "attribution on" : "plain");
+        obs::AttribRegistry::setEnabled(attrib);
+        const Arm serial = runArm(n, 1);
+        const Arm forked = runArm(n, 3);
+        obs::AttribRegistry::setEnabled(false);
 
-    ASSERT_EQ(serial.out.size(), n);
-    ASSERT_EQ(forked.out.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_GT(serial.out[i].faults, 0u);
-        EXPECT_EQ(serial.out[i].faults, forked.out[i].faults);
-        EXPECT_EQ(serial.out[i].mappingsFor99, forked.out[i].mappingsFor99);
-        EXPECT_EQ(serial.out[i].cov32, forked.out[i].cov32);
-        EXPECT_EQ(serial.out[i].overhead, forked.out[i].overhead);
+        ASSERT_EQ(serial.out.size(), n);
+        ASSERT_EQ(forked.out.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_GT(serial.out[i].faults, 0u);
+            EXPECT_EQ(serial.out[i].faults, forked.out[i].faults);
+            EXPECT_EQ(serial.out[i].mappingsFor99,
+                      forked.out[i].mappingsFor99);
+            EXPECT_EQ(serial.out[i].cov32, forked.out[i].cov32);
+            EXPECT_EQ(serial.out[i].overhead, forked.out[i].overhead);
+        }
+        EXPECT_NE(serial.metrics.find("guest.faults"), std::string::npos);
+        EXPECT_EQ(serial.metrics, forked.metrics);
+        EXPECT_NE(serial.run.find("\"kernel.instances\":6"),
+                  std::string::npos);
+        EXPECT_EQ(serial.run, forked.run);
+        // Translation tables and the fault table, or no section.
+        EXPECT_EQ(serial.attribution.find("\"xlat\":{\"") !=
+                      std::string::npos,
+                  attrib);
+        EXPECT_EQ(serial.attribution.find("\"fault\":{") !=
+                      std::string::npos,
+                  attrib);
+        EXPECT_EQ(serial.attribution, forked.attribution);
     }
-    EXPECT_NE(serial.metrics.find("guest.faults"), std::string::npos);
-    EXPECT_EQ(serial.metrics, forked.metrics);
-    EXPECT_NE(serial.run.find("\"kernel.instances\":6"), std::string::npos);
-    EXPECT_EQ(serial.run, forked.run);
+    obs::AttribRegistry::global().reset();
 }
 
 TEST(CellsTest, ExportIsExact)

@@ -84,6 +84,25 @@ TEST(PageTable, RunMapperMatchesPlainMap)
     }
 }
 
+TEST(PageTable, RunMapperSurvivesNodeFree)
+{
+    // A huge leaf over an emptied L1 node frees that node, which the
+    // mapper cached with its first install; its next install must
+    // descend again instead of writing into the freed node.
+    PageTable pt;
+    PageTable::RunMapper rm(pt);
+    const Vpn block = 3 * kPtFanout;
+    rm.map(block + 1, 77, true, false);
+    pt.unmap(block + 1, 0);
+    pt.map(block, 1024, kHugeOrder);
+    pt.unmap(block, kHugeOrder);
+    rm.map(block + 2, 78, true, false);
+    auto m = pt.lookup(block + 2);
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->pfn, 78u);
+    EXPECT_EQ(m->order, 0u);
+}
+
 TEST(PageTable, RunMapperFiresUpdateHook)
 {
     PageTable pt;

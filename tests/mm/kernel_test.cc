@@ -265,6 +265,7 @@ TEST(Migrate, MovesLeafToChosenFrame)
     ASSERT_TRUE(k->physMem().isFreePage(dest));
     EXPECT_EQ(migrateLeaf(*k, p, vma.start().pageNumber(), dest),
               MigrateResult::Done);
+    EXPECT_EQ(k->audit(), "");
     auto m2 = p.pageTable().lookup(vma.start().pageNumber());
     EXPECT_EQ(m2->pfn, dest);
     EXPECT_TRUE(k->physMem().isFreePage(m->pfn)); // old frame freed
@@ -293,6 +294,7 @@ TEST(Migrate, PromoteHuge)
 
     Vpn base = vma.start().pageNumber();
     EXPECT_TRUE(promoteHuge(*k, p, base));
+    EXPECT_EQ(k->audit(), "");
     auto m = p.pageTable().lookup(base);
     ASSERT_TRUE(m);
     EXPECT_EQ(m->order, kHugeOrder);
