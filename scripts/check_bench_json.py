@@ -403,7 +403,7 @@ def main():
     # Runs that replayed a translation stream (runTranslation notes
     # "seed.translation") must record the replay-engine knobs: chunk
     # size, the walk-memo toggle, the inner-loop engine
-    # (reference/batched), and the probe width (avx2/scalar). None of
+    # (reference/batched), and the probe kernel (sse2/scalar). None of
     # them changes simulated results — they are recorded so a
     # wall-clock artifact is attributable to its build.
     if "seed.translation" in run:
@@ -414,8 +414,8 @@ def main():
         if run["xlat.engine"] not in ("reference", "batched"):
             fail(f"'xlat.engine' must be reference|batched: "
                  f"{run['xlat.engine']!r}")
-        if run["xlat.simd"] not in ("avx2", "scalar"):
-            fail(f"'xlat.simd' must be avx2|scalar: "
+        if run["xlat.simd"] not in ("sse2", "scalar"):
+            fail(f"'xlat.simd' must be sse2|scalar: "
                  f"{run['xlat.simd']!r}")
 
     rows = doc["rows"]

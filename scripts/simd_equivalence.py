@@ -3,8 +3,8 @@
 
 Usage: simd_equivalence.py <fig13-binary>
 
-Runs fig13_translation_overhead twice, with the AVX2 probes (where the
-CPU has them) and under --no-simd, and requires every row value to
+Runs fig13_translation_overhead twice, with the SSE2 probes (where the
+build has them) and under --no-simd, and requires every row value to
 agree; only the host wall-clock (*.wall_us) columns may differ. Both
 runs must note their probe mode (config.run "xlat.simd").
 """

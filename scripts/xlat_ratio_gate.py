@@ -16,13 +16,14 @@ not: both replay identical work back to back on the same core, so
 prices exactly the SoA layout + batched pipeline + SIMD probes. The
 gate fails when the speedup falls under --min-ratio.
 
-Two call sites in scripts/ci.sh:
+Two call sites:
   - the committed baseline (bench/baselines/...) is gated at the
-    paper-reproduction floor (1.5x) — the recorded evidence;
-  - the fresh CI run is gated at a noise-tolerant 1.2x — shared CI
-    boxes jitter, but losing the whole batching win (a ratio near
-    1.0x) means the Batched engine silently fell back to the
-    per-access path.
+    paper-reproduction floor (1.5x) — the recorded evidence — by the
+    baseline_xlat_ratio ctest (bench/CMakeLists.txt);
+  - the fresh CI run is gated at a noise-tolerant 1.2x in
+    scripts/ci.sh — shared CI boxes jitter, but losing the whole
+    batching win (a ratio near 1.0x) means the Batched engine
+    silently fell back to the per-access path.
 
 Also requires the simulated counter columns (accesses, walks,
 l1_hits, l2_hits, exposed_cycles) of the engine_ref and soa_scalar

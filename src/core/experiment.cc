@@ -293,8 +293,8 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         "xlat.engine", opts.engine == XlatEngine::Reference
                            ? std::string_view("reference")
                            : std::string_view("batched"));
-    // The effective probe-kernel mode: "avx2" only when the batched
-    // engine runs on an AVX2-capable CPU not forced scalar
+    // The effective probe-kernel mode: "sse2" only when the batched
+    // engine runs with SSE2 built in and not forced scalar
     // (--no-simd).
     obs::RunInfo::global().note(
         "xlat.simd",

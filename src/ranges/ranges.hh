@@ -18,6 +18,7 @@
 #ifndef CONTIG_RANGES_RANGES_HH
 #define CONTIG_RANGES_RANGES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -118,6 +119,24 @@ class DirectSegment
     Vpn base_;
     std::uint64_t pages_;
 };
+
+/**
+ * The segment of `segs` (n >= 1, sorted by base) that can hold vpn:
+ * the last one whose base is <= vpn, or segs[0] when none is, so
+ * segmentFor(...).contains(vpn) answers what upper_bound followed by
+ * contains() does. Branch-free: the number of halving steps depends
+ * on n alone, and each step picks its half with a conditional move.
+ */
+inline const DirectSegment &
+segmentFor(const DirectSegment *segs, std::size_t n, Vpn vpn)
+{
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        segs += segs[half].base() <= vpn ? half : 0;
+        n -= half;
+    }
+    return *segs;
+}
 
 /**
  * Count the ranges needed to map 99 % of the footprint (Table I's

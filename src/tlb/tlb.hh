@@ -8,8 +8,8 @@
  * Entries are stored structure-of-arrays (see DESIGN.md, "Replay
  * data layout"): per-set contiguous tag / valid / lastUse lanes, the
  * tag lane padded to the SIMD stride with simd::kNoTag64 in invalid
- * and padding slots. A set probe is then a single tag-lane search
- * (AVX2 when available, scalar otherwise — identical results either
+ * and padding slots. A set probe is then a single inline tag-lane
+ * search (SSE2, or scalar under --no-simd — identical results either
  * way), and the hot lookup/fill paths are inline here so the replay
  * inner loop pays no call per access.
  */
@@ -57,12 +57,10 @@ class Tlb
     bool lookup(Vpn vpn)
     {
         ++stats_.lookups;
-        const Vpn tag = tagOf(vpn);
-        const unsigned base = setOf(vpn) * wayStride_;
-        const int w = simd::findTag(&tags_[base], cfg_.ways, tag, simd_);
-        if (w < 0)
+        unsigned lane = 0;
+        if (!lanes().find(tagOf(vpn), simd_, lane))
             return false;
-        lastUse_[base + w] = ++clock_;
+        lastUse_[lane] = ++clock_;
         ++stats_.hits;
         return true;
     }
@@ -70,23 +68,20 @@ class Tlb
     /** Probe without statistics or LRU update. */
     bool probe(Vpn vpn) const
     {
-        const unsigned base = setOf(vpn) * wayStride_;
-        return simd::findTag(&tags_[base], cfg_.ways, tagOf(vpn),
-                             simd_) >= 0;
+        unsigned lane = 0;
+        return lanes().find(tagOf(vpn), simd_, lane);
     }
 
     /** Insert the page covering vpn, evicting LRU if needed. */
     void fill(Vpn vpn)
     {
         ++stats_.fills;
-        const Vpn tag = tagOf(vpn);
-        const unsigned base = setOf(vpn) * wayStride_;
-        const int w = simd::findTag(&tags_[base], cfg_.ways, tag, simd_);
-        if (w >= 0) {
-            lastUse_[base + w] = ++clock_; // refill of a present entry
+        unsigned lane = 0;
+        if (lanes().find(tagOf(vpn), simd_, lane)) {
+            lastUse_[lane] = ++clock_; // refill of a present entry
             return;
         }
-        fillVictim(base, tag);
+        fillVictim(setOf(vpn) * wayStride_, tagOf(vpn));
     }
 
     /**
@@ -111,6 +106,38 @@ class Tlb
     void collectMetrics(obs::MetricSink &sink) const;
 
   private:
+    // The hierarchy's lane hit path (TlbHierarchy::accessLane) probes
+    // the lanes and keeps the clock and counters in locals.
+    friend class TlbHierarchy;
+
+    /**
+     * The probe geometry and tag lanes, by value: a probe loop that
+     * holds a copy needs no member reload after each lastUse store.
+     */
+    struct Lanes
+    {
+        const std::uint64_t *tags;
+        unsigned setMask;
+        unsigned stride;
+
+        /**
+         * True when `tag`'s set holds it, with its lane index in
+         * `lane`. Probes the whole padded set: padding lanes hold
+         * simd::kNoTag64, which no tag equals.
+         */
+        bool find(Vpn tag, bool use_simd, unsigned &lane) const
+        {
+            const unsigned base =
+                static_cast<unsigned>(tag & setMask) * stride;
+            const int w =
+                simd::findTag(tags + base, stride, tag, use_simd);
+            lane = base + static_cast<unsigned>(w);
+            return w >= 0;
+        }
+    };
+
+    Lanes lanes() const { return {tags_.data(), cfg_.sets - 1, wayStride_}; }
+
     Vpn tagOf(Vpn vpn) const { return vpn >> pageOrder_; }
 
     unsigned setOf(Vpn vpn) const
@@ -172,6 +199,30 @@ class TlbHierarchy
         return TlbLevel::Miss;
     }
 
+    /**
+     * The batched replay's hit path: access() the page of every item
+     * of [first, last) in order, huge page size first, as the
+     * per-access loop does. For each item, with vpn = vpn_of(item):
+     *  - bypass(vpn) true: the access skips the TLBs (a DS segment
+     *    hit, accounted by the callee) and nothing is probed;
+     *  - an L1 hit: on_hit(vpn, TlbLevel::L1);
+     *  - otherwise the sequential access(vpn, kHugeOrder), then
+     *    access(vpn, 0) after a miss, then on_hit(vpn, TlbLevel::L2)
+     *    or, after both miss, on_miss(item, vpn), which walks and
+     *    calls fill().
+     * L1 hits run on chunk-local state: both L1 clocks live in
+     * locals, and each hit bumps its array's clock once, so the clock
+     * deltas give every lookup, hit, access and l2_misses count. The
+     * locals are written back before the sequential probe and at the
+     * end, so every counter and victim choice equals the per-access
+     * loop's. A 4 KiB hit counts only when l1_2m and l2_2m miss and
+     * l1_4k hits, exactly the probes that access() makes.
+     */
+    template <class It, class VpnOf, class Bypass, class OnHit,
+              class OnMiss>
+    void accessLane(It first, It last, VpnOf &&vpn_of, Bypass &&bypass,
+                    OnHit &&on_hit, OnMiss &&on_miss);
+
     /** Install a translation after a walk (L1 + L2). */
     void fill(Vpn vpn, unsigned order)
     {
@@ -202,6 +253,12 @@ class TlbHierarchy
     const Tlb &l2_2m() const { return l2_2m_; }
 
   private:
+    /** accessLane() with the probe kernel fixed for the whole lane. */
+    template <bool Simd, class It, class VpnOf, class Bypass, class OnHit,
+              class OnMiss>
+    void accessLaneWith(It first, It last, VpnOf &vpn_of, Bypass &bypass,
+                        OnHit &on_hit, OnMiss &on_miss);
+
     Tlb l1_4k_;
     Tlb l1_2m_;
     // The unified L2 is modelled as two arrays sharing one budget:
@@ -213,6 +270,78 @@ class TlbHierarchy
     std::uint64_t accesses_ = 0;
     std::uint64_t l2Misses_ = 0;
 };
+
+template <class It, class VpnOf, class Bypass, class OnHit, class OnMiss>
+void
+TlbHierarchy::accessLane(It first, It last, VpnOf &&vpn_of,
+                         Bypass &&bypass, OnHit &&on_hit, OnMiss &&on_miss)
+{
+    // All four arrays share one probe kernel (setSimd).
+    if (l1_2m_.simd_)
+        accessLaneWith<true>(first, last, vpn_of, bypass, on_hit, on_miss);
+    else
+        accessLaneWith<false>(first, last, vpn_of, bypass, on_hit, on_miss);
+}
+
+template <bool Simd, class It, class VpnOf, class Bypass, class OnHit,
+          class OnMiss>
+void
+TlbHierarchy::accessLaneWith(It first, It last, VpnOf &vpn_of,
+                             Bypass &bypass, OnHit &on_hit, OnMiss &on_miss)
+{
+    const Tlb::Lanes huge = l1_2m_.lanes();
+    const Tlb::Lanes base = l1_4k_.lanes();
+    const Tlb::Lanes l2_huge = l2_2m_.lanes();
+    std::uint64_t *const huge_lru = l1_2m_.lastUse_.data();
+    std::uint64_t *const base_lru = l1_4k_.lastUse_.data();
+    std::uint64_t huge_clock = l1_2m_.clock_;
+    std::uint64_t base_clock = l1_4k_.clock_;
+    const auto write_back = [&] {
+        // A 2 MiB hit made one lookup; a 4 KiB hit made two accesses
+        // and looked up l1_2m, l2_2m (one L2 miss) and l1_4k.
+        const std::uint64_t huge_hits = huge_clock - l1_2m_.clock_;
+        const std::uint64_t base_hits = base_clock - l1_4k_.clock_;
+        l1_2m_.clock_ = huge_clock;
+        l1_4k_.clock_ = base_clock;
+        l1_2m_.stats_.lookups += huge_hits + base_hits;
+        l1_2m_.stats_.hits += huge_hits;
+        l2_2m_.stats_.lookups += base_hits;
+        l1_4k_.stats_.lookups += base_hits;
+        l1_4k_.stats_.hits += base_hits;
+        accesses_ += huge_hits + 2 * base_hits;
+        l2Misses_ += base_hits;
+    };
+    for (; first != last; ++first) {
+        const Vpn vpn = vpn_of(*first);
+        if (bypass(vpn))
+            continue;
+        const Vpn huge_tag = vpn >> kHugeOrder;
+        unsigned lane = 0;
+        unsigned l2_lane = 0;
+        if (huge.find(huge_tag, Simd, lane)) {
+            huge_lru[lane] = ++huge_clock;
+            on_hit(vpn, TlbLevel::L1);
+            continue;
+        }
+        if (base.find(vpn, Simd, lane) &&
+            !l2_huge.find(huge_tag, Simd, l2_lane)) {
+            base_lru[lane] = ++base_clock;
+            on_hit(vpn, TlbLevel::L1);
+            continue;
+        }
+        write_back();
+        TlbLevel lvl = access(vpn, kHugeOrder);
+        if (lvl == TlbLevel::Miss)
+            lvl = access(vpn, 0);
+        if (lvl == TlbLevel::Miss)
+            on_miss(*first, vpn);
+        else
+            on_hit(vpn, lvl);
+        huge_clock = l1_2m_.clock_;
+        base_clock = l1_4k_.clock_;
+    }
+    write_back();
+}
 
 } // namespace contig
 

@@ -57,9 +57,9 @@ TranslationSim::init()
     if (cfg_.scheme == XlatScheme::Spot)
         spot_ = std::make_unique<SpotEngine>(cfg_.spot);
     // Probe-kernel selection: the reference engine pins the scalar
-    // loops end to end; the batched engine takes AVX2 when the CPU
-    // supports it and it is not forced off. Identical results either
-    // way.
+    // loops end to end; the batched engine takes SSE2 unless it is
+    // forced off (--no-simd) or not built in. Identical results
+    // either way.
     const bool use_simd = simdActive();
     tlb_.setSimd(use_simd);
     walker_->setSimd(use_simd);
@@ -300,60 +300,47 @@ template <XlatScheme S, bool Virt>
 void
 TranslationSim::runChunkBatched(const MemAccess *acc, std::size_t n)
 {
-    // Stage 1: peel the vpn lane off the AoS access records, so the
-    // hot loop streams one sequential 8-byte lane and only touches
-    // the full record again on the rare L2 miss.
-    if (vpnLane_.size() < n)
-        vpnLane_.resize(n);
-    Vpn *const vpns = vpnLane_.data();
-    for (std::size_t i = 0; i < n; ++i)
-        vpns[i] = acc[i].va.pageNumber();
-
-    // Stage 2: probe pipeline. Hit counters sink into chunk-local
-    // accumulators (flushed once below) so the dominant L1-hit path
-    // does no member-counter stores; everything rarer goes through
-    // the shared missPath and writes stats_ directly.
-    std::uint64_t l1_hits = 0;
+    // The hierarchy's lane probe resolves the chunk in order. Segment
+    // and L2 hits sink into chunk-local counters (flushed once below);
+    // every access is a segment hit, an L1 hit, an L2 hit or a walk,
+    // so the dominant L1 hit needs no counter of its own. The rare L2
+    // miss goes through the shared missPath and writes stats_
+    // directly. Attribution events are recorded per access, in order.
     std::uint64_t l2_hits = 0;
+    std::uint64_t segment_hits = 0;
+    const std::uint64_t walks_before = stats_.walks;
     obs::XlatAttribution *const at = attrib_.get();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Vpn vpn = vpns[i];
-
-        if constexpr (S == XlatScheme::Ds) {
-            if (!segments_.empty()) {
-                auto it = std::upper_bound(
-                    segments_.begin(), segments_.end(), vpn,
-                    [](Vpn v, const DirectSegment &s) {
-                        return v < s.base();
-                    });
-                if (it != segments_.begin() &&
-                    std::prev(it)->contains(vpn)) {
-                    ++stats_.segmentHits;
+    const DirectSegment *const segs = segments_.data();
+    const std::size_t nsegs = segments_.size();
+    tlb_.accessLane(
+        acc, acc + n, [](const MemAccess &a) { return a.va.pageNumber(); },
+        [&](Vpn vpn) {
+            // Direct Segments: segment accesses bypass the TLB path
+            // entirely. Only the Ds scheme ever installs segments.
+            if constexpr (S == XlatScheme::Ds) {
+                if (nsegs &&
+                    segmentFor(segs, nsegs, vpn).contains(vpn)) {
+                    ++segment_hits;
                     if (at)
-                        at->record(obs::XlatOutcome::SegmentHit,
-                                   vpn, 0, 0);
-                    continue;
+                        at->record(obs::XlatOutcome::SegmentHit, vpn,
+                                   0, 0);
+                    return true;
                 }
             }
-        }
-
-        TlbLevel lvl = tlb_.access(vpn, kHugeOrder);
-        if (lvl == TlbLevel::Miss)
-            lvl = tlb_.access(vpn, 0);
-        if (lvl != TlbLevel::Miss) {
-            l1_hits += lvl == TlbLevel::L1;
+            return false;
+        },
+        [&](Vpn vpn, TlbLevel lvl) {
             l2_hits += lvl == TlbLevel::L2;
             if (at)
                 at->record(obs::XlatOutcome::TlbHit, vpn, 0, 0);
-            continue;
-        }
-
-        missPath<S, Virt>(acc[i], vpn);
-    }
+        },
+        [&](const MemAccess &a, Vpn vpn) { missPath<S, Virt>(a, vpn); });
 
     stats_.accesses += n;
-    stats_.l1Hits += l1_hits;
+    stats_.l1Hits +=
+        n - segment_hits - l2_hits - (stats_.walks - walks_before);
     stats_.l2Hits += l2_hits;
+    stats_.segmentHits += segment_hits;
 }
 
 void

@@ -60,9 +60,10 @@ enum class XlatEngine : std::uint8_t
      */
     Reference,
     /**
-     * The SoA loop: vpn lane precomputed per chunk, inline
-     * SIMD-capable set probes, hit counters sunk into chunk-local
-     * accumulators that flush once per chunk.
+     * The SoA loop: inline SSE2 set probes, L1 hits resolved on
+     * chunk-local counters and LRU clocks (TlbHierarchy::accessLane)
+     * that are written back before each slow-path access and at chunk
+     * end, and a branch-free Direct Segments search.
      */
     Batched,
 };
@@ -140,11 +141,12 @@ class TranslationSim
     const XlatStats &stats() const { return stats_; }
 
     /**
-     * True when the probe structures run the AVX2 kernels: Batched
-     * engine on an AVX2-capable CPU, not forced scalar.
+     * True when the probe structures run the SSE2 kernel: Batched
+     * engine, SSE2 built in, not forced scalar.
      */
     bool simdActive() const;
 
+    const TlbHierarchy &tlb() const { return tlb_; }
     const Walker &walker() const { return *walker_; }
     const SpotEngine *spot() const { return spot_.get(); }
     const RangeTlb *rangeTlb() const { return rangeTlb_.get(); }
@@ -196,8 +198,6 @@ class TranslationSim
      */
     std::vector<DirectSegment> segments_;
     XlatStats stats_;
-    /** Batched engine: chunk-sized vpn lane, reused across chunks. */
-    std::vector<Vpn> vpnLane_;
     /** Exposed translation cycles per L2 miss (walk + scheme effects). */
     Summary l2MissLatency_;
     obs::Phase chunkPhase_;
