@@ -6,8 +6,8 @@
  * pre-generated trace is replayed through every cell, so:
  *
  *  - every cell must report identical simulated counters: chunking
- *    is pure batching, and the memo, the engine and the probe width
- *    are wall-clock knobs — all locked by the committed baseline
+ *    is pure batching, and the memo and the engine are wall-clock
+ *    knobs — all locked by the committed baseline
  *    (bench/baselines/BENCH_micro_xlat_scaling.json);
  *  - wall-clock columns are named `*.wall_us` and ignored by
  *    `contig_inspect check-baseline`.
@@ -51,7 +51,7 @@ struct Cell
 Cell
 runCell(const std::vector<MemAccess> &trace, const PageTable &pt,
         const VirtualMachine &vm, std::uint64_t chunk, bool memo,
-        XlatEngine xe = XlatEngine::Batched, bool force_scalar = false)
+        XlatEngine xe = XlatEngine::Batched)
 {
     XlatConfig cfg;
     cfg.tlb = ScaledDefaults::tlb();
@@ -61,15 +61,7 @@ runCell(const std::vector<MemAccess> &trace, const PageTable &pt,
     cfg.rangeTlb = ScaledDefaults::rangeTlb();
     cfg.walker.memoEnabled = memo;
     cfg.engine = xe;
-
-    // The scalar override only affects structures built after it, so
-    // flip it around engine construction and restore straight away.
-    const bool was_scalar = simd::forceScalar();
-    if (force_scalar)
-        simd::setForceScalar(true);
     ReplayEngine engine(cfg, 1, pt, vm);
-    if (force_scalar)
-        simd::setForceScalar(was_scalar);
     Cell cell;
     cell.replayUs = wallUs([&] {
         for (std::uint64_t off = 0; off < trace.size(); off += chunk) {
@@ -144,18 +136,14 @@ main(int argc, char **argv)
         addRow(rep, "memo_off", 4096, false, cell, base_us);
     }
     // Engine A/B at the default cell. Reference is the historical
-    // per-access scalar loop (the denominator of the SoA/SIMD speedup
-    // gate, scripts/xlat_ratio_gate.py); soa_scalar is the batched
-    // engine with the probe kernels forced scalar, isolating the SIMD
-    // share of the win. Simulated counters must not move across the
-    // three engines — only the wall_us columns may.
+    // per-access loop with scalar TLB probes (the denominator of the
+    // batched speedup gate, scripts/xlat_ratio_gate.py). Simulated
+    // counters must not move across the engines — only the wall_us
+    // columns may.
     {
         const Cell ref = runCell(trace, pt, sys.vm(), 4096, true,
                                  XlatEngine::Reference);
         addRow(rep, "engine_ref", 4096, true, ref, base_us);
-        const Cell scalar = runCell(trace, pt, sys.vm(), 4096, true,
-                                    XlatEngine::Batched, true);
-        addRow(rep, "soa_scalar", 4096, true, scalar, base_us);
         out.note("xlat.speedup_vs_ref.wall_us",
                  ref.replayUs / base_us);
     }

@@ -27,8 +27,8 @@ build_and_test asan-ubsan \
 
 # Bench artifacts (Release binaries) as BENCH_<name>.json at the repo
 # root. Every deterministic gate on these benches (schema, baseline,
-# committed replay ratio, SIMD equivalence, attribution and reclaim
-# checks) is a ctest and ran above; only the two wall-clock ratio
+# committed replay ratio, attribution and reclaim checks) is a ctest
+# and ran above; only the two wall-clock ratio
 # gates, which need an idle machine, run here. micro_obs_overhead is
 # a google-benchmark binary with its own JSON reporter; the rest are
 # plain BenchOutput benches.

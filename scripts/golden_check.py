@@ -6,8 +6,8 @@ Usage: golden_check.py <bench-binary> <golden.txt>
 The committed goldens (tests/golden/<bench>.txt) pin the printed
 tables of the benches whose numbers the reproduction stands on, byte
 for byte. Every default that must stay invisible is pinned this way:
-reclaim off, attribution off, the replay engine's chunking, and the
-SIMD probe width all leave the tables exactly as captured. The ctest
+reclaim off, attribution off and the replay engine's chunking all
+leave the tables exactly as captured. The ctest
 suite runs one instance per pinned bench so `ctest -j` runs them in
 parallel.
 

@@ -1,25 +1,17 @@
 /**
  * @file
- * SIMD probe kernels for the structure-of-arrays translation
- * structures (TLB sets, SpOT sets, walker PSC / nested TLB). Every
- * probed array keeps its tags in a contiguous uint64 lane padded to a
- * multiple of kLanes64, with kNoTag64 in invalid and padding slots,
- * so "find the way holding this tag" is a handful of vector compares
- * instead of a per-way branchy scan.
+ * The tag-probe kernel of the translation structures' tag arrays
+ * (base/tag_sets.hh): "which lane holds this tag" over a contiguous
+ * uint64 lane padded to a multiple of kLanes64, with kNoTag64 in
+ * empty and padding slots, is a handful of vector compares instead of
+ * a per-way branchy scan.
  *
- * The vector kernel is SSE2, the x86-64 baseline: a plain inline
- * function that every probe site inlines, with no target attribute
- * and no CPU check. Which kernel runs:
- *  - the build: without SSE2 (a non-x86 host) only the scalar loop
- *    exists;
- *  - the one override: setForceScalar() (bench_io's --no-simd) pins
- *    the scalar loop for A/B measurements in one binary.
- *
- * The scalar and SSE2 kernels return the same lane for the same
- * input (the lowest matching index), so simulated statistics are
- * byte-identical either way; only wall clock moves.
- * tests/tlb/tlb_test.cc and the engine golden-equivalence suite pin
- * this.
+ * The build fixes the kernel: SSE2, the x86-64 baseline, wherever
+ * SSE2 is built (a plain inline function that every probe site
+ * inlines, with no target attribute and no CPU check), and the scalar
+ * loop only where it is not. Both return the lowest matching lane,
+ * so simulated statistics never depend on the build's kernel;
+ * tests/base/simd_test.cc pins the two kernels against each other.
  */
 
 #ifndef CONTIG_BASE_SIMD_HH
@@ -39,7 +31,7 @@ namespace contig
 namespace simd
 {
 
-/** Sentinel stored in invalid / padding tag lanes; never a real tag. */
+/** Sentinel stored in empty / padding tag lanes; never a real tag. */
 inline constexpr std::uint64_t kNoTag64 = ~0ull;
 
 /** Lane stride of a tag array: one probe step of 4x64-bit tags. */
@@ -52,26 +44,24 @@ padLanes(unsigned ways)
     return (ways + kLanes64 - 1) / kLanes64 * kLanes64;
 }
 
-/**
- * Process-wide scalar override (--no-simd). Affects structures built
- * afterwards; existing ones keep their probe mode.
- */
-void setForceScalar(bool force);
-bool forceScalar();
-
-/** The probe mode new structures will use. */
-inline bool
+/** True when the build's probe kernel is SSE2. */
+constexpr bool
 enabled()
 {
-    return CONTIG_SIMD_SSE2 && !forceScalar();
+    return CONTIG_SIMD_SSE2;
 }
 
 /** "sse2" or "scalar" — the RunInfo `xlat.simd` token. */
-const char *modeName(bool use_simd);
+constexpr const char *
+modeName(bool use_simd)
+{
+    return use_simd ? "sse2" : "scalar";
+}
 
 /**
- * Lowest index i < n with lanes[i] == tag, or -1. The --no-simd
- * reference and the only kernel without SSE2.
+ * Lowest index i < n with lanes[i] == tag, or -1. The kernel of a
+ * build without SSE2, and the reference the SSE2 kernel is tested
+ * against.
  */
 inline int
 findTagScalar(const std::uint64_t *lanes, unsigned n, std::uint64_t tag)
@@ -117,22 +107,19 @@ findTagSse2(const std::uint64_t *lanes, unsigned n, std::uint64_t tag)
 #endif
 
 /**
- * The dispatching probe: lowest lane holding `tag`, or -1. `lanes`
- * holds padLanes(n) slots; invalid and padding slots must hold
- * kNoTag64 and `tag` must never equal it — then a tag match alone
- * implies a valid way and both kernels agree on the answer.
+ * The build's probe: lowest lane holding `tag`, or -1. `lanes` holds
+ * padLanes(n) slots; empty and padding slots must hold kNoTag64 and
+ * `tag` must never equal it — then a tag match alone implies a real
+ * way and both kernels agree on the answer.
  */
 inline int
-findTag(const std::uint64_t *lanes, unsigned n, std::uint64_t tag,
-        bool use_simd)
+findTag(const std::uint64_t *lanes, unsigned n, std::uint64_t tag)
 {
 #if CONTIG_SIMD_SSE2
-    if (use_simd)
-        return findTagSse2(lanes, n, tag);
+    return findTagSse2(lanes, n, tag);
 #else
-    (void)use_simd;
-#endif
     return findTagScalar(lanes, n, tag);
+#endif
 }
 
 } // namespace simd

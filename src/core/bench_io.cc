@@ -4,7 +4,6 @@
 
 #include "base/json.hh"
 #include "base/logging.hh"
-#include "base/simd.hh"
 #include "core/config.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
@@ -44,11 +43,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
 {
     parseArgs(argc, argv);
 
-    if (noSimd_) {
-        // Before any simulator exists, like the switch below.
-        simd::setForceScalar(true);
-    }
-
     if (attrib_) {
         // Flip the switch before any simulator exists: every
         // TranslationSim / FaultEngine built after this carries an
@@ -87,8 +81,6 @@ BenchOutput::parseArgs(int argc, char **argv)
             tracePath_ = argv[++i];
         } else if (arg == "--timeline" && has_next) {
             timelinePath_ = argv[++i];
-        } else if (arg == "--no-simd") {
-            noSimd_ = true;
         } else if (arg == "--attrib") {
             attrib_ = true;
         } else if (arg == "--trace-categories" && has_next) {
@@ -98,7 +90,7 @@ BenchOutput::parseArgs(int argc, char **argv)
             fatal("%s: unknown argument '%s'\n"
                   "usage: %s [--json FILE] [--trace FILE]"
                   " [--timeline FILE] [--trace-categories LIST]"
-                  " [--no-simd] [--attrib]",
+                  " [--attrib]",
                   bench_.c_str(), argv[i], bench_.c_str());
         }
     }

@@ -26,6 +26,9 @@
  * section with per-class cycle histograms and sampled exemplars.
  * Off (the default) the hot paths carry a dead null-pointer branch
  * and the document is byte-identical to a run without the flag.
+ *
+ * Those five flags are the whole command line: any other argument
+ * exits 1 with a usage line.
  */
 
 #ifndef CONTIG_CORE_BENCH_IO_HH
@@ -71,14 +74,6 @@ class BenchOutput
     bool timelineEnabled() const { return !timelinePath_.empty(); }
 
     /**
-     * True when `--no-simd` forced the probe
-     * kernels scalar. Purely a wall-clock knob: simulated results are
-     * identical either way. The switch is applied process-wide
-     * (simd::setForceScalar) before any simulator exists.
-     */
-    bool simdDisabled() const { return noSimd_; }
-
-    /**
      * True when `--attrib` switched the
      * cost-attribution accounting on. Kernels pick the mode up from
      * AttribRegistry::enabled(); benches only need this to decide
@@ -107,7 +102,6 @@ class BenchOutput
     std::string jsonPath_;
     std::string tracePath_;
     std::string timelinePath_;
-    bool noSimd_ = false;
     bool attrib_ = false;
     std::vector<Note> notes_;
     std::vector<Report> reports_;

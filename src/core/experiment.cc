@@ -241,9 +241,9 @@ VirtSystem::finish(Workload &wl)
 
 XlatRunResult
 runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
-               std::uint64_t accesses, std::uint64_t seed,
-               const XlatReplayOpts &opts)
+               std::uint64_t accesses, std::uint64_t seed)
 {
+    const XlatReplayOpts opts{};
     Process *proc = wl.process();
     contig_assert(proc, "runTranslation before workload setup");
 
@@ -293,13 +293,9 @@ runTranslation(Workload &wl, const VirtualMachine *vm, XlatScheme scheme,
         "xlat.engine", opts.engine == XlatEngine::Reference
                            ? std::string_view("reference")
                            : std::string_view("batched"));
-    // The effective probe-kernel mode: "sse2" only when the batched
-    // engine runs with SSE2 built in and not forced scalar
-    // (--no-simd).
+    // The build's probe kernel.
     obs::RunInfo::global().note(
-        "xlat.simd",
-        std::string_view(simd::modeName(
-            opts.engine == XlatEngine::Batched && simd::enabled())));
+        "xlat.simd", std::string_view(simd::modeName(simd::enabled())));
 
     // With an open timeline, stream TLB/walker/SpOT counters at 1/8
     // run granularity (the sampler has no kernel, so ticks are access

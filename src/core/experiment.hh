@@ -132,7 +132,10 @@ struct XlatRunResult
     OverheadResult overhead;
 };
 
-/** Replay-engine knobs for runTranslation (bench_io's xlat flags). */
+/**
+ * The replay-engine settings runTranslation uses. Only the defaults
+ * run: perfbench reads them to build the same pipeline.
+ */
 struct XlatReplayOpts
 {
     /** Walk-traversal memo (pure wall-clock knob; results identical). */
@@ -140,23 +143,22 @@ struct XlatReplayOpts
     /**
      * Replay inner loop (pure wall-clock knob; results identical).
      * Reference retains the historical per-access scalar loop as the
-     * denominator of the SoA/SIMD speedup gate.
+     * denominator of the batched speedup gate.
      */
     XlatEngine engine = XlatEngine::Batched;
 };
 
 /**
  * Replay `accesses` steady-state accesses of an already-set-up
- * workload through the translation replay engine: a live
- * AccessStream feeds ReplayEngine::replayChunk one chunk at a time.
- * Pass the VM for virtualized runs, nullptr for native. Simulated
- * results depend only on (workload state, scheme, accesses, seed) —
- * the memo and the engine never change them.
+ * workload through the translation replay engine, with the
+ * XlatReplayOpts defaults: a live AccessStream feeds
+ * ReplayEngine::replayChunk one chunk at a time. Pass the VM for
+ * virtualized runs, nullptr for native. Simulated results depend
+ * only on (workload state, scheme, accesses, seed).
  */
 XlatRunResult runTranslation(Workload &wl, const VirtualMachine *vm,
                              XlatScheme scheme, std::uint64_t accesses,
-                             std::uint64_t seed = 99,
-                             const XlatReplayOpts &opts = {});
+                             std::uint64_t seed = 99);
 
 } // namespace contig
 

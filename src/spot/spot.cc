@@ -1,21 +1,15 @@
 #include "spot/spot.hh"
 
-#include "base/logging.hh"
 #include "obs/metrics.hh"
 
 namespace contig
 {
 
 SpotEngine::SpotEngine(const SpotConfig &cfg)
-    : cfg_(cfg), wayStride_(simd::padLanes(cfg.ways)),
-      pcTags_(cfg.sets * simd::padLanes(cfg.ways), simd::kNoTag64),
-      offsets_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      confidence_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      valid_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      lastUse_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      simd_(simd::enabled())
+    : cfg_(cfg), table_(cfg.sets, cfg.ways),
+      offsets_(cfg.sets * table_.stride(), 0),
+      confidence_(cfg.sets * table_.stride(), 0)
 {
-    contig_assert(cfg.sets > 0 && cfg.ways > 0, "degenerate SpOT table");
 }
 
 unsigned
@@ -26,23 +20,17 @@ SpotEngine::setOf(Addr pc) const
     return static_cast<unsigned>(((pc >> 6) ^ (pc >> 12)) % cfg_.sets);
 }
 
-int
-SpotEngine::findWay(unsigned base, Addr pc) const
-{
-    return simd::findTag(&pcTags_[base], cfg_.ways, pc, simd_);
-}
-
 std::optional<std::int64_t>
 SpotEngine::predict(Addr pc)
 {
     ++stats_.lookups;
     pending_.reset();
     pendingPc_ = pc;
-    const unsigned base = setOf(pc) * wayStride_;
-    const int w = findWay(base, pc);
-    if (w >= 0 && confidence_[base + w] > cfg_.confidenceThreshold) {
-        lastUse_[base + w] = ++clock_;
-        pending_ = offsets_[base + w];
+    unsigned lane = 0;
+    if (table_.find(setOf(pc), pc, lane) &&
+        confidence_[lane] > cfg_.confidenceThreshold) {
+        table_.touch(lane);
+        pending_ = offsets_[lane];
     }
     return pending_;
 }
@@ -73,10 +61,10 @@ SpotEngine::update(Addr pc, std::int64_t true_offset, bool contig_ok)
 
     const bool fills_allowed = contig_ok || !cfg_.requireContigBits;
 
-    const unsigned base = setOf(pc) * wayStride_;
-    const int hit = findWay(base, pc);
-    if (hit >= 0) {
-        const unsigned i = base + hit;
+    const unsigned set = setOf(pc);
+    unsigned hit = 0;
+    if (table_.find(set, pc, hit)) {
+        const unsigned i = hit;
         // Confidence bookkeeping happens on every walk, speculated or
         // not (§IV-C, "predictions are still calculated and compared").
         if (offsets_[i] == true_offset) {
@@ -94,7 +82,7 @@ SpotEngine::update(Addr pc, std::int64_t true_offset, bool contig_ok)
                 ++stats_.offsetReplacements;
             }
         }
-        lastUse_[i] = ++clock_;
+        table_.touch(i);
         return outcome;
     }
 
@@ -105,27 +93,23 @@ SpotEngine::update(Addr pc, std::int64_t true_offset, bool contig_ok)
     }
     int victim = -1;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        const unsigned i = base + w;
-        if (!valid_[i]) {
-            victim = static_cast<int>(w);
+        const unsigned i = table_.lane(set, w);
+        if (table_.empty(i)) {
+            victim = static_cast<int>(i);
             break;
         }
         // Only zero-confidence entries may be evicted; LRU among them.
         if (confidence_[i] == 0 &&
-            (victim < 0 || lastUse_[i] < lastUse_[base + victim])) {
-            victim = static_cast<int>(w);
+            (victim < 0 || table_.lastUse(i) < table_.lastUse(victim))) {
+            victim = static_cast<int>(i);
         }
     }
     if (victim < 0)
         return outcome; // set full of confident entries: drop the fill
-    contig_assert(pc != simd::kNoTag64, "pc collides with the "
-                  "invalid-lane sentinel");
-    const unsigned i = base + victim;
-    valid_[i] = 1;
-    pcTags_[i] = pc;
+    const unsigned i = static_cast<unsigned>(victim);
+    table_.put(i, pc);
     offsets_[i] = true_offset;
     confidence_[i] = 1;
-    lastUse_[i] = ++clock_;
     ++stats_.fills;
     return outcome;
 }
@@ -133,10 +117,7 @@ SpotEngine::update(Addr pc, std::int64_t true_offset, bool contig_ok)
 void
 SpotEngine::flush()
 {
-    for (std::size_t i = 0; i < valid_.size(); ++i) {
-        valid_[i] = 0;
-        pcTags_[i] = simd::kNoTag64;
-    }
+    table_.flush();
     pending_.reset();
 }
 

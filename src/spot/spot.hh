@@ -26,7 +26,7 @@
 #include <optional>
 #include <vector>
 
-#include "base/simd.hh"
+#include "base/tag_sets.hh"
 #include "base/types.hh"
 
 namespace contig
@@ -112,9 +112,6 @@ class SpotEngine
     const SpotStats &stats() const { return stats_; }
     const SpotConfig &config() const { return cfg_; }
 
-    /** Select the probe kernel; the answer never depends on it. */
-    void setSimd(bool simd) { simd_ = simd; }
-
     /** Report prediction-outcome counters into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;
 
@@ -123,21 +120,12 @@ class SpotEngine
   private:
     unsigned setOf(Addr pc) const;
 
-    /** Way index of pc's entry within the set at `base`, or -1. */
-    int findWay(unsigned base, Addr pc) const;
-
     SpotConfig cfg_;
-    // SoA lanes, sets * wayStride_ each (see DESIGN.md, "Replay data
-    // layout"); pcTags_ holds simd::kNoTag64 in invalid and padding
-    // slots so a set probe is one tag-lane search.
-    unsigned wayStride_;
-    std::vector<std::uint64_t> pcTags_;
+    // The PC tags and LRU stamps; offsets_ and confidence_ are
+    // parallel lanes indexed by the table's lane numbers.
+    TagSets table_;
     std::vector<std::int64_t> offsets_;
     std::vector<std::uint8_t> confidence_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint64_t> lastUse_;
-    bool simd_;
-    std::uint64_t clock_ = 0;
     SpotStats stats_;
 
     /** Prediction issued between predict() and update(). */

@@ -22,14 +22,8 @@ prevPow2(unsigned n)
 } // namespace
 
 Tlb::Tlb(const TlbConfig &cfg, unsigned page_order)
-    : cfg_(cfg), pageOrder_(page_order),
-      wayStride_(simd::padLanes(cfg.ways)),
-      tags_(cfg.sets * simd::padLanes(cfg.ways), simd::kNoTag64),
-      valid_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      lastUse_(cfg.sets * simd::padLanes(cfg.ways), 0),
-      simd_(simd::enabled())
+    : cfg_(cfg), pageOrder_(page_order), sets_(cfg.sets, cfg.ways)
 {
-    contig_assert(cfg.sets > 0 && cfg.ways > 0, "degenerate TLB");
     // The set index is tag & (sets - 1): a non-power-of-two set count
     // would silently alias sets together. Configs are user input, so
     // reject them cleanly rather than assert.
@@ -39,45 +33,19 @@ Tlb::Tlb(const TlbConfig &cfg, unsigned page_order)
               cfg.sets, prevPow2(cfg.sets), prevPow2(cfg.sets) * 2);
 }
 
-void
-Tlb::fillVictim(unsigned base, Vpn tag)
-{
-    contig_assert(tag != simd::kNoTag64, "vpn tag collides with the "
-                  "invalid-lane sentinel");
-    // First invalid way wins; otherwise the strict-minimum lastUse
-    // among the valid ways (= earliest way on ties), exactly as the
-    // pre-SoA single-pass scan chose.
-    unsigned victim = 0;
-    bool haveInvalid = false;
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (!valid_[base + w]) {
-            victim = w;
-            haveInvalid = true;
-            break;
-        }
-        if (lastUse_[base + w] < lastUse_[base + victim])
-            victim = w;
-    }
-    if (!haveInvalid)
-        ++stats_.evictions;
-    valid_[base + victim] = 1;
-    tags_[base + victim] = tag;
-    lastUse_[base + victim] = ++clock_;
-}
-
 bool
 Tlb::lookupRef(Vpn vpn)
 {
-    // The pre-SoA per-way scan, verbatim modulo the lane indexing:
-    // valid checked explicitly, ways walked in order with an early
-    // exit. Must stay out of line — XlatEngine::Reference measures
-    // the historical call structure.
+    // The per-way scan, ways walked in order with an early exit. Must
+    // stay out of line — XlatEngine::Reference measures the
+    // historical call structure.
     ++stats_.lookups;
     const Vpn tag = tagOf(vpn);
-    const unsigned base = setOf(vpn) * wayStride_;
+    const unsigned set = setOf(vpn);
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (valid_[base + w] && tags_[base + w] == tag) {
-            lastUse_[base + w] = ++clock_;
+        const unsigned lane = sets_.lane(set, w);
+        if (sets_.tag(lane) == tag) {
+            sets_.touch(lane);
             ++stats_.hits;
             return true;
         }
@@ -90,26 +58,16 @@ Tlb::fillRef(Vpn vpn)
 {
     ++stats_.fills;
     const Vpn tag = tagOf(vpn);
-    const unsigned base = setOf(vpn) * wayStride_;
+    const unsigned set = setOf(vpn);
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (valid_[base + w] && tags_[base + w] == tag) {
-            lastUse_[base + w] = ++clock_; // refill of a present entry
+        const unsigned lane = sets_.lane(set, w);
+        if (sets_.tag(lane) == tag) {
+            sets_.touch(lane); // refill of a present entry
             return;
         }
     }
-    fillVictim(base, tag);
-}
-
-void
-Tlb::flush()
-{
-    // Invalidate by restoring the tag-lane sentinel; lastUse is kept,
-    // matching the pre-SoA flush (victim selection never reads the
-    // lastUse of an invalid way).
-    for (std::size_t i = 0; i < valid_.size(); ++i) {
-        valid_[i] = 0;
-        tags_[i] = simd::kNoTag64;
-    }
+    if (sets_.fill(set, tag))
+        ++stats_.evictions;
 }
 
 TlbHierarchy::TlbHierarchy(const TlbHierConfig &cfg)
@@ -129,7 +87,6 @@ TlbHierarchy::TlbHierarchy(const TlbHierConfig &cfg)
 TlbLevel
 TlbHierarchy::accessRef(Vpn vpn, unsigned order)
 {
-    ++accesses_;
     Tlb &l1 = (order == kHugeOrder) ? l1_2m_ : l1_4k_;
     if (l1.lookupRef(vpn))
         return TlbLevel::L1;
@@ -138,7 +95,6 @@ TlbHierarchy::accessRef(Vpn vpn, unsigned order)
         l1.fillRef(vpn); // promote to L1
         return TlbLevel::L2;
     }
-    ++l2Misses_;
     return TlbLevel::Miss;
 }
 
@@ -158,15 +114,6 @@ TlbHierarchy::flush()
     l1_2m_.flush();
     l2_4k_.flush();
     l2_2m_.flush();
-}
-
-void
-TlbHierarchy::setSimd(bool simd)
-{
-    l1_4k_.setSimd(simd);
-    l1_2m_.setSimd(simd);
-    l2_4k_.setSimd(simd);
-    l2_2m_.setSimd(simd);
 }
 
 void
@@ -197,8 +144,6 @@ TlbHierarchy::collectMetrics(obs::MetricSink &sink) const
         obs::MetricSink::Scope s(sink, "l2_2m");
         l2_2m_.collectMetrics(sink);
     }
-    sink.counter("accesses", accesses_);
-    sink.counter("l2_misses", l2Misses_);
 }
 
 } // namespace contig

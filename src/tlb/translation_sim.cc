@@ -1,7 +1,6 @@
 #include "tlb/translation_sim.hh"
 
 #include "base/logging.hh"
-#include "base/simd.hh"
 #include "obs/attribution.hh"
 #include "obs/trace.hh"
 
@@ -45,26 +44,11 @@ TranslationSim::TranslationSim(const XlatConfig &cfg,
     init();
 }
 
-bool
-TranslationSim::simdActive() const
-{
-    return cfg_.engine == XlatEngine::Batched && simd::enabled();
-}
-
 void
 TranslationSim::init()
 {
     if (cfg_.scheme == XlatScheme::Spot)
         spot_ = std::make_unique<SpotEngine>(cfg_.spot);
-    // Probe-kernel selection: the reference engine pins the scalar
-    // loops end to end; the batched engine takes SSE2 unless it is
-    // forced off (--no-simd) or not built in. Identical results
-    // either way.
-    const bool use_simd = simdActive();
-    tlb_.setSimd(use_simd);
-    walker_->setSimd(use_simd);
-    if (spot_)
-        spot_->setSimd(use_simd);
     if (obs::AttribRegistry::enabled()) {
         // Tables from different schemes/dimensions accumulate under
         // distinct labels in the registry, so one bench run produces a

@@ -54,13 +54,13 @@ enum class XlatScheme : std::uint8_t
 enum class XlatEngine : std::uint8_t
 {
     /**
-     * The historical loop: out-of-line per-way scalar probes and
+     * The historical loop: out-of-line per-way scalar TLB probes and
      * per-access statistics writes. Retained as the golden reference
-     * and the denominator of the SoA/SIMD speedup.
+     * and the denominator of the batched speedup.
      */
     Reference,
     /**
-     * The SoA loop: inline SSE2 set probes, L1 hits resolved on
+     * The SoA loop: inline tag-array probes, L1 hits resolved on
      * chunk-local counters and LRU clocks (TlbHierarchy::accessLane)
      * that are written back before each slow-path access and at chunk
      * end, and a branch-free Direct Segments search.
@@ -139,12 +139,6 @@ class TranslationSim
     void accessChunk(const MemAccess *a, std::size_t n);
 
     const XlatStats &stats() const { return stats_; }
-
-    /**
-     * True when the probe structures run the SSE2 kernel: Batched
-     * engine, SSE2 built in, not forced scalar.
-     */
-    bool simdActive() const;
 
     const TlbHierarchy &tlb() const { return tlb_; }
     const Walker &walker() const { return *walker_; }

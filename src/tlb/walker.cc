@@ -7,15 +7,9 @@
 namespace contig
 {
 
-Walker::SoaCache::SoaCache(unsigned n)
-    : entries(n), tags(simd::padLanes(n), simd::kNoTag64),
-      lastUse(simd::padLanes(n), 0), valid(simd::padLanes(n), 0)
-{
-}
-
 Walker::Walker(const PageTable &pt, const WalkerConfig &cfg)
-    : pt_(pt), cfg_(cfg), psc_(cfg.pscEntries),
-      nestedTlb_(cfg.nestedTlbEntries), simd_(simd::enabled())
+    : pt_(pt), cfg_(cfg), psc_(1, cfg.pscEntries),
+      nestedTlb_(1, cfg.nestedTlbEntries)
 {
     if (cfg.memoEnabled)
         memo_ = std::make_unique<WalkMemo>(cfg.memoEntriesLog2);
@@ -23,61 +17,18 @@ Walker::Walker(const PageTable &pt, const WalkerConfig &cfg)
 
 Walker::Walker(const PageTable &guest_pt, const VirtualMachine &vm,
                const WalkerConfig &cfg)
-    : pt_(guest_pt), vm_(&vm), cfg_(cfg), psc_(cfg.pscEntries),
-      nestedTlb_(cfg.nestedTlbEntries), simd_(simd::enabled())
+    : pt_(guest_pt), vm_(&vm), cfg_(cfg), psc_(1, cfg.pscEntries),
+      nestedTlb_(1, cfg.nestedTlbEntries)
 {
     if (cfg.memoEnabled)
         memo_ = std::make_unique<WalkMemo>(cfg.memoEntriesLog2);
 }
 
-bool
-Walker::cacheLookup(SoaCache &cache, std::uint64_t tag)
-{
-    const int i = simd::findTag(cache.tags.data(), cache.entries, tag,
-                                simd_);
-    if (i < 0)
-        return false;
-    cache.lastUse[i] = ++clock_;
-    return true;
-}
-
-void
-Walker::cacheFill(SoaCache &cache, std::uint64_t tag)
-{
-    contig_assert(tag != simd::kNoTag64, "walker cache tag collides "
-                  "with the invalid-lane sentinel");
-    // Deliberately the historical ordered scan: the first invalid
-    // slot is taken as victim even if a matching entry sits after it
-    // (the duplicate is tolerated; cacheLookup returns the earliest).
-    unsigned victim = 0;
-    for (unsigned i = 0; i < cache.entries; ++i) {
-        if (cache.tags[i] == tag) {
-            cache.lastUse[i] = ++clock_;
-            return;
-        }
-        if (!cache.valid[i]) {
-            victim = i;
-            break;
-        }
-        if (cache.lastUse[i] < cache.lastUse[victim])
-            victim = i;
-    }
-    cache.valid[victim] = 1;
-    cache.tags[victim] = tag;
-    cache.lastUse[victim] = ++clock_;
-}
-
 void
 Walker::flushCaches()
 {
-    for (std::size_t i = 0; i < psc_.valid.size(); ++i) {
-        psc_.valid[i] = 0;
-        psc_.tags[i] = simd::kNoTag64;
-    }
-    for (std::size_t i = 0; i < nestedTlb_.valid.size(); ++i) {
-        nestedTlb_.valid[i] = 0;
-        nestedTlb_.tags[i] = simd::kNoTag64;
-    }
+    psc_.flush();
+    nestedTlb_.flush();
 }
 
 void
@@ -109,7 +60,9 @@ Walker::nestedTranslate(Pfn gfn, unsigned &refs)
         ++stats_.nestedTlbLookups;
         // The nested TLB caches gPA->hPA at 2 MiB grain (host backing
         // is predominantly THP-mapped).
-        if (cacheLookup(nestedTlb_, gfn >> kHugeOrder)) {
+        unsigned lane = 0;
+        if (nestedTlb_.find(0, gfn >> kHugeOrder, lane)) {
+            nestedTlb_.touch(lane);
             ++stats_.nestedTlbHits;
             // A nested-TLB hit charges no refs; the memo (epoch-
             // checked) serves the same exact mapping nestedLookup
@@ -136,7 +89,7 @@ Walker::nestedTranslate(Pfn gfn, unsigned &refs)
         return std::nullopt;
     // Refill the nested TLB with whatever nested leaf was resolved.
     if (cfg_.nestedTlbEnabled)
-        cacheFill(nestedTlb_, gfn >> kHugeOrder);
+        nestedTlb_.fill(0, gfn >> kHugeOrder);
     return m;
 }
 
@@ -178,14 +131,16 @@ Walker::walk(Vpn vpn)
     unsigned skipped = 0;
     if (cfg_.pscEnabled && guest_refs > 2) {
         const std::uint64_t tag = vpn >> 18;
-        if (cacheLookup(psc_, tag)) {
+        unsigned lane = 0;
+        if (psc_.find(0, tag, lane)) {
+            psc_.touch(lane);
             ++stats_.pscHits;
             res.pscHit = true;
             // Root and L3 reads avoided; the last two levels (the
             // PDE/leaf reads) are always performed.
             skipped = std::min(2u, guest_refs - 2);
         } else {
-            cacheFill(psc_, tag);
+            psc_.fill(0, tag);
         }
     }
 

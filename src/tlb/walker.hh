@@ -21,8 +21,8 @@
 #include <memory>
 #include <optional>
 
+#include "base/tag_sets.hh"
 #include "mm/page_table.hh"
-#include "tlb/tlb.hh"
 #include "tlb/walk_memo.hh"
 
 namespace contig
@@ -36,7 +36,11 @@ struct WalkerConfig
 {
     /** Average cycles per page-table memory reference. */
     Cycles cyclesPerRef = 40;
-    /** Paging-structure cache entries (per level). */
+    /**
+     * Paging-structure cache entries (per level). Both caches are
+     * built even when disabled, so this and nestedTlbEntries must be
+     * at least 1.
+     */
     unsigned pscEntries = 16;
     /** Nested TLB entries. */
     unsigned nestedTlbEntries = 16;
@@ -104,9 +108,6 @@ class Walker
 
     bool virtualized() const { return vm_ != nullptr; }
 
-    /** Select the cache-probe kernel; the answer never depends on it. */
-    void setSimd(bool simd) { simd_ = simd; }
-
     const WalkerStats &stats() const { return stats_; }
     const WalkerConfig &config() const { return cfg_; }
     /** Traversal-memo counters (null when the memo is disabled). */
@@ -140,38 +141,18 @@ class Walker
     /** Nested walk of gfn: (hit, node count, exact mapping). */
     void nestedResolve(Pfn gfn, bool &hit, unsigned &count, Mapping &m);
 
-    /**
-     * Fully-associative cache stored structure-of-arrays: the tag
-     * lane is padded to the SIMD stride and holds simd::kNoTag64 in
-     * invalid/padding slots, so cacheLookup is one tag-lane search.
-     * cacheFill keeps the historical ordered scan (first invalid slot
-     * wins even when a matching entry sits later) — its victim choice
-     * is part of the pinned replacement behaviour.
-     */
-    struct SoaCache
-    {
-        explicit SoaCache(unsigned n);
-
-        unsigned entries;
-        std::vector<std::uint64_t> tags;
-        std::vector<std::uint64_t> lastUse;
-        std::vector<std::uint8_t> valid;
-    };
-
-    bool cacheLookup(SoaCache &cache, std::uint64_t tag);
-    void cacheFill(SoaCache &cache, std::uint64_t tag);
-
     const PageTable &pt_;
     const VirtualMachine *vm_ = nullptr;
     WalkerConfig cfg_;
     WalkerStats stats_;
 
-    /** PSC: skip-to-L2 entries keyed by vpn >> 18 (L4+L3 covered). */
-    SoaCache psc_;
-    /** Nested TLB: gfn -> backed, keyed by gfn (4 KiB grain). */
-    SoaCache nestedTlb_;
-    bool simd_;
-    std::uint64_t clock_ = 0;
+    /**
+     * The two fully-associative caches, one set each. PSC: skip-to-L2
+     * entries keyed by vpn >> 18 (L4+L3 covered). Nested TLB: keyed
+     * by gfn >> kHugeOrder (2 MiB grain).
+     */
+    TagSets psc_;
+    TagSets nestedTlb_;
 
     /** Traversal memo (null when disabled). */
     std::unique_ptr<WalkMemo> memo_;

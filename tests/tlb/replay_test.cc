@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
-#include "base/simd.hh"
 #include "core/config.hh"
 #include "mm/kernel.hh"
 #include "obs/attribution.hh"
@@ -144,8 +143,8 @@ expectSameTlb(const Tlb &a, const Tlb &b, const char *name)
 }
 
 /**
- * Every simulated counter of two pipelines: XlatStats, each TLB
- * array's TlbStats and the hierarchy's accesses and l2_misses.
+ * Every simulated counter of two pipelines: XlatStats and each TLB
+ * array's TlbStats.
  */
 void
 expectSamePipeline(const TranslationSim &a, const TranslationSim &b)
@@ -156,8 +155,6 @@ expectSamePipeline(const TranslationSim &a, const TranslationSim &b)
     expectSameTlb(a.tlb().l1For(0), b.tlb().l1For(0), "l1_4k");
     expectSameTlb(a.tlb().l2_2m(), b.tlb().l2_2m(), "l2_2m");
     expectSameTlb(a.tlb().l2_4k(), b.tlb().l2_4k(), "l2_4k");
-    EXPECT_EQ(a.tlb().accesses(), b.tlb().accesses());
-    EXPECT_EQ(a.tlb().l2Misses(), b.tlb().l2Misses());
 }
 
 /**
@@ -528,22 +525,4 @@ TEST_F(ReplayTest, DsSegmentSearchMatchesReferenceAtEdges)
         EXPECT_EQ(s.segmentHits + s.l1Hits + s.l2Hits + s.walks,
                   t.size());
     }
-}
-
-TEST_F(ReplayTest, ForcedScalarProbesNeverMoveCounters)
-{
-    // simd.hh's probe-kernel contract: the SSE2 and scalar kernels
-    // return the same lane for the same input, so a forced-scalar
-    // engine, whose hit path runs the scalar kernel, replays to
-    // identical counters. (Without SSE2 both engines run scalar and
-    // the test is trivially green.)
-    const auto t = trace(20000, 41);
-    ReplayEngine wide(config(XlatScheme::Spot), 1, proc.pageTable());
-    const bool was = simd::forceScalar();
-    simd::setForceScalar(true);
-    ReplayEngine narrow(config(XlatScheme::Spot), 1, proc.pageTable());
-    simd::setForceScalar(was);
-    feed(wide, t, 1024);
-    feed(narrow, t, 1024);
-    expectSameStats(wide.mergedStats(), narrow.mergedStats());
 }

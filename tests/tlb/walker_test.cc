@@ -169,6 +169,39 @@ TEST(Walker, PscLruEvictionRestoresColdRefs)
     EXPECT_EQ(w.stats().pscHits, 1u);
 }
 
+TEST(Walker, ZeroEntryPscIsFatal)
+{
+    // An empty PSC would probe past its lanes on the first walk; the
+    // walker rejects it as a config error when it is built.
+    PageTable pt;
+    pt.map(0x1000, 1, 0);
+    WalkerConfig cfg;
+    cfg.pscEntries = 0;
+    EXPECT_EXIT(Walker(pt, cfg).walk(0x1000), testing::ExitedWithCode(1),
+                "at least one set and one way");
+}
+
+TEST(Walker, ZeroEntryNestedTlbIsFatal)
+{
+    // Likewise the nested TLB, which every 2-D walk probes.
+    KernelConfig hcfg;
+    hcfg.phys.bytesPerNode = 256ull << 20;
+    hcfg.phys.numNodes = 1;
+    Kernel host(hcfg, std::make_unique<DefaultThpPolicy>());
+    VmConfig vcfg;
+    vcfg.guestBytesPerNode = 128ull << 20;
+    vcfg.guestNodes = 1;
+    VirtualMachine vm(host, std::make_unique<DefaultThpPolicy>(), vcfg);
+    Process &p = vm.guest().createProcess("g");
+    Vma &vma = p.mmap(kHugeSize);
+    p.touch(vma.start());
+    WalkerConfig cfg;
+    cfg.nestedTlbEntries = 0;
+    EXPECT_EXIT(Walker(p.pageTable(), vm, cfg)
+                    .walk(vma.start().pageNumber()),
+                testing::ExitedWithCode(1), "at least one set and one way");
+}
+
 TEST(Walker, NestedTlbWarmWalkCostsGuestReadsOnly)
 {
     // 2-D known answer, nested TLB on: once every gPA grain touched
