@@ -1,21 +1,15 @@
 /**
  * @file
- * Micro-benchmark (google-benchmark): the observability tax. Verifies
- * the "one predictable branch when disabled" claim of the tracing
- * macro by measuring a hot loop
- *
- *  - bare (no instrumentation at all),
- *  - with CONTIG_TRACE at a masked-off category (the shipping
- *    default: every event site costs one branch on a cached mask),
- *  - with the category enabled (clock read + ring-buffer store),
- *
- * plus the cost of a CounterSet increment through the heterogeneous
+ * Micro-benchmark (google-benchmark): the observability tax. A bare
+ * hot loop (no instrumentation at all) is the reference; next to it
+ * run the cost of a CounterSet increment through the heterogeneous
  * string_view lookup and of one MetricRegistry snapshot.
  *
- * The observatory tax rides the same harness: a detached StateSampler
- * costs the fault path one branch on a null pointer, an attached idle
- * one costs an increment + compare, and the full capture / delta
- * encode prices are only paid at the sampling cadence.
+ * The observatory and attribution taxes ride the same harness: a
+ * detached StateSampler or a switched-off attribution table costs the
+ * hot path one branch on a null pointer, an attached idle sampler
+ * costs an increment + compare, and the full capture / delta encode
+ * prices are only paid at the sampling cadence.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,7 +23,6 @@
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/observatory.hh"
-#include "obs/trace.hh"
 
 using namespace contig;
 
@@ -51,34 +44,6 @@ BM_BareLoop(benchmark::State &state)
         x = step(x);
         benchmark::DoNotOptimize(x);
     }
-}
-
-void
-BM_TraceDisabled(benchmark::State &state)
-{
-    obs::TraceSink::global().setCategoryMask(0);
-    std::uint64_t x = 1;
-    for (auto _ : state) {
-        x = step(x);
-        CONTIG_TRACE(obs::TraceEventKind::PageFault, x, x, 0);
-        benchmark::DoNotOptimize(x);
-    }
-}
-
-void
-BM_TraceEnabled(benchmark::State &state)
-{
-    obs::TraceSink &sink = obs::TraceSink::global();
-    sink.setCapacity(1u << 16);
-    sink.setCategoryMask(obs::kCatFault);
-    std::uint64_t x = 1;
-    for (auto _ : state) {
-        x = step(x);
-        CONTIG_TRACE(obs::TraceEventKind::PageFault, x, x, 0);
-        benchmark::DoNotOptimize(x);
-    }
-    sink.setCategoryMask(0);
-    sink.clear();
 }
 
 void
@@ -230,8 +195,6 @@ BM_DeltaEncode(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_BareLoop);
-BENCHMARK(BM_TraceDisabled);
-BENCHMARK(BM_TraceEnabled);
 BENCHMARK(BM_CounterInc);
 BENCHMARK(BM_RegistrySnapshot);
 BENCHMARK(BM_SamplerDetached);

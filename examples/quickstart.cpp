@@ -9,10 +9,10 @@
  *
  *   ./examples/quickstart
  *
- * Pass `--trace out.json` to also record a Chrome trace of the run
- * (page faults, allocations, SpOT outcomes, phase spans) viewable in
- * chrome://tracing or https://ui.perfetto.dev, and `--json out.json`
- * for the machine-readable result document.
+ * Pass `--json out.json` for the machine-readable result document,
+ * whose "metrics" block carries the phase timers (phase.*.wall_us and
+ * phase.*.cycles), or `--attrib` to add the per-event cost
+ * attribution.
  */
 
 #include <cstdio>

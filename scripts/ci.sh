@@ -49,8 +49,8 @@ echo "=== bench artifacts ==="
     --timeline "$root/BENCH_fig09_timeline.jsonl"
 
 # Observability-tax gate: each disabled-mode loop's ratio to the bare
-# loop (BM_TraceDisabled, BM_AttribOff, ...) must stay within
-# tolerance of the committed baseline ratios.
+# loop (BM_SamplerDetached, BM_AttribOff) must stay within tolerance
+# of the committed baseline ratios.
 echo "=== wall-clock gates ==="
 python3 "$root/scripts/obs_overhead_gate.py" --check \
     "$root/BENCH_micro_obs_overhead.json" \

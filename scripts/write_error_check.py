@@ -3,7 +3,7 @@
 
 Usage: write_error_check.py <bench-binary>
 
-Runs the bench once per output flag (--json, --trace, --timeline) with
+Runs the bench once per output flag (--json, --timeline) with
 /dev/full as the file, where every write fails with ENOSPC. Each run
 must exit 1, name the path on stderr and print no "wrote" line.
 Exits 77, which ctest reports as skipped, where /dev/full does not
@@ -27,7 +27,7 @@ def main():
         return SKIPPED
     bench = sys.argv[1]
     failed = False
-    for flag in ("--json", "--trace", "--timeline"):
+    for flag in ("--json", "--timeline"):
         r = subprocess.run([bench, flag, FULL], capture_output=True,
                            text=True, timeout=600)
         wrote = [l for l in r.stdout.splitlines() if "wrote" in l]

@@ -213,6 +213,20 @@ JsonValue::numberOr(std::string_view key, double fallback) const
     return v && v->isNumber() ? v->asNumber() : fallback;
 }
 
+std::optional<std::uint64_t>
+JsonValue::asUint(std::uint64_t max) const
+{
+    // 0x1p64 is the least double no std::uint64_t holds; the cast
+    // below is defined only under it.
+    if (!isNumber() || !(num_ >= 0) || num_ >= 0x1p64 ||
+        num_ != std::trunc(num_))
+        return std::nullopt;
+    const auto v = static_cast<std::uint64_t>(num_);
+    if (v > max)
+        return std::nullopt;
+    return v;
+}
+
 /**
  * Recursive-descent parser over a string_view. Depth is bounded to
  * reject pathological nesting before the C++ stack does.

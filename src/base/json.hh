@@ -6,8 +6,8 @@
  * callers never emit separators by hand. The reader (JsonValue)
  * parses what the writer emits — plus any standard JSON — into an
  * order-preserving DOM; it backs the timeline/baseline consumers
- * (tools/contig_inspect). Used by the TraceSink exporters and the
- * Report/bench `--json` output, and small enough to be a reasonable
+ * (tools/contig_inspect). Used by the Report/bench `--json` output
+ * and the observatory timeline, and small enough to be a reasonable
  * dependency from anywhere in base/.
  */
 
@@ -152,6 +152,14 @@ class JsonValue
 
     /** Number at `key`, or `fallback` when absent / not a number. */
     double numberOr(std::string_view key, double fallback) const;
+
+    /**
+     * This number as an integer in [0, max], or nullopt when it is not
+     * a number, has a fraction, is negative or exceeds max. Readers
+     * that cast a JSON number to an unsigned field go through this.
+     */
+    std::optional<std::uint64_t>
+    asUint(std::uint64_t max = ~std::uint64_t{0}) const;
 
     /**
      * Parse one complete JSON document (trailing whitespace allowed,

@@ -8,35 +8,9 @@
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/observatory.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
-
-namespace
-{
-
-bool
-endsWith(std::string_view s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
-}
-
-/** parseTraceCategories(), fatal on an unknown or empty mask. */
-std::uint32_t
-traceMaskOrDie(const std::string &bench, const char *list)
-{
-    const std::uint32_t mask = obs::parseTraceCategories(list);
-    if (mask == 0)
-        fatal("%s: unknown trace category in --trace-categories '%s'\n"
-              "valid: all, fault, alloc, promote, migrate, tlb, spot,"
-              " walk, daemon, phase, replay (or a hex mask)",
-              bench.c_str(), list);
-    return mask;
-}
-
-} // namespace
 
 BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
     : bench_(std::move(bench))
@@ -55,12 +29,6 @@ BenchOutput::BenchOutput(std::string bench, int argc, char **argv)
         !obs::TimelineSink::global().open(timelinePath_))
         fatal("cannot open --timeline output '%s'",
               timelinePath_.c_str());
-
-    if (!tracePath_.empty()) {
-        obs::TraceSink &sink = obs::TraceSink::global();
-        if (sink.categoryMask() == 0)
-            sink.setCategoryMask(obs::kCatAll);
-    }
 }
 
 BenchOutput::~BenchOutput()
@@ -77,20 +45,13 @@ BenchOutput::parseArgs(int argc, char **argv)
         const bool has_next = i + 1 < argc;
         if (arg == "--json" && has_next) {
             jsonPath_ = argv[++i];
-        } else if (arg == "--trace" && has_next) {
-            tracePath_ = argv[++i];
         } else if (arg == "--timeline" && has_next) {
             timelinePath_ = argv[++i];
         } else if (arg == "--attrib") {
             attrib_ = true;
-        } else if (arg == "--trace-categories" && has_next) {
-            obs::TraceSink::global().setCategoryMask(
-                traceMaskOrDie(bench_, argv[++i]));
         } else {
             fatal("%s: unknown argument '%s'\n"
-                  "usage: %s [--json FILE] [--trace FILE]"
-                  " [--timeline FILE] [--trace-categories LIST]"
-                  " [--attrib]",
+                  "usage: %s [--json FILE] [--timeline FILE] [--attrib]",
                   bench_.c_str(), argv[i], bench_.c_str());
         }
     }
@@ -176,19 +137,6 @@ BenchOutput::write()
         if (!ok)
             fatal("cannot write --json output '%s'", jsonPath_.c_str());
         std::printf("json: wrote %s\n", jsonPath_.c_str());
-    }
-
-    if (!tracePath_.empty()) {
-        obs::TraceSink &sink = obs::TraceSink::global();
-        const bool ok = endsWith(tracePath_, ".jsonl")
-                            ? sink.writeJsonl(tracePath_)
-                            : sink.writeChromeTrace(tracePath_);
-        if (!ok)
-            fatal("cannot write --trace output '%s'", tracePath_.c_str());
-        std::printf("trace: wrote %s (%llu events, %llu dropped)\n",
-                    tracePath_.c_str(),
-                    static_cast<unsigned long long>(sink.size()),
-                    static_cast<unsigned long long>(sink.dropped()));
     }
 
     if (!timelinePath_.empty()) {

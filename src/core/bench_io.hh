@@ -9,15 +9,12 @@
  *
  * where "rows" flattens every added Report (one object per table row,
  * tagged with its caption) and "metrics" is the global MetricRegistry
- * snapshot. The document carries "schema_version" (currently 5) and
- * a config.run object with the RunInfo reproducibility record (RNG
- * seeds, full KernelConfig knob sets). `--trace <file>`
- * additionally enables event tracing and exports the ring buffer on
- * write() — Chrome trace_event JSON by default, JSONL when the path
- * ends in ".jsonl". `--trace-categories fault,spot,...` narrows what
- * is recorded. `--timeline <file>` opens the observatory
- * TimelineSink: every StateSampler the run creates streams
- * delta-encoded JSONL snapshots there (see obs/observatory).
+ * snapshot, without its empty summaries and histograms. The document
+ * carries "schema_version" (currently 5) and a config.run object with
+ * the RunInfo reproducibility record (RNG seeds, full KernelConfig
+ * knob sets). `--timeline <file>` opens the observatory TimelineSink:
+ * every StateSampler the run creates streams delta-encoded JSONL
+ * snapshots there (see obs/observatory).
  *
  * `--attrib` switches the per-event cost
  * attribution on the same way: translation and fault kernels then
@@ -27,7 +24,7 @@
  * Off (the default) the hot paths carry a dead null-pointer branch
  * and the document is byte-identical to a run without the flag.
  *
- * Those five flags are the whole command line: any other argument
+ * Those three flags are the whole command line: any other argument
  * exits 1 with a usage line.
  */
 
@@ -69,22 +66,10 @@ class BenchOutput
     /** Add a finished table to the "rows" block (also for print()). */
     void add(const Report &rep);
 
-    bool jsonEnabled() const { return !jsonPath_.empty(); }
-    bool traceEnabled() const { return !tracePath_.empty(); }
-    bool timelineEnabled() const { return !timelinePath_.empty(); }
-
-    /**
-     * True when `--attrib` switched the
-     * cost-attribution accounting on. Kernels pick the mode up from
-     * AttribRegistry::enabled(); benches only need this to decide
-     * whether to build a ContigClassIndex for classification.
-     */
-    bool attribEnabled() const { return attrib_; }
-
     /** The bench JSON document schema ("schema_version"). */
     static constexpr int kSchemaVersion = 5;
 
-    /** Write the JSON document and/or trace export, if configured. */
+    /** Write the JSON document and close the timeline, if configured. */
     void write();
 
   private:
@@ -100,7 +85,6 @@ class BenchOutput
 
     std::string bench_;
     std::string jsonPath_;
-    std::string tracePath_;
     std::string timelinePath_;
     bool attrib_ = false;
     std::vector<Note> notes_;

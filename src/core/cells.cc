@@ -22,7 +22,6 @@
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/observatory.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -413,17 +412,6 @@ absorbState(std::string_view text)
 
 // --- the runner -------------------------------------------------------
 
-/**
- * Trace and timeline sinks record per-event data that cannot be
- * merged across processes.
- */
-bool
-perEventSinkOn()
-{
-    return obs::TraceSink::global().categoryMask() != 0 ||
-           obs::TimelineSink::global().enabled();
-}
-
 struct FileCloser
 {
     void operator()(std::FILE *f) const { std::fclose(f); }
@@ -488,7 +476,9 @@ detail::runCellsRaw(std::size_t n, std::size_t size, const CellFn &fn,
     auto *dst = static_cast<unsigned char *>(out);
     if (jobs == 0)
         jobs = affinityCpus();
-    if (n <= 1 || jobs <= 1 || perEventSinkOn()) {
+    // An open timeline records per-event data that cannot be merged
+    // across processes.
+    if (n <= 1 || jobs <= 1 || obs::TimelineSink::global().enabled()) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i, dst + i * size);
         return;

@@ -18,8 +18,8 @@
  *
  * Cells run inline instead — the same code in the same order, no
  * fork — when there is at most one cell, when `jobs` is 1, or while
- * a trace or timeline sink is on: those record per-event data that
- * cannot be merged. So `taskset -c 0 <bench>` runs a bench serially.
+ * the timeline sink is on: it records per-event data that cannot be
+ * merged. So `taskset -c 0 <bench>` runs a bench serially.
  *
  * A cell must not print (children leave by _exit, so their stdio
  * buffers are never flushed) and must build every simulator object

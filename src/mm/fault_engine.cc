@@ -8,7 +8,6 @@
 #include "mm/page_cache.hh"
 #include "obs/attribution.hh"
 #include "obs/observatory.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -130,7 +129,6 @@ FaultEngine::placeAnon(Process &proc, Vma &vma, FaultContext &ctx)
                                ? AllocFail::NoHugeBlock
                                : ctx.alloc.fail;
             policy.noteAllocFail(ctx.fallback);
-            CONTIG_TRACE(obs::TraceEventKind::HugeFallback, ctx.vpn);
             ctx.order = 0;
             ctx.base = ctx.vpn;
             ctx.alloc =
@@ -203,8 +201,7 @@ FaultEngine::installAnon(Process &proc, Vma &vma, FaultContext &ctx,
         ctx.cycles += rec->chargeSwapIn(proc.pid(), ctx.base, ctx.order);
     kernel_.policy().onMapped(kernel_, proc, vma, ctx.base, ctx.alloc.pfn,
                               ctx.order);
-    finishFault(vma, ctx.base, ctx.alloc.pfn, ctx.order, ctx.cycles, false,
-                false, ctx.fallback);
+    finishFault(ctx.order, ctx.cycles, false, false, ctx.fallback);
 }
 
 void
@@ -217,7 +214,7 @@ FaultEngine::installFile(Process &proc, Vma &vma, Vpn vpn, Pfn pfn,
     vma.allocatedPages += 1;
 
     ++stats_.fileFaults;
-    finishFault(vma, vpn, pfn, 0, cfg_.faultBaseCycles, false, true);
+    finishFault(0, cfg_.faultBaseCycles, false, true);
 }
 
 void
@@ -255,7 +252,7 @@ FaultEngine::cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m)
                           cfg_.copyCyclesPerPage * n + res.placementCycles;
     ++stats_.cowFaults;
     kernel_.policy().onMapped(kernel_, proc, vma, base, res.pfn, order);
-    finishFault(vma, base, res.pfn, order, cycles, true, false);
+    finishFault(order, cycles, true, false);
 }
 
 void
@@ -274,8 +271,7 @@ FaultEngine::fileFault(Process &proc, Vma &vma, Vpn vpn)
 }
 
 void
-FaultEngine::finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
-                         Cycles cycles, bool cow, bool file,
+FaultEngine::finishFault(unsigned order, Cycles cycles, bool cow, bool file,
                          AllocFail fallback)
 {
     ++stats_.faults;
@@ -298,14 +294,6 @@ FaultEngine::finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
 
     const std::uint64_t c = ++clock_;
 
-    if (file)
-        CONTIG_TRACE(obs::TraceEventKind::FileFault, vpn, pfn,
-                     vma.fileId());
-    else if (cow)
-        CONTIG_TRACE(obs::TraceEventKind::CowFault, vpn, pfn, order);
-    else
-        CONTIG_TRACE(obs::TraceEventKind::PageFault, vpn, pfn, order);
-
     // Observatory sampling happens before the policy tick below, so a
     // capture at fault N sees the pre-tick state (the cadence the
     // coverage timelines were defined with).
@@ -313,7 +301,6 @@ FaultEngine::finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
         sampler_->onFaultTick();
 
     if (c % cfg_.tickPeriodFaults == 0) {
-        CONTIG_TRACE(obs::TraceEventKind::DaemonTick, c);
         obs::ScopedPhase timer(daemonPhase_);
         kernel_.policy().onTick(kernel_);
     }

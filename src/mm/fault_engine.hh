@@ -266,8 +266,7 @@ class FaultEngine
     void anonFault(Process &proc, Vma &vma, Vpn vpn);
     void cowFault(Process &proc, Vma &vma, Vpn vpn, const Mapping &m);
     void fileFault(Process &proc, Vma &vma, Vpn vpn);
-    void finishFault(Vma &vma, Vpn vpn, Pfn pfn, unsigned order,
-                     Cycles cycles, bool cow, bool file,
+    void finishFault(unsigned order, Cycles cycles, bool cow, bool file,
                      AllocFail fallback = AllocFail::None);
 
     // --- span internals --------------------------------------------------

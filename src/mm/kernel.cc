@@ -7,7 +7,6 @@
 #include "base/align.hh"
 #include "base/logging.hh"
 #include "obs/observatory.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -245,7 +244,6 @@ Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
     f.claimOrder = static_cast<std::uint8_t>(order);
     if (reclaim_)
         reclaim_->onClaim(pfn, order, kind);
-    CONTIG_TRACE(obs::TraceEventKind::Alloc, pfn, order, owner_id);
     if (backingHook)
         backingHook(pfn, order);
 }

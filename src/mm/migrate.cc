@@ -3,7 +3,6 @@
 #include "base/align.hh"
 #include "base/logging.hh"
 #include "mm/kernel.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -38,7 +37,6 @@ migrateLeaf(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     if (m->contigBit)
         pt.setContigBit(base, true);
 
-    CONTIG_TRACE(obs::TraceEventKind::Migration, m->pfn, dest_pfn, n);
     kernel.counters().inc("migrate.pages", n);
     kernel.counters().inc("migrate.shootdowns");
     kernel.counters().inc("migrate.cycles",
@@ -95,7 +93,6 @@ swapLeaves(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     kernel.swapOwners(m->pfn, dest_pfn);
     const std::uint64_t n = pagesInOrder(order);
 
-    CONTIG_TRACE(obs::TraceEventKind::Migration, m->pfn, dest_pfn, 2 * n);
     kernel.counters().inc("migrate.pages", 2 * n);
     kernel.counters().inc("migrate.shootdowns", 2);
     kernel.counters().inc("migrate.cycles",
@@ -135,7 +132,6 @@ promoteHuge(Kernel &kernel, Process &proc, Vpn huge_vpn)
         kernel.unmapLeaf(pt, huge_vpn + i, 0);
     kernel.mapLeaf(pt, huge_vpn, *huge, kHugeOrder, true, false);
 
-    CONTIG_TRACE(obs::TraceEventKind::Promotion, huge_vpn, n);
     kernel.counters().inc("promote.pages", n);
     kernel.counters().inc("promote.cycles",
                           kernel.config().copyCyclesPerPage * n +

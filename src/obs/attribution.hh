@@ -12,7 +12,8 @@
  * larger offset-runs). Fault events are classified by (fault kind x
  * allocated order x fallback reason). Each cell keeps exact sums and
  * a Log2Histogram of its cycle distribution; a bounded reservoir of
- * exemplar events links hot outliers back to --trace streams.
+ * exemplar events names the hottest outliers by vpn, replay chunk and
+ * event ordinal.
  *
  * Gating: AttribRegistry::enabled() is a process-wide switch flipped
  * by BenchOutput (--attrib) before any simulator exists. When off, no
@@ -131,7 +132,7 @@ class XlatAttribution
     /** Exemplar reservoir size (top-K by exposed cycles). */
     static constexpr std::size_t kExemplarCapacity = 16;
 
-    /** One sampled hot event, linkable back to --trace streams. */
+    /** One sampled hot event, located by its chunk and ordinal. */
     struct Exemplar
     {
         Vpn vpn = 0;

@@ -230,11 +230,33 @@ MetricRegistry::ownedSnapshot() const
     return out;
 }
 
+namespace
+{
+
+/** A summary nothing fed, or a histogram with no weight. */
+bool
+emptySection(const MetricSample &s)
+{
+    switch (s.type) {
+      case MetricType::Summary:
+        return s.summary.count() == 0;
+      case MetricType::Histogram:
+        return std::all_of(s.buckets.begin(), s.buckets.end(),
+                           [](std::uint64_t b) { return b == 0; });
+      default:
+        return false;
+    }
+}
+
+} // namespace
+
 void
 MetricRegistry::writeJson(JsonWriter &w) const
 {
     w.beginObject();
     for (const auto &[name, s] : snapshot()) {
+        if (emptySection(s))
+            continue;
         w.key(name);
         switch (s.type) {
           case MetricType::Counter:

@@ -160,7 +160,11 @@ class MetricRegistry
      */
     void absorb(const SampleMap &samples);
 
-    /** Emit snapshot() as one JSON object keyed by metric name. */
+    /**
+     * Emit snapshot() as one JSON object keyed by metric name, leaving
+     * out summaries with no samples and histograms with no weight:
+     * an empty section says nothing about the run.
+     */
     void writeJson(JsonWriter &w) const;
 
     /** Drop all owned metrics (live sources are untouched). */

@@ -1,5 +1,7 @@
 #include "obs/phase.hh"
 
+#include <string>
+
 #include "obs/metrics.hh"
 
 namespace contig
@@ -14,7 +16,7 @@ Phase::bind(MetricRegistry &reg, std::string_view name)
     base += name;
     Summary &wall = reg.summary(base + ".wall_us");
     Summary &cyc = reg.summary(base + ".cycles");
-    return Phase(TraceSink::global().intern(name), &wall, &cyc);
+    return Phase(&wall, &cyc);
 }
 
 } // namespace obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "base/json.hh"
 #include "base/types.hh"
@@ -242,17 +243,19 @@ decodeTimelineRecord(std::string_view line, std::string *err)
     }
     rec.full = kind->asString() == "full";
 
-    for (const char *field : {"stream", "seq", "tick"}) {
+    const std::pair<const char *, std::uint64_t *> counts[] = {
+        {"stream", &rec.stream}, {"seq", &rec.seq}, {"tick", &rec.tick}};
+    for (const auto &[field, dst] : counts) {
         const JsonValue *v = doc->find(field);
-        if (!v || !v->isNumber() || v->asNumber() < 0) {
+        const auto n = v ? v->asUint() : std::nullopt;
+        if (!n) {
             if (err)
-                *err = std::string("missing or bad '") + field + "'";
+                *err = std::string("missing or bad '") + field +
+                       "' (want an unsigned integer)";
             return std::nullopt;
         }
+        *dst = *n;
     }
-    rec.stream = static_cast<std::uint64_t>(doc->numberOr("stream", 0));
-    rec.seq = static_cast<std::uint64_t>(doc->numberOr("seq", 0));
-    rec.tick = static_cast<std::uint64_t>(doc->numberOr("tick", 0));
     if (const JsonValue *d = doc->find("domain"); d && d->isString())
         rec.domain = d->asString();
 

@@ -86,9 +86,9 @@ struct SpotStats
 };
 
 /**
- * The prediction engine. Drive it with onTlbMiss() before the walk
- * and onWalkDone() after; the returned outcome feeds the performance
- * model (Table IV).
+ * The prediction engine. Drive it with predict() on an L2-TLB miss,
+ * before the walk, and update() once the walk is done; the outcome
+ * update() returns feeds the performance model (Table IV).
  */
 class SpotEngine
 {
@@ -96,8 +96,8 @@ class SpotEngine
     explicit SpotEngine(const SpotConfig &cfg = {});
 
     /**
-     * L2-TLB miss for (pc, vpn): returns the predicted offset if the
-     * engine speculates, nullopt otherwise.
+     * L2-TLB miss at `pc`: returns the predicted offset if the engine
+     * speculates, nullopt otherwise.
      */
     std::optional<std::int64_t> predict(Addr pc);
 

@@ -1,7 +1,6 @@
 #include "tlb/replay.hh"
 
 #include "base/logging.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -63,8 +62,6 @@ ReplayEngine::replayChunk(const MemAccess *a, std::size_t n)
     sim_.noteChunk(chunks_);
     sim_.accessChunk(a, n);
     ++chunks_;
-    CONTIG_TRACE(obs::TraceEventKind::ReplayChunk, chunks_ - 1, n,
-                 sim_.stats().walks);
 }
 
 } // namespace contig

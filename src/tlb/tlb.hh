@@ -86,7 +86,6 @@ class Tlb
 
     void flush() { sets_.flush(); }
 
-    unsigned pageOrder() const { return pageOrder_; }
     unsigned entries() const { return cfg_.sets * cfg_.ways; }
     const TlbStats &stats() const { return stats_; }
 

@@ -2,7 +2,6 @@
 
 #include "base/logging.hh"
 #include "obs/attribution.hh"
-#include "obs/trace.hh"
 
 namespace contig
 {
@@ -158,16 +157,12 @@ template <XlatScheme S, bool Virt>
 void
 TranslationSim::missPath(const MemAccess &a, Vpn vpn)
 {
-    CONTIG_TRACE(obs::TraceEventKind::TlbL2Miss, vpn);
     if constexpr (S == XlatScheme::Spot)
         spot_->predict(a.pc);
     const WalkResult walk = walker_->walk(vpn);
     stats_.walkCycles += walk.cycles;
     contig_assert(walk.hit, "access to unmapped va 0x%llx",
                   static_cast<unsigned long long>(a.va.value));
-    if constexpr (Virt)
-        CONTIG_TRACE(obs::TraceEventKind::NestedWalk, vpn, walk.refs,
-                     walk.cycles);
 
     ++stats_.walks;
     stats_.walkRefs += walk.refs;
@@ -182,20 +177,15 @@ TranslationSim::missPath(const MemAccess &a, Vpn vpn)
         switch (out) {
           case SpotOutcome::Correct:
             ++stats_.spotCorrect;
-            CONTIG_TRACE(obs::TraceEventKind::SpotCorrect, a.pc,
-                         static_cast<std::uint64_t>(walk.offset));
             exposed = 0; // walk latency fully hidden
             schemeHid = true;
             break;
           case SpotOutcome::Mispredicted:
             ++stats_.spotMispredicted;
-            CONTIG_TRACE(obs::TraceEventKind::SpotMispredict, a.pc,
-                         static_cast<std::uint64_t>(walk.offset));
             exposed = walk.cycles + cfg_.spot.flushPenaltyCycles;
             break;
           case SpotOutcome::NoPrediction:
             ++stats_.spotNoPrediction;
-            CONTIG_TRACE(obs::TraceEventKind::SpotNoPredict, a.pc);
             break;
         }
     } else if constexpr (S == XlatScheme::Rmm) {

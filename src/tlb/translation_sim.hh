@@ -149,7 +149,7 @@ class TranslationSim
      * Cost attribution (null unless AttribRegistry::enabled() when
      * the simulator was built). The index classifies each event's vpn
      * into a contiguity class; noteChunk stamps the replay chunk id
-     * into exemplars so hot outliers link back to --trace streams.
+     * into exemplars, so a hot outlier names the chunk it fell in.
      */
     const obs::XlatAttribution *attrib() const { return attrib_.get(); }
     void setContigIndex(std::shared_ptr<const obs::ContigClassIndex> idx);

@@ -81,12 +81,6 @@ struct WalkerStats
     std::uint64_t pscHits = 0;
     std::uint64_t nestedTlbHits = 0;
     std::uint64_t nestedTlbLookups = 0;
-
-    double
-    avgRefs() const
-    {
-        return walks ? static_cast<double>(totalRefs) / walks : 0.0;
-    }
 };
 
 /**

@@ -192,6 +192,30 @@ TEST(JsonValue, ParsesContainersPreservingOrder)
     EXPECT_DOUBLE_EQ(doc->numberOr("missing", 7), 7.0);
 }
 
+TEST(JsonValue, AsUintAcceptsOnlyIntegersThatFit)
+{
+    auto uintOf = [](const char *text, std::uint64_t max) {
+        return JsonValue::parse(text)->asUint(max);
+    };
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    EXPECT_EQ(uintOf("0", kAll), 0u);
+    EXPECT_EQ(uintOf("42", kAll), 42u);
+    EXPECT_EQ(uintOf("4.2e1", kAll), 42u);
+    EXPECT_EQ(uintOf("9007199254740992", kAll), std::uint64_t{1} << 53);
+    // The largest double below 2^64.
+    EXPECT_EQ(uintOf("18446744073709549568", kAll), 18446744073709549568u);
+    EXPECT_EQ(uintOf("4294967295", 0xffffffffu), 0xffffffffu);
+
+    EXPECT_FALSE(uintOf("1e300", kAll));
+    EXPECT_FALSE(uintOf("18446744073709551616", kAll)); // 2^64
+    EXPECT_FALSE(uintOf("1.5", kAll));
+    EXPECT_FALSE(uintOf("0.5", kAll));
+    EXPECT_FALSE(uintOf("-1", kAll));
+    EXPECT_FALSE(uintOf("4294967296", 0xffffffffu));
+    EXPECT_FALSE(uintOf("\"7\"", kAll));
+    EXPECT_FALSE(uintOf("null", kAll));
+}
+
 TEST(JsonValue, DecodesEscapes)
 {
     auto doc = JsonValue::parse(R"("a\"b\\c\n\tAé")");

@@ -4,6 +4,7 @@
 
 #include "base/json.hh"
 #include "obs/metrics.hh"
+#include "obs/phase.hh"
 
 using namespace contig;
 using namespace contig::obs;
@@ -213,7 +214,83 @@ TEST(MetricRegistry, WriteJson)
     EXPECT_NE(out.find("\"log2_buckets\""), std::string::npos);
 }
 
+TEST(MetricRegistry, WriteJsonOmitsEmptySections)
+{
+    MetricRegistry reg;
+    reg.summary("empty.summary");
+    reg.histogram("empty.hist");
+    reg.summary("fed.summary").add(2.0);
+    reg.histogram("fed.hist").add(8);
+    // Zero-valued counters and gauges are values, not empty sections.
+    reg.counter("zero.counter");
+    reg.gauge("zero.gauge");
+    auto id = reg.addSource("src", [](MetricSink &sink) {
+        sink.summary("empty_summary", Summary{});
+        sink.histogram("empty_hist", Log2Histogram{});
+        Log2Histogram h;
+        h.add(3);
+        sink.histogram("fed_hist", h);
+    });
+
+    JsonWriter w;
+    reg.writeJson(w);
+    reg.removeSource(id, false);
+    ASSERT_TRUE(w.complete());
+    std::string err;
+    const auto doc = JsonValue::parse(w.str(), &err);
+    ASSERT_TRUE(doc) << err;
+    for (const char *gone : {"empty.summary", "empty.hist",
+                             "src.empty_summary", "src.empty_hist"})
+        EXPECT_EQ(doc->find(gone), nullptr) << gone;
+    for (const char *kept : {"fed.summary", "fed.hist", "src.fed_hist",
+                             "zero.counter", "zero.gauge"})
+        EXPECT_NE(doc->find(kept), nullptr) << kept;
+    EXPECT_DOUBLE_EQ(doc->find("fed.summary")->numberOr("count", 0), 1.0);
+}
+
 TEST(MetricRegistry, GlobalIsSingleton)
 {
     EXPECT_EQ(&MetricRegistry::global(), &MetricRegistry::global());
+}
+
+TEST(Phase, AccumulatesWallAndCycles)
+{
+    MetricRegistry reg;
+    Phase phase = Phase::bind(reg, "test.region");
+    Cycles sim = 0;
+    {
+        ScopedPhase timer(phase, &sim);
+        sim += 1234;
+    }
+    {
+        ScopedPhase timer(phase, &sim);
+        sim += 766;
+    }
+
+    SampleMap snap = reg.snapshot();
+    EXPECT_EQ(snap.at("phase.test.region.wall_us").summary.count(), 2u);
+    EXPECT_EQ(snap.at("phase.test.region.cycles").summary.count(), 2u);
+    EXPECT_DOUBLE_EQ(snap.at("phase.test.region.cycles").summary.sum(),
+                     2000.0);
+    EXPECT_DOUBLE_EQ(snap.at("phase.test.region.cycles").summary.max(),
+                     1234.0);
+}
+
+TEST(Phase, WithoutCyclesAccumulatesWallOnly)
+{
+    MetricRegistry reg;
+    Phase phase = Phase::bind(reg, "quiet");
+    {
+        ScopedPhase timer(phase);
+    }
+    SampleMap snap = reg.snapshot();
+    EXPECT_EQ(snap.at("phase.quiet.wall_us").summary.count(), 1u);
+    EXPECT_GE(snap.at("phase.quiet.wall_us").summary.min(), 0.0);
+    EXPECT_EQ(snap.at("phase.quiet.cycles").summary.count(), 0u);
+
+    // The unfed cycle summary is an empty section: not emitted.
+    JsonWriter w;
+    reg.writeJson(w);
+    EXPECT_NE(w.str().find("phase.quiet.wall_us"), std::string::npos);
+    EXPECT_EQ(w.str().find("phase.quiet.cycles"), std::string::npos);
 }

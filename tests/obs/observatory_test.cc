@@ -200,6 +200,28 @@ TEST(FlatSnapCodec, DecodeRejectsMalformed)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(FlatSnapCodec, DecodeRejectsCountsThatAreNotUnsignedIntegers)
+{
+    for (const char *field : {"stream", "seq", "tick"}) {
+        for (const char *bad :
+             {"1e300", "18446744073709551616", "1.5", "-1"}) {
+            std::string rec = R"({"stream":1,"seq":2,"tick":3,)"
+                              R"("kind":"full","set":{"k":1}})";
+            const std::string key = std::string("\"") + field + "\":";
+            const std::size_t at = rec.find(key) + key.size();
+            rec.replace(at, 1, bad);
+            SCOPED_TRACE(rec);
+            std::string err;
+            EXPECT_FALSE(decodeTimelineRecord(rec, &err));
+            EXPECT_NE(err.find(field), std::string::npos) << err;
+        }
+    }
+    const auto ok = decodeTimelineRecord(
+        R"({"stream":1,"seq":2,"tick":1e3,"kind":"full","set":{"k":1}})");
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(ok->tick, 1000u);
+}
+
 // --- the sampler against a live kernel ------------------------------------
 
 TEST(StateSampler, PeriodicFaultDrivenCapture)

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,11 +149,15 @@ loadXlat(const std::string &path, const JsonValue &doc,
             o.total.p99 = m.second.numberOr("exposed_p99", 0);
             if (const JsonValue *cls = m.second.find("classes")) {
                 for (const JsonValue &cv : cls->array()) {
-                    const unsigned idx = static_cast<unsigned>(
-                        cv.numberOr("class", 0));
-                    o.classes[idx] = readCell(cv);
+                    const JsonValue *c = cv.find("class");
+                    const auto idx = c ? c->asUint(~0u) : std::nullopt;
+                    if (!idx)
+                        die(path + ": outcome '" + m.first +
+                            "' has a cell whose \"class\" is not an "
+                            "unsigned integer");
+                    o.classes[*idx] = readCell(cv);
                     if (const JsonValue *n = cv.find("name"))
-                        o.names[idx] = n->asString();
+                        o.names[*idx] = n->asString();
                 }
             }
             t.outcomes.emplace(m.first, std::move(o));
