@@ -10,9 +10,8 @@
  *   ./examples/quickstart
  *
  * Pass `--json out.json` for the machine-readable result document,
- * whose "metrics" block carries the phase timers (phase.*.wall_us and
- * phase.*.cycles), or `--attrib` to add the per-event cost
- * attribution.
+ * whose "metrics" block carries the phase timers (phase.*.wall_us),
+ * or `--attrib` to add the per-event cost attribution.
  */
 
 #include <cstdio>

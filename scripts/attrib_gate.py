@@ -12,9 +12,11 @@ PSC cycles concentrate in the smallest contiguity classes and SpOT
 hits erase them, so the gate fails if SpOT's exposed-cycle cost ever
 regresses against CA paging here.
 
-It also feeds contig_report copies of that document whose first cost
-cell carries a "class" that is not an unsigned integer (1e300, 2^64,
-1.5, -1): each must exit 2 with a message naming "class".
+It also feeds contig_report copies of that document whose first
+base_2d tlb_hit cost cell carries a "class" that is not an unsigned
+integer (1e300, 2^64, 1.5, -1), "events" that are a string or
+"exposed_cycles" that are negative: each must exit 2 with a message
+naming the field.
 """
 
 import json
@@ -23,7 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-BAD_CLASSES = (1e300, 2**64, 1.5, -1)
+BAD_CELLS = (("class", 1e300), ("class", 2**64), ("class", 1.5),
+             ("class", -1), ("events", "many"), ("exposed_cycles", -5))
 
 
 def run(cmd):
@@ -48,25 +51,26 @@ def main():
         run([sys.executable, checker, "--expect-attrib", "--json-file", doc])
         run([report, doc, doc, "--a-xlat", "base_2d", "--b-xlat", "spot_2d",
              "--gate"])
-        for bad in BAD_CLASSES:
-            reject_bad_class(report, doc, Path(tmp) / "bad_class.json", bad)
+        for field, bad in BAD_CELLS:
+            reject_bad_cell(report, doc, Path(tmp) / "bad_cell.json",
+                            field, bad)
     print("attrib_gate: OK")
 
 
-def reject_bad_class(report, doc, bad_doc, bad):
+def reject_bad_cell(report, doc, bad_doc, field, bad):
     data = json.loads(doc.read_text())
     outcomes = data["attribution"]["xlat"]["base_2d"]["outcomes"]
-    cell = next(o["classes"][0] for o in outcomes.values() if o["classes"])
-    cell["class"] = bad
+    outcomes["tlb_hit"]["classes"][0][field] = bad
     bad_doc.write_text(json.dumps(data))
     cmd = [report, bad_doc, doc, "--a-xlat", "base_2d", "--b-xlat", "spot_2d"]
     print("+", " ".join(str(c) for c in cmd), flush=True)
     proc = subprocess.run([str(c) for c in cmd], capture_output=True,
                           text=True, timeout=600)
-    if proc.returncode != 2 or '"class"' not in proc.stderr:
+    if proc.returncode != 2 or f'"{field}"' not in proc.stderr:
         print(proc.stderr[-400:], file=sys.stderr)
-        print(f"attrib_gate: FAIL: class {bad!r}: exit {proc.returncode}, "
-              "want 2 and a message naming \"class\"", file=sys.stderr)
+        print(f"attrib_gate: FAIL: {field} {bad!r}: exit "
+              f"{proc.returncode}, want 2 and a message naming "
+              f"\"{field}\"", file=sys.stderr)
         sys.exit(1)
 
 

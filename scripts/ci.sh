@@ -29,24 +29,9 @@ build_and_test asan-ubsan \
 # root. Every deterministic gate on these benches (schema, baseline,
 # committed replay ratio, attribution and reclaim checks) is a ctest
 # and ran above; only the two wall-clock ratio
-# gates, which need an idle machine, run here. micro_obs_overhead is
-# a google-benchmark binary with its own JSON reporter; the rest are
-# plain BenchOutput benches.
-bench="$out/release/bench"
+# gates, which need an idle machine, run here.
 echo "=== bench artifacts ==="
-"$bench/micro_alloc_path" --json "$root/BENCH_micro_alloc_path.json"
-"$bench/micro_tlb_spot" --json "$root/BENCH_micro_tlb_spot.json"
-"$bench/micro_obs_overhead" \
-    --benchmark_out="$root/BENCH_micro_obs_overhead.json" \
-    --benchmark_out_format=json
-"$bench/micro_xlat_scaling" --json "$root/BENCH_micro_xlat_scaling.json"
-"$bench/micro_reclaim_path" --json "$root/BENCH_micro_reclaim_path.json"
-"$bench/fig13_translation_overhead" --attrib \
-    --json "$root/BENCH_fig13_attrib.json"
-"$bench/fig14_spot_breakdown" --attrib \
-    --json "$root/BENCH_fig14_attrib.json"
-"$bench/fig09_free_blocks" --json "$root/BENCH_fig09_free_blocks.json" \
-    --timeline "$root/BENCH_fig09_timeline.jsonl"
+"$root/scripts/bench_artifacts.sh" "$out/release/bench" "$root"
 
 # Observability-tax gate: each disabled-mode loop's ratio to the bare
 # loop (BM_SamplerDetached, BM_AttribOff) must stay within tolerance

@@ -107,7 +107,7 @@ class JsonWriter
  * A parsed JSON document node. Objects preserve member order (the
  * writer emits deterministic documents; diffs stay stable), and
  * numbers are kept as doubles — the repo's JSON carries counters and
- * gauges that all fit a double exactly up to 2^53.
+ * point values that all fit a double exactly up to 2^53.
  *
  * Usage:
  *   auto doc = JsonValue::parse(text, &err);

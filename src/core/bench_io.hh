@@ -9,12 +9,14 @@
  *
  * where "rows" flattens every added Report (one object per table row,
  * tagged with its caption) and "metrics" is the global MetricRegistry
- * snapshot, without its empty summaries and histograms. The document
- * carries "schema_version" (currently 5) and a config.run object with
- * the RunInfo reproducibility record (RNG seeds, full KernelConfig
- * knob sets). `--timeline <file>` opens the observatory TimelineSink:
- * every StateSampler the run creates streams delta-encoded JSONL
- * snapshots there (see obs/observatory).
+ * snapshot, without its empty summaries and histograms: counters are
+ * bare integers, summaries (point values too, one sample each) and
+ * histograms are objects. The document carries "schema_version"
+ * (currently 6) and a config.run object with the RunInfo
+ * reproducibility record (RNG seeds, full KernelConfig knob sets).
+ * `--timeline <file>` opens the observatory TimelineSink: every
+ * StateSampler the run creates streams delta-encoded JSONL snapshots
+ * there (see obs/observatory).
  *
  * `--attrib` switches the per-event cost
  * attribution on the same way: translation and fault kernels then
@@ -67,7 +69,7 @@ class BenchOutput
     void add(const Report &rep);
 
     /** The bench JSON document schema ("schema_version"). */
-    static constexpr int kSchemaVersion = 5;
+    static constexpr int kSchemaVersion = 6;
 
     /** Write the JSON document and close the timeline, if configured. */
     void write();

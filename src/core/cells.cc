@@ -47,7 +47,6 @@ using CellFn = std::function<void(std::size_t, void *)>;
 // One record per line: a type letter, a length-prefixed name
 // ("13:kernel.faults") and typed fields, each after one space.
 //   c NAME U64                  counter
-//   g NAME F64                  gauge
 //   s NAME COUNT SUM MIN MAX    summary
 //   h NAME N B0 .. B(N-1)       histogram buckets
 //   v KEY VALUE                 one RunInfo value of KEY (length-prefixed)
@@ -104,18 +103,12 @@ std::string
 exportState()
 {
     std::string out;
-    for (const auto &[name, s] :
-         obs::MetricRegistry::global().ownedSnapshot()) {
+    for (const auto &[name, s] : obs::MetricRegistry::global().owned()) {
         switch (s.type) {
           case obs::MetricType::Counter:
             out += 'c';
             putStr(out, name);
             putU64(out, s.counter);
-            break;
-          case obs::MetricType::Gauge:
-            out += 'g';
-            putStr(out, name);
-            putF64(out, s.gauge);
             break;
           case obs::MetricType::Summary:
             out += 's';
@@ -341,10 +334,6 @@ absorbState(std::string_view text)
           case 'c':
             s.type = obs::MetricType::Counter;
             ok = in.u64(s.counter);
-            break;
-          case 'g':
-            s.type = obs::MetricType::Gauge;
-            ok = in.f64(s.gauge);
             break;
           case 's': {
             std::uint64_t count = 0;

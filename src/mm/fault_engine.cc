@@ -60,7 +60,7 @@ FaultEngine::touchOne(Process &proc, Gva gva, Access access)
         if (ReclaimEngine *rec = kernel_.reclaim())
             rec->noteReferenced(m->pfn); // second chance for the leaf
         if (access == Access::Write && m->cow) {
-            obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
+            obs::ScopedPhase timer(faultPhase_);
             cowFault(proc, *vma, vpn, *m);
         }
         proc.noteTouched(*vma, vpn);
@@ -68,7 +68,7 @@ FaultEngine::touchOne(Process &proc, Gva gva, Access access)
     }
 
     {
-        obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
+        obs::ScopedPhase timer(faultPhase_);
         if (vma->kind() == VmaKind::File)
             fileFault(proc, *vma, vpn);
         else
@@ -380,7 +380,7 @@ FaultEngine::resolveSpan(Process &proc, Vma &vma, Vpn start, Vpn end,
             const std::uint64_t n = pagesInOrder(m->order);
             const Vpn leaf_end = std::min(end, (v & ~(n - 1)) + n);
             if (access == Access::Write && m->cow) {
-                obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
+                obs::ScopedPhase timer(faultPhase_);
                 cowFault(proc, vma, v, *m);
             }
             if (note_all)
@@ -411,7 +411,7 @@ FaultEngine::resolveAnonGap(Process &proc, Vma &vma, Vpn gap_start,
             hugeFaultAllowed(proc, vma, v)) {
             commitAnonChunk(proc, vma, chunk);
             {
-                obs::ScopedPhase timer(faultPhase_, &stats_.totalCycles);
+                obs::ScopedPhase timer(faultPhase_);
                 anonFault(proc, vma, v);
             }
             // The install may have been demoted to 4 KiB; resume after
@@ -443,7 +443,7 @@ FaultEngine::commitAnonChunk(Process &proc, Vma &vma,
 {
     if (chunk.empty())
         return;
-    obs::ScopedPhase fault_timer(faultPhase_, &stats_.totalCycles);
+    obs::ScopedPhase fault_timer(faultPhase_);
     AllocationPolicy &policy = kernel_.policy();
     PageTable::RunMapper mapper(proc.pageTable());
     ReclaimEngine *rec = kernel_.reclaim();
@@ -503,7 +503,7 @@ FaultEngine::resolveFileGap(Process &proc, Vma &vma, Vpn gap_start,
         const Vpn chunk_end = std::min(gap_end, v + tickBudget());
         if (rec)
             rec->checkWatermarks(proc.homeNode());
-        obs::ScopedPhase fault_timer(faultPhase_, &stats_.totalCycles);
+        obs::ScopedPhase fault_timer(faultPhase_);
         {
             // Pre-fill the page cache for the whole chunk (readahead
             // windows merge); installs below then never miss.

@@ -81,20 +81,21 @@ Kernel::collectMetrics(obs::MetricSink &sink) const
     if (fs.latencyUs.count()) {
         // quantile() sorts lazily; work on a copy to stay const.
         Percentiles lat = fs.latencyUs;
-        sink.gauge("fault_latency_us.p50", lat.quantile(0.50));
-        sink.gauge("fault_latency_us.p95", lat.quantile(0.95));
-        sink.gauge("fault_latency_us.p99", lat.quantile(0.99));
+        sink.summary("fault_latency_us.p50", lat.quantile(0.50));
+        sink.summary("fault_latency_us.p95", lat.quantile(0.95));
+        sink.summary("fault_latency_us.p99", lat.quantile(0.99));
     }
     engine_->collectMetrics(sink);
-    sink.gauge("kernel_pool_pages",
-               static_cast<double>(kernelPoolPages()));
-    sink.gauge("processes", static_cast<double>(processes_.size()));
+    sink.summary("kernel_pool_pages",
+                 static_cast<double>(kernelPoolPages()));
+    sink.summary("processes", static_cast<double>(processes_.size()));
 
     for (const auto &[name, v] : counters_.all())
         sink.counter(name, v);
 
     // Per-zone allocator state merges into one "buddy." / one
-    // "contig_map." group (MetricSample::mergeFrom adds by name).
+    // "contig_map." group (MetricSample::mergeFrom merges by name:
+    // a point value becomes a summary with one sample per zone).
     for (unsigned n = 0; n < physMem_.numNodes(); ++n) {
         const Zone &zone = physMem_.zone(n);
         {

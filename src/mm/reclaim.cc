@@ -510,7 +510,7 @@ ReclaimEngine::collectMetrics(obs::MetricSink &sink) const
     c("min_watermark_hits", stats_.minHits);
     c("pinned_skips", stats_.pinnedSkips);
     c("busy_skips", stats_.busySkips);
-    sink.gauge("swapped_pages", static_cast<double>(swappedPages_));
+    sink.summary("swapped_pages", static_cast<double>(swappedPages_));
 
     const PhysicalMemory &pm = kernel_.physMem();
     std::uint64_t inactive = 0, active = 0;
@@ -519,8 +519,8 @@ ReclaimEngine::collectMetrics(obs::MetricSink &sink) const
         inactive += zone.lruPages(Frame::LruList::Inactive);
         active += zone.lruPages(Frame::LruList::Active);
     }
-    sink.gauge("lru_inactive_pages", static_cast<double>(inactive));
-    sink.gauge("lru_active_pages", static_cast<double>(active));
+    sink.summary("lru_inactive_pages", static_cast<double>(inactive));
+    sink.summary("lru_active_pages", static_cast<double>(active));
 }
 
 } // namespace contig

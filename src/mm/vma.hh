@@ -64,7 +64,6 @@ class Vma
     std::uint64_t pages() const { return bytes_ >> kPageShift; }
     VmaKind kind() const { return kind_; }
     std::uint32_t fileId() const { return fileId_; }
-    std::uint64_t fileOffsetPages() const { return fileOffsetPages_; }
     /** File page that vpn of this file VMA maps. */
     std::uint64_t
     filePage(Vpn vpn) const

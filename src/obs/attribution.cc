@@ -5,7 +5,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "contig/analysis.hh"
-#include "obs/metrics.hh"
 
 namespace contig
 {
@@ -174,21 +173,6 @@ XlatAttribution::mergeFrom(const XlatAttribution &other)
         offer(e);
     seq_ += other.seq_;
     chunk_ = std::max(chunk_, other.chunk_);
-}
-
-void
-XlatAttribution::collectMetrics(MetricSink &sink) const
-{
-    for (unsigned o = 0; o < kXlatOutcomes; ++o) {
-        const CostCell total = outcomeTotal(o);
-        if (total.empty())
-            continue;
-        MetricSink::Scope scope(sink,
-                                xlatOutcomeName(static_cast<XlatOutcome>(o)));
-        sink.counter("events", total.events);
-        sink.counter("walk_cycles", total.cycles);
-        sink.counter("exposed_cycles", total.exposed);
-    }
 }
 
 // --- FaultAttribution -------------------------------------------------

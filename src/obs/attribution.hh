@@ -46,8 +46,6 @@ struct Seg;
 namespace obs
 {
 
-class MetricSink;
-
 /** Why a translation event cost what it cost. */
 enum class XlatOutcome : std::uint8_t
 {
@@ -202,9 +200,6 @@ class XlatAttribution
 
     /** Fold another table in (AttribRegistry::absorbXlat). */
     void mergeFrom(const XlatAttribution &other);
-
-    /** Per-outcome rollup counters ("<outcome>.events", ...). */
-    void collectMetrics(MetricSink &sink) const;
 
   private:
     void offer(const Exemplar &e);

@@ -19,9 +19,6 @@ MetricSample::mergeFrom(const MetricSample &other)
       case MetricType::Counter:
         counter += other.counter;
         break;
-      case MetricType::Gauge:
-        gauge += other.gauge;
-        break;
       case MetricType::Summary:
         summary.merge(other.summary);
         break;
@@ -58,15 +55,15 @@ MetricSink::counter(std::string_view name, std::uint64_t v)
 }
 
 void
-MetricSink::gauge(std::string_view name, double v)
-{
-    at(name, MetricType::Gauge).gauge += v;
-}
-
-void
 MetricSink::summary(std::string_view name, const Summary &s)
 {
     at(name, MetricType::Summary).summary.merge(s);
+}
+
+void
+MetricSink::summary(std::string_view name, double v)
+{
+    at(name, MetricType::Summary).summary.add(v);
 }
 
 void
@@ -124,32 +121,10 @@ MetricRegistry::counter(std::string_view name)
     return ownedSlot(owned_, name, MetricType::Counter).counter;
 }
 
-double &
-MetricRegistry::gauge(std::string_view name)
-{
-    return ownedSlot(owned_, name, MetricType::Gauge).gauge;
-}
-
 Summary &
 MetricRegistry::summary(std::string_view name)
 {
     return ownedSlot(owned_, name, MetricType::Summary).summary;
-}
-
-Log2Histogram &
-MetricRegistry::histogram(std::string_view name)
-{
-    // Owned histograms live as real Log2Histogram objects in a side
-    // table (so callers get the full add() API); snapshot() converts
-    // them to bucket vectors.
-    auto it = ownedHists_.find(name);
-    if (it == ownedHists_.end()) {
-        contig_assert(owned_.find(name) == owned_.end(),
-                      "owned metric '%s' requested with two types",
-                      std::string(name).c_str());
-        it = ownedHists_.emplace(std::string(name), Log2Histogram{}).first;
-    }
-    return it->second;
 }
 
 MetricRegistry::SourceId
@@ -203,28 +178,9 @@ MetricRegistry::snapshot() const
     MetricSink sink;
     collectInto(sink);
     SampleMap out = sink.samples();
-    for (const auto &[name, sample] : ownedSnapshot()) {
+    for (const auto &[name, sample] : owned_) {
         auto [it, inserted] = out.emplace(name, sample);
         if (!inserted)
-            it->second.mergeFrom(sample);
-    }
-    return out;
-}
-
-SampleMap
-MetricRegistry::ownedSnapshot() const
-{
-    SampleMap out = owned_;
-    for (const auto &[name, hist] : ownedHists_) {
-        MetricSample sample;
-        sample.type = MetricType::Histogram;
-        sample.buckets.resize(hist.numBuckets());
-        for (unsigned i = 0; i < hist.numBuckets(); ++i)
-            sample.buckets[i] = hist.bucket(i);
-        auto it = out.find(name);
-        if (it == out.end())
-            out.emplace(name, std::move(sample));
-        else
             it->second.mergeFrom(sample);
     }
     return out;
@@ -262,9 +218,6 @@ MetricRegistry::writeJson(JsonWriter &w) const
           case MetricType::Counter:
             w.value(s.counter);
             break;
-          case MetricType::Gauge:
-            w.value(s.gauge);
-            break;
           case MetricType::Summary:
             w.beginObject();
             w.field("count", s.summary.count());
@@ -292,7 +245,6 @@ void
 MetricRegistry::resetOwned()
 {
     owned_.clear();
-    ownedHists_.clear();
 }
 
 } // namespace obs

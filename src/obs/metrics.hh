@@ -5,8 +5,8 @@
  * every subsystem reports into, replacing per-bench ad-hoc poking of
  * Stats structs. Two reporting styles coexist:
  *
- *  - *owned* metrics: counters/gauges/summaries/histograms stored in
- *    the registry itself, updated in place through stable references
+ *  - *owned* metrics: stored in the registry itself; counters and
+ *    summaries are also updated in place through stable references
  *    (phase timers and cross-instance accumulators use these);
  *  - *sources*: a live object (a Kernel, a TranslationSim) registers
  *    a collect callback under a prefix; snapshot() pulls its current
@@ -15,10 +15,13 @@
  *    benches that create one system per table row still end with a
  *    complete "metrics" block.
  *
- * Samples with the same name merge: counters and gauges add,
- * summaries combine, histograms add bucket-wise. This is what makes
- * per-zone buddy stats appear as one "buddy.*" group and host+guest
- * kernels distinguishable only by their prefix.
+ * Samples with the same name merge, each type by its one exact rule:
+ * counters add, summaries combine count/sum/min/max, histograms add
+ * bucket-wise. A point value (free pages, a latency percentile) is a
+ * one-sample summary, so merged kernels keep how many reported it and
+ * its range rather than a bare total. This is what makes per-zone
+ * buddy stats appear as one "buddy.*" group and host+guest kernels
+ * distinguishable only by their prefix.
  */
 
 #ifndef CONTIG_OBS_METRICS_HH
@@ -44,7 +47,6 @@ namespace obs
 enum class MetricType : std::uint8_t
 {
     Counter,   //!< monotonically increasing event count
-    Gauge,     //!< point-in-time value (free pages, cluster count)
     Summary,   //!< count/sum/min/max/mean of a sample stream
     Histogram, //!< log2-bucketed distribution
 };
@@ -54,7 +56,6 @@ struct MetricSample
 {
     MetricType type = MetricType::Counter;
     std::uint64_t counter = 0;
-    double gauge = 0.0;
     Summary summary;
     /** Histogram bucket weights; bucket i counts [2^i, 2^(i+1)). */
     std::vector<std::uint64_t> buckets;
@@ -75,8 +76,9 @@ class MetricSink
 {
   public:
     void counter(std::string_view name, std::uint64_t v);
-    void gauge(std::string_view name, double v);
     void summary(std::string_view name, const Summary &s);
+    /** A point value: one sample of summary `name`. */
+    void summary(std::string_view name, double v);
     void histogram(std::string_view name, const Log2Histogram &h);
 
     /** RAII prefix segment: all emissions get "<prefix>." prepended. */
@@ -122,9 +124,7 @@ class MetricRegistry
     // lifetime; storage is node-based) ---------------------------------
 
     std::uint64_t &counter(std::string_view name);
-    double &gauge(std::string_view name);
     Summary &summary(std::string_view name);
-    Log2Histogram &histogram(std::string_view name);
 
     // --- sources ------------------------------------------------------
 
@@ -149,10 +149,9 @@ class MetricRegistry
 
     /**
      * The owned metrics alone (absorbed sources included, live ones
-     * not), merged by name as snapshot() merges them. A forked cell
-     * (core/cells) hands this back to its parent.
+     * not). A forked cell (core/cells) hands these back to its parent.
      */
-    SampleMap ownedSnapshot() const;
+    const SampleMap &owned() const { return owned_; }
 
     /**
      * Merge samples into the owned metrics, exactly as if a source
@@ -181,8 +180,6 @@ class MetricRegistry
     };
 
     SampleMap owned_;
-    /** Owned histograms, kept as live objects (see histogram()). */
-    std::map<std::string, Log2Histogram, std::less<>> ownedHists_;
     std::vector<Source> sources_;
     SourceId nextSourceId_ = 1;
 };

@@ -12,11 +12,10 @@ namespace obs
 Phase
 Phase::bind(MetricRegistry &reg, std::string_view name)
 {
-    std::string base = "phase.";
-    base += name;
-    Summary &wall = reg.summary(base + ".wall_us");
-    Summary &cyc = reg.summary(base + ".cycles");
-    return Phase(&wall, &cyc);
+    std::string key = "phase.";
+    key += name;
+    key += ".wall_us";
+    return Phase(&reg.summary(key));
 }
 
 } // namespace obs

@@ -1,12 +1,10 @@
 /**
  * @file
- * Scoped phase timers: measure where simulator time goes, in both
+ * Scoped phase timers: measure where simulator time goes, in
  * wall-clock microseconds (how long the simulator itself spends in a
- * code region) and simulated cycles (how much modelled machine time
- * the region accounts for). Results accumulate into MetricRegistry
- * summaries named "phase.<name>.wall_us" / "phase.<name>.cycles";
- * a region timed without a cycle accumulator leaves its ".cycles"
- * summary empty, and the registry does not emit empty summaries.
+ * code region). Results accumulate into one MetricRegistry summary
+ * per region, "phase.<name>.wall_us". Simulated cycles are counters
+ * of their own ("kernel.fault_cycles", "xlat.walk_cycles").
  *
  * The fault path, the policy daemons and the replay chunks are
  * instrumented with these; bind a Phase once (registry lookup) and
@@ -20,7 +18,6 @@
 #include <string_view>
 
 #include "base/stats.hh"
-#include "base/types.hh"
 
 namespace contig
 {
@@ -29,7 +26,7 @@ namespace obs
 
 class MetricRegistry;
 
-/** Accumulated timing of one named phase. */
+/** Accumulated wall time of one named phase. */
 class Phase
 {
   public:
@@ -37,30 +34,20 @@ class Phase
     static Phase bind(MetricRegistry &reg, std::string_view name);
 
     Summary &wallUs() { return *wallUs_; }
-    Summary &cycles() { return *cycles_; }
 
   private:
-    Phase(Summary *wall_us, Summary *cycles)
-        : wallUs_(wall_us), cycles_(cycles)
-    {}
+    explicit Phase(Summary *wall_us) : wallUs_(wall_us) {}
 
-    /** Registry-owned summaries (stable addresses). */
+    /** Registry-owned summary (stable address). */
     Summary *wallUs_;
-    Summary *cycles_;
 };
 
-/**
- * RAII region timer. Pass a pointer to the simulated-cycle
- * accumulator the region advances (e.g. &faultStats.totalCycles) to
- * also record the modelled cycles the region added.
- */
+/** RAII region timer. */
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(Phase &phase, const Cycles *sim_cycles = nullptr)
-        : phase_(phase), simCycles_(sim_cycles),
-          simStart_(sim_cycles ? *sim_cycles : 0),
-          t0_(std::chrono::steady_clock::now())
+    explicit ScopedPhase(Phase &phase)
+        : phase_(phase), t0_(std::chrono::steady_clock::now())
     {}
 
     ~ScopedPhase()
@@ -68,8 +55,6 @@ class ScopedPhase
         const std::chrono::duration<double, std::micro> wall =
             std::chrono::steady_clock::now() - t0_;
         phase_.wallUs().add(wall.count());
-        if (simCycles_)
-            phase_.cycles().add(static_cast<double>(*simCycles_ - simStart_));
     }
 
     ScopedPhase(const ScopedPhase &) = delete;
@@ -77,8 +62,6 @@ class ScopedPhase
 
   private:
     Phase &phase_;
-    const Cycles *simCycles_;
-    Cycles simStart_;
     std::chrono::steady_clock::time_point t0_;
 };
 

@@ -506,9 +506,9 @@ BuddyAllocator::collectMetrics(obs::MetricSink &sink) const
     sink.counter("split_count", stats_.splits);
     sink.counter("merge_count", stats_.merges);
     sink.counter("free_calls", stats_.freeCalls);
-    sink.gauge("free_pages", static_cast<double>(freePages_));
-    sink.gauge("free_top_blocks",
-               static_cast<double>(lists_[maxOrder_].count));
+    sink.summary("free_pages", static_cast<double>(freePages_));
+    sink.summary("free_top_blocks",
+                 static_cast<double>(lists_[maxOrder_].count));
 }
 
 } // namespace contig

@@ -136,7 +136,7 @@ class BuddyAllocator
      */
     double unusableFreeIndex(unsigned order) const;
 
-    /** Report counters + free-state gauges into a metric sink. */
+    /** Report counters + free-state point values into a metric sink. */
     void collectMetrics(obs::MetricSink &sink) const;
 
     /** Hooks for the ContiguityMap (top-order list changes). */

@@ -231,9 +231,9 @@ ContiguityMap::collectMetrics(obs::MetricSink &sink) const
     sink.counter("splits", stats_.splits);
     sink.counter("placements", stats_.placements);
     sink.counter("placement_scan_steps", stats_.placementScanSteps);
-    sink.gauge("clusters", static_cast<double>(clusterCount()));
-    sink.gauge("free_pages_tracked",
-               static_cast<double>(freePagesTracked()));
+    sink.summary("clusters", static_cast<double>(clusterCount()));
+    sink.summary("free_pages_tracked",
+                 static_cast<double>(freePagesTracked()));
     Log2Histogram sizes;
     for (const auto &[start, len] : clusters_)
         sizes.add(len);

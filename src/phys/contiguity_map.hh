@@ -95,7 +95,7 @@ class ContiguityMap
 
     const ContiguityMapStats &stats() const { return stats_; }
 
-    /** Report counters + cluster gauges/size histogram into a sink. */
+    /** Report counters, cluster point values and size histogram. */
     void collectMetrics(obs::MetricSink &sink) const;
 
     /** Consistency check for the property tests. */

@@ -111,10 +111,6 @@ TranslationSim::collectMetrics(obs::MetricSink &sink) const
         obs::MetricSink::Scope s(sink, "range_tlb");
         rangeTlb_->collectMetrics(sink);
     }
-    if (attrib_) {
-        obs::MetricSink::Scope s(sink, "attrib");
-        attrib_->collectMetrics(sink);
-    }
 }
 
 void
@@ -320,10 +316,9 @@ TranslationSim::runChunkBatched(const MemAccess *acc, std::size_t n)
 void
 TranslationSim::accessChunk(const MemAccess *a, std::size_t n)
 {
-    // The chunk phase observes wall time plus the modelled walk-cycle
-    // delta the chunk added (the old per-walk timer cost two clock
-    // reads on every L2 miss; per-chunk brackets are ~free).
-    obs::ScopedPhase timer(chunkPhase_, &stats_.walkCycles);
+    // The chunk phase observes wall time (the old per-walk timer cost
+    // two clock reads on every L2 miss; per-chunk brackets are ~free).
+    obs::ScopedPhase timer(chunkPhase_);
 
     const bool virt = walker_->virtualized();
     const bool ref = cfg_.engine == XlatEngine::Reference;

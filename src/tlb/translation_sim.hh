@@ -195,11 +195,7 @@ class TranslationSim
     /** Exposed translation cycles per L2 miss (walk + scheme effects). */
     Summary l2MissLatency_;
     obs::Phase chunkPhase_;
-    /**
-     * Per-event cost attribution; null when the switch is off.
-     * Declared before metricSource_: the source's destructor absorbs
-     * a final collectMetrics() snapshot, which reads this table.
-     */
+    /** Per-event cost attribution; null when the switch is off. */
     std::unique_ptr<obs::XlatAttribution> attrib_;
     obs::MetricSource metricSource_;
 };

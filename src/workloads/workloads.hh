@@ -98,9 +98,6 @@ class Workload
     const std::vector<Vma *> &vmas() const { return vmas_; }
     Process *process() const { return proc_; }
 
-    /** Bytes of dataset the workload read()s at startup (0 = none). */
-    std::uint64_t inputFileBytes() const { return inputFileBytes_; }
-
     /**
      * Reuse an existing page-cache file as the input dataset (for
      * consecutive-run experiments: the cache persists across runs).
@@ -160,6 +157,7 @@ class Workload
     std::vector<Region> regions_;
     std::vector<Vma *> vmas_;
     Process *proc_ = nullptr;
+    /** Bytes of dataset the workload read()s at startup (0 = none). */
     std::uint64_t inputFileBytes_ = 0;
     std::optional<std::uint32_t> inputFileId_;
     std::uint64_t fileReadCursorPages_ = 0;

@@ -161,10 +161,13 @@ TEST(CellsTest, ExportIsExact)
         std::this_thread::sleep_for(std::chrono::milliseconds(3 * (7 - i)));
         obs::MetricRegistry &reg = obs::MetricRegistry::global();
         reg.counter("test.big") += (std::uint64_t{1} << 60) + i;
-        reg.gauge("test.order") += i == 0 ? 1e16 : 1.0;
-        reg.gauge("test.third") += (i + 1) / 3.0;
+        reg.summary("test.order").add(i == 0 ? 1e16 : 1.0);
         reg.summary("test.tenths").add(0.1 * static_cast<double>(i));
-        reg.histogram("test.hist").add(std::uint64_t{1} << (i * 9), i);
+        Log2Histogram hist;
+        hist.add(std::uint64_t{1} << (i * 9), i);
+        obs::MetricSource src(reg, "test", [&](obs::MetricSink &sink) {
+            sink.histogram("hist", hist);
+        });
         obs::RunInfo::global().note("test.cell", std::uint64_t{i % 2});
         return static_cast<int>(i * i);
     };
@@ -185,8 +188,8 @@ TEST(CellsTest, ExportIsExact)
     ASSERT_EQ(snap1.size(), snap3.size());
     EXPECT_EQ(snap3.at("test.big").counter, snap1.at("test.big").counter);
     EXPECT_GT(snap3.at("test.big").counter, std::uint64_t{1} << 62);
-    EXPECT_EQ(snap3.at("test.order").gauge, 1e16);
-    EXPECT_EQ(snap3.at("test.third").gauge, snap1.at("test.third").gauge);
+    EXPECT_EQ(snap3.at("test.order").summary.sum(), 1e16);
+    EXPECT_EQ(snap3.at("test.order").summary.count(), 7u);
     const Summary &s1 = snap1.at("test.tenths").summary;
     const Summary &s3 = snap3.at("test.tenths").summary;
     EXPECT_EQ(s3.count(), s1.count());
