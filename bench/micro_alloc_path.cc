@@ -8,7 +8,9 @@
  * simulated cycles are identical either way (the golden-equivalence
  * test), so the delta is pure host-side amortization (one VMA lookup,
  * chunked placement, grouped PTE installs). Raw buddy/contiguity-map
- * primitive costs follow in a second table.
+ * primitive costs follow in a second table. Every host-timed column
+ * has `wall` in its name, so a comparison of two builds that drops
+ * the keys containing `wall` keeps only the deterministic ones.
  */
 
 #include <chrono>
@@ -142,8 +144,8 @@ main(int argc, char **argv)
 
     Report rep("micro — fault path, batched vs per-fault "
                "(64-page spans, 4 KiB faults)");
-    rep.header({"path", "policy", "pages", "per-fault us/page",
-                "batched us/page", "speedup"});
+    rep.header({"path", "policy", "pages", "per-fault wall us/page",
+                "batched wall us/page", "wall speedup"});
     double anon_thp = 0, anon_ca = 0, touch_thp = 0, read_thp = 0,
            read_ca = 0;
     addPathRow(rep, "anon_populate_64", PolicyKind::Thp, anonPopulate,
@@ -168,7 +170,7 @@ main(int argc, char **argv)
 
     // Raw primitive costs (the pieces the fault path composes).
     Report prim("micro — allocator primitives");
-    prim.header({"op", "us/op"});
+    prim.header({"op", "wall us/op"});
     {
         FrameArray frames(16 * pagesInOrder(kMaxOrder));
         BuddyAllocator buddy(frames, 0, frames.size());

@@ -1,6 +1,7 @@
 #include "mm/page_table.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "base/align.hh"
 #include "base/logging.hh"
@@ -14,7 +15,61 @@ namespace
 /** Synthetic node frames live far beyond any real zone. */
 constexpr Pfn kSyntheticBase = Pfn{1} << 52;
 
+/*
+ * Every slot is one 64-bit word: 0 is an empty slot, a word with
+ * kPresent clear is the owned child Node*, and a word with kPresent
+ * set is an x86-style leaf PTE (flag bits low, the pfn from bit 12).
+ */
+constexpr std::uint64_t kPresent = 1u << 0;
+constexpr std::uint64_t kHuge = 1u << 1;
+constexpr std::uint64_t kWritable = 1u << 2;
+constexpr std::uint64_t kCow = 1u << 3;
+constexpr std::uint64_t kContig = 1u << 4;
+constexpr unsigned kPfnShift = 12;
+static_assert(kMaxLeafPfn == ~std::uint64_t{0} >> kPfnShift);
+
+bool isLeaf(std::uint64_t slot) { return slot & kPresent; }
+bool isChild(std::uint64_t slot) { return slot != 0 && !isLeaf(slot); }
+
+std::uint64_t
+encodeLeaf(Pfn pfn, unsigned order, bool writable, bool cow)
+{
+    contig_assert(pfn <= kMaxLeafPfn, "pfn %llu does not fit a PTE",
+                  static_cast<unsigned long long>(pfn));
+    return (pfn << kPfnShift) | kPresent |
+           (order == kHugeOrder ? kHuge : 0) | (writable ? kWritable : 0) |
+           (cow ? kCow : 0);
+}
+
+Mapping
+decodeLeaf(std::uint64_t slot)
+{
+    return Mapping{slot >> kPfnShift, (slot & kHuge) ? kHugeOrder : 0u,
+                   (slot & kWritable) != 0, (slot & kCow) != 0,
+                   (slot & kContig) != 0};
+}
+
 } // namespace
+
+/** One radix node: a 4 KiB array of slot words behind its header. */
+struct PageTable::Node
+{
+    Node(unsigned lvl, Pfn frame) : level(lvl), frame(frame) {}
+
+    static Node *child(std::uint64_t slot)
+    { return reinterpret_cast<Node *>(slot); }
+    static std::uint64_t
+    link(Node *node)
+    {
+        static_assert(alignof(Node) > kPresent,
+                      "a child pointer must keep the present bit clear");
+        return reinterpret_cast<std::uintptr_t>(node);
+    }
+
+    unsigned level;
+    Pfn frame;
+    std::array<std::uint64_t, kPtFanout> slots{};
+};
 
 PageTable::PageTable(NodeAlloc node_alloc, NodeFree node_free,
                      unsigned levels)
@@ -23,25 +78,25 @@ PageTable::PageTable(NodeAlloc node_alloc, NodeFree node_free,
 {
     contig_assert(levels == 4 || levels == 5,
                   "only 4- and 5-level radix tables are supported");
-    root_ = std::make_unique<Node>(levels_, allocNodeFrame());
+    root_ = new Node(levels_, allocNodeFrame());
 }
 
 PageTable::~PageTable()
 {
-    if (root_)
-        freeNodes(root_.get());
+    freeNodes(root_);
 }
 
 void
 PageTable::freeNodes(Node *node)
 {
-    for (auto &slot : node->slots) {
-        if (slot.child)
-            freeNodes(slot.child.get());
+    for (std::uint64_t slot : node->slots) {
+        if (isChild(slot))
+            freeNodes(Node::child(slot));
     }
     ++nodeFrees_;
     if (nodeFree_ && node->frame < kSyntheticBase)
         nodeFree_(node->frame);
+    delete node;
 }
 
 Pfn
@@ -63,15 +118,13 @@ PageTable::indexAt(Vpn vpn, unsigned level)
 PageTable::Node *
 PageTable::ensureChild(Node *node, unsigned idx)
 {
-    Slot &slot = node->slots[idx];
-    contig_assert(!slot.present,
+    std::uint64_t &slot = node->slots[idx];
+    contig_assert(!isLeaf(slot),
                   "page-table slot already holds a leaf (level %u)",
                   node->level);
-    if (!slot.child) {
-        slot.child =
-            std::make_unique<Node>(node->level - 1, allocNodeFrame());
-    }
-    return slot.child.get();
+    if (slot == 0)
+        slot = Node::link(new Node(node->level - 1, allocNodeFrame()));
+    return Node::child(slot);
 }
 
 void
@@ -84,27 +137,34 @@ PageTable::map(Vpn vpn, Pfn pfn, unsigned order, bool writable, bool cow)
     contig_assert(isAligned(pfn, pagesInOrder(order)),
                   "pfn not aligned to mapping order");
 
-    Node *node = root_.get();
+    Node *node = root_;
     const unsigned leaf_level = (order == kHugeOrder) ? 2 : 1;
     while (node->level > leaf_level)
         node = ensureChild(node, indexAt(vpn, node->level));
 
-    Slot &slot = node->slots[indexAt(vpn, node->level)];
-    if (slot.child) {
+    std::uint64_t &slot = node->slots[indexAt(vpn, node->level)];
+    if (isChild(slot)) {
         // A huge leaf may replace a child table only once the child is
         // completely empty (e.g. after promotion unmapped its 4 KiB
         // leaves).
-        for (const Slot &s : slot.child->slots)
-            contig_assert(!s.present && !s.child,
+        Node *child = Node::child(slot);
+        for (std::uint64_t s : child->slots)
+            contig_assert(s == 0,
                           "huge mapping over live 4 KiB translations");
-        freeNodes(slot.child.get());
-        slot.child.reset();
+        freeNodes(child);
+        slot = 0;
     }
-    contig_assert(!slot.present,
+    installLeaf(slot, vpn, pfn, order, writable, cow);
+}
+
+void
+PageTable::installLeaf(std::uint64_t &slot, Vpn vpn, Pfn pfn,
+                       unsigned order, bool writable, bool cow)
+{
+    contig_assert(slot == 0,
                   "mapping over an existing translation (vpn %llu)",
                   static_cast<unsigned long long>(vpn));
-    slot.present = true;
-    slot.leaf = Mapping{pfn, order, writable, cow, false};
+    slot = encodeLeaf(pfn, order, writable, cow);
     ++stats_.maps;
     if (order == kHugeOrder)
         ++stats_.mappedHugePages;
@@ -112,34 +172,33 @@ PageTable::map(Vpn vpn, Pfn pfn, unsigned order, bool writable, bool cow)
         ++stats_.mappedBasePages;
     bumpGeneration();
     if (updateHook_)
-        updateHook_(vpn, slot.leaf, true);
+        updateHook_(vpn, decodeLeaf(slot), true);
 }
 
-PageTable::Slot *
+std::uint64_t *
 PageTable::findLeafSlot(Vpn vpn) const
 {
-    const Node *node = root_.get();
+    Node *node = root_;
     while (true) {
-        const Slot &slot = node->slots[indexAt(vpn, node->level)];
-        if (slot.present)
-            return const_cast<Slot *>(&slot);
-        if (!slot.child)
+        std::uint64_t &slot = node->slots[indexAt(vpn, node->level)];
+        if (isLeaf(slot))
+            return &slot;
+        if (slot == 0)
             return nullptr;
-        node = slot.child.get();
+        node = Node::child(slot);
     }
 }
 
 Mapping
 PageTable::unmap(Vpn vpn, unsigned order)
 {
-    Slot *slot = findLeafSlot(vpn);
-    contig_assert(slot && slot->present, "unmap of unmapped vpn");
-    contig_assert(slot->leaf.order == order,
-                  "unmap order mismatch (have %u want %u)",
-                  slot->leaf.order, order);
-    const Mapping old = slot->leaf;
-    slot->present = false;
-    slot->leaf = Mapping{};
+    std::uint64_t *slot = findLeafSlot(vpn);
+    contig_assert(slot, "unmap of unmapped vpn");
+    const Mapping old = decodeLeaf(*slot);
+    contig_assert(old.order == order,
+                  "unmap order mismatch (have %u want %u)", old.order,
+                  order);
+    *slot = 0;
     ++stats_.unmaps;
     if (order == kHugeOrder)
         --stats_.mappedHugePages;
@@ -154,10 +213,10 @@ PageTable::unmap(Vpn vpn, unsigned order)
 std::optional<Mapping>
 PageTable::lookup(Vpn vpn) const
 {
-    const Slot *slot = findLeafSlot(vpn);
+    const std::uint64_t *slot = findLeafSlot(vpn);
     if (!slot)
         return std::nullopt;
-    return slot->leaf;
+    return decodeLeaf(*slot);
 }
 
 void
@@ -167,45 +226,45 @@ PageTable::walk(Vpn vpn, WalkTrace &trace) const
     trace.hit = false;
     trace.mapping = Mapping{};
 
-    const Node *node = root_.get();
+    const Node *node = root_;
     while (true) {
         trace.nodeFrames.push_back(node->frame);
-        const Slot &slot = node->slots[indexAt(vpn, node->level)];
-        if (slot.present) {
+        const std::uint64_t slot = node->slots[indexAt(vpn, node->level)];
+        if (isLeaf(slot)) {
             trace.hit = true;
-            trace.mapping = slot.leaf;
+            trace.mapping = decodeLeaf(slot);
             return;
         }
-        if (!slot.child)
+        if (slot == 0)
             return;
-        node = slot.child.get();
+        node = Node::child(slot);
     }
 }
 
 void
 PageTable::setContigBit(Vpn vpn, bool value)
 {
-    Slot *slot = findLeafSlot(vpn);
-    contig_assert(slot && slot->present, "setContigBit on unmapped vpn");
-    slot->leaf.contigBit = value;
+    std::uint64_t *slot = findLeafSlot(vpn);
+    contig_assert(slot, "setContigBit on unmapped vpn");
+    *slot = value ? *slot | kContig : *slot & ~kContig;
     bumpGeneration();
     if (updateHook_) {
-        const Vpn base = vpn & ~(pagesInOrder(slot->leaf.order) - 1);
-        updateHook_(base, slot->leaf, true);
+        const Mapping leaf = decodeLeaf(*slot);
+        updateHook_(vpn & ~(pagesInOrder(leaf.order) - 1), leaf, true);
     }
 }
 
 void
 PageTable::setWritable(Vpn vpn, bool writable, bool cow)
 {
-    Slot *slot = findLeafSlot(vpn);
-    contig_assert(slot && slot->present, "setWritable on unmapped vpn");
-    slot->leaf.writable = writable;
-    slot->leaf.cow = cow;
+    std::uint64_t *slot = findLeafSlot(vpn);
+    contig_assert(slot, "setWritable on unmapped vpn");
+    *slot = (*slot & ~(kWritable | kCow)) | (writable ? kWritable : 0) |
+            (cow ? kCow : 0);
     bumpGeneration();
     if (updateHook_) {
-        const Vpn base = vpn & ~(pagesInOrder(slot->leaf.order) - 1);
-        updateHook_(base, slot->leaf, true);
+        const Mapping leaf = decodeLeaf(*slot);
+        updateHook_(vpn & ~(pagesInOrder(leaf.order) - 1), leaf, true);
     }
 }
 
@@ -216,12 +275,12 @@ PageTable::forEachLeafIn(
 {
     const std::uint64_t span = std::uint64_t{1} << (9 * (node->level - 1));
     for (unsigned i = 0; i < kPtFanout; ++i) {
-        const Slot &slot = node->slots[i];
+        const std::uint64_t slot = node->slots[i];
         const Vpn child_base = base + i * span;
-        if (slot.present)
-            fn(child_base, slot.leaf);
-        else if (slot.child)
-            forEachLeafIn(slot.child.get(), child_base, fn);
+        if (isLeaf(slot))
+            fn(child_base, decodeLeaf(slot));
+        else if (slot != 0)
+            forEachLeafIn(Node::child(slot), child_base, fn);
     }
 }
 
@@ -229,7 +288,7 @@ void
 PageTable::forEachLeaf(
     const std::function<void(Vpn, const Mapping &)> &fn) const
 {
-    forEachLeafIn(root_.get(), 0, fn);
+    forEachLeafIn(root_, 0, fn);
 }
 
 void
@@ -244,11 +303,12 @@ PageTable::forEachLeafInRange(
         const Vpn child_base = base + i * span;
         if (child_base >= end)
             return;
-        const Slot &slot = node->slots[i];
-        if (slot.present)
-            fn(child_base, slot.leaf);
-        else if (slot.child)
-            forEachLeafInRange(slot.child.get(), child_base, start, end, fn);
+        const std::uint64_t slot = node->slots[i];
+        if (isLeaf(slot))
+            fn(child_base, decodeLeaf(slot));
+        else if (slot != 0)
+            forEachLeafInRange(Node::child(slot), child_base, start, end,
+                               fn);
     }
 }
 
@@ -258,7 +318,7 @@ PageTable::forEachLeafIn(
     const std::function<void(Vpn, const Mapping &)> &fn) const
 {
     if (start < end)
-        forEachLeafInRange(root_.get(), 0, start, end, fn);
+        forEachLeafInRange(root_, 0, start, end, fn);
 }
 
 Vpn
@@ -272,11 +332,11 @@ PageTable::findMappedInNode(const Node *node, Vpn base, Vpn start,
         const Vpn child_base = base + i * span;
         if (child_base >= end)
             break;
-        const Slot &slot = node->slots[i];
-        if (slot.present)
+        const std::uint64_t slot = node->slots[i];
+        if (isLeaf(slot))
             return std::max(start, child_base);
-        if (slot.child) {
-            const Vpn hit = findMappedInNode(slot.child.get(), child_base,
+        if (slot != 0) {
+            const Vpn hit = findMappedInNode(Node::child(slot), child_base,
                                              start, end);
             if (hit < end)
                 return hit;
@@ -290,7 +350,7 @@ PageTable::findMappedIn(Vpn start, Vpn end) const
 {
     if (start >= end)
         return end;
-    return findMappedInNode(root_.get(), 0, start, end);
+    return findMappedInNode(root_, 0, start, end);
 }
 
 void
@@ -298,24 +358,15 @@ PageTable::RunMapper::map(Vpn vpn, Pfn pfn, bool writable, bool cow)
 {
     const Vpn block = vpn & ~static_cast<Vpn>(kPtFanout - 1);
     if (!l1_ || block != l1Base_ || nodeFrees_ != pt_.nodeFrees_) {
-        Node *node = pt_.root_.get();
+        Node *node = pt_.root_;
         while (node->level > 1)
             node = pt_.ensureChild(node, indexAt(vpn, node->level));
         l1_ = node;
         l1Base_ = block;
         nodeFrees_ = pt_.nodeFrees_;
     }
-    Slot &slot = l1_->slots[indexAt(vpn, 1)];
-    contig_assert(!slot.present,
-                  "mapping over an existing translation (vpn %llu)",
-                  static_cast<unsigned long long>(vpn));
-    slot.present = true;
-    slot.leaf = Mapping{pfn, 0, writable, cow, false};
-    ++pt_.stats_.maps;
-    ++pt_.stats_.mappedBasePages;
-    pt_.bumpGeneration();
-    if (pt_.updateHook_)
-        pt_.updateHook_(vpn, slot.leaf, true);
+    pt_.installLeaf(l1_->slots[indexAt(vpn, 1)], vpn, pfn, 0, writable,
+                    cow);
 }
 
 Pfn

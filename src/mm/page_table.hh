@@ -16,10 +16,8 @@
 #ifndef CONTIG_MM_PAGE_TABLE_HH
 #define CONTIG_MM_PAGE_TABLE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -32,6 +30,11 @@ namespace contig
 constexpr unsigned kPtFanout = 512;
 /** Default radix depth (x86-64 4-level; 5-level for 57-bit VA). */
 constexpr unsigned kPtLevels = 4;
+/**
+ * Largest frame number a leaf can map: each entry is one 64-bit
+ * x86-style PTE word holding the pfn from bit 12 up.
+ */
+constexpr Pfn kMaxLeafPfn = (Pfn{1} << 52) - 1;
 
 /** A leaf translation as returned by lookups and walks. */
 struct Mapping
@@ -97,8 +100,9 @@ class PageTable
     PageTable &operator=(const PageTable &) = delete;
 
     /**
-     * Install a leaf. order must be 0 or kHugeOrder; vpn must be
-     * order-aligned; the slot must currently be empty.
+     * Install a leaf. order must be 0 or kHugeOrder; vpn and pfn must
+     * be order-aligned, pfn at most kMaxLeafPfn; the slot must
+     * currently be empty.
      */
     void map(Vpn vpn, Pfn pfn, unsigned order, bool writable = true,
              bool cow = false);
@@ -187,28 +191,13 @@ class PageTable
     void bumpGeneration()
     { ++generation_; }
 
-    /** One slot: either a child node or a leaf PTE (or empty). */
-    struct Slot
-    {
-        std::unique_ptr<Node> child;
-        Mapping leaf;
-        bool present = false; //!< leaf present (child presence: child != null)
-    };
-
-    struct Node
-    {
-        explicit Node(unsigned lvl, Pfn frame)
-            : level(lvl), frame(frame) {}
-        unsigned level;
-        Pfn frame;
-        std::array<Slot, kPtFanout> slots;
-    };
-
     static unsigned indexAt(Vpn vpn, unsigned level);
     Node *ensureChild(Node *node, unsigned idx);
-    Slot *findLeafSlot(Vpn vpn) const;
+    std::uint64_t *findLeafSlot(Vpn vpn) const;
     void freeNodes(Node *node);
     Pfn allocNodeFrame();
+    void installLeaf(std::uint64_t &slot, Vpn vpn, Pfn pfn,
+                     unsigned order, bool writable, bool cow);
 
     void
     forEachLeafIn(const Node *node, Vpn base,
@@ -226,7 +215,8 @@ class PageTable
     NodeFree nodeFree_;
     UpdateHook updateHook_;
     unsigned levels_;
-    std::unique_ptr<Node> root_;
+    /** Owned, with every node below it; the destructor frees them. */
+    Node *root_ = nullptr;
     Pfn syntheticNext_;
     PageTableStats stats_;
     std::uint64_t generation_ = 0;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "base/stats.hh"
 
@@ -186,6 +190,63 @@ TEST(Percentiles, SingleSampleAnyQuantile)
     EXPECT_DOUBLE_EQ(p.quantile(0.0), 42.0);
     EXPECT_DOUBLE_EQ(p.quantile(0.37), 42.0);
     EXPECT_DOUBLE_EQ(p.quantile(1.0), 42.0);
+}
+
+namespace
+{
+
+/** R-7 on an explicitly sorted sample vector: the reference. */
+double
+sortedR7(const std::vector<double> &s, double q)
+{
+    if (s.empty())
+        return 0.0;
+    if (std::isnan(q) || q <= 0.0)
+        return s.front();
+    if (q >= 1.0)
+        return s.back();
+    const double idx = q * static_cast<double>(s.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(idx);
+    const double frac = idx - static_cast<double>(lo);
+    if (lo + 1 >= s.size())
+        return s.back();
+    return s[lo] * (1.0 - frac) + s[lo + 1] * frac;
+}
+
+} // namespace
+
+TEST(Percentiles, MatchesSortedReference)
+{
+    // 200 K samples over 40 latency-like values with skewed counts,
+    // plus 1 K values seen once each, fed in shuffled order.
+    std::mt19937_64 rng(27);
+    std::geometric_distribution<int> pick(0.12);
+    std::vector<double> samples;
+    for (int i = 0; i < 200000; ++i) {
+        const int k = std::min(pick(rng), 39);
+        samples.push_back(static_cast<double>(1000 + 137 * k) / 2.6);
+    }
+    for (int i = 0; i < 1000; ++i)
+        samples.push_back(static_cast<double>(i) * 7.3 + 0.01);
+    std::shuffle(samples.begin(), samples.end(), rng);
+
+    const double qs[] = {-1.0, 0.0, 1e-6, 0.25, 0.5, 0.95, 0.99,
+                         1.0 - 1e-6, 1.0, 2.0,
+                         std::numeric_limits<double>::quiet_NaN()};
+    Percentiles p;
+    std::vector<double> fed;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        p.add(samples[i]);
+        fed.push_back(samples[i]);
+        if (i % 9973 != 0 && i + 1 != samples.size())
+            continue;
+        std::vector<double> sorted = fed;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(p.count(), sorted.size());
+        for (double q : qs)
+            EXPECT_EQ(p.quantile(q), sortedR7(sorted, q))
+                << "after " << fed.size() << " samples, q " << q;
+    }
 }
 
 TEST(Summary, Merge)
