@@ -22,6 +22,12 @@ FrameArray::FrameArray(std::uint64_t n_frames) : size_(n_frames)
               std::strerror(errno));
     }
     frames_ = static_cast<Frame *>(p);
+    // Only the pages a descriptor write touches become resident. A
+    // host that backs anonymous memory with transparent huge pages by
+    // default would make each 2 MiB around a touched page resident, so
+    // opt the mem_map out (advice only: a kernel without THP refuses
+    // it, and the mapping works either way).
+    madvise(p, n_frames * sizeof(Frame), MADV_NOHUGEPAGE);
 }
 
 FrameArray::~FrameArray()
