@@ -235,10 +235,12 @@ Kernel::claimFrames(Pfn pfn, unsigned order, FrameOwner kind,
                   "claim of unaligned block at pfn %llu",
                   static_cast<unsigned long long>(pfn));
     Frame &f = physMem_.frame(pfn);
+    // allocSpecific's target head may sit on an untouched mem_map page.
+    f.refCount = 1;
+    afterFirstStore();
     f.ownerKind = kind;
     f.ownerId = owner_id;
     f.ownerVaddr = owner_vaddr;
-    f.refCount = 1;
     f.mapCount = 0;
     f.claimOrder = static_cast<std::uint8_t>(order);
     if (reclaim_)
@@ -324,10 +326,12 @@ Kernel::splitClaim(PageTable &pt, Vpn vpn, Pfn head, unsigned order)
     PageTable::RunMapper mapper(pt);
     for (std::uint64_t off = 0; off < pagesInOrder(from); off += step) {
         Frame &f = physMem_.frame(head + off);
+        // Tails past the head's page are often untouched.
+        f.refCount = 1;
+        afterFirstStore();
         f.ownerKind = claim.ownerKind;
         f.ownerId = claim.ownerId;
         f.ownerVaddr = claim.ownerVaddr + off * kPageSize;
-        f.refCount = 1;
         f.mapCount = 0;
         f.claimOrder = static_cast<std::uint8_t>(order);
         f.referenced = false;
@@ -340,7 +344,9 @@ Kernel::swapOwners(Pfn a, Pfn b)
 {
     Frame &fa = physMem_.frame(a);
     Frame &fb = physMem_.frame(b);
-    std::swap(fa.ownerKind, fb.ownerKind);
+    const FrameOwner kind = fa.ownerKind;
+    fa.ownerKind = fb.ownerKind;
+    fb.ownerKind = kind;
     std::swap(fa.ownerId, fb.ownerId);
     std::swap(fa.ownerVaddr, fb.ownerVaddr);
 }

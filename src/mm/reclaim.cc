@@ -1,7 +1,6 @@
 #include "mm/reclaim.hh"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -369,7 +368,7 @@ ReclaimEngine::scanOne(Zone &zone, const Zone::LruEntry &e, Progress &out)
 
     // Second chance: a block touched since the last scan rotates to
     // the active list instead of being evicted.
-    if (std::exchange(f.referenced, false)) {
+    if (f.testClearReferenced()) {
         zone.lruRequeue(Frame::LruList::Active, e.head, e.order);
         stats_.rotations.fetch_add(1, std::memory_order_relaxed);
         return Victim::Rotated;
@@ -427,7 +426,7 @@ ReclaimEngine::shrinkZone(Zone &zone, std::uint64_t target)
             for (std::size_t i = 0; i < na; ++i) {
                 Frame &f = pm.frame(buf[i].head);
                 prog.cycles += kScanCyclesPerEntry;
-                if (std::exchange(f.referenced, false)) {
+                if (f.testClearReferenced()) {
                     zone.lruRequeue(Frame::LruList::Active, buf[i].head,
                                     buf[i].order);
                 } else {

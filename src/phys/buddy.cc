@@ -136,25 +136,38 @@ BuddyAllocator::blockIs(Pfn pfn, unsigned order, bool in_use) const
                          });
 }
 
+Frame &
+BuddyAllocator::markFreeHead(Pfn pfn, unsigned order)
+{
+    Frame &f = frames_[pfn];
+    // Often the first touch of this mem_map page (a fresh machine's
+    // top-order heads, the upper halves of a split).
+    f.order = static_cast<std::uint8_t>(order);
+    afterFirstStore();
+    // The link pair is shared with the LRU: a listed head must have
+    // left its LRU list (ReclaimEngine::onFree) before it is freed.
+    contig_assert(f.lruList == Frame::LruList::None,
+                  "free-list insert of LRU-listed pfn %llu",
+                  static_cast<unsigned long long>(pfn));
+    f.freeHead = true;
+    return f;
+}
+
 void
 BuddyAllocator::insertHead(FreeList &list, Pfn pfn, unsigned order)
 {
-    Frame &f = frames_[pfn];
-    f.freeHead = true;
-    f.order = static_cast<std::uint8_t>(order);
-    f.freePrev = kInvalidPfn;
-    f.freeNext = list.head;
+    Frame &f = markFreeHead(pfn, order);
+    f.prev = kInvalidPfn;
+    f.next = list.head;
     if (list.head != kInvalidPfn)
-        frames_[list.head].freePrev = pfn;
+        frames_[list.head].prev = pfn;
     list.head = pfn;
 }
 
 void
 BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
 {
-    Frame &f = frames_[pfn];
-    f.freeHead = true;
-    f.order = static_cast<std::uint8_t>(order);
+    Frame &f = markFreeHead(pfn, order);
 
     // Fast path via neighbour computation (the paper's trick): if the
     // physically adjacent same-order block is free and listed, splice
@@ -164,11 +177,11 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
         Pfn left = pfn - n;
         const Frame &lf = frames_[left];
         if (lf.freeHead && lf.order == order) {
-            f.freePrev = left;
-            f.freeNext = lf.freeNext;
-            if (lf.freeNext != kInvalidPfn)
-                frames_[lf.freeNext].freePrev = pfn;
-            frames_[left].freeNext = pfn;
+            f.prev = left;
+            f.next = lf.next;
+            if (lf.next != kInvalidPfn)
+                frames_[lf.next].prev = pfn;
+            frames_[left].next = pfn;
             return;
         }
     }
@@ -176,13 +189,13 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
         Pfn right = pfn + n;
         const Frame &rf = frames_[right];
         if (rf.freeHead && rf.order == order) {
-            f.freeNext = right;
-            f.freePrev = rf.freePrev;
-            if (rf.freePrev != kInvalidPfn)
-                frames_[rf.freePrev].freeNext = pfn;
+            f.next = right;
+            f.prev = rf.prev;
+            if (rf.prev != kInvalidPfn)
+                frames_[rf.prev].next = pfn;
             else
                 list.head = pfn;
-            frames_[right].freePrev = pfn;
+            frames_[right].prev = pfn;
             return;
         }
     }
@@ -192,16 +205,16 @@ BuddyAllocator::insertSorted(FreeList &list, Pfn pfn, unsigned order)
     Pfn cur = list.head;
     while (cur != kInvalidPfn && cur < pfn) {
         prev = cur;
-        cur = frames_[cur].freeNext;
+        cur = frames_[cur].next;
     }
-    f.freePrev = prev;
-    f.freeNext = cur;
+    f.prev = prev;
+    f.next = cur;
     if (prev != kInvalidPfn)
-        frames_[prev].freeNext = pfn;
+        frames_[prev].next = pfn;
     else
         list.head = pfn;
     if (cur != kInvalidPfn)
-        frames_[cur].freePrev = pfn;
+        frames_[cur].prev = pfn;
 }
 
 void
@@ -224,15 +237,15 @@ BuddyAllocator::removeBlock(Pfn pfn, unsigned order)
     Frame &f = frames_[pfn];
     contig_assert(f.freeHead && f.order == order,
                   "removeBlock on a non-listed block");
-    if (f.freePrev != kInvalidPfn)
-        frames_[f.freePrev].freeNext = f.freeNext;
+    if (f.prev != kInvalidPfn)
+        frames_[f.prev].next = f.next;
     else
-        list.head = f.freeNext;
-    if (f.freeNext != kInvalidPfn)
-        frames_[f.freeNext].freePrev = f.freePrev;
+        list.head = f.next;
+    if (f.next != kInvalidPfn)
+        frames_[f.next].prev = f.prev;
     f.freeHead = false;
-    f.freeNext = kInvalidPfn;
-    f.freePrev = kInvalidPfn;
+    f.next = kInvalidPfn;
+    f.prev = kInvalidPfn;
     --list.count;
     if (order == maxOrder_ && onTopRemove_)
         onTopRemove_(pfn);
@@ -381,7 +394,7 @@ BuddyAllocator::forEachFreeBlock(unsigned order,
                                  const std::function<void(Pfn)> &fn) const
 {
     for (Pfn cur = lists_[order].head; cur != kInvalidPfn;
-         cur = frames_[cur].freeNext) {
+         cur = frames_[cur].next) {
         fn(cur);
     }
 }
@@ -401,7 +414,7 @@ BuddyAllocator::shuffleFreeLists(std::uint64_t seed)
     auto shuffle_one = [&](FreeList &list) {
         std::vector<Pfn> blocks;
         for (Pfn cur = list.head; cur != kInvalidPfn;
-             cur = frames_[cur].freeNext) {
+             cur = frames_[cur].next) {
             blocks.push_back(cur);
         }
         if (blocks.size() < 2)
@@ -410,10 +423,10 @@ BuddyAllocator::shuffleFreeLists(std::uint64_t seed)
         list.head = kInvalidPfn;
         for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
             Frame &f = frames_[*it];
-            f.freePrev = kInvalidPfn;
-            f.freeNext = list.head;
+            f.prev = kInvalidPfn;
+            f.next = list.head;
             if (list.head != kInvalidPfn)
-                frames_[list.head].freePrev = *it;
+                frames_[list.head].prev = *it;
             list.head = *it;
         }
     };
@@ -436,9 +449,11 @@ BuddyAllocator::checkInvariants() const
         Pfn last = 0;
         bool first = true;
         for (Pfn cur = list.head; cur != kInvalidPfn;
-             cur = frames_[cur].freeNext) {
+             cur = frames_[cur].next) {
             const Frame &f = frames_[cur];
-            if (!f.freeHead || f.order != o || f.freePrev != prev)
+            // The link pair is the free list's, not an LRU list's.
+            if (!f.freeHead || f.order != o || f.prev != prev ||
+                f.lruList != Frame::LruList::None)
                 return false;
             if (!isAligned(cur - basePfn_, pagesInOrder(o)))
                 return false;

@@ -166,6 +166,8 @@ class BuddyAllocator
     void removeBlock(Pfn pfn, unsigned order);
     Pfn popBlock(unsigned order);
 
+    /** Flag pfn as the head of a free block of `order` for a list insert. */
+    Frame &markFreeHead(Pfn pfn, unsigned order);
     void insertHead(FreeList &list, Pfn pfn, unsigned order);
     void insertSorted(FreeList &list, Pfn pfn, unsigned order);
     /** Set / clear the occupancy bits of one block. */

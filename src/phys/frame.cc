@@ -12,6 +12,12 @@ FrameArray::FrameArray(std::uint64_t n_frames) : size_(n_frames)
 {
     if (n_frames == 0)
         return;
+    if (n_frames > kMaxFrames) {
+        fatal("cannot build a mem_map of %llu frames: frame links hold "
+              "at most %llu",
+              static_cast<unsigned long long>(n_frames),
+              static_cast<unsigned long long>(kMaxFrames));
+    }
     // Anonymous mappings read as zero until written, and an all-zero
     // Frame is the free, unowned state: no per-frame initialisation.
     void *p = mmap(nullptr, n_frames * sizeof(Frame), PROT_READ | PROT_WRITE,

@@ -63,17 +63,17 @@ Zone::lruUnlink(Pfn head)
                   "lru unlink of unlisted frame %llu",
                   static_cast<unsigned long long>(head));
     Lru &lru = lruOf(f.lruList);
-    if (f.lruPrev != kInvalidPfn)
-        frames_[f.lruPrev].lruNext = f.lruNext;
+    if (f.prev != kInvalidPfn)
+        frames_[f.prev].next = f.next;
     else
-        lru.head = f.lruNext;
-    if (f.lruNext != kInvalidPfn)
-        frames_[f.lruNext].lruPrev = f.lruPrev;
+        lru.head = f.next;
+    if (f.next != kInvalidPfn)
+        frames_[f.next].prev = f.prev;
     else
-        lru.tail = f.lruPrev;
+        lru.tail = f.prev;
     lru.pages -= pagesInOrder(f.lruOrder);
-    f.lruNext = kInvalidPfn;
-    f.lruPrev = kInvalidPfn;
+    f.next = kInvalidPfn;
+    f.prev = kInvalidPfn;
     f.lruList = Frame::LruList::None;
 }
 
@@ -81,22 +81,25 @@ void
 Zone::lruLink(Frame::LruList list, Pfn head, unsigned order, bool at_tail)
 {
     Frame &f = frames_[head];
+    // The link pair is shared with the buddy free lists.
+    contig_assert(!f.freeHead, "lru insert of free-list head %llu",
+                  static_cast<unsigned long long>(head));
     Lru &lru = lruOf(list);
     f.lruOrder = static_cast<std::uint8_t>(order);
     f.lruList = list;
     if (at_tail) {
-        f.lruNext = kInvalidPfn;
-        f.lruPrev = lru.tail;
+        f.next = kInvalidPfn;
+        f.prev = lru.tail;
         if (lru.tail != kInvalidPfn)
-            frames_[lru.tail].lruNext = head;
+            frames_[lru.tail].next = head;
         lru.tail = head;
         if (lru.head == kInvalidPfn)
             lru.head = head;
     } else {
-        f.lruPrev = kInvalidPfn;
-        f.lruNext = lru.head;
+        f.prev = kInvalidPfn;
+        f.next = lru.head;
         if (lru.head != kInvalidPfn)
-            frames_[lru.head].lruPrev = head;
+            frames_[lru.head].prev = head;
         lru.head = head;
         if (lru.tail == kInvalidPfn)
             lru.tail = head;

@@ -137,7 +137,7 @@ class Zone
     forEachLru(Frame::LruList list, Fn &&fn) const
     {
         for (Pfn p = lruOf(list).head; p != kInvalidPfn;
-             p = frames_[p].lruNext) {
+             p = frames_[p].next) {
             fn(p, unsigned{frames_[p].lruOrder});
         }
     }

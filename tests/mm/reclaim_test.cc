@@ -204,5 +204,75 @@ TEST(Reclaim, ContigAwareCaKeepsAuditUnderPressure)
     EXPECT_EQ(k.reclaim()->swappedPages(), 0u);
 }
 
+/**
+ * One block through both users of a frame's shared link pair: claimed
+ * and LRU-listed between two listed neighbours, freed onto the buddy
+ * free list, then claimed and listed again. Each list must hold
+ * exactly the heads it should, and the audit and the zone invariants
+ * must hold after every step.
+ */
+TEST(Reclaim, BlockMovesBetweenLruAndFreeList)
+{
+    Kernel k(pressureConfig(PolicyKind::Base4k),
+             makePolicy(PolicyKind::Base4k));
+    PhysicalMemory &pm = k.physMem();
+    Zone &zone = pm.zone(0);
+    BuddyAllocator &buddy = zone.buddy();
+    const auto expect_clean = [&](const char *step) {
+        EXPECT_EQ(k.audit(), "") << step;
+        EXPECT_TRUE(buddy.checkInvariants()) << step;
+        EXPECT_TRUE(zone.contigMap().checkInvariants()) << step;
+    };
+    const auto inactive = [&] {
+        std::vector<Pfn> heads;
+        zone.forEachLru(Frame::LruList::Inactive,
+                        [&](Pfn head, unsigned) { heads.push_back(head); });
+        return heads;
+    };
+    const auto free_heads = [&] {
+        std::vector<Pfn> heads;
+        buddy.forEachFreeBlock(0, [&](Pfn head) { heads.push_back(head); });
+        return heads;
+    };
+    const auto claim = [&](Pfn pfn) {
+        k.claimFrames(pfn, 0, FrameOwner::Anon, 1, pfn * kPageSize);
+    };
+
+    // a and b are order-0 buddies, so b frees as a head of its own
+    // while a stays claimed; c is another listed neighbour.
+    const Pfn a = *buddy.alloc(0);
+    const Pfn b = *buddy.alloc(0);
+    const Pfn c = *buddy.alloc(0);
+    ASSERT_EQ(b, a ^ 1);
+    for (const Pfn pfn : {a, b, c})
+        claim(pfn);
+    EXPECT_EQ(inactive(), (std::vector<Pfn>{c, b, a}));
+    EXPECT_FALSE(pm.frame(b).freeHead);
+    expect_clean("claimed and listed");
+
+    k.putFrame(b, 0);
+    EXPECT_EQ(pm.frame(b).lruList, Frame::LruList::None);
+    EXPECT_TRUE(pm.frame(b).freeHead);
+    EXPECT_EQ(inactive(), (std::vector<Pfn>{c, a}));
+    const std::vector<Pfn> listed_free = free_heads();
+    EXPECT_EQ(listed_free.front(), b);
+    expect_clean("freed onto the free list");
+
+    ASSERT_EQ(buddy.alloc(0), b);
+    EXPECT_FALSE(pm.frame(b).freeHead);
+    EXPECT_EQ(free_heads(),
+              std::vector<Pfn>(listed_free.begin() + 1, listed_free.end()));
+    claim(b);
+    EXPECT_EQ(pm.frame(b).lruList, Frame::LruList::Inactive);
+    EXPECT_EQ(inactive(), (std::vector<Pfn>{b, c, a}));
+    expect_clean("claimed and listed again");
+
+    for (const Pfn pfn : {a, b, c})
+        k.putFrame(pfn, 0);
+    EXPECT_TRUE(inactive().empty());
+    EXPECT_EQ(buddy.freePages(), zone.numFrames());
+    expect_clean("all freed");
+}
+
 } // namespace
 } // namespace contig

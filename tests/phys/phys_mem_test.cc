@@ -126,16 +126,14 @@ expectAllZero(const Frame &f)
     EXPECT_EQ(f.ownerId, 0u);
     EXPECT_EQ(f.order, 0u);
     EXPECT_EQ(f.claimOrder, 0u);
-    EXPECT_FALSE(f.freeHead);
-    EXPECT_EQ(f.ownerKind, FrameOwner::None);
-    EXPECT_EQ(f.freeNext, 0u);
-    EXPECT_EQ(f.freePrev, 0u);
-    EXPECT_EQ(f.ownerVaddr, 0u);
-    EXPECT_EQ(f.lruNext, 0u);
-    EXPECT_EQ(f.lruPrev, 0u);
     EXPECT_EQ(f.lruOrder, 0u);
-    EXPECT_EQ(f.lruList, Frame::LruList::None);
+    EXPECT_FALSE(f.freeHead);
     EXPECT_FALSE(f.referenced);
+    EXPECT_EQ(f.ownerKind, FrameOwner::None);
+    EXPECT_EQ(f.lruList, Frame::LruList::None);
+    EXPECT_EQ(Pfn{f.next}, 0u);
+    EXPECT_EQ(Pfn{f.prev}, 0u);
+    EXPECT_EQ(f.ownerVaddr, 0u);
 }
 
 } // namespace
@@ -152,6 +150,39 @@ TEST(FrameDefaults, FreshFrameArrayIsAllZero)
     for (Pfn p = 0; p < frames.size(); p += 97)
         expectAllZero(frames[p]);
     expectAllZero(frames[frames.size() - 1]);
+}
+
+TEST(FrameLink, RoundTripsEveryLinkablePfn)
+{
+    // pfn 0, the last pfn of the largest mem_map, and "no frame".
+    const Pfn last = FrameArray::kMaxFrames - 1;
+    EXPECT_EQ(last, (Pfn{1} << 32) - 2);
+    for (const Pfn pfn : {Pfn{0}, last, kInvalidPfn}) {
+        Frame f;
+        f.next = pfn;
+        f.prev = pfn;
+        EXPECT_EQ(Pfn{f.next}, pfn);
+        EXPECT_EQ(Pfn{f.prev}, pfn);
+        // Writing the links touched no other field.
+        f.next = 0;
+        f.prev = 0;
+        expectAllZero(f);
+    }
+}
+
+TEST(FrameDeathTest, LinkRefusesAnUnlinkablePfn)
+{
+    Frame f;
+    EXPECT_DEATH(f.next = Pfn{FrameLink::kNone}, "does not fit a frame link");
+    EXPECT_DEATH(f.prev = Pfn{1} << 32, "does not fit a frame link");
+}
+
+TEST(FrameDeathTest, ArrayRefusesMoreFramesThanALinkCanName)
+{
+    // The check comes before the mmap, so this maps nothing.
+    EXPECT_EXIT({ FrameArray frames(std::uint64_t{1} << 32); },
+                testing::ExitedWithCode(1),
+                "mem_map of 4294967296 frames");
 }
 
 TEST(PhysMem, FreshMachineIsFreeAndUnowned)
@@ -193,4 +224,31 @@ TEST(PhysMemDeathTest, FreeOfPartlyFreedBlockFires)
     pm.free(*pfn + 5, 0);
     // Freeing the whole block would return that page twice.
     EXPECT_DEATH(pm.free(*pfn, kHugeOrder), "double free");
+}
+
+// The buddy free lists and the LRU share one link pair per frame, so
+// each list refuses a head the other one holds.
+
+TEST(PhysMemDeathTest, FreeOfLruListedHeadFires)
+{
+    PhysicalMemory pm(smallConfig(1));
+    Zone &zone = pm.zone(0);
+    const auto pfn = zone.buddy().alloc(0);
+    ASSERT_TRUE(pfn);
+    zone.lruInsert(Frame::LruList::Inactive, *pfn, 0);
+    // Freed straight through the buddy, bypassing the kernel's unlist
+    // (ReclaimEngine::onFree): the merged block's head is still listed.
+    ASSERT_EQ(*pfn, zone.basePfn());
+    EXPECT_DEATH(zone.buddy().free(*pfn, 0),
+                 "free-list insert of LRU-listed pfn");
+}
+
+TEST(PhysMemDeathTest, LruInsertOfFreeHeadFires)
+{
+    PhysicalMemory pm(smallConfig(1));
+    Zone &zone = pm.zone(0);
+    const Pfn head = zone.basePfn();
+    ASSERT_TRUE(pm.frame(head).freeHead);
+    EXPECT_DEATH(zone.lruInsert(Frame::LruList::Inactive, head, 0),
+                 "lru insert of free-list head");
 }
