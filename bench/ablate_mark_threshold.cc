@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
 #include "workloads/access_stream.hh"
@@ -68,20 +69,28 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("ablate_mark_threshold", argc, argv);
 
+    // Cells 0..3 gate at each threshold; cell 4 disables the gate.
+    const std::vector<std::uint64_t> thresholds{4, 32, 512, 8192};
+    const std::vector<Outcome> cells = runCells<Outcome>(
+        thresholds.size() + 1, [&](std::size_t i) {
+            return i < thresholds.size() ? runWith(thresholds[i], true)
+                                         : runWith(32, false);
+        });
+
     Report rep("Ablation — contiguity-bit marking threshold "
                "(SpOT on svm, virtualized)");
     rep.header({"threshold (pages)", "overhead", "correct", "no-pred"});
-    for (std::uint64_t t : {4ull, 32ull, 512ull, 8192ull}) {
-        auto o = runWith(t, true);
-        std::string label = std::to_string(t);
-        if (t == 32)
-            label += " [paper]";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Outcome &o = cells[i];
+        std::string label = "gate disabled";
+        if (i < thresholds.size()) {
+            label = std::to_string(thresholds[i]);
+            if (thresholds[i] == 32)
+                label += " [paper]";
+        }
         rep.row({label, Report::pct(o.overhead, 2),
                  Report::pct(o.correct), Report::pct(o.nopred)});
     }
-    auto ungated = runWith(32, false);
-    rep.row({"gate disabled", Report::pct(ungated.overhead, 2),
-             Report::pct(ungated.correct), Report::pct(ungated.nopred)});
     out.add(rep);
     rep.print();
 

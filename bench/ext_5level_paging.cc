@@ -14,6 +14,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
 #include "workloads/access_stream.hh"
@@ -76,8 +77,10 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("ext_5level_paging", argc, argv);
 
-    auto four = runWithLevels(4);
-    auto five = runWithLevels(5);
+    const std::vector<Outcome> cells = runCells<Outcome>(
+        2, [](std::size_t i) { return runWithLevels(i == 0 ? 4 : 5); });
+    const Outcome &four = cells[0];
+    const Outcome &five = cells[1];
 
     Report rep("Extension — nested paging with 5-level (LA57) tables "
                "(xsbench, CA guest+host)");

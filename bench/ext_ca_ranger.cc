@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "policies/ca_ranger.hh"
 
@@ -69,10 +70,18 @@ main(int argc, char **argv)
                "(xsbench, final cov32 / pages migrated)");
     rep.header({"pressure", "CA alone", "ranger alone", "CA+ranger",
                 "CA+ranger migrations", "ranger migrations"});
-    for (double pressure : {0.0, 0.25, 0.5}) {
-        auto ca = runOne("ca", pressure);
-        auto rg = runOne("ranger", pressure);
-        auto combo = runOne("combo", pressure);
+    // Cell i runs policy i % 3 under pressure i / 3.
+    const std::vector<double> pressures{0.0, 0.25, 0.5};
+    const char *const policies[] = {"ca", "ranger", "combo"};
+    const std::vector<Outcome> cells = runCells<Outcome>(
+        3 * pressures.size(), [&](std::size_t i) {
+            return runOne(policies[i % 3], pressures[i / 3]);
+        });
+    for (std::size_t p = 0; p < pressures.size(); ++p) {
+        const double pressure = pressures[p];
+        const Outcome &ca = cells[3 * p];
+        const Outcome &rg = cells[3 * p + 1];
+        const Outcome &combo = cells[3 * p + 2];
         char label[16];
         std::snprintf(label, sizeof(label), "hog-%.0f%%",
                       pressure * 100);

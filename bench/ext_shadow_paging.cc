@@ -16,6 +16,7 @@
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "policies/ca_paging.hh"
 #include "workloads/access_stream.hh"
@@ -88,10 +89,16 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("ext_shadow_paging", argc, argv);
 
-    auto nested = run(false, XlatScheme::Base);
-    auto nested_spot = run(false, XlatScheme::Spot);
-    auto shadow = run(true, XlatScheme::Base);
-    auto shadow_spot = run(true, XlatScheme::Spot);
+    // Cell i runs shadow paging when i >= 2, with SpOT when i is odd.
+    const std::vector<Outcome> cells =
+        runCells<Outcome>(4, [](std::size_t i) {
+            return run(i >= 2, i % 2 == 1 ? XlatScheme::Spot
+                                          : XlatScheme::Base);
+        });
+    const Outcome &nested = cells[0];
+    const Outcome &nested_spot = cells[1];
+    const Outcome &shadow = cells[2];
+    const Outcome &shadow_spot = cells[3];
 
     Report rep("Extension — shadow vs nested paging "
                "(xsbench, CA guest+host)");

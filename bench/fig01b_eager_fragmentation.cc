@@ -10,10 +10,12 @@
  * because it packs both anonymous and page-cache memory.
  */
 
+#include <array>
 #include <cstdio>
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -24,24 +26,28 @@ namespace
 constexpr int kRuns = 10;
 constexpr std::uint64_t kChurnIslands = 48; // pinned bursts per run
 
-double
-runSeries(PolicyKind kind, std::vector<double> &coverage)
+using Series = std::array<double, kRuns>;
+
+/** cov32 after each of kRuns consecutive runs on one machine. */
+Series
+runSeries(PolicyKind kind)
 {
     NativeSystem sys(kind, 7);
     std::optional<std::uint32_t> graph_file;
+    Series coverage{};
     for (int run = 0; run < kRuns; ++run) {
         auto wl = makeWorkload("pagerank", {1.0, 7});
         if (graph_file)
             wl->setInputFile(*graph_file);
         auto r = sys.run(*wl);
         graph_file = wl->inputFileId();
-        coverage.push_back(r.final.cov32);
+        coverage[run] = r.final.cov32;
         sys.finish(*wl);
         // Between runs the system ages: log/output pages accumulate
         // in the page cache amid allocation entropy.
         systemChurn(sys.kernel(), kChurnIslands, 1000 + run);
     }
-    return coverage.back();
+    return coverage;
 }
 
 } // namespace
@@ -52,9 +58,12 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("fig01b_eager_fragmentation", argc, argv);
 
-    std::vector<double> eager, ca;
-    runSeries(PolicyKind::Eager, eager);
-    runSeries(PolicyKind::Ca, ca);
+    const std::vector<Series> series =
+        runCells<Series>(2, [](std::size_t i) {
+            return runSeries(i == 0 ? PolicyKind::Eager : PolicyKind::Ca);
+        });
+    const Series &eager = series[0];
+    const Series &ca = series[1];
 
     Report rep("Fig. 1b — 32-largest-mappings coverage across 10 "
                "consecutive PageRank runs");

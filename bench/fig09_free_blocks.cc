@@ -7,10 +7,12 @@
  * blocks — it delays fragmentation as the machine ages.
  */
 
+#include <array>
 #include <cstdio>
 
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "obs/observatory.hh"
 
@@ -19,9 +21,14 @@ using namespace contig;
 namespace
 {
 
+/** Size classes in pages (log2): >=4MiB, >=16MiB, >=64MiB, >=256MiB. */
+constexpr std::array<unsigned, 4> kBuckets{10, 12, 14, 16};
+
+using Distribution = std::array<double, kBuckets.size()>;
+
 /** Fraction of free pages living in blocks of each size class. */
-std::vector<double>
-freeDistribution(PolicyKind kind, const std::vector<unsigned> &buckets)
+Distribution
+freeDistribution(PolicyKind kind)
 {
     NativeSystem sys(kind, 7);
     // Run the whole suite back to back on one machine.
@@ -45,14 +52,14 @@ freeDistribution(PolicyKind kind, const std::vector<unsigned> &buckets)
     Log2Histogram hist;
     for (const obs::ZoneSnap &z : snap.zones)
         hist.mergeFrom(z.freeHist);
-    std::vector<double> out;
+    Distribution out;
     const double total = std::max<double>(hist.totalWeight(), 1);
     // Cumulative weight at or above each bucket boundary.
-    for (unsigned b : buckets) {
+    for (std::size_t k = 0; k < kBuckets.size(); ++k) {
         std::uint64_t acc = 0;
-        for (unsigned i = b; i < 64; ++i)
+        for (unsigned i = kBuckets[k]; i < 64; ++i)
             acc += hist.bucket(i);
-        out.push_back(acc / total);
+        out[k] = acc / total;
     }
     return out;
 }
@@ -65,18 +72,20 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("fig09_free_blocks", argc, argv);
 
-    // Size classes in pages (log2): >=4MiB, >=16MiB, >=64MiB, >=256MiB.
-    const std::vector<unsigned> buckets{10, 12, 14, 16};
     const std::vector<std::string> labels{">=4MiB", ">=16MiB", ">=64MiB",
                                           ">=256MiB"};
-
-    auto thp = freeDistribution(PolicyKind::Thp, buckets);
-    auto ca = freeDistribution(PolicyKind::Ca, buckets);
+    const std::vector<Distribution> cells =
+        runCells<Distribution>(2, [](std::size_t i) {
+            return freeDistribution(i == 0 ? PolicyKind::Thp
+                                           : PolicyKind::Ca);
+        });
+    const Distribution &thp = cells[0];
+    const Distribution &ca = cells[1];
 
     Report rep("Fig. 9 — free memory in blocks of at least each size, "
                "after the suite completes");
     rep.header({"block size", "default(THP)", "CA"});
-    for (std::size_t i = 0; i < buckets.size(); ++i)
+    for (std::size_t i = 0; i < kBuckets.size(); ++i)
         rep.row({labels[i], Report::pct(thp[i]), Report::pct(ca[i])});
     out.add(rep);
     rep.print();

@@ -9,10 +9,13 @@
  * magnitude vs THP; 32-mapping coverage slightly below native CA.
  */
 
+#include <array>
 #include <cstdio>
 
+#include "base/logging.hh"
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 
 using namespace contig;
@@ -20,20 +23,19 @@ using namespace contig;
 namespace
 {
 
-struct Row
-{
-    CoverageMetrics avg;
-};
+/** paperWorkloads().size(): a cell returns one result each. */
+constexpr std::size_t kWorkloads = 5;
 
-std::vector<Row>
+/** Time-averaged coverage of each workload, run in turn in one VM. */
+std::array<CoverageMetrics, kWorkloads>
 measure(PolicyKind kind)
 {
     VirtSystem sys(kind, kind, 7);
-    std::vector<Row> rows;
-    for (const auto &name : paperWorkloads()) {
-        auto wl = makeWorkload(name, {1.0, 7});
+    std::array<CoverageMetrics, kWorkloads> rows;
+    for (std::size_t i = 0; i < kWorkloads; ++i) {
+        auto wl = makeWorkload(paperWorkloads()[i], {1.0, 7});
         auto r = sys.run(*wl);
-        rows.push_back(Row{r.avg});
+        rows[i] = r.avg;
         sys.finish(*wl);
     }
     return rows;
@@ -53,11 +55,15 @@ main(int argc, char **argv)
     rep.header({"workload", "policy", "cov32", "cov128",
                 "maps-for-99%"});
 
-    for (PolicyKind kind : kinds) {
-        auto rows = measure(kind);
+    contig_assert(paperWorkloads().size() == kWorkloads,
+                  "fig12 sizes its cells for %zu workloads", kWorkloads);
+    const auto cells = runCells<std::array<CoverageMetrics, kWorkloads>>(
+        kinds.size(), [&](std::size_t i) { return measure(kinds[i]); });
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const PolicyKind kind = kinds[k];
         std::vector<double> c32, c128, m99;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const auto &m = rows[i].avg;
+        for (std::size_t i = 0; i < kWorkloads; ++i) {
+            const CoverageMetrics &m = cells[k][i];
             rep.row({paperWorkloads()[i], policyName(kind),
                      Report::pct(m.cov32), Report::pct(m.cov128),
                      std::to_string(m.mappingsFor99)});

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "mm/kernel.hh"
@@ -99,6 +100,67 @@ statSum(const std::atomic<std::uint64_t> &a)
     return a.load(std::memory_order_relaxed);
 }
 
+/** The printed numbers of one policy x victim-selection cell. */
+struct Cell
+{
+    std::uint64_t faults = 0;
+    std::uint64_t reclaimed = 0;
+    std::uint64_t swapOuts = 0;
+    std::uint64_t refaults = 0;
+    std::uint64_t thpSplits = 0;
+    std::uint64_t directReclaims = 0;
+    std::uint64_t kswapdRuns = 0;
+    double cov32 = 0.0;
+    double fmfi = 0.0;
+    std::uint64_t largestPages = 0;
+    double spotOverhead = 0.0;
+};
+
+Cell
+runCell(PolicyKind kind, bool contig_aware)
+{
+    NativeSystem sys(kind, 7, [&](KernelConfig &cfg) {
+        cfg.phys.bytesPerNode = kNodeBytes;
+        cfg.phys.numNodes = kNodes;
+        cfg.reclaimEnabled = true;
+        cfg.kswapdEnabled = true;
+        cfg.contigAwareReclaim = contig_aware;
+    });
+    OvercommitWorkload wl({1.0, 7});
+    ContigRunResult r = sys.run(wl);
+
+    // Daemon epochs may have evicted part of the hot set; re-touch it
+    // so the replayed addresses are all mapped.
+    wl.process()->touchRange(wl.vmas()[0]->start(), kHotBytes);
+    XlatRunResult x = runTranslation(wl, nullptr, XlatScheme::Spot,
+                                     kXlatAccesses, 99);
+
+    Kernel &kernel = sys.kernel();
+    const ReclaimStats &rs = kernel.reclaim()->stats();
+    Cell out;
+    out.faults = r.faults;
+    out.reclaimed = statSum(rs.reclaimed);
+    out.swapOuts = statSum(rs.swapOuts);
+    out.refaults = statSum(rs.refaults);
+    out.thpSplits = statSum(rs.thpSplits);
+    out.directReclaims = statSum(rs.directReclaims);
+    out.kswapdRuns = statSum(rs.kswapdRuns);
+    out.cov32 = r.final.cov32;
+
+    const PhysicalMemory &pm = kernel.physMem();
+    for (unsigned n = 0; n < pm.numNodes(); ++n) {
+        const Zone &zone = pm.zone(n);
+        out.fmfi += zone.buddy().unusableFreeIndex(kHugeOrder);
+        if (auto big = zone.contigMap().largest())
+            out.largestPages = std::max(out.largestPages, big->pages);
+    }
+    out.fmfi /= pm.numNodes();
+    out.spotOverhead = x.overhead.overhead;
+
+    sys.finish(wl);
+    return out;
+}
+
 } // namespace
 
 int
@@ -110,6 +172,13 @@ main(int argc, char **argv)
     out.note("working_set_mib", kWsBytes / kMiB);
     out.note("hot_mib", kHotBytes / kMiB);
 
+    // Cell i runs policy i / 2, with contig-aware victims when i is odd.
+    const std::vector<PolicyKind> kinds{PolicyKind::Ca,
+                                        PolicyKind::Ranger};
+    const std::vector<Cell> cells = runCells<Cell>(
+        2 * kinds.size(),
+        [&](std::size_t i) { return runCell(kinds[i / 2], i % 2 == 1); });
+
     Report act("Overcommit (WS = 1.6x phys) — reclaim activity");
     act.header({"policy", "victims", "faults", "reclaimed", "swapout",
                 "refault", "thp-split", "direct", "kswapd"});
@@ -118,61 +187,24 @@ main(int argc, char **argv)
     frag.header({"policy", "victims", "cov32", "fmfi", "largest",
                  "swapped", "spot-ovh"});
 
-    const std::vector<PolicyKind> kinds{PolicyKind::Ca,
-                                        PolicyKind::Ranger};
-    for (PolicyKind kind : kinds) {
-        for (bool contig_aware : {false, true}) {
-            NativeSystem sys(kind, 7, [&](KernelConfig &cfg) {
-                cfg.phys.bytesPerNode = kNodeBytes;
-                cfg.phys.numNodes = kNodes;
-                cfg.reclaimEnabled = true;
-                cfg.kswapdEnabled = true;
-                cfg.contigAwareReclaim = contig_aware;
-            });
-            OvercommitWorkload wl({1.0, 7});
-            ContigRunResult r = sys.run(wl);
-
-            // Daemon epochs may have evicted part of the hot set;
-            // re-touch it so the replayed addresses are all mapped.
-            wl.process()->touchRange(wl.vmas()[0]->start(), kHotBytes);
-            XlatRunResult x = runTranslation(wl, nullptr,
-                                             XlatScheme::Spot,
-                                             kXlatAccesses, 99);
-
-            Kernel &kernel = sys.kernel();
-            const ReclaimEngine *rec = kernel.reclaim();
-            const ReclaimStats &rs = rec->stats();
-            const std::string victims = contig_aware ? "contig" : "lru";
-
-            act.row({policyName(kind), victims,
-                     Report::num(static_cast<double>(r.faults), 0),
-                     Report::num(statSum(rs.reclaimed), 0),
-                     Report::num(statSum(rs.swapOuts), 0),
-                     Report::num(statSum(rs.refaults), 0),
-                     Report::num(statSum(rs.thpSplits), 0),
-                     Report::num(statSum(rs.directReclaims), 0),
-                     Report::num(statSum(rs.kswapdRuns), 0)});
-
-            double fmfi = 0.0;
-            std::uint64_t largest = 0;
-            const PhysicalMemory &pm = kernel.physMem();
-            for (unsigned n = 0; n < pm.numNodes(); ++n) {
-                const Zone &zone = pm.zone(n);
-                fmfi += zone.buddy().unusableFreeIndex(kHugeOrder);
-                if (auto big = zone.contigMap().largest())
-                    largest = std::max(largest, big->pages);
-            }
-            fmfi /= pm.numNodes();
-            frag.row({policyName(kind), victims,
-                      Report::pct(r.final.cov32), Report::num(fmfi, 3),
-                      Report::num(static_cast<double>(largest) *
-                                      kPageSize / kMiB, 1) + "M",
-                      Report::num(statSum(rs.swapOuts) -
-                                      statSum(rs.refaults), 0),
-                      Report::pct(x.overhead.overhead)});
-
-            sys.finish(wl);
-        }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Cell &c = cells[i];
+        const std::string policy = policyName(kinds[i / 2]);
+        const std::string victims = i % 2 == 1 ? "contig" : "lru";
+        act.row({policy, victims,
+                 Report::num(static_cast<double>(c.faults), 0),
+                 Report::num(c.reclaimed, 0),
+                 Report::num(c.swapOuts, 0),
+                 Report::num(c.refaults, 0),
+                 Report::num(c.thpSplits, 0),
+                 Report::num(c.directReclaims, 0),
+                 Report::num(c.kswapdRuns, 0)});
+        frag.row({policy, victims, Report::pct(c.cov32),
+                  Report::num(c.fmfi, 3),
+                  Report::num(static_cast<double>(c.largestPages) *
+                                  kPageSize / kMiB, 1) + "M",
+                  Report::num(c.swapOuts - c.refaults, 0),
+                  Report::pct(c.spotOverhead)});
     }
 
     out.add(act);

@@ -10,10 +10,13 @@
  * the paper reports ~38x).
  */
 
+#include <array>
 #include <cstdio>
 
+#include "base/logging.hh"
 #include "core/experiment.hh"
 #include "core/bench_io.hh"
+#include "core/cells.hh"
 #include "core/report.hh"
 #include "ranges/ranges.hh"
 
@@ -22,23 +25,30 @@ using namespace contig;
 namespace
 {
 
+/** paperWorkloads().size(): a cell returns one row each. */
+constexpr std::size_t kWorkloads = 5;
+
 struct Row
 {
     std::uint64_t ranges = 0;
     std::uint64_t anchors = 0;
 };
 
-std::vector<Row>
+using Rows = std::array<Row, kWorkloads>;
+
+/** Each workload's entries, the workloads run in turn in one VM. */
+Rows
 measure(PolicyKind kind)
 {
     VirtSystem sys(kind, kind, 7);
-    std::vector<Row> rows;
-    for (const auto &name : paperWorkloads()) {
+    Rows rows;
+    for (std::size_t i = 0; i < kWorkloads; ++i) {
+        const std::string &name = paperWorkloads()[i];
         auto wl = makeWorkload(name, {1.0, 7});
         Process &proc = sys.guest().createProcess(name);
         wl->setup(proc);
         auto segs = extract2d(proc, sys.vm());
-        rows.push_back(Row{rangesFor99(segs), vhcEntriesFor99(segs)});
+        rows[i] = Row{rangesFor99(segs), vhcEntriesFor99(segs)};
         wl->teardown();
         sys.guest().exitProcess(proc);
     }
@@ -53,8 +63,13 @@ main(int argc, char **argv)
     printScaledBanner();
     BenchOutput out("table1_ranges_anchors", argc, argv);
 
-    auto thp = measure(PolicyKind::Thp);
-    auto ca = measure(PolicyKind::Ca);
+    contig_assert(paperWorkloads().size() == kWorkloads,
+                  "table1 sizes its cells for %zu workloads", kWorkloads);
+    const std::vector<Rows> cells = runCells<Rows>(2, [](std::size_t i) {
+        return measure(i == 0 ? PolicyKind::Thp : PolicyKind::Ca);
+    });
+    const Rows &thp = cells[0];
+    const Rows &ca = cells[1];
 
     Report rep("Table I — entries to map 99% of footprint, "
                "virtualized (2-D mappings)");

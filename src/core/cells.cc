@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,8 +38,6 @@ affinityCpus()
 
 namespace
 {
-
-using CellFn = std::function<void(std::size_t, void *)>;
 
 // --- the exact export -----------------------------------------------------
 //
@@ -384,8 +381,7 @@ absorbState(std::string_view text)
         }
         if (!ok || !in.newline())
             return false;
-        const bool metric =
-            kind == 'c' || kind == 'g' || kind == 's' || kind == 'h';
+        const bool metric = kind == 'c' || kind == 's' || kind == 'h';
         if (metric && !samples.emplace(std::move(name), std::move(s)).second)
             return false;
     }
@@ -399,37 +395,24 @@ absorbState(std::string_view text)
     return true;
 }
 
-// --- the runner -------------------------------------------------------
+// --- the pool ---------------------------------------------------------
 
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-struct Child
-{
-    pid_t pid = 0;
-    std::size_t cell = 0;
-    /** Unlinked temp file the child writes its result into. */
-    std::unique_ptr<std::FILE, FileCloser> file;
-};
-
-/** Run one cell in a fresh child and leave without any cleanup. */
+/** Run one leg in a fresh child and leave without any cleanup. */
 [[noreturn]] void
-runChild(std::size_t cell, std::size_t size, const CellFn &fn,
-         std::FILE *file)
+runChild(std::size_t leg, std::size_t size,
+         const detail::ForkPool::LegFn &fn, std::FILE *file)
 {
     obs::MetricRegistry::global().resetOwned();
     obs::RunInfo::global().clear();
     obs::AttribRegistry::global().reset();
     std::string msg(size, '\0');
-    fn(cell, msg.data());
+    fn(msg.data());
     msg += exportState();
     const bool ok =
         std::fwrite(msg.data(), 1, msg.size(), file) == msg.size() &&
         std::fflush(file) == 0;
     if (!ok)
-        std::fprintf(stderr, "cell %zu: cannot write its result\n", cell);
+        std::fprintf(stderr, "cell %zu: cannot write its result\n", leg);
     _exit(ok ? 0 : 1);
 }
 
@@ -445,112 +428,135 @@ readAll(std::FILE *file, std::string &out)
     return std::ferror(file) == 0;
 }
 
-/** Kill and reap every child still running. */
-void
-killAll(std::vector<Child> &running)
-{
-    for (const Child &c : running) {
-        kill(c.pid, SIGKILL);
-        waitpid(c.pid, nullptr, 0);
-    }
-    running.clear();
-}
-
 } // namespace
 
-void
-detail::runCellsRaw(std::size_t n, std::size_t size, const CellFn &fn,
-                    unsigned jobs, void *out)
+namespace detail
 {
-    auto *dst = static_cast<unsigned char *>(out);
-    if (jobs == 0)
-        jobs = affinityCpus();
-    // An open timeline records per-event data that cannot be merged
-    // across processes.
-    if (n <= 1 || jobs <= 1 || obs::TimelineSink::global().enabled()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i, dst + i * size);
+
+ForkPool::ForkPool(std::size_t legs, std::size_t size, unsigned jobs)
+    : legs_(legs), size_(size), jobs_(jobs == 0 ? affinityCpus() : jobs),
+      // An open timeline records per-event data that cannot be merged
+      // across processes.
+      inline_(jobs_ <= 1 || obs::TimelineSink::global().enabled())
+{
+    if (inline_)
+        results_.resize(legs);
+    else
+        files_.resize(legs, nullptr);
+}
+
+ForkPool::~ForkPool()
+{
+    killAll();
+}
+
+void
+ForkPool::spawn(const LegFn &fn)
+{
+    contig_assert(spawned_ < legs_, "a pool of %zu legs got another",
+                  legs_);
+    const std::size_t leg = spawned_++;
+    if (inline_) {
+        results_[leg].assign(size_, '\0');
+        fn(results_[leg].data());
         return;
     }
+    if (running_.size() >= jobs_)
+        reapOne();
+    std::FILE *file = std::tmpfile();
+    if (!file) {
+        fail(csprintf("cannot create a temp file for cell %zu: %s", leg,
+                      std::strerror(errno)));
+    }
+    files_[leg] = file;
+    // Nothing buffered may be written twice.
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0)
+        fail(csprintf("cannot fork cell %zu: %s", leg, std::strerror(errno)));
+    if (pid == 0)
+        runChild(leg, size_, fn, file);
+    running_.push_back({pid, leg});
+}
 
-    // The binary's name is the bench's name.
-    const char *bench = program_invocation_short_name;
-    std::vector<Child> running;
-    // Results of finished cells, each absorbed once every earlier
-    // cell's has been.
-    std::vector<std::string> results(n);
-    std::vector<bool> finished(n, false);
-    std::size_t started = 0;
-    std::size_t absorbed = 0;
-    while (absorbed < n) {
-        while (started < n && running.size() < jobs) {
-            Child child;
-            child.cell = started++;
-            child.file.reset(std::tmpfile());
-            if (!child.file) {
-                const int err = errno;
-                killAll(running);
-                fatal("%s: cannot create a temp file for cell %zu: %s",
-                      bench, child.cell, std::strerror(err));
-            }
-            // Nothing buffered may be written twice.
-            std::fflush(nullptr);
-            child.pid = fork();
-            if (child.pid < 0) {
-                const int err = errno;
-                killAll(running);
-                fatal("%s: cannot fork cell %zu: %s", bench, child.cell,
-                      std::strerror(err));
-            }
-            if (child.pid == 0)
-                runChild(child.cell, size, fn, child.file.get());
-            running.push_back(std::move(child));
-        }
+void
+ForkPool::join(void *out)
+{
+    contig_assert(spawned_ == legs_, "%zu of a pool's %zu legs spawned",
+                  spawned_, legs_);
+    auto *dst = static_cast<unsigned char *>(out);
+    if (inline_) {
+        for (std::size_t leg = 0; leg < legs_; ++leg)
+            std::memcpy(dst + leg * size_, results_[leg].data(), size_);
+        return;
+    }
+    while (!running_.empty())
+        reapOne();
+    for (std::size_t leg = 0; leg < legs_; ++leg) {
+        std::string msg;
+        const bool read = readAll(files_[leg], msg) && msg.size() >= size_;
+        std::fclose(files_[leg]);
+        files_[leg] = nullptr;
+        if (!read)
+            fail(csprintf("cannot read the result of cell %zu", leg));
+        std::memcpy(dst + leg * size_, msg.data(), size_);
+        if (!absorbState(std::string_view(msg).substr(size_)))
+            fail(csprintf("malformed metrics from cell %zu", leg));
+    }
+}
 
+void
+ForkPool::reapOne()
+{
+    for (;;) {
         int status = 0;
         const pid_t pid = waitpid(-1, &status, 0);
         if (pid < 0) {
             if (errno == EINTR)
                 continue;
-            const int err = errno;
-            killAll(running);
-            fatal("%s: waiting for cells: %s", bench, std::strerror(err));
+            fail(csprintf("waiting for cells: %s", std::strerror(errno)));
         }
-        auto it = std::find_if(running.begin(), running.end(),
+        auto it = std::find_if(running_.begin(), running_.end(),
                                [pid](const Child &c) { return c.pid == pid; });
-        if (it == running.end())
+        if (it == running_.end())
             continue; // not a cell
-        const Child child = std::move(*it);
-        running.erase(it);
-
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-            killAll(running);
-            if (WIFSIGNALED(status))
-                fatal("%s: cell %zu of %zu died on signal %d (%s)", bench,
-                      child.cell, n, WTERMSIG(status),
-                      strsignal(WTERMSIG(status)));
-            fatal("%s: cell %zu of %zu exited with status %d", bench,
-                  child.cell, n, WEXITSTATUS(status));
+        const std::size_t leg = it->leg;
+        running_.erase(it);
+        if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            return;
+        if (WIFSIGNALED(status)) {
+            fail(csprintf("cell %zu of %zu died on signal %d (%s)", leg,
+                          legs_, WTERMSIG(status),
+                          strsignal(WTERMSIG(status))));
         }
-        std::string &msg = results[child.cell];
-        if (!readAll(child.file.get(), msg) || msg.size() < size) {
-            killAll(running);
-            fatal("%s: cannot read the result of cell %zu", bench,
-                  child.cell);
-        }
-        finished[child.cell] = true;
-
-        for (; absorbed < n && finished[absorbed]; ++absorbed) {
-            std::string &m = results[absorbed];
-            std::memcpy(dst + absorbed * size, m.data(), size);
-            if (!absorbState(std::string_view(m).substr(size))) {
-                killAll(running);
-                fatal("%s: malformed metrics from cell %zu", bench,
-                      absorbed);
-            }
-            std::string().swap(m);
-        }
+        fail(csprintf("cell %zu of %zu exited with status %d", leg, legs_,
+                      WEXITSTATUS(status)));
     }
 }
+
+void
+ForkPool::killAll()
+{
+    for (const Child &c : running_) {
+        kill(c.pid, SIGKILL);
+        waitpid(c.pid, nullptr, 0);
+    }
+    running_.clear();
+    for (std::FILE *&file : files_) {
+        if (file)
+            std::fclose(file);
+        file = nullptr;
+    }
+}
+
+void
+ForkPool::fail(const std::string &msg)
+{
+    killAll();
+    // The binary's name is the bench's name.
+    fatal("%s: %s", program_invocation_short_name, msg.c_str());
+}
+
+} // namespace detail
 
 } // namespace contig

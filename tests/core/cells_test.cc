@@ -1,17 +1,23 @@
 /**
- * The cell runner (core/cells): cells run in forked children return
- * the same results, and leave the same merged metrics, run record and
- * attribution tables, as the same cells run inline.
+ * The cell pool (core/cells): cells and pipelined legs run in forked
+ * children return the same results, and leave the same merged
+ * metrics, run record and attribution tables, as the same legs run
+ * inline; a leg sees the state of its spawn, and no more than `jobs`
+ * children are alive at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "base/json.hh"
 #include "core/cells.hh"
@@ -68,9 +74,10 @@ smallCell(std::size_t i)
 }
 
 /** What one arm of a comparison leaves behind. */
-struct Arm
+template <typename Out>
+struct ArmOf
 {
-    std::vector<CellOut> out;
+    std::vector<Out> out;
     /** Merged metrics as JSON, host wall-clock summaries dropped. */
     std::string metrics;
     std::string run;
@@ -78,18 +85,22 @@ struct Arm
     std::string attribution;
 };
 
-Arm
-runArm(std::size_t n, unsigned jobs)
+using Arm = ArmOf<CellOut>;
+
+void
+resetState()
 {
-    obs::MetricRegistry &reg = obs::MetricRegistry::global();
-    reg.resetOwned();
+    obs::MetricRegistry::global().resetOwned();
     obs::RunInfo::global().clear();
     obs::AttribRegistry::global().reset();
+}
 
-    Arm arm;
-    arm.out = runCells<CellOut>(n, smallCell, jobs);
-
-    obs::SampleMap samples = reg.snapshot();
+/** Fill everything but `out` from the process-wide registries. */
+template <typename Out>
+void
+captureState(ArmOf<Out> &arm)
+{
+    obs::SampleMap samples = obs::MetricRegistry::global().snapshot();
     std::erase_if(samples, [](const auto &kv) {
         return kv.first.find("wall") != std::string::npos;
     });
@@ -106,6 +117,61 @@ runArm(std::size_t n, unsigned jobs)
     obs::AttribRegistry::global().writeSection(a);
     a.endObject();
     arm.attribution = a.str();
+}
+
+Arm
+runArm(std::size_t n, unsigned jobs)
+{
+    resetState();
+    Arm arm;
+    arm.out = runCells<CellOut>(n, smallCell, jobs);
+    captureState(arm);
+    return arm;
+}
+
+/** One SpOT leg's numbers. */
+struct LegOut
+{
+    std::uint64_t walks = 0;
+    std::uint64_t correct = 0;
+    double overhead = 0.0;
+};
+
+using PipelineArm = ArmOf<LegOut>;
+
+/**
+ * Three workloads run in turn in one small CA/CA VM without reboots.
+ * After each one's setup, a SpOT leg replays it off the VM as aged so
+ * far, and the parent tears the workload down and moves on, as fig14
+ * does.
+ */
+PipelineArm
+runPipeline(unsigned jobs)
+{
+    resetState();
+    PipelineArm arm;
+    {
+        VirtSystem sys(PolicyKind::Ca, PolicyKind::Ca, 11);
+        CellPool<LegOut> pool(3, jobs);
+        for (const char *name : {"xsbench", "pagerank", "svm"}) {
+            WorkloadConfig cfg;
+            cfg.scale = 0.05;
+            cfg.seed = 4;
+            auto wl = makeWorkload(name, cfg);
+            Process &proc = sys.guest().createProcess(name);
+            wl->setup(proc);
+            pool.spawn([&] {
+                const XlatRunResult r = runTranslation(
+                    *wl, &sys.vm(), XlatScheme::Spot, 50000);
+                return LegOut{r.stats.walks, r.stats.spotCorrect,
+                              r.overhead.overhead};
+            });
+            wl->teardown();
+            sys.guest().exitProcess(proc);
+        }
+        arm.out = pool.join();
+    }
+    captureState(arm);
     return arm;
 }
 
@@ -210,4 +276,99 @@ TEST(CellsTest, FailedCellIsFatal)
         return static_cast<int>(i);
     };
     EXPECT_DEATH(runCells<int>(5, cell, 3), "cell 2 of 5 died on signal");
+}
+
+TEST(CellsTest, PipelinedLegsMatchInline)
+{
+    for (const bool attrib : {false, true}) {
+        SCOPED_TRACE(attrib ? "attribution on" : "plain");
+        obs::AttribRegistry::setEnabled(attrib);
+        const PipelineArm serial = runPipeline(1);
+        const PipelineArm forked = runPipeline(3);
+        obs::AttribRegistry::setEnabled(false);
+
+        ASSERT_EQ(serial.out.size(), 3u);
+        ASSERT_EQ(forked.out.size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_GT(serial.out[i].walks, 0u);
+            EXPECT_EQ(serial.out[i].walks, forked.out[i].walks);
+            EXPECT_EQ(serial.out[i].correct, forked.out[i].correct);
+            EXPECT_EQ(serial.out[i].overhead, forked.out[i].overhead);
+        }
+        EXPECT_NE(serial.metrics.find("xlat.walks"), std::string::npos);
+        EXPECT_NE(serial.metrics.find("guest.faults"), std::string::npos);
+        EXPECT_EQ(serial.metrics, forked.metrics);
+        EXPECT_EQ(serial.run, forked.run);
+        // The legs' translation tables and the parent's fault table.
+        EXPECT_EQ(serial.attribution.find("\"xlat\":{\"") !=
+                      std::string::npos,
+                  attrib);
+        EXPECT_EQ(serial.attribution.find("\"fault\":{") !=
+                      std::string::npos,
+                  attrib);
+        EXPECT_EQ(serial.attribution, forked.attribution);
+    }
+    resetState();
+}
+
+TEST(CellsTest, LegSeesItsSpawnTimeState)
+{
+    for (const unsigned jobs : {1u, 3u}) {
+        SCOPED_TRACE(jobs);
+        int value = 1;
+        CellPool<int> pool(1, jobs);
+        // A forked leg reads `value` well after the parent changed it.
+        pool.spawn([&value] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return value;
+        });
+        value = 2;
+        EXPECT_EQ(pool.join(), std::vector<int>{1});
+        EXPECT_EQ(value, 2);
+    }
+}
+
+TEST(CellsTest, AtMostJobsChildrenAlive)
+{
+    // Counters every child can write: how many legs run now, and the
+    // most that ever ran at once.
+    void *mem = mmap(nullptr, 2 * sizeof(std::atomic<unsigned>),
+                     PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                     -1, 0);
+    ASSERT_NE(mem, MAP_FAILED);
+    auto *alive = new (mem) std::atomic<unsigned>(0);
+    auto *peak = new (alive + 1) std::atomic<unsigned>(0);
+    const std::vector<int> out = runCells<int>(
+        8,
+        [alive, peak](std::size_t i) {
+            const unsigned now = alive->fetch_add(1) + 1;
+            unsigned seen = peak->load();
+            while (now > seen && !peak->compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            alive->fetch_sub(1);
+            return static_cast<int>(i);
+        },
+        3);
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_GE(peak->load(), 1u);
+    EXPECT_LE(peak->load(), 3u);
+    munmap(mem, 2 * sizeof(std::atomic<unsigned>));
+}
+
+TEST(CellsTest, FailedLegIsFatal)
+{
+    auto run = [] {
+        CellPool<int> pool(4, 2);
+        for (int i = 0; i < 4; ++i) {
+            pool.spawn([i] {
+                if (i == 1)
+                    std::abort();
+                return i;
+            });
+        }
+        pool.join();
+    };
+    EXPECT_DEATH(run(), "cell 1 of 4 died on signal");
 }
